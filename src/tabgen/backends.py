@@ -9,14 +9,18 @@ callers never observe completion order.
 
 from __future__ import annotations
 
+import email.utils
 import hashlib
 import json
+import math
 import os
 import threading
 import time
 from abc import ABC, abstractmethod
+from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -24,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import requests
 
-from tabgen.prompts import SEP_TOKEN, formulate_question
+from tabgen.prompts import QUESTION_END, QUESTION_OPENING, SEP_TOKEN, formulate_question
 from tabgen.table import NEWLINE_TOKEN, Orientation, Table, serialize_flat
 
 
@@ -239,6 +243,27 @@ class MockEmbedder(EmbeddingBackend):
         return EmbeddingResponse(vectors=tuple(self._vector(t) for t in texts), mode=mode)
 
 
+def _retry_after_seconds(value: str | None) -> float | None:
+    """The delay a Retry-After header asks for: delta-seconds or an HTTP date.
+
+    A date in the past gives 0; anything unparseable gives None, which
+    means the normal backoff.
+    """
+    if not value:
+        return None
+    try:
+        seconds = float(value)
+    except ValueError:
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return None
+        if when.tzinfo is None:
+            when = when.replace(tzinfo=timezone.utc)
+        seconds = (when - datetime.now(timezone.utc)).total_seconds()
+    return max(0.0, seconds) if math.isfinite(seconds) else None
+
+
 class HttpBackend(GenerationBackend, EmbeddingBackend):
     """Client for a hosted completion/embeddings service speaking the common JSON shape.
 
@@ -285,10 +310,9 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
             raise Unreachable(f"cannot reach {url}") from err
 
         if response.status_code == 429:
-            retry_after = response.headers.get("Retry-After")
             raise RateLimited(
                 "rate limited",
-                retry_after=float(retry_after) if retry_after else None,
+                retry_after=_retry_after_seconds(response.headers.get("Retry-After")),
             )
         if response.status_code >= 500:
             raise Unreachable(f"server error {response.status_code} from {url}")
@@ -337,28 +361,82 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
         return EmbeddingResponse(vectors=vectors, mode=mode)
 
 
+# A truncated passage is matched by its opening: this many leading characters
+# of the whitespace-normalised passage.
+_OPENING_CHARS = 120
+
+
 class MockOracleBackend(GenerationBackend):
     """Answers prompts from gold tables, enabling offline end-to-end runs.
 
     Structure prompts get the gold header sequence, cell questions get the
     gold cell (or "unknown" for an absent cell), and baseline prompts get
-    the gold table in flat format. Prompts are matched to samples by the
-    passage text embedded in them.
+    the gold table in flat format.
+
+    Prompts are matched to samples by the passage text embedded in them,
+    with whitespace runs collapsed to one space on both sides. A sample
+    whose whole passage occurs matches, the longest such passage winning.
+    Otherwise the prompt builder truncated the passage: among the samples
+    whose first 120 characters occur, the one whose leading words the
+    prompt repeats furthest wins, and a tie is an error. A passage cut
+    inside its first 120 characters is found the same way among all
+    samples.
+
+    Each sample is indexed under the rarest word inside its opening, so a
+    prompt only checks the samples whose index word it contains. Cell
+    questions are looked up in a per-table question index, built on the
+    first cell question the table gets.
     """
 
     def __init__(self, samples: Iterable[tuple[str, Table]], **kwargs):
         super().__init__(**kwargs)
-        self._samples = [(passage, table) for passage, table in samples]
-        if not self._samples:
+        pairs = [(" ".join(passage.split()), table) for passage, table in samples]
+        if not pairs:
             raise ValueError("mock oracle needs at least one (passage, gold table) pair")
+        self._passages = [passage for passage, _ in pairs]
+        self._tables = [table for _, table in pairs]
+        self._questions: list[_QuestionIndex | None] = [None] * len(pairs)
 
-    def _lookup(self, prompt: str) -> Table:
-        for passage, table in self._samples:
-            if passage[:120] in prompt:
-                return table
-        if len(self._samples) == 1:
-            return self._samples[0][1]
-        raise MalformedResponse("prompt does not mention any registered passage")
+        # The words strictly inside an opening are whole words of any prompt
+        # the opening occurs in; its first and last word may be glued to
+        # template text or cut.
+        inner = [passage[:_OPENING_CHARS].split(" ")[1:-1] for passage in self._passages]
+        counts = Counter(word for words in inner for word in set(words))
+        self._by_anchor: dict[str, list[int]] = {}
+        self._unanchored: list[int] = []
+        for i, words in enumerate(inner):
+            if words:
+                self._by_anchor.setdefault(min(words, key=counts.__getitem__), []).append(i)
+            else:
+                self._unanchored.append(i)
+
+    def _find_sample(self, prompt: str) -> int:
+        if len(self._passages) == 1:
+            return 0
+        words = prompt.split()
+        text = " ".join(words)
+        candidates = list(self._unanchored)
+        for anchor in self._by_anchor.keys() & words:
+            candidates.extend(self._by_anchor[anchor])
+        whole = [i for i in candidates if self._passages[i] in text]
+        if whole:
+            return max(whole, key=lambda i: (len(self._passages[i]), -i))
+
+        opened = [i for i in candidates if self._passages[i][:_OPENING_CHARS] in text]
+        padded = f" {text} "
+        shared = {
+            i: _shared_words(self._passages[i], padded)
+            for i in (opened or range(len(self._passages)))
+        }
+        best = max(shared.values())
+        if not opened and best == 0:
+            raise MalformedResponse("prompt does not mention any registered passage")
+        winners = [i for i, count in shared.items() if count == best]
+        if len(winners) > 1:
+            raise MalformedResponse(
+                f"truncated prompt matches {len(winners)} registered passages equally"
+            )
+        return winners[0]
 
     @staticmethod
     def _structure_answer(table: Table) -> str:
@@ -368,33 +446,79 @@ class MockOracleBackend(GenerationBackend):
         cols = " <SEP> ".join(table.col_headers)
         return f"{rows} <ROWCOL> {cols}"
 
-    @staticmethod
-    def _answer_question(table: Table, prompt: str) -> str:
-        candidates: list[tuple[str, str | None]] = []
-        if table.orientation is Orientation.ATTRIBUTE_VALUE:
-            for header, value in table.rows:
-                candidates.append((formulate_question(None, header), value))
-        else:
-            for r, row_header in enumerate(table.row_headers):
-                for c, col_header in enumerate(table.col_headers):
-                    value = table.cells[r][c]
-                    for hint in (True, False):
-                        candidates.append((formulate_question(row_header, col_header, hint), value))
-        matches = [(q, v) for q, v in candidates if q in prompt]
-        if not matches:
-            return "unknown"
-        _, value = max(matches, key=lambda pair: len(pair[0]))
-        return value if value is not None else "unknown"
-
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
-        table = self._lookup(request.prompt)
+        i = self._find_sample(request.prompt)
+        table = self._tables[i]
         if SEP_TOKEN in request.prompt:
             text = self._structure_answer(table)
         elif NEWLINE_TOKEN in request.prompt:
             text = serialize_flat(table)
         else:
-            text = self._answer_question(table, request.prompt)
+            questions = self._questions[i]
+            if questions is None:
+                # Two threads may both build it; they build equal indexes.
+                questions = self._questions[i] = _QuestionIndex(table)
+            text = questions.answer(request.prompt)
         return GenerationResponse(text=text, latency_ms=0.0)
+
+
+def _shared_words(passage: str, padded_text: str) -> int:
+    """How many leading words of `passage` occur in order as whole words of the text.
+
+    `padded_text` is the normalised prompt with one space added at each end.
+    """
+    words = passage.split(" ")
+    low, high = 0, len(words)
+    while low < high:
+        mid = (low + high + 1) // 2
+        if f" {' '.join(words[:mid])} " in padded_text:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
+class _QuestionIndex:
+    """Every cell question a table can be asked, mapped to the cell it asks for.
+
+    A prompt's answer comes from the longest such question it contains;
+    among equally long ones, the first in asking order: attribute-value
+    rows, or matrix cells row-major, each with the numeric hint on and
+    then off. No match, or an absent cell, answers "unknown".
+    """
+
+    def __init__(self, table: Table):
+        if table.orientation is Orientation.ATTRIBUTE_VALUE:
+            asked = [(formulate_question(None, header), value) for header, value in table.rows]
+        else:
+            asked = [
+                (formulate_question(row_header, col_header, hint), table.cells[r][c])
+                for r, row_header in enumerate(table.row_headers)
+                for c, col_header in enumerate(table.col_headers)
+                for hint in (True, False)
+            ]
+        self._cells: dict[str, tuple[int, str | None]] = {}
+        for order, (question, value) in enumerate(asked):
+            self._cells.setdefault(question, (order, value))
+        self._longest = max(map(len, self._cells), default=0)
+
+    def answer(self, prompt: str) -> str:
+        # Every question runs from an occurrence of the opening to a later
+        # end mark, so those spans are the only ones worth looking up.
+        best: tuple[int, int] | None = None
+        value = None
+        start = prompt.find(QUESTION_OPENING)
+        while start != -1:
+            end = prompt.find(QUESTION_END, start)
+            while end != -1 and end < start + self._longest:
+                hit = self._cells.get(prompt[start : end + 1])
+                if hit is not None:
+                    rank = (end + 1 - start, -hit[0])  # longer first, then earlier
+                    if best is None or rank > best:
+                        best, value = rank, hit[1]
+                end = prompt.find(QUESTION_END, end + 1)
+            start = prompt.find(QUESTION_OPENING, start + 1)
+        return value if value is not None else "unknown"
 
 
 class ReplayBackend(GenerationBackend):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -59,6 +60,7 @@ class PromptTemplate:
             return cls(name=path, text=handle.read())
 
 
+@lru_cache(maxsize=None)
 def _load_packaged(name: str) -> PromptTemplate:
     text = resources.files("tabgen").joinpath("templates", f"{name}.txt").read_text("utf-8")
     return PromptTemplate(name=name, text=text)
@@ -127,6 +129,12 @@ def parse_structure_answer(
             row_headers = ()
         return row_headers, tuple(parse_header_sequence(right))
     return (), tuple(parse_header_sequence(text))
+
+
+# Every question `formulate_question` renders opens with QUESTION_OPENING and
+# closes with QUESTION_END; the mock oracle finds asked questions by them.
+QUESTION_OPENING = "What is the "
+QUESTION_END = "?"
 
 
 def formulate_question(

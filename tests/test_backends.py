@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import random
 import threading
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -24,6 +26,7 @@ from tabgen.backends import (
     RecordingBackend,
     ReplayBackend,
     Unreachable,
+    _retry_after_seconds,
 )
 from tabgen.kinds import DatasetKind
 from tabgen.table import serialize_flat
@@ -316,6 +319,12 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Retry-After", "0")
             self.end_headers()
             return
+        if _Handler.behavior == "rate-limit-date-once":
+            _Handler.behavior = "ok"
+            self.send_response(429)
+            self.send_header("Retry-After", "Wed, 21 Oct 2015 07:28:00 GMT")
+            self.end_headers()
+            return
         if _Handler.behavior == "server-error":
             self.send_response(500)
             self.end_headers()
@@ -378,6 +387,15 @@ class TestHttpBackend:
         backend = HttpBackend(BackendConfig(kind="http", base_url=http_server, backoff_s=0.0))
         assert backend.generate(GenerationRequest("hi")).text == "echo:hi"
 
+    def test_http_date_retry_after_is_retried(self, http_server, monkeypatch):
+        sleeps: list[float] = []
+        monkeypatch.setattr("tabgen.backends.time.sleep", sleeps.append)
+        _Handler.behavior = "rate-limit-date-once"
+        backend = HttpBackend(BackendConfig(kind="http", base_url=http_server, backoff_s=5.0))
+        results = backend.generate_batch([GenerationRequest("hi")])
+        assert results[0].text == "echo:hi"
+        assert sleeps == [0.0]  # the date is past: retry at once
+
     def test_server_error_maps_to_unreachable(self, http_server):
         _Handler.behavior = "server-error"
         backend = HttpBackend(
@@ -404,6 +422,30 @@ class TestHttpBackend:
         response = backend.embed(["a", "b"])
         assert len(response.vectors) == 2
         assert response.vectors[0] == (1.0, 0.0)
+
+
+class TestRetryAfter:
+    @pytest.mark.parametrize(
+        ("header", "expected"),
+        [
+            ("7", 7.0),
+            ("1.5", 1.5),
+            ("-3", 0.0),
+            ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),
+            (None, None),
+            ("", None),
+            ("soon", None),
+            ("nan", None),
+            ("inf", None),
+        ],
+    )
+    def test_parsed_seconds(self, header, expected):
+        assert _retry_after_seconds(header) == expected
+
+    def test_future_date_counts_down(self):
+        when = datetime.now(timezone.utc) + timedelta(seconds=120)
+        seconds = _retry_after_seconds(format_datetime(when, usegmt=True))
+        assert 100 < seconds <= 120
 
 
 class TestBackendConfig:

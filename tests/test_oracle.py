@@ -1,0 +1,234 @@
+"""The mock oracle's passage lookup and cell-question answering."""
+
+from __future__ import annotations
+
+import sys
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tabgen.backends import GenerationRequest, MalformedResponse, MockOracleBackend
+from tabgen.kinds import DatasetKind
+from tabgen.pipeline import SkeletonDelta, baseline_generate, generate_table, update_table
+from tabgen.prompts import build_qa_prompt, default_qa_template, estimate_tokens, formulate_question
+from tabgen.table import Orientation, Table
+
+from .conftest import load_example
+
+
+def reference_answer(table: Table, prompt: str) -> str:
+    """The oracle's original brute-force question match, kept as the specification.
+
+    Every question the table can be asked is rendered; the longest one
+    found in the prompt wins, the first in asking order among equals.
+    """
+    candidates: list[tuple[str, str | None]] = []
+    if table.orientation is Orientation.ATTRIBUTE_VALUE:
+        for header, value in table.rows:
+            candidates.append((formulate_question(None, header), value))
+    else:
+        for r, row_header in enumerate(table.row_headers):
+            for c, col_header in enumerate(table.col_headers):
+                value = table.cells[r][c]
+                for hint in (True, False):
+                    candidates.append((formulate_question(row_header, col_header, hint), value))
+    matches = [(q, v) for q, v in candidates if q in prompt]
+    if not matches:
+        return "unknown"
+    _, value = max(matches, key=lambda pair: len(pair[0]))
+    return value if value is not None else "unknown"
+
+
+def oracle_answer(table: Table, prompt: str) -> str:
+    return MockOracleBackend([("passage", table)]).generate(GenerationRequest(prompt)).text
+
+
+# Headers that nest the question phrasing: a "?" inside, or the opening itself.
+HEADERS = st.one_of(
+    st.text(alphabet="ab ?", min_size=1, max_size=4),
+    st.sampled_from(["What is the a", "What is the ", "a?", "number of a", "a for b", "b?a"]),
+)
+ROW_HEADERS = st.one_of(HEADERS, st.just(""))
+VALUES = st.one_of(st.none(), st.text(alphabet="xyz", max_size=2))
+PIECES = st.sampled_from(["What is the ", "?", "number of ", " for ", "a", "b", " ", "\n", "??"])
+
+
+@st.composite
+def tables(draw) -> Table:
+    if draw(st.booleans()):
+        return Table.attribute_value(draw(st.lists(st.tuples(HEADERS, VALUES), max_size=5)))
+    rows = draw(st.lists(ROW_HEADERS, max_size=3))
+    cols = draw(st.lists(HEADERS, min_size=1, max_size=3))
+    return Table.matrix(rows, cols, [[draw(VALUES) for _ in cols] for _ in rows])
+
+
+@st.composite
+def tables_and_prompts(draw) -> tuple[Table, str]:
+    table = draw(tables())
+    if table.orientation is Orientation.ATTRIBUTE_VALUE:
+        asked = [formulate_question(None, header) for header, _ in table.rows]
+    else:
+        asked = [
+            formulate_question(row, col, hint)
+            for row in table.row_headers
+            for col in table.col_headers
+            for hint in (True, False)
+        ]
+    stray = st.builds(formulate_question, st.one_of(st.none(), ROW_HEADERS), HEADERS, st.booleans())
+    questions = st.one_of(stray, st.sampled_from(asked)) if asked else stray
+    # Passages and hand-built prompts that themselves hold question text.
+    text = st.lists(st.one_of(PIECES, questions), max_size=6).map("".join)
+    if draw(st.booleans()):
+        return table, build_qa_prompt("passage " + draw(text), draw(questions))
+    return table, draw(text)
+
+
+class TestQuestionMatch:
+    @settings(max_examples=400, deadline=None)
+    @given(tables_and_prompts())
+    def test_indexed_answer_equals_brute_force(self, case):
+        table, prompt = case
+        assert oracle_answer(table, prompt) == reference_answer(table, prompt)
+
+    def test_longest_question_wins(self):
+        table = Table.attribute_value([("Name", "short"), ("Name of the venue", "long")])
+        prompt = "Question: What is the Name of the venue?"
+        assert oracle_answer(table, prompt) == "long"
+
+    def test_first_in_asking_order_wins_a_tie(self):
+        # Both questions have the same length and both occur.
+        table = Table.attribute_value([("ab", "first"), ("cd", "second")])
+        assert oracle_answer(table, "What is the cd? What is the ab?") == "first"
+
+    def test_numeric_and_plain_phrasings_both_answer(self):
+        table = Table.matrix(["Hawks"], ["Wins"], [["46"]])
+        assert oracle_answer(table, "What is the number of Wins for Hawks?") == "46"
+        assert oracle_answer(table, "What is the Wins for Hawks?") == "46"
+
+    def test_concurrent_first_questions_all_answer(self):
+        # More threads than cores race to build the table's question index.
+        sample = load_example(DatasetKind.ROTOWIRE_TEAM)
+        gold = sample.gold
+        backend = MockOracleBackend([(sample.text, gold)], concurrency=4)
+        cells = [
+            (formulate_question(row, col, True), gold.cells[r][c])
+            for r, row in enumerate(gold.row_headers)
+            for c, col in enumerate(gold.col_headers)
+        ] * 8
+        barrier = threading.Barrier(4, timeout=10)
+        answers: dict[int, str] = {}
+
+        def ask(worker: int) -> None:
+            barrier.wait()
+            for k in range(worker, len(cells), 4):
+                prompt = build_qa_prompt(sample.text, cells[k][0])
+                answers[k] = backend.generate(GenerationRequest(prompt)).text
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [answers.get(k) for k in range(len(cells))] == [
+            value if value is not None else "unknown" for _, value in cells
+        ]
+
+
+# An opening of 150+ characters shared by two samples, as templated corpora have.
+SHARED_OPENING = (
+    "From the 1990 edition of the regional records office catalogue of restaurants, "
+    "volume 1, section A, as transcribed for the public archive reading room: "
+)
+
+
+def _venue(name: str, food: str, area: str) -> tuple[str, Table]:
+    text = f"{SHARED_OPENING}{name} serves {food} food in the {area} area."
+    return text, Table.attribute_value([("Name", name), ("Food", food), ("Area", area)])
+
+
+class TestPassageLookup:
+    @pytest.mark.parametrize("phase", ["generate", "baseline", "update"])
+    def test_shared_opening_answers_from_own_table(self, phase):
+        samples = [_venue("The Golden Crown", "Italian", "riverside"),
+                   _venue("The Blue Spice", "French", "city centre")]
+        assert len(SHARED_OPENING) >= 150
+        backend = MockOracleBackend(samples)
+        for text, gold in samples:
+            if phase == "generate":
+                produced = generate_table(text, DatasetKind.E2E, backend)
+            elif phase == "baseline":
+                produced = baseline_generate(text, DatasetKind.E2E, backend)
+            else:
+                partial = Table.attribute_value(gold.rows[:-1])
+                delta = SkeletonDelta(add_col_headers=(gold.rows[-1][0],))
+                produced = update_table(partial, delta, text, DatasetKind.E2E, backend)
+            assert produced == gold
+
+    def test_truncated_passage_with_irregular_whitespace_is_found(self):
+        text = "Alpha  venue\n" + " ".join(f"word{i}" for i in range(1998))
+        gold = Table.attribute_value([("Name", "Alpha"), ("Area", "riverside")])
+        other = load_example(DatasetKind.E2E)
+        backend = MockOracleBackend([(other.text, other.gold), (text, gold)])
+        assert generate_table(text, DatasetKind.E2E, backend) == gold
+
+    def test_longest_whole_passage_wins(self):
+        short_text, short_gold = _venue("The Mill", "Indian", "riverside")
+        long_text = short_text + " It also runs a coffee shop."
+        long_gold = Table.attribute_value([("Name", "The Mill annex")])
+        backend = MockOracleBackend([(short_text, short_gold), (long_text, long_gold)])
+        ask = "\n\nQuestion: What is the Name?"
+        assert backend.generate(GenerationRequest(long_text + ask)).text == "The Mill annex"
+        assert backend.generate(GenerationRequest(short_text + ask)).text == "The Mill"
+
+    def test_truncated_prompt_goes_to_the_longest_shared_word_prefix(self):
+        common = " ".join(f"common{i}" for i in range(40))
+        a = (f"{common} alpha " + " ".join(f"a{i}" for i in range(400)), Table.attribute_value([("Name", "A")]))
+        b = (f"{common} beta " + " ".join(f"b{i}" for i in range(400)), Table.attribute_value([("Name", "B")]))
+        backend = MockOracleBackend([a, b])
+        for text, gold in (a, b):
+            prompt = build_qa_prompt(text, "What is the Name?", max_input_tokens=200)
+            assert text not in prompt
+            assert backend.generate(GenerationRequest(prompt)).text == gold.rows[0][1]
+
+    def test_truncation_inside_the_shared_part_is_ambiguous(self):
+        common = " ".join(f"common{i}" for i in range(400))
+        backend = MockOracleBackend([
+            (f"{common} alpha", Table.attribute_value([("Name", "A")])),
+            (f"{common} beta", Table.attribute_value([("Name", "B")])),
+        ])
+        prompt = build_qa_prompt(f"{common} alpha", "What is the Name?", max_input_tokens=200)
+        with pytest.raises(MalformedResponse):
+            backend.generate(GenerationRequest(prompt))
+
+    def test_passage_cut_inside_its_opening_is_found(self):
+        question = "What is the Name?"
+        budget = default_qa_template().overhead_tokens() + estimate_tokens(question) + 3
+        samples = [
+            ("Zephyr Hall is a pub near the river with a long garden and live music on Fridays.",
+             Table.attribute_value([("Name", "Zephyr Hall")])),
+            ("Mistral Court is a hotel restaurant in the city centre serving French food daily.",
+             Table.attribute_value([("Name", "Mistral Court")])),
+        ]
+        backend = MockOracleBackend(samples)
+        for text, gold in samples:
+            prompt = build_qa_prompt(text, question, max_input_tokens=budget)
+            assert text[:120] not in prompt
+            assert backend.generate(GenerationRequest(prompt)).text == gold.rows[0][1]
+
+    def test_prompt_without_a_registered_passage_is_rejected(self):
+        a, b = load_example(DatasetKind.E2E), load_example(DatasetKind.WIKIBIO)
+        backend = MockOracleBackend([(a.text, a.gold), (b.text, b.gold)])
+        with pytest.raises(MalformedResponse):
+            backend.generate(GenerationRequest("zzz qqq\n\nQuestion: What is the Name?"))
+
+    def test_single_sample_answers_any_prompt(self, wikibio_sample):
+        backend = MockOracleBackend([(wikibio_sample.text, wikibio_sample.gold)])
+        assert backend.generate(GenerationRequest("What is the Name?")).text == "Lenny Randle"

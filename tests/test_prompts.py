@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tabgen import prompts
 from tabgen.kinds import DatasetKind
 from tabgen.prompts import (
+    QUESTION_END,
+    QUESTION_OPENING,
     NoHeaders,
     PromptTemplate,
     build_baseline_prompt,
     build_qa_prompt,
     build_structure_prompt,
+    default_qa_template,
     detect_no_answer,
     estimate_tokens,
     extract_numeric,
@@ -100,6 +104,12 @@ class TestFormulateQuestion:
         question = formulate_question(row, col, hint)
         assert row in question and col in question
 
+    @given(st.one_of(st.none(), st.text(max_size=8)), st.text(min_size=1, max_size=8), st.booleans())
+    def test_question_phrasing_is_delimited(self, row, col, hint):
+        question = formulate_question(row, col, hint)
+        assert question.startswith(QUESTION_OPENING)
+        assert question.endswith(QUESTION_END)
+
     def test_questions_for_headers_row_major(self):
         questions = questions_for_headers(Orientation.MATRIX, ["r1", "r2"], ["c1", "c2"], False)
         assert [(q.row_index, q.col_index) for q in questions] == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -153,6 +163,20 @@ class TestPromptBuilders:
     def test_template_override(self):
         template = PromptTemplate(name="custom", text="PASSAGE={{passage}} Q={{question}}")
         assert build_qa_prompt("p", "q", template) == "PASSAGE=p Q=q"
+
+    def test_packaged_template_is_read_once(self, monkeypatch):
+        prompts._load_packaged.cache_clear()
+        reads: list[str] = []
+        files = prompts.resources.files
+
+        def counting_files(package):
+            reads.append(package)
+            return files(package)
+
+        monkeypatch.setattr(prompts.resources, "files", counting_files)
+        first = default_qa_template()
+        assert default_qa_template() is first
+        assert len(reads) == 1
 
     def test_unfilled_question_slot_rejected(self):
         template = PromptTemplate(name="custom", text="{{passage}} {{question}}")
