@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import requests
+from requests.adapters import HTTPAdapter
 
 from tabgen.prompts import QUESTION_END, QUESTION_OPENING, SEP_TOKEN, formulate_question
 from tabgen.table import NEWLINE_TOKEN, Orientation, Table, serialize_flat
@@ -215,6 +216,13 @@ class GenerationBackend(ABC):
 
 
 class EmbeddingBackend(ABC):
+    """Embedding provider: one vector per input text, aligned by index.
+
+    A token's vector must not depend on the batch it is sent in (its
+    position, neighbours or request size): semantic evaluation embeds each
+    distinct token once per call and reuses that vector for every score.
+    """
+
     @abstractmethod
     def embed(self, texts: Sequence[str], mode: str = "text") -> EmbeddingResponse:
         ...
@@ -288,6 +296,12 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
                 raise ValueError(
                     f"auth environment variable {config.auth_env} is not set"
                 )
+        # One connection pool per backend, as large as the batch fan-out, so
+        # calls reuse connections instead of opening one each.
+        self._session = requests.Session()
+        adapter = HTTPAdapter(pool_maxsize=config.concurrency)
+        self._session.mount("http://", adapter)
+        self._session.mount("https://", adapter)
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -298,7 +312,7 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
     def _post(self, path: str, payload: dict) -> dict:
         url = self.config.base_url.rstrip("/") + path
         try:
-            response = requests.post(
+            response = self._session.post(
                 url,
                 json=payload,
                 headers=self._headers(),

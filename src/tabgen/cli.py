@@ -51,7 +51,6 @@ class RunConfig:
     kind: DatasetKind
     gold_headers: bool = False
     jobs: int = 1
-    seed: int = 0
     structure_template: PromptTemplate | None = None
     qa_template: PromptTemplate | None = None
     baseline_template: PromptTemplate | None = None
@@ -97,7 +96,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         kind=kind,
         gold_headers=getattr(args, "gold_headers", False),
         jobs=getattr(args, "jobs", 1) or 1,
-        seed=getattr(args, "seed", 0) or 0,
         structure_template=_load_template(getattr(args, "structure_template", None)),
         qa_template=_load_template(getattr(args, "qa_template", None)),
         baseline_template=_load_template(getattr(args, "baseline_template", None)),
@@ -432,7 +430,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout-ms", dest="timeout_ms", type=int, default=None)
     parser.add_argument("--retry-cap", dest="retry_cap", type=int, default=None)
     parser.add_argument("--cache", action="store_true", help="enable the in-memory request cache")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized components")
 
 
 def _add_generate_flags(parser: argparse.ArgumentParser) -> None:

@@ -5,13 +5,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from tabgen.backends import EmbeddingBackend
+from tabgen.backends import EmbeddingBackend, MalformedResponse
 from tabgen.table import (
+    CellTuple,
     InvalidTable,
     Orientation,
     Table,
@@ -72,6 +75,65 @@ def _clamp01(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
+class _TokenTable:
+    """Unit-normalised vectors of the tokens one scoring call has seen, a row per distinct token.
+
+    `add` sends the tokens it has not seen yet to the embedder in one
+    `mode="token"` request, so each distinct token is embedded once per
+    call. The table lives for one call only: nothing is remembered across
+    calls.
+    """
+
+    def __init__(self, embedder: EmbeddingBackend):
+        self._embedder = embedder
+        self._rows: dict[str, int] = {}
+        self._unit = np.empty((0, 0))
+
+    def add(self, *sides: Counter[str]) -> None:
+        new = [t for t in dict.fromkeys(chain.from_iterable(sides)) if t not in self._rows]
+        if not new:
+            return
+        vectors = np.array(self._embedder.embed(new, mode="token").vectors, dtype=float)
+        if len(vectors) != len(new):
+            raise MalformedResponse(f"embedder returned {len(vectors)} vectors for {len(new)} tokens")
+        size = len(self._rows)
+        if size + len(new) > len(self._unit):
+            grown = np.empty((2 * (size + len(new)), vectors.shape[1]))
+            if size:
+                grown[:size] = self._unit[:size]
+            self._unit = grown
+        self._unit[size : size + len(new)] = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+        self._rows.update(zip(new, range(size, size + len(new))))
+
+    def score(self, candidate: Counter[str], reference: Counter[str]) -> PRF:
+        """Greedy max-cosine matching of two token multisets already added.
+
+        Each side is reduced to its distinct tokens weighted by their
+        counts: precision is the count-weighted best similarity of the
+        candidate tokens over the candidate length, recall the mirror image.
+        """
+        cand = self._unit[[self._rows[t] for t in candidate]]
+        ref = self._unit[[self._rows[t] for t in reference]]
+        similarity = cand @ ref.T
+        cand_counts = np.fromiter(candidate.values(), dtype=float, count=len(candidate))
+        ref_counts = np.fromiter(reference.values(), dtype=float, count=len(reference))
+        precision = float(cand_counts @ similarity.max(axis=1)) / candidate.total()
+        recall = float(ref_counts @ similarity.max(axis=0)) / reference.total()
+        return PRF.from_rates(_clamp01(precision), _clamp01(recall))
+
+
+def _semantic_scores(
+    table: _TokenTable, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]
+) -> list[PRF]:
+    """Score (candidate, reference) token lists, embedding their new tokens in one request.
+
+    Either side empty scores zero, and its tokens are not embedded.
+    """
+    sides = [(Counter(cand), Counter(ref)) for cand, ref in pairs]
+    table.add(*chain.from_iterable(pair for pair in sides if all(pair)))
+    return [table.score(cand, ref) if cand and ref else PRF.zeros() for cand, ref in sides]
+
+
 def semantic_score(
     candidate_tokens: Sequence[str],
     reference_tokens: Sequence[str],
@@ -83,18 +145,8 @@ def semantic_score(
     candidate token; precision is the mirror image. Either side empty
     scores zero.
     """
-    if not candidate_tokens or not reference_tokens:
-        return PRF.zeros()
-
-    cand = np.array(embedder.embed(list(candidate_tokens), mode="token").vectors, dtype=float)
-    ref = np.array(embedder.embed(list(reference_tokens), mode="token").vectors, dtype=float)
-    cand = cand / np.linalg.norm(cand, axis=1, keepdims=True)
-    ref = ref / np.linalg.norm(ref, axis=1, keepdims=True)
-
-    similarity = cand @ ref.T
-    precision = _clamp01(float(similarity.max(axis=1).mean()))
-    recall = _clamp01(float(similarity.max(axis=0).mean()))
-    return PRF.from_rates(precision, recall)
+    [score] = _semantic_scores(_TokenTable(embedder), [(candidate_tokens, reference_tokens)])
+    return score
 
 
 @dataclass(frozen=True)
@@ -126,14 +178,13 @@ def _mean_prf(values: Sequence[PRF]) -> PRF:
     )
 
 
-def _header_tokens(table: Table) -> list[str]:
-    headers, _, _ = _header_sets(table)
+def _header_tokens(headers: set[str]) -> list[str]:
     return " ".join(sorted(headers)).split()
 
 
-def _cell_tokens(table: Table) -> list[str]:
+def _cell_tokens(cells: set[CellTuple]) -> list[str]:
     parts = []
-    for cell in sorted(to_tuples(table)):
+    for cell in sorted(cells):
         parts.extend(p for p in (cell.row_header, cell.col_header, cell.value) if p)
     return " ".join(parts).split()
 
@@ -151,6 +202,13 @@ def evaluate_sample(
     and column-axis scores; cell identity is the full normalized
     (row header, column header, value) tuple.
     """
+    tokens = _TokenTable(embedder) if embedder is not None else None
+    return _evaluate_sample(pred, gold, sample_id, tokens)
+
+
+def _evaluate_sample(
+    pred: Table, gold: Table, sample_id: str, tokens: _TokenTable | None
+) -> SampleEval:
     for table in (pred, gold):
         report = validate(table)
         if not report.valid:
@@ -168,13 +226,20 @@ def evaluate_sample(
         col_prf = None
         header_prf = exact_f1(pred_all, gold_all)
 
-    cell_prf = exact_f1(to_tuples(pred), to_tuples(gold))
+    pred_cells = to_tuples(pred)
+    gold_cells = to_tuples(gold)
+    cell_prf = exact_f1(pred_cells, gold_cells)
 
     semantic_header = None
     semantic_cell = None
-    if embedder is not None:
-        semantic_header = semantic_score(_header_tokens(pred), _header_tokens(gold), embedder)
-        semantic_cell = semantic_score(_cell_tokens(pred), _cell_tokens(gold), embedder)
+    if tokens is not None:
+        semantic_header, semantic_cell = _semantic_scores(
+            tokens,
+            [
+                (_header_tokens(pred_all), _header_tokens(gold_all)),
+                (_cell_tokens(pred_cells), _cell_tokens(gold_cells)),
+            ],
+        )
 
     return SampleEval(
         sample_id=sample_id,
@@ -318,6 +383,7 @@ def evaluate_corpus(
     if len(ids) != len(pairs):
         raise ValueError(f"got {len(ids)} ids for {len(pairs)} sample pairs")
 
+    tokens = _TokenTable(embedder) if embedder is not None else None
     samples = []
     for sample_id, (pred, gold) in zip(ids, pairs):
         if pred is None:
@@ -329,7 +395,7 @@ def evaluate_corpus(
                 )
             )
         else:
-            samples.append(evaluate_sample(pred, gold, sample_id=sample_id, embedder=embedder))
+            samples.append(_evaluate_sample(pred, gold, sample_id, tokens))
 
     def mean_optional(extract) -> PRF | None:
         values = [extract(s) for s in samples]

@@ -20,11 +20,14 @@ from tabgen.prompts import (
     build_baseline_prompt,
     build_qa_prompt,
     build_structure_prompt,
+    default_qa_template,
     detect_no_answer,
+    estimate_tokens,
     extract_numeric,
     formulate_question,
     parse_structure_answer,
     questions_for_headers,
+    truncate_passage,
 )
 from tabgen.table import (
     InvalidTable,
@@ -157,6 +160,31 @@ def _postprocess(raw: str, numeric: bool) -> str | None:
     return value or None
 
 
+def _qa_requests(
+    questions: list[str],
+    passage: str,
+    template: PromptTemplate | None,
+    max_input_tokens: int | None,
+    answer_max_new_tokens: int,
+) -> list[GenerationRequest]:
+    """One request per question, each prompt exactly as `build_qa_prompt` builds it.
+
+    The passage is cut to the budget here, once per distinct question
+    length, instead of being word-counted again for every question.
+    """
+    template = template or default_qa_template()
+    cut: dict[int, str] = {}  # question token estimate -> passage as cut beside it
+    requests = []
+    for question in questions:
+        length = estimate_tokens(question)
+        if length not in cut:
+            overhead = template.overhead_tokens() + length
+            cut[length] = truncate_passage(passage, max_input_tokens, overhead)
+        prompt = build_qa_prompt(cut[length], question, template)
+        requests.append(GenerationRequest(prompt, max_new_tokens=answer_max_new_tokens))
+    return requests
+
+
 def _answer_questions(
     questions: list[CellQuestion],
     passage: str,
@@ -167,13 +195,9 @@ def _answer_questions(
     max_input_tokens: int | None,
     answer_max_new_tokens: int,
 ) -> tuple[list[str | None], list[CellTrace]]:
-    requests = [
-        GenerationRequest(
-            build_qa_prompt(passage, q.question, template, max_input_tokens),
-            max_new_tokens=answer_max_new_tokens,
-        )
-        for q in questions
-    ]
+    requests = _qa_requests(
+        [q.question for q in questions], passage, template, max_input_tokens, answer_max_new_tokens
+    )
     results = backend.generate_batch(requests) if requests else []
 
     values: list[str | None] = []
@@ -439,13 +463,7 @@ def _batched_answers(
 ) -> list[str | None]:
     if not questions:
         return []
-    requests = [
-        GenerationRequest(
-            build_qa_prompt(passage, q, template, max_input_tokens),
-            max_new_tokens=answer_max_new_tokens,
-        )
-        for q in questions
-    ]
+    requests = _qa_requests(questions, passage, template, max_input_tokens, answer_max_new_tokens)
     results = backend.generate_batch(requests)
     values: list[str | None] = []
     for result in results:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -51,6 +51,10 @@ class PromptTemplate:
 
     def overhead_tokens(self) -> int:
         """Estimated token cost of the template text itself, slots excluded."""
+        return self._overhead_tokens
+
+    @cached_property
+    def _overhead_tokens(self) -> int:
         bare = self.text.replace("{{passage}}", "").replace("{{question}}", "")
         return estimate_tokens(bare)
 

@@ -5,7 +5,7 @@ import random
 import threading
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -422,6 +422,61 @@ class TestHttpBackend:
         response = backend.embed(["a", "b"])
         assert len(response.vectors) == 2
         assert response.vectors[0] == (1.0, 0.0)
+
+
+class _KeepAliveHandler(_Handler):
+    protocol_version = "HTTP/1.1"
+
+
+class _ConnectionCountingServer(ThreadingHTTPServer):
+    """Answers like `http_server`, over HTTP/1.1 keep-alive, counting accepted connections."""
+
+    daemon_threads = True
+    connections = 0
+
+    def get_request(self):
+        accepted = super().get_request()
+        self.connections += 1
+        return accepted
+
+
+@pytest.fixture
+def keep_alive_server():
+    server = _ConnectionCountingServer(("127.0.0.1", 0), _KeepAliveHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _Handler.behavior = "ok"
+    _Handler.seen = []
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+class TestHttpConnectionReuse:
+    @staticmethod
+    def backend(server, concurrency: int) -> HttpBackend:
+        url = f"http://127.0.0.1:{server.server_port}"
+        return HttpBackend(BackendConfig(kind="http", base_url=url, concurrency=concurrency))
+
+    def test_sequential_batch_opens_one_connection(self, keep_alive_server):
+        backend = self.backend(keep_alive_server, concurrency=1)
+        results = backend.generate_batch([GenerationRequest(f"q{i}") for i in range(20)])
+        assert [r.text for r in results] == [f"echo:q{i}" for i in range(20)]
+        assert keep_alive_server.connections == 1
+
+    def test_concurrent_batches_keep_at_most_one_connection_per_worker(self, keep_alive_server):
+        backend = self.backend(keep_alive_server, concurrency=4)
+        for batch in range(2):
+            results = backend.generate_batch([GenerationRequest(f"{batch}:{i}") for i in range(20)])
+            assert [r.text for r in results] == [f"echo:{batch}:{i}" for i in range(20)]
+        assert 1 <= keep_alive_server.connections <= 4
+
+    def test_completions_and_embeddings_share_the_connection(self, keep_alive_server):
+        backend = self.backend(keep_alive_server, concurrency=1)
+        backend.generate(GenerationRequest("hi"))
+        backend.embed(["a", "b"])
+        backend.generate(GenerationRequest("again"))
+        assert keep_alive_server.connections == 1
 
 
 class TestRetryAfter:

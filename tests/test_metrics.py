@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabgen.backends import MockEmbedder
+from tabgen.backends import BackendError, EmbeddingBackend, MockEmbedder, Unreachable
+from tabgen.corpus import fixture_path, load_jsonl
+from tabgen.kinds import DatasetKind
 from tabgen.metrics import (
     GOLD_HEADERS,
     PREDICTED_HEADERS,
@@ -16,7 +20,7 @@ from tabgen.metrics import (
     exact_f1,
     semantic_score,
 )
-from tabgen.table import InvalidTable, StructuralError, Table
+from tabgen.table import InvalidTable, Orientation, StructuralError, Table, normalize_text, to_tuples
 
 ITEMS = st.sets(st.text(alphabet="abcdef", min_size=1, max_size=4), max_size=12)
 
@@ -255,3 +259,243 @@ class TestEvaluateCorpus:
     def test_mode_constants(self):
         assert PREDICTED_HEADERS == "predicted-headers"
         assert GOLD_HEADERS == "gold-headers"
+
+
+def reference_semantic_score(candidate: list[str], reference: list[str], embedder) -> PRF:
+    """The original scorer, kept as the specification: both sides embedded in full.
+
+    Every token of each side is embedded in its own request, the full
+    similarity matrix is taken, and each row and column maximum counts once
+    per token.
+    """
+    if not candidate or not reference:
+        return PRF.zeros()
+    cand = np.array(embedder.embed(list(candidate), mode="token").vectors, dtype=float)
+    ref = np.array(embedder.embed(list(reference), mode="token").vectors, dtype=float)
+    cand = cand / np.linalg.norm(cand, axis=1, keepdims=True)
+    ref = ref / np.linalg.norm(ref, axis=1, keepdims=True)
+    similarity = cand @ ref.T
+    precision = min(1.0, max(0.0, float(similarity.max(axis=1).mean())))
+    recall = min(1.0, max(0.0, float(similarity.max(axis=0).mean())))
+    return PRF.from_rates(precision, recall)
+
+
+def reference_header_tokens(table: Table) -> list[str]:
+    if table.orientation is Orientation.ATTRIBUTE_VALUE:
+        headers = {normalize_text(h) for h, _ in table.rows}
+    else:
+        headers = {normalize_text(h) for h in table.row_headers + table.col_headers}
+    return " ".join(sorted(headers)).split()
+
+
+def reference_cell_tokens(table: Table) -> list[str]:
+    parts = []
+    for cell in sorted(to_tuples(table)):
+        parts.extend(p for p in cell if p)
+    return " ".join(parts).split()
+
+
+def assert_prf_close(actual: PRF, expected: PRF, tolerance: float = 1e-12) -> None:
+    assert abs(actual.precision - expected.precision) <= tolerance
+    assert abs(actual.recall - expected.recall) <= tolerance
+    assert abs(actual.f1 - expected.f1) <= tolerance
+
+
+class CountingEmbedder(EmbeddingBackend):
+    """MockEmbedder vectors, with every request recorded as (texts, mode)."""
+
+    def __init__(self):
+        self.inner = MockEmbedder()
+        self.requests: list[tuple[list[str], str]] = []
+
+    def embed(self, texts: Sequence[str], mode: str = "text"):
+        self.requests.append((list(texts), mode))
+        return self.inner.embed(texts, mode=mode)
+
+    @property
+    def embedded(self) -> list[str]:
+        return [token for texts, _ in self.requests for token in texts]
+
+
+class TestTokensEmbeddedOnce:
+    GOLD_A = Table.attribute_value([("name", "Alimentum"), ("food", "Chinese food"), ("area", "city centre")])
+    PRED_A = Table.attribute_value([("name", "Alimentum"), ("food", "Chinese"), ("area", "riverside")])
+    GOLD_B = Table.attribute_value([("name", "Aromi"), ("food", "Chinese food")])
+    EMPTY_B = Table.attribute_value([("name", None), ("food", None)])
+    PAIRS = [
+        (PRED_A, GOLD_A),
+        (GOLD_A, GOLD_A),  # brings no new token
+        (None, GOLD_B),  # errored
+        (EMPTY_B, GOLD_B),  # empty cell side: its gold cell tokens are not scored
+        (GOLD_B, GOLD_B),
+    ]
+
+    def scored_tokens(self) -> set[str]:
+        tokens: set[str] = set()
+        for pred, gold in self.PAIRS:
+            if pred is None:
+                continue
+            for extract in (reference_header_tokens, reference_cell_tokens):
+                if extract(pred) and extract(gold):
+                    tokens.update(extract(pred) + extract(gold))
+        return tokens
+
+    def test_each_distinct_token_is_embedded_once_per_call(self):
+        embedder = CountingEmbedder()
+        evaluate_corpus(self.PAIRS, embedder=embedder)
+        assert sorted(embedder.embedded) == sorted(self.scored_tokens())
+        assert all(mode == "token" for _, mode in embedder.requests)
+        # One request per sample that brings new tokens: the first and the last.
+        assert len(embedder.requests) == 2
+        assert "aromi" in embedder.requests[1][0]
+
+    def test_a_second_call_embeds_again(self):
+        embedder = CountingEmbedder()
+        first = evaluate_corpus(self.PAIRS, embedder=embedder)
+        once = list(embedder.requests)
+        second = evaluate_corpus(self.PAIRS, embedder=embedder)
+        assert embedder.requests == once + once
+        assert first == second
+
+    def test_scores_match_the_reference(self):
+        embedder = MockEmbedder()
+        report = evaluate_corpus(self.PAIRS, embedder=embedder)
+        for (pred, gold), sample in zip(self.PAIRS, report.per_sample):
+            if pred is None:
+                assert sample.errored and sample.semantic_cell == PRF.zeros()
+                continue
+            assert_prf_close(sample.semantic_header, reference_semantic_score(
+                reference_header_tokens(pred), reference_header_tokens(gold), embedder))
+            assert_prf_close(sample.semantic_cell, reference_semantic_score(
+                reference_cell_tokens(pred), reference_cell_tokens(gold), embedder))
+
+    def test_semantic_score_sends_one_request_of_distinct_tokens(self):
+        embedder = CountingEmbedder()
+        semantic_score(["a", "b", "a"], ["b", "c", "c"], embedder)
+        assert embedder.requests == [(["a", "b", "c"], "token")]
+        semantic_score([], ["a"], embedder)
+        assert len(embedder.requests) == 1
+
+    def test_embedder_errors_leave_evaluate_corpus(self):
+        class Down(EmbeddingBackend):
+            def embed(self, texts, mode="text"):
+                raise Unreachable("embedding service down")
+
+        with pytest.raises(BackendError):
+            evaluate_corpus(self.PAIRS, embedder=Down())
+
+    def test_vector_count_mismatch_is_rejected(self):
+        class Short(EmbeddingBackend):
+            def embed(self, texts, mode="text"):
+                return MockEmbedder().embed(list(texts)[1:] or ["x"], mode=mode)
+
+        with pytest.raises(BackendError):
+            evaluate_corpus(self.PAIRS, embedder=Short())
+
+
+TOKENS = st.lists(st.sampled_from(["a", "b", "c", "pts", "reb", "the", "12", "7"]), max_size=12)
+TEXTS = TOKENS.map(" ".join)
+
+
+@st.composite
+def prediction_pairs(draw) -> tuple[Table | None, Table]:
+    if draw(st.booleans()):
+        gold = Table.attribute_value(draw(st.lists(st.tuples(TEXTS, st.one_of(st.none(), TEXTS)), max_size=5)))
+        pred = Table.attribute_value(draw(st.lists(st.tuples(TEXTS, st.one_of(st.none(), TEXTS)), max_size=5)))
+    else:
+        tables = []
+        for _ in range(2):
+            rows = draw(st.lists(TEXTS, max_size=3))
+            cols = draw(st.lists(TEXTS, max_size=3))
+            cells = [[draw(st.one_of(st.none(), TEXTS)) for _ in cols] for _ in rows]
+            tables.append(Table.matrix(rows, cols, cells))
+        pred, gold = tables
+    return (None if draw(st.integers(0, 5)) == 0 else pred), gold
+
+
+class TestSameScoresAsTheReference:
+    @given(TOKENS, TOKENS)
+    def test_semantic_score(self, candidate, reference):
+        embedder = MockEmbedder(dim=8)
+        assert_prf_close(
+            semantic_score(candidate, reference, embedder),
+            reference_semantic_score(candidate, reference, embedder),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(prediction_pairs(), min_size=1, max_size=6))
+    def test_evaluate_corpus_per_sample(self, pairs):
+        embedder = MockEmbedder(dim=8)
+        report = evaluate_corpus(pairs, embedder=embedder)
+        for (pred, gold), sample in zip(pairs, report.per_sample):
+            if pred is None:
+                assert sample.semantic_header == sample.semantic_cell == PRF.zeros()
+                continue
+            assert_prf_close(sample.semantic_header, reference_semantic_score(
+                reference_header_tokens(pred), reference_header_tokens(gold), embedder))
+            assert_prf_close(sample.semantic_cell, reference_semantic_score(
+                reference_cell_tokens(pred), reference_cell_tokens(gold), embedder))
+            alone = evaluate_sample(pred, gold, embedder=embedder)
+            assert_prf_close(alone.semantic_header, sample.semantic_header)
+            assert_prf_close(alone.semantic_cell, sample.semantic_cell)
+
+
+def perturbed(gold: Table, i: int) -> Table | None:
+    """A fixed prediction for the i-th mini rotowire-team table."""
+    rows, cols = list(gold.row_headers), list(gold.col_headers)
+    cells = [list(row) for row in gold.cells]
+    if i % 5 == 0:
+        return gold
+    if i % 5 == 1:  # one value changed, one present cell dropped
+        cells[0][0] = str(int(cells[0][0]) + 1)
+        cells[1][2] = None
+    elif i % 5 == 2:
+        return None
+    elif i % 5 == 3:  # reworded headers: a new token, a repeated one
+        cols[2] = "Points scored total"
+        rows[0] = "The " + rows[0] + " " + rows[0]
+    else:  # every cell absent: the cell side is empty
+        cells = [[None] * len(cols) for _ in rows]
+    return Table.matrix(rows, cols, cells)
+
+
+# (semantic header, semantic cell) precision, recall, F1 per sample, as the
+# full-matrix scorer computed them before tokens were shared across samples.
+PINNED_MINI_SCORES = {
+    "rw-team-mini-01": ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)),
+    "rw-team-mini-02": ((1.0, 1.0, 1.0), (0.9905501200810307, 0.9963530730675392, 0.9934431225168977)),
+    "rw-team-mini-03": ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    "rw-team-mini-04": (
+        (0.9692118241410467, 1.0, 0.9843652290314767),
+        (0.9749920052683358, 1.0, 0.9873376729298373),
+    ),
+    "rw-team-mini-05": ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+    "rw-team-mini-06": ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)),
+    "rw-team-mini-07": ((1.0, 1.0, 1.0), (0.9929078640959255, 0.9933881376264738, 0.9931479427976824)),
+    "rw-team-mini-08": ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    "rw-team-mini-09": (
+        (0.9690145414378146, 1.0, 0.9842634689027948),
+        (0.971534640112357, 1.0, 0.9855618261487809),
+    ),
+    "rw-team-mini-10": ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+}
+PINNED_MINI_MEANS = (
+    (0.7938226365578862, 0.8, 0.7968628697934272),
+    (0.5929984629557649, 0.5989741210694013, 0.5959490564393198),
+)
+
+
+def test_mini_corpus_semantic_report_is_pinned():
+    samples = load_jsonl(fixture_path("rotowire-team_mini.jsonl"), DatasetKind.ROTOWIRE_TEAM)
+    pairs = [(perturbed(s.gold, i), s.gold) for i, s in enumerate(samples)]
+    report = evaluate_corpus(pairs, ids=[s.id for s in samples], embedder=MockEmbedder())
+    assert [s.sample_id for s in report.per_sample] == list(PINNED_MINI_SCORES)
+    for sample in report.per_sample:
+        header, cell = PINNED_MINI_SCORES[sample.sample_id]
+        assert_prf_close(sample.semantic_header, PRF(*header))
+        assert_prf_close(sample.semantic_cell, PRF(*cell))
+    assert_prf_close(report.semantic_header, PRF(*PINNED_MINI_MEANS[0]))
+    assert_prf_close(report.semantic_cell, PRF(*PINNED_MINI_MEANS[1]))
+    payload = report.to_json()
+    for key, means in zip(("semantic_header", "semantic_cell"), PINNED_MINI_MEANS):
+        assert payload[key] == dict(zip(("precision", "recall", "f1"), (round(m, 6) for m in means)))

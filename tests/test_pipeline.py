@@ -3,7 +3,11 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tabgen.pipeline as pipeline_module
+import tabgen.prompts as prompts_module
 from tabgen.backends import MockOracleBackend, Unreachable
 from tabgen.kinds import DatasetKind
 from tabgen.pipeline import (
@@ -17,7 +21,13 @@ from tabgen.pipeline import (
     skeleton_from_table,
     update_table,
 )
-from tabgen.prompts import NoHeaders
+from tabgen.prompts import (
+    NoHeaders,
+    PromptTemplate,
+    build_qa_prompt,
+    default_qa_template,
+    questions_for_headers,
+)
 from tabgen.table import (
     EmptyInput,
     Orientation,
@@ -335,3 +345,74 @@ class TestSkeleton:
         skeleton = TableSkeleton(Orientation.MATRIX, ("a",), ("x",))
         with pytest.raises(dataclasses.FrozenInstanceError):
             skeleton.row_headers = ()
+
+
+class TestQAPrompts:
+    """Stage two sends exactly the prompts `build_qa_prompt` builds, question by question."""
+
+    WORDS = st.sampled_from(["Sharks", "scored", "24", "points", "in\nthe", "fourth  quarter.", "?"])
+    HEADERS = st.lists(
+        st.lists(st.sampled_from(["pts", "reb", "Total points", "Points in 4th quarter", "a b c d"]),
+                 min_size=1, max_size=3).map(" ".join),
+        min_size=1, max_size=4, unique=True,
+    )
+
+    @staticmethod
+    def recorded_prompts(run) -> list[str]:
+        prompts: list[str] = []
+
+        def answer(prompt: str) -> str:
+            prompts.append(prompt)
+            return "7"
+
+        run(ScriptedBackend(answer))
+        return prompts
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(WORDS, min_size=1, max_size=60).map(" ".join),
+        HEADERS,
+        HEADERS,
+        st.one_of(st.none(), st.integers(0, 120)),
+    )
+    def test_generate_and_update_prompts_are_unchanged(self, passage, rows, cols, budget):
+        kind = DatasetKind.ROTOWIRE_PLAYER
+        skeleton = TableSkeleton(Orientation.MATRIX, rows, cols)
+        prompts = self.recorded_prompts(
+            lambda backend: generate_content(skeleton, passage, kind, backend, max_input_tokens=budget)
+        )
+        questions = questions_for_headers(Orientation.MATRIX, rows, cols, kind.numeric)
+        expected = [build_qa_prompt(passage, q.question, None, budget) for q in questions]
+        assert prompts == expected
+
+        empty = Table.matrix(rows[:1], cols, [[None] * len(cols)])
+        delta = SkeletonDelta(add_row_headers=rows[1:], reask=[(rows[0], c) for c in cols])
+        prompts = self.recorded_prompts(
+            lambda backend: update_table(empty, delta, passage, kind, backend, max_input_tokens=budget)
+        )
+        assert sorted(prompts) == sorted(expected)
+
+    def test_passage_and_template_are_counted_once(self, monkeypatch, rotowire_team_sample):
+        counted: list[str] = []
+        real = prompts_module.estimate_tokens
+
+        def counting(text: str) -> int:
+            counted.append(text)
+            return real(text)
+
+        monkeypatch.setattr(prompts_module, "estimate_tokens", counting)
+        monkeypatch.setattr(pipeline_module, "estimate_tokens", counting)
+        template = PromptTemplate(name="qa", text=default_qa_template().text)
+        gold = rotowire_team_sample.gold
+        skeleton = skeleton_from_table(gold)
+        passage = rotowire_team_sample.text
+        generate_content(skeleton, passage, DatasetKind.ROTOWIRE_TEAM, oracle_for(rotowire_team_sample),
+                         template=template)
+        questions = questions_for_headers(
+            Orientation.MATRIX, skeleton.row_headers, skeleton.col_headers, True
+        )
+        lengths = {real(q.question) for q in questions}
+        assert len(questions) > len(lengths)
+        assert counted.count(passage) == len(lengths)
+        bare = template.text.replace("{{passage}}", "").replace("{{question}}", "")
+        assert counted.count(bare) == 1
