@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from tabgen.backends import (
@@ -182,21 +182,9 @@ def _cmd_generate(args: argparse.Namespace, record_dir: str | None = None) -> in
             return record, None, True
         trace_record = {
             "id": sample.id,
-            "structure_answer": trace.structure_answer,
+            **asdict(trace),
             "structure_ms": round(trace.structure_ms, 3),
             "content_ms": round(trace.content_ms, 3),
-            "cells": [
-                {
-                    "row_header": c.row_header,
-                    "col_header": c.col_header,
-                    "question": c.question,
-                    "raw_answer": c.raw_answer,
-                    "value": c.value,
-                    "latency_ms": c.latency_ms,
-                    "error": c.error,
-                }
-                for c in trace.cells
-            ],
         }
         return {"id": sample.id, "table": table_to_json(table)}, trace_record, False
 

@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Collection, Sequence
 
 from tabgen.kinds import DatasetKind
 from tabgen.table import Orientation, dedupe_headers, normalize_text
@@ -274,6 +274,6 @@ def extract_numeric(answer: str) -> int | None:
     return None
 
 
-def detect_no_answer(answer: str, no_answer_values: Iterable[str] = DEFAULT_NO_ANSWER) -> bool:
+def detect_no_answer(answer: str, no_answer_values: Collection[str] = DEFAULT_NO_ANSWER) -> bool:
     """True when the normalized answer is one of the configured refusal markers."""
-    return normalize_text(answer) in set(no_answer_values)
+    return normalize_text(answer) in no_answer_values

@@ -83,14 +83,20 @@ def dedupe_headers(headers: Iterable[str]) -> list[str]:
     """
     result: list[str] = []
     seen: set[str] = set()
+    # Suffixes already tried for a raw text stay taken, since `seen` only
+    # grows, so a repeat resumes its search after the last one.
+    last_suffix: dict[str, int] = {}
     for text in headers:
-        candidate = text
-        n = 1
-        while normalize_text(candidate) in seen:
+        n = last_suffix.get(text, 0)
+        while True:
             n += 1
-            candidate = f"{text} #{n}".strip()
+            candidate = text if n == 1 else f"{text} #{n}".strip()
+            norm = normalize_text(candidate)
+            if norm not in seen:
+                break
+        last_suffix[text] = n
         result.append(candidate)
-        seen.add(normalize_text(candidate))
+        seen.add(norm)
     return result
 
 
@@ -234,28 +240,28 @@ def parse_flat(text: str, orientation: Orientation) -> Table:
 
 
 def to_tuples(table: Table) -> set[CellTuple]:
-    """One normalized tuple per present, non-empty cell; the unit of cell F1."""
+    """One normalized tuple per present, non-empty cell; the unit of cell F1.
+
+    Each call normalizes each header and each present value once, and
+    keeps nothing across calls.
+    """
     report = validate(table)
     if not report.valid:
         raise InvalidTable(report)
 
-    tuples: set[CellTuple] = set()
     if table.orientation is Orientation.ATTRIBUTE_VALUE:
-        for header, value in table.rows:
-            if value is not None and normalize_text(value):
-                tuples.add(CellTuple("", normalize_text(header), normalize_text(value)))
-        return tuples
-    for r, row in enumerate(table.cells):
-        for c, value in enumerate(row):
-            if value is not None and normalize_text(value):
-                tuples.add(
-                    CellTuple(
-                        normalize_text(table.row_headers[r]),
-                        normalize_text(table.col_headers[c]),
-                        normalize_text(value),
-                    )
-                )
-    return tuples
+        return {
+            CellTuple("", normalize_text(header), norm)
+            for header, value in table.rows
+            if value is not None and (norm := normalize_text(value))
+        }
+    col_headers = [normalize_text(h) for h in table.col_headers]
+    return {
+        CellTuple(row_header, col_header, norm)
+        for row_header, row in zip(map(normalize_text, table.row_headers), table.cells)
+        for col_header, value in zip(col_headers, row)
+        if value is not None and (norm := normalize_text(value))
+    }
 
 
 def table_to_json(table: Table) -> dict:

@@ -4,17 +4,43 @@ import json
 
 import pytest
 
+from tabgen import cli
 from tabgen.cli import dispatch
-from tabgen.corpus import fixture_path
+from tabgen.corpus import fixture_path, load_jsonl
+from tabgen.kinds import DatasetKind
+from tabgen.pipeline import generate_table_traced
 from tabgen.table import table_from_json
 
 E2E_EXAMPLE = str(fixture_path("e2e_example.jsonl"))
 TEAM_EXAMPLE = str(fixture_path("rotowire-team_example.jsonl"))
 E2E_MINI = str(fixture_path("e2e_mini.jsonl"))
+TEAM_MINI = str(fixture_path("rotowire-team_mini.jsonl"))
 
 
 def read_jsonl(path):
     return [json.loads(line) for line in path.read_text("utf-8").splitlines() if line]
+
+
+def hand_built_trace_record(sample_id: str, trace) -> dict:
+    """The trace record as it was written field by field, kept as the reference."""
+    return {
+        "id": sample_id,
+        "structure_answer": trace.structure_answer,
+        "structure_ms": round(trace.structure_ms, 3),
+        "content_ms": round(trace.content_ms, 3),
+        "cells": [
+            {
+                "row_header": c.row_header,
+                "col_header": c.col_header,
+                "question": c.question,
+                "raw_answer": c.raw_answer,
+                "value": c.value,
+                "latency_ms": c.latency_ms,
+                "error": c.error,
+            }
+            for c in trace.cells
+        ],
+    }
 
 
 class TestGenerate:
@@ -56,6 +82,28 @@ class TestGenerate:
         records = read_jsonl(trace)
         assert len(records[0]["cells"]) == 8
         assert records[0]["structure_answer"]
+
+    def test_trace_lines_equal_the_hand_built_records(self, tmp_path, monkeypatch):
+        traces = []
+
+        def recording(*args, **kwargs):
+            table, trace = generate_table_traced(*args, **kwargs)
+            traces.append(trace)
+            return table, trace
+
+        monkeypatch.setattr(cli, "generate_table_traced", recording)
+        trace_path = tmp_path / "trace.jsonl"
+        assert dispatch(
+            ["generate", "--kind", "rotowire-team", "--backend", "mock-oracle",
+             "--in", TEAM_MINI, "--out", str(tmp_path / "preds.jsonl"), "--trace", str(trace_path)]
+        ) == 0
+        samples = load_jsonl(TEAM_MINI, DatasetKind.ROTOWIRE_TEAM)
+        assert len(traces) == len(samples) > 1
+        expected = "".join(
+            json.dumps(hand_built_trace_record(s.id, t), sort_keys=True, ensure_ascii=False) + "\n"
+            for s, t in zip(samples, traces)
+        )
+        assert trace_path.read_text("utf-8") == expected
 
     def test_gold_headers_skips_stage_one(self, tmp_path):
         out = tmp_path / "preds.jsonl"

@@ -260,3 +260,15 @@ class TestDetectNoAnswer:
     def test_custom_set(self):
         assert detect_no_answer("nope", no_answer_values={"nope"})
         assert not detect_no_answer("unknown", no_answer_values={"nope"})
+
+    def test_membership_is_tested_against_the_given_collection(self):
+        class MembershipOnly:
+            def __contains__(self, item):
+                return item == "nope"
+
+            def __iter__(self):
+                raise AssertionError("refusal markers were copied")
+
+        markers = MembershipOnly()
+        assert detect_no_answer(" Nope ", no_answer_values=markers)
+        assert not detect_no_answer("unknown", no_answer_values=markers)
