@@ -9,26 +9,25 @@ callers never observe completion order.
 
 from __future__ import annotations
 
-import email.utils
 import hashlib
 import json
 import math
 import os
+import re
 import threading
 import time
 from abc import ABC, abstractmethod
 from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-import requests
-from requests.adapters import HTTPAdapter
-
+# numpy, requests and the date parsing only `Retry-After` needs are imported
+# where they are used, not here: they are most of a cold `import tabgen`, and
+# generation with the oracle, baselines, updates and exact evaluation never
+# touch them.
 from tabgen.prompts import QUESTION_END, QUESTION_OPENING, SEP_TOKEN, formulate_question
 from tabgen.table import NEWLINE_TOKEN, Orientation, Table, serialize_flat
 
@@ -151,6 +150,11 @@ class BackendConfig:
         return replace(self, **provided)
 
 
+# The longest `Retry-After` delay honoured before a retry, in seconds; a
+# server asking for more gets this, so one answer cannot stall a run for hours.
+MAX_RETRY_AFTER_S = 60.0
+
+
 class GenerationBackend(ABC):
     """Base generation provider: retry policy plus the concurrent batch contract."""
 
@@ -171,7 +175,8 @@ class GenerationBackend(ABC):
         """Run one request with bounded exponential-backoff retries.
 
         Retryable failures are retried up to `retry_cap` total attempts;
-        a rate limit that names a retry-after delay is honored.
+        a rate limit that names a retry-after delay is honored, up to
+        `MAX_RETRY_AFTER_S`.
         """
         for attempt in range(self.retry_cap):
             try:
@@ -182,7 +187,7 @@ class GenerationBackend(ABC):
                     raise
                 delay = self.backoff_s * (2**attempt)
                 if isinstance(err, RateLimited) and err.retry_after is not None:
-                    delay = err.retry_after
+                    delay = min(err.retry_after, MAX_RETRY_AFTER_S)
                 time.sleep(delay)
         raise AssertionError("unreachable")
 
@@ -240,6 +245,8 @@ class MockEmbedder(EmbeddingBackend):
         self.dim = dim
 
     def _vector(self, text: str) -> tuple[float, ...]:
+        import numpy as np
+
         seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
         rng = np.random.default_rng(seed)
         raw = rng.random(self.dim) + 1e-9
@@ -262,6 +269,9 @@ def _retry_after_seconds(value: str | None) -> float | None:
     try:
         seconds = float(value)
     except ValueError:
+        import email.utils
+        from datetime import datetime, timezone
+
         try:
             when = email.utils.parsedate_to_datetime(value)
         except (TypeError, ValueError):
@@ -281,6 +291,9 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
     """
 
     def __init__(self, config: BackendConfig):
+        import requests
+        from requests.adapters import HTTPAdapter
+
         super().__init__(
             concurrency=config.concurrency,
             retry_cap=config.retry_cap,
@@ -310,6 +323,8 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
         return headers
 
     def _post(self, path: str, payload: dict) -> dict:
+        import requests
+
         url = self.config.base_url.rstrip("/") + path
         try:
             response = self._session.post(
@@ -394,7 +409,9 @@ class MockOracleBackend(GenerationBackend):
     whose first 120 characters occur, the one whose leading words the
     prompt repeats furthest wins, and a tie is an error. A passage cut
     inside its first 120 characters is found the same way among all
-    samples.
+    samples. The kind of answer and the cell question are read from the
+    prompt text outside that passage, so a passage that quotes `<SEP>`,
+    `<NEWLINE>` or a cell question is answered like any other.
 
     Each sample is indexed under the rarest word inside its opening, so a
     prompt only checks the samples whose index word it contains. Cell
@@ -404,10 +421,11 @@ class MockOracleBackend(GenerationBackend):
 
     def __init__(self, samples: Iterable[tuple[str, Table]], **kwargs):
         super().__init__(**kwargs)
-        pairs = [(" ".join(passage.split()), table) for passage, table in samples]
+        pairs = list(samples)
         if not pairs:
             raise ValueError("mock oracle needs at least one (passage, gold table) pair")
-        self._passages = [passage for passage, _ in pairs]
+        self._texts = [passage for passage, _ in pairs]
+        self._passages = [" ".join(passage.split()) for passage in self._texts]
         self._tables = [table for _, table in pairs]
         self._questions: list[_QuestionIndex | None] = [None] * len(pairs)
 
@@ -424,9 +442,13 @@ class MockOracleBackend(GenerationBackend):
             else:
                 self._unanchored.append(i)
 
-    def _find_sample(self, prompt: str) -> int:
-        if len(self._passages) == 1:
-            return 0
+    def _find_sample(self, prompt: str) -> tuple[int, str]:
+        """The prompt's sample, and the normalised text of its passage the prompt holds.
+
+        That text is the whole passage, or its leading words when the
+        prompt builder truncated it. A lone sample answers any prompt: the
+        text is empty when not even its passage's opening occurs.
+        """
         words = prompt.split()
         text = " ".join(words)
         candidates = list(self._unanchored)
@@ -434,9 +456,12 @@ class MockOracleBackend(GenerationBackend):
             candidates.extend(self._by_anchor[anchor])
         whole = [i for i in candidates if self._passages[i] in text]
         if whole:
-            return max(whole, key=lambda i: (len(self._passages[i]), -i))
+            i = max(whole, key=lambda i: (len(self._passages[i]), -i))
+            return i, self._passages[i]
 
         opened = [i for i in candidates if self._passages[i][:_OPENING_CHARS] in text]
+        if not opened and len(self._passages) == 1:
+            return 0, ""
         padded = f" {text} "
         shared = {
             i: _shared_words(self._passages[i], padded)
@@ -450,7 +475,20 @@ class MockOracleBackend(GenerationBackend):
             raise MalformedResponse(
                 f"truncated prompt matches {len(winners)} registered passages equally"
             )
-        return winners[0]
+        return winners[0], " ".join(self._passages[winners[0]].split(" ")[:best])
+
+    def _outside_passage(self, i: int, prompt: str, shown: str) -> tuple[str, str]:
+        """The prompt text before and after the passage it shows: the template's own text."""
+        if not shown:
+            return prompt, ""
+        forms = (self._texts[i], shown) if shown == self._passages[i] else (shown,)
+        for form in forms:
+            start = prompt.find(form)
+            if start != -1:
+                return prompt[:start], prompt[start + len(form) :]
+        # The passage is there with other whitespace than it was given with.
+        found = re.search(r"\s+".join(map(re.escape, shown.split(" "))), prompt)
+        return prompt[: found.start()], prompt[found.end() :]
 
     @staticmethod
     def _structure_answer(table: Table) -> str:
@@ -461,18 +499,21 @@ class MockOracleBackend(GenerationBackend):
         return f"{rows} <ROWCOL> {cols}"
 
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
-        i = self._find_sample(request.prompt)
+        i, shown = self._find_sample(request.prompt)
         table = self._tables[i]
-        if SEP_TOKEN in request.prompt:
+        # Route and answer on the template's text only: a passage may quote
+        # the format tokens or another cell's question.
+        before, after = self._outside_passage(i, request.prompt, shown)
+        if SEP_TOKEN in before or SEP_TOKEN in after:
             text = self._structure_answer(table)
-        elif NEWLINE_TOKEN in request.prompt:
+        elif NEWLINE_TOKEN in before or NEWLINE_TOKEN in after:
             text = serialize_flat(table)
         else:
             questions = self._questions[i]
             if questions is None:
                 # Two threads may both build it; they build equal indexes.
                 questions = self._questions[i] = _QuestionIndex(table)
-            text = questions.answer(request.prompt)
+            text = questions.answer(before, after)
         return GenerationResponse(text=text, latency_ms=0.0)
 
 
@@ -495,7 +536,7 @@ def _shared_words(passage: str, padded_text: str) -> int:
 class _QuestionIndex:
     """Every cell question a table can be asked, mapped to the cell it asks for.
 
-    A prompt's answer comes from the longest such question it contains;
+    A prompt's answer comes from the longest such question its texts contain;
     among equally long ones, the first in asking order: attribute-value
     rows, or matrix cells row-major, each with the numeric hint on and
     then off. No match, or an absent cell, answers "unknown".
@@ -516,22 +557,23 @@ class _QuestionIndex:
             self._cells.setdefault(question, (order, value))
         self._longest = max(map(len, self._cells), default=0)
 
-    def answer(self, prompt: str) -> str:
+    def answer(self, *texts: str) -> str:
         # Every question runs from an occurrence of the opening to a later
         # end mark, so those spans are the only ones worth looking up.
         best: tuple[int, int] | None = None
         value = None
-        start = prompt.find(QUESTION_OPENING)
-        while start != -1:
-            end = prompt.find(QUESTION_END, start)
-            while end != -1 and end < start + self._longest:
-                hit = self._cells.get(prompt[start : end + 1])
-                if hit is not None:
-                    rank = (end + 1 - start, -hit[0])  # longer first, then earlier
-                    if best is None or rank > best:
-                        best, value = rank, hit[1]
-                end = prompt.find(QUESTION_END, end + 1)
-            start = prompt.find(QUESTION_OPENING, start + 1)
+        for text in texts:
+            start = text.find(QUESTION_OPENING)
+            while start != -1:
+                end = text.find(QUESTION_END, start)
+                while end != -1 and end < start + self._longest:
+                    hit = self._cells.get(text[start : end + 1])
+                    if hit is not None:
+                        rank = (end + 1 - start, -hit[0])  # longer first, then earlier
+                        if best is None or rank > best:
+                            best, value = rank, hit[1]
+                    end = text.find(QUESTION_END, end + 1)
+                start = text.find(QUESTION_OPENING, start + 1)
         return value if value is not None else "unknown"
 
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-import numpy as np
-
+# numpy is imported inside `_TokenTable`, its only user, so that importing
+# tabgen and exact evaluation do not pay for it (cold start).
 from tabgen.backends import EmbeddingBackend, MalformedResponse
 from tabgen.table import (
     CellTuple,
@@ -83,11 +83,15 @@ class _TokenTable:
     """
 
     def __init__(self, embedder: EmbeddingBackend):
+        import numpy as np
+
         self._embedder = embedder
         self._rows: dict[str, int] = {}
         self._unit = np.empty((0, 0))
 
     def add(self, *sides: Counter[str]) -> None:
+        import numpy as np
+
         new = [t for t in dict.fromkeys(chain.from_iterable(sides)) if t not in self._rows]
         if not new:
             return
@@ -110,6 +114,8 @@ class _TokenTable:
         counts: precision is the count-weighted best similarity of the
         candidate tokens over the candidate length, recall the mirror image.
         """
+        import numpy as np
+
         cand = self._unit[[self._rows[t] for t in candidate]]
         ref = self._unit[[self._rows[t] for t in reference]]
         similarity = cand @ ref.T

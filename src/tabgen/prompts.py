@@ -42,12 +42,17 @@ class PromptTemplate:
     text: str
 
     def render(self, *, passage: str, question: str | None = None) -> str:
-        rendered = self.text.replace("{{passage}}", passage)
-        if "{{question}}" in rendered:
-            if question is None:
-                raise ValueError(f"template {self.name!r} has a question slot but no question given")
-            rendered = rendered.replace("{{question}}", question)
-        return rendered
+        """Fill every slot in one pass, so slot markers inside a filled-in value stay text."""
+        if question is None and "{{question}}" in self.text:
+            raise ValueError(f"template {self.name!r} has a question slot but no question given")
+        return self._format.format(passage=passage, question=question)
+
+    @cached_property
+    def _format(self) -> str:
+        """The template as a `str.format` string: every brace doubled, then each slot a field."""
+        escaped = self.text.replace("{", "{{").replace("}", "}}")
+        escaped = escaped.replace("{{{{passage}}}}", "{passage}")
+        return escaped.replace("{{{{question}}}}", "{question}")
 
     def overhead_tokens(self) -> int:
         """Estimated token cost of the template text itself, slots excluded."""

@@ -10,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+import tabgen.backends
 from tabgen.backends import (
     BackendConfig,
     BackendError,
@@ -88,6 +89,14 @@ class TestRetries:
         backend = FlakyBackend(1, RateLimited("slow down", retry_after=7.5), retry_cap=3, backoff_s=100.0)
         assert backend.generate(GenerationRequest("p")).text == "ok"
         assert sleeps == [7.5]
+
+    def test_huge_retry_after_is_capped(self, monkeypatch):
+        sleeps: list[float] = []
+        monkeypatch.setattr("tabgen.backends.time.sleep", sleeps.append)
+        backend = FlakyBackend(1, RateLimited("come back tomorrow", retry_after=86400), retry_cap=3)
+        assert backend.generate(GenerationRequest("p")).text == "ok"
+        assert sleeps[0] <= 60.0
+        assert sleeps == [tabgen.backends.MAX_RETRY_AFTER_S]
 
     def test_exponential_backoff_delays(self, monkeypatch):
         sleeps: list[float] = []

@@ -232,3 +232,60 @@ class TestPassageLookup:
     def test_single_sample_answers_any_prompt(self, wikibio_sample):
         backend = MockOracleBackend([(wikibio_sample.text, wikibio_sample.gold)])
         assert backend.generate(GenerationRequest("What is the Name?")).text == "Lenny Randle"
+
+
+# Passages that quote what the oracle reads from the template: the format
+# tokens that pick the kind of answer, and other cells' questions.
+QUOTING_PASSAGES = {
+    "sep": "Aromi is an Italian place by the riverside. Its board reads Specials <SEP> Drinks.",
+    "newline": "Aromi is an Italian place by the riverside. Its menu ends in <NEWLINE> twice.",
+    "question": "Aromi is an Italian place by the riverside. Guests ask: What is the Name?",
+}
+
+
+class TestPassageQuotingPromptText:
+    @pytest.mark.parametrize("phase", ["generate", "baseline", "update"])
+    @pytest.mark.parametrize("quote", sorted(QUOTING_PASSAGES))
+    def test_quoting_passage_answers_from_its_own_table(self, phase, quote):
+        text = QUOTING_PASSAGES[quote]
+        gold = Table.attribute_value(
+            [("Name", "Aromi"), ("Food", "Italian"), ("Area", "riverside")]
+        )
+        other = load_example(DatasetKind.E2E)
+        backend = MockOracleBackend([(other.text, other.gold), (text, gold)])
+        if phase == "generate":
+            produced = generate_table(text, DatasetKind.E2E, backend)
+        elif phase == "baseline":
+            produced = baseline_generate(text, DatasetKind.E2E, backend)
+        else:
+            partial = Table.attribute_value(gold.rows[:1])
+            delta = SkeletonDelta(add_col_headers=("Food", "Area"))
+            produced = update_table(partial, delta, text, DatasetKind.E2E, backend)
+        assert produced == gold
+
+    def test_passage_holding_another_cells_question_answers_the_asked_one(self):
+        # "What is the Name?" is as long as "What is the Area?" and asked
+        # first, so a match inside the passage would win the tie.
+        text = QUOTING_PASSAGES["question"]
+        gold = Table.attribute_value([("Name", "Aromi"), ("Area", "riverside")])
+        backend = MockOracleBackend([(text, gold)])
+        prompt = build_qa_prompt(text, "What is the Area?")
+        assert backend.generate(GenerationRequest(prompt)).text == "riverside"
+
+    def test_truncated_passage_quoting_sep_answers_the_question(self):
+        text = "Specials <SEP> Drinks " + " ".join(f"word{i}" for i in range(400))
+        gold = Table.attribute_value([("Name", "Aromi")])
+        other = load_example(DatasetKind.E2E)
+        backend = MockOracleBackend([(other.text, other.gold), (text, gold)])
+        prompt = build_qa_prompt(text, "What is the Name?", max_input_tokens=200)
+        assert text not in prompt
+        assert backend.generate(GenerationRequest(prompt)).text == "Aromi"
+
+    def test_passage_with_other_whitespace_than_registered_is_cut_out(self):
+        registered = "Aromi   serves\nItalian food. Specials <SEP> Drinks."
+        gold = Table.attribute_value([("Name", "Aromi")])
+        other = load_example(DatasetKind.E2E)
+        backend = MockOracleBackend([(other.text, other.gold), (registered, gold)])
+        shown = "Aromi serves  Italian\tfood. Specials <SEP> Drinks."
+        prompt = build_qa_prompt(shown, "What is the Name?")
+        assert backend.generate(GenerationRequest(prompt)).text == "Aromi"

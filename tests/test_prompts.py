@@ -183,6 +183,52 @@ class TestPromptBuilders:
         with pytest.raises(ValueError):
             template.render(passage="p")
 
+    def test_question_marker_in_passage_is_text_for_structure_prompt(self):
+        passage = "The menu card reads {{question}} in gold letters."
+        template = prompts.default_structure_template(DatasetKind.E2E)
+        expected = template.text.replace("{{passage}}", passage)
+        assert build_structure_prompt(passage, DatasetKind.E2E) == expected
+
+    def test_question_marker_in_passage_is_text_for_qa_prompt(self):
+        passage = "The menu card reads {{question}} in gold letters."
+        question = "What is the Name?"
+        prompt = build_qa_prompt(passage, question)
+        expected = default_qa_template().text.replace("{{question}}", question)
+        assert prompt == expected.replace("{{passage}}", passage)
+        assert prompt.count(question) == 1
+
+    def test_passage_marker_in_question_is_text(self):
+        template = PromptTemplate(name="custom", text="P={{passage}} Q={{question}}")
+        assert template.render(passage="p", question="{{passage}}?") == "P=p Q={{passage}}?"
+
+    @pytest.mark.parametrize(
+        "name",
+        ["qa", "baseline_matrix", "baseline_attribute_value"]
+        + [f"structure_{kind.value}" for kind in DatasetKind],
+    )
+    @given(
+        passage=st.text(max_size=30).filter(lambda text: "{{question}}" not in text),
+        question=st.text(min_size=1, max_size=30),
+    )
+    def test_render_equals_slot_by_slot_replacement(self, name, passage, question):
+        # Only a passage holding the question marker renders differently.
+        template = prompts._load_packaged(name)
+        expected = template.text.replace("{{passage}}", passage).replace("{{question}}", question)
+        assert template.render(passage=passage, question=question) == expected
+
+    @given(
+        text=st.lists(
+            st.sampled_from(["{", "}", "{{", "}}", "{{passage}}", "{{question}}", "x", " "]),
+            max_size=12,
+        ).map("".join),
+        passage=st.text(alphabet="{}pa x", max_size=12).filter(lambda t: "{{question}}" not in t),
+        question=st.text(alphabet="{}qa x", min_size=1, max_size=12),
+    )
+    def test_literal_braces_render_as_slot_by_slot_replacement(self, text, passage, question):
+        template = PromptTemplate(name="custom", text=text)
+        expected = text.replace("{{passage}}", passage).replace("{{question}}", question)
+        assert template.render(passage=passage, question=question) == expected
+
 
 class TestTruncation:
     def test_no_budget_keeps_passage(self):
