@@ -22,7 +22,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
 # numpy, requests and the date parsing only `Retry-After` needs are imported
 # where they are used, not here: they are most of a cold `import tabgen`, and
@@ -395,6 +395,14 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
 _OPENING_CHARS = 120
 
 
+class _PrefixMemo(threading.local):
+    """One thread's last cell-question prompt up to the end of its passage:
+    (that prefix, its normalised text, the index words among the prompt's
+    words). An empty prefix means none is remembered yet."""
+
+    last: tuple[str, str, frozenset[str]] = ("", "", frozenset())
+
+
 class MockOracleBackend(GenerationBackend):
     """Answers prompts from gold tables, enabling offline end-to-end runs.
 
@@ -417,6 +425,14 @@ class MockOracleBackend(GenerationBackend):
     prompt only checks the samples whose index word it contains. Cell
     questions are looked up in a per-table question index, built on the
     first cell question the table gets.
+
+    A table's cell-question prompts share the text up to the end of the
+    passage. Each thread keeps that prefix of its last cell question with
+    its normalised text and index words, so a prompt that starts with it
+    splits only the rest. Whitespace follows the prefix in both prompts,
+    so the normalised text is the same, and the kept index words can only
+    add candidates that the passage match then rejects: answers do not
+    change.
     """
 
     def __init__(self, samples: Iterable[tuple[str, Table]], **kwargs):
@@ -441,27 +457,58 @@ class MockOracleBackend(GenerationBackend):
                 self._by_anchor.setdefault(min(words, key=counts.__getitem__), []).append(i)
             else:
                 self._unanchored.append(i)
+        self._memo = _PrefixMemo()
 
-    def _find_sample(self, prompt: str) -> tuple[int, str]:
-        """The prompt's sample, and the normalised text of its passage the prompt holds.
+    def _remember_prefix(self, prompt: str, end: int, text: str, anchors: AbstractSet[str]) -> None:
+        """Keep `prompt[:k]` for this thread, k being `end` backed off to whitespace.
 
-        That text is the whole passage, or its leading words when the
-        prompt builder truncated it. A lone sample answers any prompt: the
-        text is empty when not even its passage's opening occurs.
+        Whitespace at k means the prefix's words are the prompt's first
+        words, so its normalised text is a prefix of `text`; `anchors`,
+        taken from the whole prompt, covers the prefix's index words.
         """
-        words = prompt.split()
-        text = " ".join(words)
+        k = end
+        while 0 < k < len(prompt) and not prompt[k].isspace():
+            k -= 1
+        tail = prompt[k:].split()
+        kept = len(text) - sum(map(len, tail)) - len(tail)
+        if kept > 0:  # the prefix has words
+            self._memo.last = (prompt[:k], text[:kept], frozenset(anchors))
+
+    def _find_sample(self, prompt: str) -> tuple[int, str, tuple[str, AbstractSet[str]] | None]:
+        """The prompt's sample, the normalised text of its passage the prompt
+        holds, and the prompt's own normalised text and index words when they
+        were worked out in full: None when this thread's remembered prefix
+        supplied most of them.
+
+        The passage text is the whole passage, or its leading words when the
+        prompt builder truncated it. A lone sample answers any prompt: the
+        text is empty when not even its passage's opening occurs. Index
+        words the remembered prefix brings that the prompt lacks only add
+        candidates, never answers.
+        """
+        prefix, prefix_text, prefix_anchors = self._memo.last
+        cut = len(prefix)
+        if cut and prompt.startswith(prefix) and (len(prompt) == cut or prompt[cut].isspace()):
+            tail = prompt[cut:].split()
+            text = " ".join([prefix_text, *tail])
+            anchors = prefix_anchors.union(self._by_anchor.keys() & tail)
+            worked_out = None
+        else:
+            words = prompt.split()
+            text = " ".join(words)
+            anchors = self._by_anchor.keys() & words
+            worked_out = (text, anchors)
         candidates = list(self._unanchored)
-        for anchor in self._by_anchor.keys() & words:
+        for anchor in anchors:
             candidates.extend(self._by_anchor[anchor])
         whole = [i for i in candidates if self._passages[i] in text]
         if whole:
             i = max(whole, key=lambda i: (len(self._passages[i]), -i))
-            return i, self._passages[i]
+            return i, self._passages[i], worked_out
 
         opened = [i for i in candidates if self._passages[i][:_OPENING_CHARS] in text]
         if not opened and len(self._passages) == 1:
-            return 0, ""
+            return 0, "", worked_out
         padded = f" {text} "
         shared = {
             i: _shared_words(self._passages[i], padded)
@@ -475,7 +522,7 @@ class MockOracleBackend(GenerationBackend):
             raise MalformedResponse(
                 f"truncated prompt matches {len(winners)} registered passages equally"
             )
-        return winners[0], " ".join(self._passages[winners[0]].split(" ")[:best])
+        return winners[0], " ".join(self._passages[winners[0]].split(" ")[:best]), worked_out
 
     def _outside_passage(self, i: int, prompt: str, shown: str) -> tuple[str, str]:
         """The prompt text before and after the passage it shows: the template's own text."""
@@ -499,16 +546,21 @@ class MockOracleBackend(GenerationBackend):
         return f"{rows} <ROWCOL> {cols}"
 
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
-        i, shown = self._find_sample(request.prompt)
+        prompt = request.prompt
+        i, shown, worked_out = self._find_sample(prompt)
         table = self._tables[i]
         # Route and answer on the template's text only: a passage may quote
         # the format tokens or another cell's question.
-        before, after = self._outside_passage(i, request.prompt, shown)
+        before, after = self._outside_passage(i, prompt, shown)
         if SEP_TOKEN in before or SEP_TOKEN in after:
             text = self._structure_answer(table)
         elif NEWLINE_TOKEN in before or NEWLINE_TOKEN in after:
             text = serialize_flat(table)
         else:
+            # Only cell questions come many to a passage; a structure or
+            # baseline prompt would never meet its prefix again.
+            if worked_out is not None:
+                self._remember_prefix(prompt, len(prompt) - len(after), *worked_out)
             questions = self._questions[i]
             if questions is None:
                 # Two threads may both build it; they build equal indexes.
@@ -638,8 +690,18 @@ class RecordingBackend(GenerationBackend):
             },
             "response": {"text": response.text},
         }
+        # Encode before touching the disk, then swap the whole file in: a
+        # response that cannot be encoded, or a crash mid-write, never leaves
+        # a truncated fixture in place of an earlier one.
+        data = json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2).encode("utf-8")
         path = self.fixture_dir / f"{request.digest()}.json"
-        path.write_text(json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2), "utf-8")
+        temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            temp.write_bytes(data)
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
         return response
 
 

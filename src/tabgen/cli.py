@@ -8,6 +8,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 from tabgen.backends import (
     BackendConfig,
@@ -143,21 +144,34 @@ def _write_lines(records: list[dict], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_samples(args: argparse.Namespace, kind: DatasetKind) -> list[Sample]:
+def _load_corpus(path: str, kind: DatasetKind, label: str = "corpus file") -> list[Sample]:
     try:
-        return load_jsonl(args.infile, kind)
+        return load_jsonl(path, kind)
     except FileNotFoundError as err:
-        raise ConfigError(f"corpus file not found: {args.infile}") from err
+        raise ConfigError(f"{label} not found: {path}") from err
     except (SchemaError, InvalidGoldTable) as err:
-        raise ConfigError(f"corpus file {args.infile}: {err}") from err
+        raise ConfigError(f"{label} {path}: {err}") from err
+
+
+def _prepare_run(args: argparse.Namespace) -> tuple[RunConfig, list[Sample], GenerationBackend]:
+    """Settings, the input corpus and the backend of a `generate` or `baseline` run."""
+    config = _resolve_config(args)
+    samples = _load_corpus(args.infile, config.kind)
+    if not samples:
+        raise ConfigError(f"corpus file {args.infile} holds no samples")
+    return config, samples, _build_backend(config, samples, getattr(args, "oracle", None))
+
+
+def _run_samples(run: Callable[[Sample], tuple], samples: list[Sample], jobs: int) -> list[tuple]:
+    """`run` on every sample, results in input order; `jobs` samples at a time."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(run, samples))
+    return [run(s) for s in samples]
 
 
 def _cmd_generate(args: argparse.Namespace, record_dir: str | None = None) -> int:
-    config = _resolve_config(args)
-    samples = _load_samples(args, config.kind)
-    if not samples:
-        raise ConfigError(f"corpus file {args.infile} holds no samples")
-    backend = _build_backend(config, samples, getattr(args, "oracle", None))
+    config, samples, backend = _prepare_run(args)
     if record_dir:
         backend = RecordingBackend(backend, record_dir)
 
@@ -188,12 +202,7 @@ def _cmd_generate(args: argparse.Namespace, record_dir: str | None = None) -> in
         }
         return {"id": sample.id, "table": table_to_json(table)}, trace_record, False
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(run, samples))
-    else:
-        results = [run(s) for s in samples]
-
+    results = _run_samples(run, samples, config.jobs)
     records = [record for record, _, _ in results]
     traces = [trace for _, trace, _ in results if trace is not None]
     failed = sum(1 for _, _, bad in results if bad)
@@ -208,16 +217,10 @@ def _cmd_generate(args: argparse.Namespace, record_dir: str | None = None) -> in
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    samples = _load_samples(args, config.kind)
-    if not samples:
-        raise ConfigError(f"corpus file {args.infile} holds no samples")
-    backend = _build_backend(config, samples, getattr(args, "oracle", None))
+    config, samples, backend = _prepare_run(args)
     settings = config.backend
 
-    records = []
-    backend_failures = 0
-    for sample in samples:
+    def run(sample: Sample) -> tuple[dict, bool]:
         try:
             table = baseline_generate(
                 sample.text,
@@ -229,18 +232,16 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             )
         except StructuralError as err:
             # Ragged output is a measured outcome, not a run failure.
-            records.append(
-                {"id": sample.id, "error": {"type": "StructuralError", "widths": err.widths}}
-            )
-            continue
+            return {"id": sample.id, "error": {"type": "StructuralError", "widths": err.widths}}, False
         except EmptyInput:
-            records.append({"id": sample.id, "error": {"type": "EmptyInput"}})
-            continue
+            return {"id": sample.id, "error": {"type": "EmptyInput"}}, False
         except Exception as err:
-            records.append({"id": sample.id, "error": {"type": type(err).__name__, "message": str(err)}})
-            backend_failures += 1
-            continue
-        records.append({"id": sample.id, "table": table_to_json(table)})
+            return {"id": sample.id, "error": {"type": type(err).__name__, "message": str(err)}}, True
+        return {"id": sample.id, "table": table_to_json(table)}, False
+
+    results = _run_samples(run, samples, config.jobs)
+    records = [record for record, _ in results]
+    backend_failures = sum(1 for _, bad in results if bad)
 
     _write_lines(records, args.out)
     if backend_failures:
@@ -280,12 +281,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         kind = DatasetKind.from_string(args.kind)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    try:
-        gold_samples = load_jsonl(args.gold, kind)
-    except FileNotFoundError as err:
-        raise ConfigError(f"gold file not found: {args.gold}") from err
-    except (SchemaError, InvalidGoldTable) as err:
-        raise ConfigError(f"gold file {args.gold}: {err}") from err
+    gold_samples = _load_corpus(args.gold, kind, "gold file")
     predictions = _read_predictions(args.pred)
 
     gold_ids = [s.id for s in gold_samples]
@@ -374,15 +370,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
-    blocks = []
-    for path in args.infile:
-        try:
-            samples = load_jsonl(path, kind)
-        except FileNotFoundError as err:
-            raise ConfigError(f"corpus file not found: {path}") from err
-        except (SchemaError, InvalidGoldTable) as err:
-            raise ConfigError(f"corpus file {path}: {err}") from err
-        blocks.append((path, corpus_stats(samples)))
+    blocks = [(path, corpus_stats(_load_corpus(path, kind))) for path in args.infile]
 
     if args.format == "json":
         payload = {path: stats.to_json() for path, stats in blocks}

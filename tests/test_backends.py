@@ -230,6 +230,26 @@ class TestReplay:
         with pytest.raises(MalformedResponse):
             replay.generate(request)
 
+    def test_unencodable_response_leaves_no_fixture(self, tmp_path):
+        # A lone surrogate has no UTF-8 form; the write used to truncate the
+        # fixture to 0 bytes before failing, which replay then called unreadable.
+        request = GenerationRequest("hello")
+        recorder = RecordingBackend(ScriptedBackend(lambda _: "caf\ud800"), tmp_path)
+        with pytest.raises(UnicodeEncodeError):
+            recorder.generate(request)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(MalformedResponse, match="no recorded fixture"):
+            ReplayBackend(tmp_path).generate(request)
+
+    def test_unencodable_response_keeps_the_earlier_fixture(self, tmp_path):
+        request = GenerationRequest("hello")
+        RecordingBackend(ScriptedBackend(lambda _: "café"), tmp_path).generate(request)
+        recorder = RecordingBackend(ScriptedBackend(lambda _: "caf\ud800"), tmp_path)
+        with pytest.raises(UnicodeEncodeError):
+            recorder.generate(request)
+        assert [p.name for p in tmp_path.iterdir()] == [f"{request.digest()}.json"]
+        assert ReplayBackend(tmp_path).generate(request).text == "café"
+
 
 class TestCache:
     def test_second_identical_call_is_served_from_cache(self):

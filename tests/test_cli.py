@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
 from tabgen import cli
+from tabgen.backends import GenerationBackend
 from tabgen.cli import dispatch
 from tabgen.corpus import fixture_path, load_jsonl
 from tabgen.kinds import DatasetKind
@@ -191,7 +194,46 @@ class TestGenerate:
         assert code == 2
 
 
+class InFlightBackend(GenerationBackend):
+    """Delegates to an inner backend, holding each call briefly and recording peak overlap."""
+
+    def __init__(self, inner: GenerationBackend):
+        super().__init__(concurrency=inner.concurrency, retry_cap=inner.retry_cap)
+        self.inner = inner
+        self._lock = threading.Lock()
+        self._now = 0
+        self.peak = 0
+
+    def _generate_once(self, request):
+        with self._lock:
+            self._now += 1
+            self.peak = max(self.peak, self._now)
+        try:
+            time.sleep(0.02)
+            return self.inner.generate(request)
+        finally:
+            with self._lock:
+                self._now -= 1
+
+
 class TestBaseline:
+    def test_jobs_runs_samples_concurrently_and_keeps_order(self, tmp_path, monkeypatch):
+        built: list[InFlightBackend] = []
+        build = cli._build_backend
+
+        def wrapped(*args):
+            built.append(InFlightBackend(build(*args)))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_build_backend", wrapped)
+        args = ["baseline", "--kind", "rotowire-team", "--backend", "mock-oracle", "--in", TEAM_MINI]
+        serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+        assert dispatch(args + ["--out", str(serial), "--jobs", "1"]) == 0
+        assert dispatch(args + ["--out", str(parallel), "--jobs", "4"]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+        assert (built[0].peak, len(built)) == (1, 2)
+        assert built[1].peak > 1
+
     def test_oracle_baseline_all_valid(self, tmp_path, capsys):
         out = tmp_path / "preds.jsonl"
         code = dispatch(

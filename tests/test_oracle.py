@@ -9,13 +9,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabgen.backends import GenerationRequest, MalformedResponse, MockOracleBackend
+from tabgen.backends import (
+    GenerationBackend,
+    GenerationRequest,
+    MalformedResponse,
+    MockOracleBackend,
+)
 from tabgen.kinds import DatasetKind
-from tabgen.pipeline import SkeletonDelta, baseline_generate, generate_table, update_table
-from tabgen.prompts import build_qa_prompt, default_qa_template, estimate_tokens, formulate_question
+from tabgen.pipeline import (
+    SkeletonDelta,
+    baseline_generate,
+    generate_content,
+    generate_table,
+    skeleton_from_table,
+    update_table,
+)
+from tabgen.prompts import (
+    PromptTemplate,
+    build_baseline_prompt,
+    build_qa_prompt,
+    build_structure_prompt,
+    default_qa_template,
+    estimate_tokens,
+    formulate_question,
+)
 from tabgen.table import Orientation, Table
 
-from .conftest import load_example
+from .conftest import load_example, load_mini
 
 
 def reference_answer(table: Table, prompt: str) -> str:
@@ -289,3 +309,180 @@ class TestPassageQuotingPromptText:
         shown = "Aromi serves  Italian\tfood. Specials <SEP> Drinks."
         prompt = build_qa_prompt(shown, "What is the Name?")
         assert backend.generate(GenerationRequest(prompt)).text == "Aromi"
+
+
+# Prompts of one table share the text up to the end of its passage, and the
+# oracle reuses that prefix's normalised text from the thread's last cell
+# question. A fresh oracle per prompt has no such memory, so it is the
+# reference the shared one must match.
+PASSAGE_WORDS = st.sampled_from(
+    ["alpha", "beta", "gamma", "delta", "What", "is", "the", "Name?", "<SEP>", "x.", "Q:"]
+)
+# Whitespace runs, including characters `str.split` treats as whitespace
+# that a plain space test would miss.
+GAPS = st.sampled_from([" ", "  ", "\n", "\t", " \n ", "\u3000", "\x1c", "\x85", "\xa0", "\u2028"])
+EDGES = st.one_of(st.just(""), GAPS)
+HEADER_NAMES = st.sampled_from(["Name", "Food", "Area", "Name of the venue", "x."])
+SHARED_PREFIX_TEMPLATES = [
+    None,  # the packaged template: passage, then question
+    PromptTemplate("question-first", "Q: {{question}}\nP: {{passage}}\nA:"),
+    PromptTemplate("glued", "P:{{passage}}{{question}}A:"),
+    PromptTemplate("odd-space", "P: {{passage}}\u2028Q: {{question}}"),
+]
+
+
+@st.composite
+def words_joined(draw, words) -> str:
+    gaps = [draw(GAPS) for _ in words[1:]]
+    body = words[0] + "".join(gap + word for gap, word in zip(gaps, words[1:]))
+    return draw(EDGES) + body + draw(EDGES)
+
+
+@st.composite
+def registered_samples(draw) -> list[tuple[str, Table]]:
+    """Passages cut from one text, often just before a gap, then extended.
+
+    So they repeat, extend or diverge from one another, at a gap or
+    inside a word.
+    """
+    base = draw(words_joined(draw(st.lists(PASSAGE_WORDS, min_size=1, max_size=40))))
+    gaps = [j for j, char in enumerate(base) if char.isspace()]
+    cuts = st.one_of(st.integers(0, len(base)), st.sampled_from(gaps)) if gaps else st.just(len(base))
+    samples = []
+    for _ in range(draw(st.integers(1, 4))):
+        text = base[: draw(cuts)]
+        if draw(st.booleans()):
+            text += draw(words_joined(draw(st.lists(PASSAGE_WORDS, min_size=1, max_size=8))))
+        headers = draw(st.lists(HEADER_NAMES, min_size=1, max_size=3, unique=True))
+        values = [draw(st.sampled_from(["a1", "b2", None])) for _ in headers]
+        samples.append((text if text.strip() else base, Table.attribute_value(list(zip(headers, values)))))
+    return samples
+
+
+@st.composite
+def prompt_sequences(draw) -> tuple[list[tuple[str, Table]], list[str]]:
+    """Stage-one, stage-two (generate or update) and baseline prompts, tables interleaved."""
+    samples = draw(registered_samples())
+    template = draw(st.sampled_from(SHARED_PREFIX_TEMPLATES))
+    budget = draw(st.sampled_from([None, 2048, 45, 50, 60]))
+    prompts = []
+    for _ in range(draw(st.integers(1, 12))):
+        passage, table = samples[draw(st.integers(0, len(samples) - 1))]
+        if draw(st.integers(0, 3)) == 0:  # update evidence: the same words, other whitespace
+            passage = draw(words_joined(passage.split()))
+        phase = draw(st.sampled_from(["structure", "baseline", "cells", "cells"]))
+        if phase == "structure":
+            prompts.append(build_structure_prompt(passage, DatasetKind.E2E, max_input_tokens=budget))
+        elif phase == "baseline":
+            prompts.append(
+                build_baseline_prompt(passage, Orientation.ATTRIBUTE_VALUE, max_input_tokens=budget)
+            )
+        else:
+            headers = [header for header, _ in table.rows]
+            quoted = [other for other, _ in samples if other.strip()]
+            for _ in range(draw(st.integers(1, 4))):
+                header = draw(st.sampled_from(headers + quoted + ["Missing"]))
+                question = formulate_question(None, header)
+                prompts.append(build_qa_prompt(passage, question, template, budget))
+    return samples, prompts
+
+
+def answer_or_error(backend: MockOracleBackend, prompt: str) -> str:
+    try:
+        return backend.generate(GenerationRequest(prompt)).text
+    except MalformedResponse as err:
+        return f"error: {err}"
+
+
+class SplitCountingPrompt(str):
+    """A prompt that counts how often the whole of it is split into words."""
+
+    splits = 0
+
+    def split(self, *args, **kwargs):
+        type(self).splits += 1
+        return super().split(*args, **kwargs)
+
+
+class TestSharedPrefix:
+    @settings(max_examples=300, deadline=None)
+    @given(prompt_sequences())
+    def test_shared_oracle_answers_like_a_fresh_one(self, case):
+        samples, prompts = case
+        shared = MockOracleBackend(samples)
+        for prompt in prompts:
+            fresh = MockOracleBackend(samples)
+            assert answer_or_error(shared, prompt) == answer_or_error(fresh, prompt), prompt
+
+    @pytest.mark.parametrize(
+        "template, extension",
+        [
+            (None, " It also runs a coffee shop."),  # at a gap: the prefix is reused
+            (None, "house, which also runs a coffee shop."),  # inside the last word
+            (PromptTemplate("glued", "P:{{passage}}{{question}}A:"), " It also runs a coffee shop."),
+        ],
+    )
+    def test_prompt_extending_the_remembered_passage_answers_from_its_own_table(
+        self, template, extension
+    ):
+        text, short_gold = _venue("The Mill", "Indian", "riverside")
+        short_text = text.removesuffix(" area.")
+        long_text = short_text + extension
+        long_gold = Table.attribute_value([("Name", "The Mill annex")])
+        backend = MockOracleBackend([(short_text, short_gold), (long_text, long_gold)])
+        for text, name in ((short_text, "The Mill"), (long_text, "The Mill annex")) * 2:
+            prompt = build_qa_prompt(text, "What is the Name?", template)
+            assert backend.generate(GenerationRequest(prompt)).text == name
+
+    def test_threads_feeding_different_tables_answer_exactly(self):
+        samples = load_mini(DatasetKind.ROTOWIRE_TEAM)[:4]
+        backend = MockOracleBackend([(s.text, s.gold) for s in samples])
+        barrier = threading.Barrier(4, timeout=10)
+        wrong: list[tuple[str, str, str]] = []
+
+        def ask(sample) -> None:
+            gold = sample.gold
+            barrier.wait()
+            for _ in range(3):
+                for r, row in enumerate(gold.row_headers):
+                    for c, col in enumerate(gold.col_headers):
+                        prompt = build_qa_prompt(sample.text, formulate_question(row, col, True))
+                        expected = gold.cells[r][c] or "unknown"
+                        got = backend.generate(GenerationRequest(prompt)).text
+                        if got != expected:
+                            wrong.append((sample.id, got, expected))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(s,)) for s in samples]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_a_large_tables_cell_questions_split_the_full_prompt_once(self, monkeypatch):
+        rows = [f"Team{r}" for r in range(26)]
+        cols = [f"STAT{c}" for c in range(20)]
+        cells = [[str(r * 20 + c) if (r + c) % 7 else None for c in range(20)] for r in range(26)]
+        gold = Table.matrix(rows, cols, cells)
+        passage = " ".join(f"{row} posted {' '.join(cells[r][c] or '-' for c in range(20))}."
+                           for r, row in enumerate(rows))
+        other = load_example(DatasetKind.ROTOWIRE_TEAM)
+        oracle = MockOracleBackend([(passage, gold), (other.text, other.gold)])
+        monkeypatch.setattr(SplitCountingPrompt, "splits", 0)
+
+        class Counted(GenerationBackend):
+            def _generate_once(self, request):
+                counted = GenerationRequest(SplitCountingPrompt(request.prompt), request.max_new_tokens)
+                return oracle.generate(counted)
+
+        table, _ = generate_content(
+            skeleton_from_table(gold), passage, DatasetKind.ROTOWIRE_TEAM, Counted(concurrency=1)
+        )
+        assert table == gold
+        assert SplitCountingPrompt.splits == 1
