@@ -693,7 +693,11 @@ class RecordingBackend(GenerationBackend):
         # Encode before touching the disk, then swap the whole file in: a
         # response that cannot be encoded, or a crash mid-write, never leaves
         # a truncated fixture in place of an earlier one.
-        data = json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2).encode("utf-8")
+        try:
+            data = json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2).encode("utf-8")
+        except UnicodeEncodeError as err:
+            # A lone surrogate cannot be written as UTF-8; fail this call only.
+            raise MalformedResponse(f"response cannot be recorded as UTF-8: {err.reason}") from err
         path = self.fixture_dir / f"{request.digest()}.json"
         temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:

@@ -17,8 +17,9 @@ from tabgen.table import (
     CellTuple,
     Orientation,
     Table,
-    normalize_text,
-    to_tuples,
+    _cell_tuples,
+    _NormalizeMemo,
+    to_tuples,  # noqa: F401 -- perfbench's tracer wraps tabgen.metrics.to_tuples
 )
 
 PREDICTED_HEADERS = "predicted-headers"
@@ -48,9 +49,12 @@ class PRF:
 
 
 def exact_f1(predicted: Iterable, gold: Iterable) -> PRF:
-    """Set-overlap precision/recall/F1; an empty side scores zero by convention."""
-    pred_set = set(predicted)
-    gold_set = set(gold)
+    """Set-overlap precision/recall/F1; an empty side scores zero by convention.
+
+    A set or frozenset is used as given; any other iterable is copied into one.
+    """
+    pred_set = predicted if isinstance(predicted, (set, frozenset)) else set(predicted)
+    gold_set = gold if isinstance(gold, (set, frozenset)) else set(gold)
     return PRF.from_counts(len(pred_set & gold_set), len(pred_set), len(gold_set))
 
 
@@ -165,12 +169,14 @@ class SampleEval:
     semantic_cell: PRF | None = None
 
 
-def _header_sets(table: Table) -> tuple[set[str], set[str] | None, set[str] | None]:
+def _header_sets(
+    table: Table, memo: _NormalizeMemo
+) -> tuple[set[str], set[str] | None, set[str] | None]:
     """(all headers, row headers, col headers); row/col axes only for matrix tables."""
     if table.orientation is Orientation.ATTRIBUTE_VALUE:
-        return {normalize_text(h) for h, _ in table.rows}, None, None
-    rows = {normalize_text(h) for h in table.row_headers}
-    cols = {normalize_text(h) for h in table.col_headers}
+        return {memo[h] for h, _ in table.rows}, None, None
+    rows = set(map(memo.__getitem__, table.row_headers))
+    cols = set(map(memo.__getitem__, table.col_headers))
     return rows | cols, rows, cols
 
 
@@ -202,17 +208,22 @@ def evaluate_sample(
 
     For matrix tables the headline header score is the mean of the row-
     and column-axis scores; cell identity is the full normalized
-    (row header, column header, value) tuple.
+    (row header, column header, value) tuple. Each distinct string is
+    normalized once per call.
     """
     tokens = _TokenTable(embedder) if embedder is not None else None
-    return _evaluate_sample(pred, gold, sample_id, tokens)
+    return _evaluate_sample(pred, gold, sample_id, tokens, _NormalizeMemo())
 
 
 def _evaluate_sample(
-    pred: Table, gold: Table, sample_id: str, tokens: _TokenTable | None
+    pred: Table,
+    gold: Table,
+    sample_id: str,
+    tokens: _TokenTable | None,
+    memo: _NormalizeMemo,
 ) -> SampleEval:
-    pred_all, pred_rows, pred_cols = _header_sets(pred)
-    gold_all, gold_rows, gold_cols = _header_sets(gold)
+    pred_all, pred_rows, pred_cols = _header_sets(pred, memo)
+    gold_all, gold_rows, gold_cols = _header_sets(gold, memo)
 
     if gold.orientation is Orientation.MATRIX and pred.orientation is Orientation.MATRIX:
         row_prf = exact_f1(pred_rows, gold_rows)
@@ -223,8 +234,8 @@ def _evaluate_sample(
         col_prf = None
         header_prf = exact_f1(pred_all, gold_all)
 
-    pred_cells = to_tuples(pred)
-    gold_cells = to_tuples(gold)
+    pred_cells = _cell_tuples(pred, memo)
+    gold_cells = _cell_tuples(gold, memo)
     cell_prf = exact_f1(pred_cells, gold_cells)
 
     semantic_header = None
@@ -369,7 +380,10 @@ def evaluate_corpus(
     """Macro-average sample metrics; a None prediction is an errored sample scoring zero.
 
     `mode` records how the predictions were produced (stage one output
-    versus gold-header seeding) so ablation reports stay labeled.
+    versus gold-header seeding) so ablation reports stay labeled. Each
+    distinct header and value text in the call is normalized once, through
+    one memo shared by every sample of the call; nothing is kept across
+    calls.
     """
     if not pairs:
         raise ValueError("evaluate_corpus requires at least one (pred, gold) pair")
@@ -381,6 +395,7 @@ def evaluate_corpus(
         raise ValueError(f"got {len(ids)} ids for {len(pairs)} sample pairs")
 
     tokens = _TokenTable(embedder) if embedder is not None else None
+    memo = _NormalizeMemo()
     samples = []
     for sample_id, (pred, gold) in zip(ids, pairs):
         if pred is None:
@@ -392,7 +407,7 @@ def evaluate_corpus(
                 )
             )
         else:
-            samples.append(_evaluate_sample(pred, gold, sample_id, tokens))
+            samples.append(_evaluate_sample(pred, gold, sample_id, tokens, memo))
 
     def mean_optional(extract) -> PRF | None:
         values = [extract(s) for s in samples]

@@ -170,7 +170,9 @@ def _qa_requests(
     """One request per question, each prompt exactly as `build_qa_prompt` builds it.
 
     The passage is cut to the budget here, once per distinct question
-    length, instead of being word-counted again for every question.
+    length, instead of being word-counted again for every question; each
+    question is word-counted once, and `build_qa_prompt`, given no budget,
+    counts nothing.
     """
     template = template or default_qa_template()
     cut: dict[int, str] = {}  # question token estimate -> passage as cut beside it
@@ -348,12 +350,12 @@ def _resolve_reask(
     row_index = {normalize_text(h): i for i, h in enumerate(table.row_headers)}
     col_index = {normalize_text(h): i for i, h in enumerate(table.col_headers)}
     for row_header, col_header in reask:
-        if row_header is None or normalize_text(row_header) not in row_index:
+        r = None if row_header is None else row_index.get(normalize_text(row_header))
+        if r is None:
             raise ValueError(f"unknown row header {row_header!r} in re-ask address")
-        if normalize_text(col_header) not in col_index:
+        c = col_index.get(normalize_text(col_header))
+        if c is None:
             raise ValueError(f"unknown column header {col_header!r} in re-ask address")
-        r = row_index[normalize_text(row_header)]
-        c = col_index[normalize_text(col_header)]
         if table.cells[r][c] is not None:
             raise ValueError(
                 f"cell ({row_header!r}, {col_header!r}) is present; only absent cells can be re-asked"

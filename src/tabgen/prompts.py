@@ -91,6 +91,11 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text.split()) * TOKEN_ESTIMATE_FACTOR)
 
 
+def _blank(text: str) -> bool:
+    """True for empty or all-whitespace text, tested without copying it as `strip()` would."""
+    return not text or text.isspace()
+
+
 def truncate_passage(passage: str, budget_tokens: int | None, overhead_tokens: int = 0) -> str:
     """Head-truncate the passage so the estimated prompt size fits the budget.
 
@@ -188,7 +193,7 @@ def build_structure_prompt(
     template: PromptTemplate | None = None,
     max_input_tokens: int | None = None,
 ) -> str:
-    if not passage.strip():
+    if _blank(passage):
         raise ValueError("passage must be non-empty")
     template = template or default_structure_template(kind)
     passage = truncate_passage(passage, max_input_tokens, template.overhead_tokens())
@@ -201,13 +206,14 @@ def build_qa_prompt(
     template: PromptTemplate | None = None,
     max_input_tokens: int | None = None,
 ) -> str:
-    if not passage.strip():
+    if _blank(passage):
         raise ValueError("passage must be non-empty")
-    if not question.strip():
+    if _blank(question):
         raise ValueError("question must be non-empty")
     template = template or default_qa_template()
-    overhead = template.overhead_tokens() + estimate_tokens(question)
-    passage = truncate_passage(passage, max_input_tokens, overhead)
+    if max_input_tokens is not None:
+        overhead = template.overhead_tokens() + estimate_tokens(question)
+        passage = truncate_passage(passage, max_input_tokens, overhead)
     return template.render(passage=passage, question=question)
 
 
@@ -217,7 +223,7 @@ def build_baseline_prompt(
     template: PromptTemplate | None = None,
     max_input_tokens: int | None = None,
 ) -> str:
-    if not passage.strip():
+    if _blank(passage):
         raise ValueError("passage must be non-empty")
     template = template or default_baseline_template(orientation)
     passage = truncate_passage(passage, max_input_tokens, template.overhead_tokens())

@@ -239,28 +239,51 @@ def parse_flat(text: str, orientation: Orientation) -> Table:
     return Table.matrix(row_headers, col_headers, cells)
 
 
+class _NormalizeMemo(dict):
+    """`normalize_text` results for one call: each distinct string is normalized once.
+
+    `normalize_text` is looked up when a string is first seen, not bound
+    here. A memo lives for the call that made it; nothing is kept across
+    calls.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> str:
+        norm = self[text] = normalize_text(text)
+        return norm
+
+
 def to_tuples(table: Table) -> set[CellTuple]:
     """One normalized tuple per present, non-empty cell; the unit of cell F1.
 
-    Each call normalizes each header and each present value once, and
+    Each call normalizes each distinct header and present value once, and
     keeps nothing across calls.
     """
+    return _cell_tuples(table, _NormalizeMemo())
+
+
+_new_tuple = tuple.__new__  # builds a CellTuple without the namedtuple's Python-level __new__
+
+
+def _cell_tuples(table: Table, memo: _NormalizeMemo) -> set[CellTuple]:
+    """`to_tuples` with every header and value normalized through the caller's memo."""
     report = validate(table)
     if not report.valid:
         raise InvalidTable(report)
 
     if table.orientation is Orientation.ATTRIBUTE_VALUE:
         return {
-            CellTuple("", normalize_text(header), norm)
+            _new_tuple(CellTuple, ("", memo[header], norm))
             for header, value in table.rows
-            if value is not None and (norm := normalize_text(value))
+            if value is not None and (norm := memo[value])
         }
-    col_headers = [normalize_text(h) for h in table.col_headers]
+    col_headers = [memo[h] for h in table.col_headers]
     return {
-        CellTuple(row_header, col_header, norm)
-        for row_header, row in zip(map(normalize_text, table.row_headers), table.cells)
+        _new_tuple(CellTuple, (row_header, col_header, norm))
+        for row_header, row in zip(map(memo.__getitem__, table.row_headers), table.cells)
         for col_header, value in zip(col_headers, row)
-        if value is not None and (norm := normalize_text(value))
+        if value is not None and (norm := memo[value])
     }
 
 

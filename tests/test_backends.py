@@ -30,6 +30,8 @@ from tabgen.backends import (
     _retry_after_seconds,
 )
 from tabgen.kinds import DatasetKind
+from tabgen.pipeline import generate_content, skeleton_from_table
+from tabgen.prompts import formulate_question
 from tabgen.table import serialize_flat
 
 from .conftest import ScriptedBackend, load_example
@@ -235,7 +237,7 @@ class TestReplay:
         # fixture to 0 bytes before failing, which replay then called unreadable.
         request = GenerationRequest("hello")
         recorder = RecordingBackend(ScriptedBackend(lambda _: "caf\ud800"), tmp_path)
-        with pytest.raises(UnicodeEncodeError):
+        with pytest.raises(MalformedResponse, match="cannot be recorded"):
             recorder.generate(request)
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(MalformedResponse, match="no recorded fixture"):
@@ -245,10 +247,35 @@ class TestReplay:
         request = GenerationRequest("hello")
         RecordingBackend(ScriptedBackend(lambda _: "café"), tmp_path).generate(request)
         recorder = RecordingBackend(ScriptedBackend(lambda _: "caf\ud800"), tmp_path)
-        with pytest.raises(UnicodeEncodeError):
+        with pytest.raises(MalformedResponse, match="cannot be recorded"):
             recorder.generate(request)
         assert [p.name for p in tmp_path.iterdir()] == [f"{request.digest()}.json"]
         assert ReplayBackend(tmp_path).generate(request).text == "café"
+
+    def test_unencodable_answer_fails_only_its_cell(self, tmp_path):
+        sample = load_example(DatasetKind.E2E)
+        oracle = MockOracleBackend([(sample.text, sample.gold)])
+        bad_header = sample.gold.rows[0][0]
+        bad_question = formulate_question(None, bad_header)
+
+        def answer(prompt: str) -> str:
+            if bad_question in prompt:
+                return "caf\ud800"
+            return oracle.generate(GenerationRequest(prompt)).text
+
+        recorder = RecordingBackend(ScriptedBackend(answer), tmp_path)
+        table, trace = generate_content(
+            skeleton_from_table(sample.gold), sample.text, DatasetKind.E2E, recorder
+        )
+
+        assert table.rows[0] == (bad_header, None)
+        assert table.rows[1:] == sample.gold.rows[1:]
+        [bad] = [cell for cell in trace.cells if cell.col_header == bad_header]
+        assert bad.value is None and "cannot be recorded" in bad.error
+        assert all(cell.error is None for cell in trace.cells if cell is not bad)
+        files = sorted(p.name for p in tmp_path.iterdir())
+        assert all(name.endswith(".json") and not name.startswith(".") for name in files)
+        assert len(files) == len(sample.gold.rows) - 1
 
 
 class TestCache:

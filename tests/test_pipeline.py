@@ -416,3 +416,65 @@ class TestQAPrompts:
         assert counted.count(passage) == len(lengths)
         bare = template.text.replace("{{passage}}", "").replace("{{question}}", "")
         assert counted.count(bare) == 1
+
+
+class TestCountedOnce:
+    @staticmethod
+    def counting(monkeypatch, module_attrs, real):
+        counted: list[str] = []
+
+        def counted_call(text: str):
+            counted.append(text)
+            return real(text)
+
+        for module, name in module_attrs:
+            monkeypatch.setattr(module, name, counted_call)
+        return counted
+
+    @pytest.mark.parametrize("budget", [2048, None])
+    def test_each_question_is_counted_once(self, monkeypatch, rotowire_team_sample, budget):
+        counted = self.counting(
+            monkeypatch,
+            [(prompts_module, "estimate_tokens"), (pipeline_module, "estimate_tokens")],
+            prompts_module.estimate_tokens,
+        )
+        skeleton = skeleton_from_table(rotowire_team_sample.gold)
+        generate_content(skeleton, rotowire_team_sample.text, DatasetKind.ROTOWIRE_TEAM,
+                         oracle_for(rotowire_team_sample), max_input_tokens=budget)
+        questions = [q.question for q in questions_for_headers(
+            Orientation.MATRIX, skeleton.row_headers, skeleton.col_headers, True)]
+        assert sorted(text for text in counted if text in questions) == sorted(questions)
+
+    @pytest.mark.parametrize("passage", ["", "   ", "\n \t"])
+    def test_blank_passage_still_raises(self, rotowire_team_sample, passage):
+        skeleton = skeleton_from_table(rotowire_team_sample.gold)
+        with pytest.raises(ValueError, match="passage must be non-empty"):
+            generate_content(skeleton, passage, DatasetKind.ROTOWIRE_TEAM,
+                             oracle_for(rotowire_team_sample))
+        with pytest.raises(ValueError, match="passage must be non-empty"):
+            generate_content(skeleton, passage, DatasetKind.ROTOWIRE_TEAM,
+                             oracle_for(rotowire_team_sample), max_input_tokens=None)
+
+    def test_reask_normalizes_each_address_header_once(self, monkeypatch):
+        rows, cols = ["Magic", "Hawks", "Suns"], ["Wins", "Losses"]
+        table = Table.matrix(rows, cols, [[None, "1"], ["2", None], [None, None]])
+        reask = (("magic", "WINS"), (" Hawks", "losses "), ("Suns", '"Wins"'))
+        counted = self.counting(monkeypatch, [(pipeline_module, "normalize_text")],
+                                pipeline_module.normalize_text)
+        assert pipeline_module._resolve_reask(table, reask) == [(0, 0), (1, 1), (2, 0)]
+        assert sorted(counted) == sorted([*rows, *cols, *(h for address in reask for h in address)])
+
+    @pytest.mark.parametrize(
+        "address, message",
+        [
+            ((None, "Wins"), "unknown row header None"),
+            (("", "Wins"), "unknown row header ''"),
+            (("Celtics", "Wins"), "unknown row header 'Celtics'"),
+            (("Magic", "Steals"), "unknown column header 'Steals'"),
+            (("Magic", "Losses"), r"cell \('Magic', 'Losses'\) is present"),
+        ],
+    )
+    def test_reask_errors_are_unchanged(self, address, message):
+        table = Table.matrix(["Magic"], ["Wins", "Losses"], [[None, "1"]])
+        with pytest.raises(ValueError, match=message):
+            pipeline_module._resolve_reask(table, (address,))
