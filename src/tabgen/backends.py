@@ -22,7 +22,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import AbstractSet, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # numpy, requests and the date parsing only `Retry-After` needs are imported
 # where they are used, not here: they are most of a cold `import tabgen`, and
@@ -247,7 +247,7 @@ class MockEmbedder(EmbeddingBackend):
     def _vector(self, text: str) -> tuple[float, ...]:
         import numpy as np
 
-        seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+        seed = int.from_bytes(hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()[:8], "big")
         rng = np.random.default_rng(seed)
         raw = rng.random(self.dim) + 1e-9
         return tuple((raw / np.linalg.norm(raw)).tolist())
@@ -396,11 +396,11 @@ _OPENING_CHARS = 120
 
 
 class _PrefixMemo(threading.local):
-    """One thread's last cell-question prompt up to the end of its passage:
-    (that prefix, its normalised text, the index words among the prompt's
-    words). An empty prefix means none is remembered yet."""
+    """One thread's last cell-question resolution: (the prompt up to the end
+    of its passage, the sample, the template text before the passage, the
+    first word after it). None until a cell question sets it."""
 
-    last: tuple[str, str, frozenset[str]] = ("", "", frozenset())
+    resolution: tuple[str, int, str, str] | None = None
 
 
 class MockOracleBackend(GenerationBackend):
@@ -427,12 +427,25 @@ class MockOracleBackend(GenerationBackend):
     first cell question the table gets.
 
     A table's cell-question prompts share the text up to the end of the
-    passage. Each thread keeps that prefix of its last cell question with
-    its normalised text and index words, so a prompt that starts with it
-    splits only the rest. Whitespace follows the prefix in both prompts,
-    so the normalised text is the same, and the kept index words can only
-    add candidates that the passage match then rejects: answers do not
-    change.
+    passage. Each thread remembers how it resolved its last cell question
+    whose whole passage occurred with whitespace after it (`_PrefixMemo`).
+    A prompt that starts with that prefix, followed by whitespace, the same
+    first word, no `<SEP>` or `<NEWLINE>`, and less text than the sample's
+    normalised passage, is answered from that sample with no passage
+    lookup. The memo is set only when no registered passage holds that
+    first word after one of its spaces, or ends in a last word that opens
+    it: the crossing check, worked out once per word.
+
+    Answers do not change. A passage that beats the remembered sample on
+    the new prompt occurs whole in its normalised text. One inside the
+    prefix occurred in the earlier prompt too and lost there. One after the
+    prefix is shorter than the remembered passage, by the length guard.
+    Any other spans the whitespace after the prefix, so it holds the first
+    word after a space or ends in a prefix of it, which the crossing check
+    rules out. The passage's first occurrence lies inside the identical
+    prefix, so the text before and after it is what a full lookup reads,
+    save whitespace the registered text may carry at its ends; no question
+    or format token begins or ends with whitespace.
     """
 
     def __init__(self, samples: Iterable[tuple[str, Table]], **kwargs):
@@ -458,57 +471,38 @@ class MockOracleBackend(GenerationBackend):
             else:
                 self._unanchored.append(i)
         self._memo = _PrefixMemo()
+        self._crossed: dict[str, bool] = {}
 
-    def _remember_prefix(self, prompt: str, end: int, text: str, anchors: AbstractSet[str]) -> None:
-        """Keep `prompt[:k]` for this thread, k being `end` backed off to whitespace.
+    def _crosses(self, word: str) -> bool:
+        """Whether a registered passage could run across a gap into `word`."""
+        crossed = self._crossed.get(word)
+        if crossed is None:
+            crossed = self._crossed[word] = any(
+                f" {word}" in passage or word.startswith(passage[passage.rfind(" ") + 1 :])
+                for passage in self._passages
+            )
+        return crossed
 
-        Whitespace at k means the prefix's words are the prompt's first
-        words, so its normalised text is a prefix of `text`; `anchors`,
-        taken from the whole prompt, covers the prefix's index words.
-        """
-        k = end
-        while 0 < k < len(prompt) and not prompt[k].isspace():
-            k -= 1
-        tail = prompt[k:].split()
-        kept = len(text) - sum(map(len, tail)) - len(tail)
-        if kept > 0:  # the prefix has words
-            self._memo.last = (prompt[:k], text[:kept], frozenset(anchors))
+    def _find_sample(self, prompt: str) -> tuple[int, str]:
+        """The prompt's sample and the normalised text of its passage the prompt holds.
 
-    def _find_sample(self, prompt: str) -> tuple[int, str, tuple[str, AbstractSet[str]] | None]:
-        """The prompt's sample, the normalised text of its passage the prompt
-        holds, and the prompt's own normalised text and index words when they
-        were worked out in full: None when this thread's remembered prefix
-        supplied most of them.
-
-        The passage text is the whole passage, or its leading words when the
+        That text is the whole passage, or its leading words when the
         prompt builder truncated it. A lone sample answers any prompt: the
-        text is empty when not even its passage's opening occurs. Index
-        words the remembered prefix brings that the prompt lacks only add
-        candidates, never answers.
+        text is empty when not even its passage's opening occurs.
         """
-        prefix, prefix_text, prefix_anchors = self._memo.last
-        cut = len(prefix)
-        if cut and prompt.startswith(prefix) and (len(prompt) == cut or prompt[cut].isspace()):
-            tail = prompt[cut:].split()
-            text = " ".join([prefix_text, *tail])
-            anchors = prefix_anchors.union(self._by_anchor.keys() & tail)
-            worked_out = None
-        else:
-            words = prompt.split()
-            text = " ".join(words)
-            anchors = self._by_anchor.keys() & words
-            worked_out = (text, anchors)
+        words = prompt.split()
+        text = " ".join(words)
         candidates = list(self._unanchored)
-        for anchor in anchors:
+        for anchor in self._by_anchor.keys() & words:
             candidates.extend(self._by_anchor[anchor])
         whole = [i for i in candidates if self._passages[i] in text]
         if whole:
             i = max(whole, key=lambda i: (len(self._passages[i]), -i))
-            return i, self._passages[i], worked_out
+            return i, self._passages[i]
 
         opened = [i for i in candidates if self._passages[i][:_OPENING_CHARS] in text]
         if not opened and len(self._passages) == 1:
-            return 0, "", worked_out
+            return 0, ""
         padded = f" {text} "
         shared = {
             i: _shared_words(self._passages[i], padded)
@@ -522,7 +516,7 @@ class MockOracleBackend(GenerationBackend):
             raise MalformedResponse(
                 f"truncated prompt matches {len(winners)} registered passages equally"
             )
-        return winners[0], " ".join(self._passages[winners[0]].split(" ")[:best]), worked_out
+        return winners[0], " ".join(self._passages[winners[0]].split(" ")[:best])
 
     def _outside_passage(self, i: int, prompt: str, shown: str) -> tuple[str, str]:
         """The prompt text before and after the passage it shows: the template's own text."""
@@ -547,7 +541,20 @@ class MockOracleBackend(GenerationBackend):
 
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
         prompt = request.prompt
-        i, shown, worked_out = self._find_sample(prompt)
+        memo = self._memo.resolution
+        if memo is not None:
+            prefix, i, before, word = memo
+            after = prompt[len(prefix) :]
+            if (
+                prompt.startswith(prefix)
+                and len(after) < len(self._passages[i])
+                and after[:1].isspace()
+                and after.split(None, 1)[:1] == [word]
+                and SEP_TOKEN not in after
+                and NEWLINE_TOKEN not in after
+            ):
+                return GenerationResponse(text=self._questions[i].answer(before, after), latency_ms=0.0)
+        i, shown = self._find_sample(prompt)
         table = self._tables[i]
         # Route and answer on the template's text only: a passage may quote
         # the format tokens or another cell's question.
@@ -557,15 +564,16 @@ class MockOracleBackend(GenerationBackend):
         elif NEWLINE_TOKEN in before or NEWLINE_TOKEN in after:
             text = serialize_flat(table)
         else:
-            # Only cell questions come many to a passage; a structure or
-            # baseline prompt would never meet its prefix again.
-            if worked_out is not None:
-                self._remember_prefix(prompt, len(prompt) - len(after), *worked_out)
             questions = self._questions[i]
             if questions is None:
                 # Two threads may both build it; they build equal indexes.
                 questions = self._questions[i] = _QuestionIndex(table)
             text = questions.answer(before, after)
+            # Only cell questions come many to a passage; a structure or
+            # baseline prompt would never meet its prefix again.
+            first = after.split(None, 1)[:1] if after[:1].isspace() else []
+            if shown == self._passages[i] and first and not self._crosses(first[0]):
+                self._memo.resolution = (prompt[: len(prompt) - len(after)], i, before, first[0])
         return GenerationResponse(text=text, latency_ms=0.0)
 
 

@@ -275,6 +275,10 @@ def _errored_sample(sample_id: str, semantic: bool, matrix: bool) -> SampleEval:
     )
 
 
+# The precision/recall/F1 fields of a report and of each sample, in report order.
+_PRF_KEYS = ("header", "row_header", "col_header", "cell", "semantic_header", "semantic_cell")
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Macro-averaged corpus metrics plus the per-sample breakdown."""
@@ -304,22 +308,12 @@ class EvalReport:
             "mode": self.mode,
             "sample_count": self.sample_count,
             "error_rate": round(self.error_rate, 6),
-            "header": prf(self.header),
-            "row_header": prf(self.row_header),
-            "col_header": prf(self.col_header),
-            "cell": prf(self.cell),
-            "semantic_header": prf(self.semantic_header),
-            "semantic_cell": prf(self.semantic_cell),
+            **{key: prf(getattr(self, key)) for key in _PRF_KEYS},
             "samples": [
                 {
                     "id": s.sample_id,
                     "errored": s.errored,
-                    "header": prf(s.header),
-                    "row_header": prf(s.row_header),
-                    "col_header": prf(s.col_header),
-                    "cell": prf(s.cell),
-                    "semantic_header": prf(s.semantic_header),
-                    "semantic_cell": prf(s.semantic_cell),
+                    **{key: prf(getattr(s, key)) for key in _PRF_KEYS},
                 }
                 for s in self.per_sample
             ],
@@ -340,12 +334,8 @@ class EvalReport:
                     f"{name:<18}{value.precision:>10.4f}{value.recall:>10.4f}{value.f1:>10.4f}"
                 )
 
-        row("header", self.header)
-        row("row header", self.row_header)
-        row("col header", self.col_header)
-        row("cell", self.cell)
-        row("semantic header", self.semantic_header)
-        row("semantic cell", self.semantic_cell)
+        for key in _PRF_KEYS:
+            row(key.replace("_", " "), getattr(self, key))
         return "\n".join(lines)
 
     def to_csv(self) -> str:

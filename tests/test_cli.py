@@ -326,6 +326,17 @@ class TestEvaluate:
         report = json.loads(capsys.readouterr().out)
         assert report["semantic_header"]["f1"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_semantic_report_scores_a_lone_surrogate(self, tmp_path, capsys):
+        sample = json.loads(open(E2E_EXAMPLE, encoding="utf-8").readline())
+        sample["table"]["rows"][0]["value"] = "caf\ud800"
+        preds = tmp_path / "preds.jsonl"
+        # The default ASCII escapes write the surrogate as "\ud800".
+        preds.write_text(json.dumps(sample) + "\n", "utf-8")
+        assert dispatch(["evaluate", "--kind", "e2e", "--pred", str(preds), "--gold", E2E_EXAMPLE,
+                         "--semantic", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert 0.0 < report["semantic_cell"]["f1"] < 1.0
+
     def test_gold_headers_flag_labels_report(self, tmp_path, capsys):
         preds = tmp_path / "preds.jsonl"
         dispatch(["generate", "--kind", "e2e", "--backend", "mock-oracle", "--in", E2E_EXAMPLE,

@@ -256,6 +256,15 @@ class TestEvaluateCorpus:
         assert payload["sample_count"] == 1
         assert payload["samples"][0]["id"] == "s1"
 
+    def test_semantic_scoring_takes_a_lone_surrogate(self):
+        # `json.loads` makes a lone surrogate from a "\ud800" escape; the
+        # embedder must hash it rather than fail to encode it.
+        gold = Table.attribute_value([("Name", "cafe"), ("Food", "Thai")])
+        pred = Table.attribute_value([("Name", "caf\ud800"), ("Food", "Thai")])
+        report = evaluate_corpus([(pred, gold)], embedder=MockEmbedder())
+        assert report.cell.f1 == pytest.approx(0.5)
+        assert 0.0 < report.semantic_cell.f1 < 1.0
+
     def test_mode_constants(self):
         assert PREDICTED_HEADERS == "predicted-headers"
         assert GOLD_HEADERS == "gold-headers"

@@ -312,9 +312,9 @@ class TestPassageQuotingPromptText:
 
 
 # Prompts of one table share the text up to the end of its passage, and the
-# oracle reuses that prefix's normalised text from the thread's last cell
-# question. A fresh oracle per prompt has no such memory, so it is the
-# reference the shared one must match.
+# oracle answers a prompt that repeats that prefix from the passage lookup of
+# the thread's last cell question. A fresh oracle per prompt has no such
+# memory, so it is the reference the shared one must match.
 PASSAGE_WORDS = st.sampled_from(
     ["alpha", "beta", "gamma", "delta", "What", "is", "the", "Name?", "<SEP>", "x.", "Q:"]
 )
@@ -486,3 +486,79 @@ class TestSharedPrefix:
         )
         assert table == gold
         assert SplitCountingPrompt.splits == 1
+
+
+class TestRememberedResolution:
+    """The per-thread memo of the last passage lookup: prompts it must not
+    answer, and how many lookups it saves."""
+
+    @pytest.mark.parametrize(
+        "template, between",
+        [
+            (None, "\n\nQuestion: "),  # the packaged template's text after the passage
+            (PromptTemplate("spaced", "P: {{passage}} Q: {{question}}"), " Q: "),
+        ],
+    )
+    def test_passage_running_into_the_question_answers_like_a_fresh_oracle(self, template, between):
+        # B is A followed by the start of A's Food question, so the Food
+        # prompt holds B whole: B wins, and what is left of the question
+        # outside B asks nothing.
+        a_text, a_gold = _venue("The Mill", "Indian", "riverside")
+        b_text = a_text + between + "What is the Food"
+        b_gold = Table.attribute_value([("Name", "The Mill annex"), ("Food", "Thai")])
+        samples = [(a_text, a_gold), (b_text, b_gold)]
+        shared = MockOracleBackend(samples)
+        answers = []
+        for header in ("Name", "Food", "Area") * 2:
+            prompt = build_qa_prompt(a_text, formulate_question(None, header), template)
+            answers.append(answer_or_error(shared, prompt))
+            assert answers[-1] == answer_or_error(MockOracleBackend(samples), prompt), prompt
+        assert answers == ["The Mill", "unknown", "riverside"] * 2
+
+    def test_passage_shorter_than_the_template_text_after_it_answers_like_a_fresh_oracle(self):
+        # B fits in the template text after A, so a prompt of A can hold B
+        # whole after A's passage, and the longer B wins.
+        a_text = "Aromi serves food."
+        b_text = "Question: What is the Food? Answer:"
+        samples = [
+            (a_text, Table.attribute_value([("Name", "Aromi"), ("Food", "Italian")])),
+            (b_text, Table.attribute_value([("Food", "Thai")])),
+        ]
+        shared = MockOracleBackend(samples)
+        answers = []
+        for header in ("Name", "Food") * 2:
+            prompt = build_qa_prompt(a_text, formulate_question(None, header))
+            answers.append(answer_or_error(shared, prompt))
+            assert answers[-1] == answer_or_error(MockOracleBackend(samples), prompt), prompt
+        assert answers == ["Aromi", "unknown"] * 2
+
+    def test_a_large_tables_cell_questions_look_up_the_passage_once_per_thread(self, monkeypatch):
+        rows = [f"Team{r}" for r in range(26)]
+        cols = [f"STAT{c}" for c in range(20)]
+        cells = [[str(r * 20 + c) if (r + c) % 7 else None for c in range(20)] for r in range(26)]
+        gold = Table.matrix(rows, cols, cells)
+        passage = " ".join(f"{row} posted {' '.join(cells[r][c] or '-' for c in range(20))}."
+                           for r, row in enumerate(rows))
+        other = load_example(DatasetKind.ROTOWIRE_TEAM)
+        oracle = MockOracleBackend([(passage, gold), (other.text, other.gold)], concurrency=4)
+        looked_up: list[int] = []
+        find_sample = oracle._find_sample
+
+        def counted(prompt):
+            looked_up.append(threading.get_ident())
+            return find_sample(prompt)
+
+        monkeypatch.setattr(oracle, "_find_sample", counted)
+        table, _ = generate_content(skeleton_from_table(gold), passage, DatasetKind.ROTOWIRE_TEAM, oracle)
+        assert table == gold
+        assert 1 <= len(looked_up) == len(set(looked_up)) <= 4
+
+        # Structure and baseline prompts are looked up in full every time,
+        # before and after cell questions that reuse the last lookup.
+        looked_up.clear()
+        question = build_qa_prompt(passage, formulate_question("Team3", "STAT5", True))
+        for _ in range(3):
+            assert oracle.generate(GenerationRequest(question)).text == "65"
+            oracle.generate(GenerationRequest(build_structure_prompt(passage, DatasetKind.ROTOWIRE_TEAM)))
+            oracle.generate(GenerationRequest(build_baseline_prompt(passage, Orientation.MATRIX)))
+        assert len(looked_up) == 1 + 2 * 3
