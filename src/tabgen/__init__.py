@@ -5,7 +5,6 @@ from tabgen.backends import (
     BackendError,
     BackendTimeout,
     CachedBackend,
-    Decoding,
     EmbeddingBackend,
     EmbeddingResponse,
     GenerationBackend,

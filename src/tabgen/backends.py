@@ -20,7 +20,6 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -32,15 +31,10 @@ from tabgen.prompts import QUESTION_END, QUESTION_OPENING, SEP_TOKEN, formulate_
 from tabgen.table import NEWLINE_TOKEN, Orientation, Table, serialize_flat
 
 
-class Decoding(str, Enum):
-    GREEDY = "greedy"
-
-
 @dataclass(frozen=True)
 class GenerationRequest:
     prompt: str
     max_new_tokens: int = 64
-    decoding: Decoding = Decoding.GREEDY
 
     def __post_init__(self):
         if self.max_new_tokens < 1:
@@ -51,7 +45,8 @@ class GenerationRequest:
             {
                 "prompt": self.prompt,
                 "max_new_tokens": self.max_new_tokens,
-                "decoding": self.decoding.value,
+                # Decoding is always greedy; the key keeps recorded digests valid.
+                "decoding": "greedy",
             },
             sort_keys=True,
             ensure_ascii=False,
@@ -671,22 +666,31 @@ class ReplayBackend(GenerationBackend):
         return GenerationResponse(text=text, latency_ms=delay * 1000.0)
 
 
-class RecordingBackend(GenerationBackend):
+class WrapperBackend(GenerationBackend):
+    """A backend that adds behaviour around `inner` and dispatches like it.
+
+    It takes `inner`'s concurrency, retry cap and backoff. `inner` already
+    retries, so `generate` runs `_generate_once` once: stacked wrappers
+    never multiply the attempts.
+    """
+
+    def __init__(self, inner: GenerationBackend):
+        super().__init__(
+            concurrency=inner.concurrency, retry_cap=inner.retry_cap, backoff_s=inner.backoff_s
+        )
+        self.inner = inner
+
+    def generate(self, request: GenerationRequest) -> GenerationResponse:
+        return self._generate_once(request)
+
+
+class RecordingBackend(WrapperBackend):
     """Wraps a live backend and persists every response as a replay fixture."""
 
     def __init__(self, inner: GenerationBackend, fixture_dir: str | Path):
-        super().__init__(
-            concurrency=inner.concurrency,
-            retry_cap=inner.retry_cap,
-            backoff_s=inner.backoff_s,
-        )
-        self.inner = inner
+        super().__init__(inner)
         self.fixture_dir = Path(fixture_dir)
         self.fixture_dir.mkdir(parents=True, exist_ok=True)
-
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        # The inner backend already retries; no second retry layer here.
-        return self._generate_once(request)
 
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
         response = self.inner.generate(request)
@@ -694,7 +698,7 @@ class RecordingBackend(GenerationBackend):
             "request": {
                 "prompt": request.prompt,
                 "max_new_tokens": request.max_new_tokens,
-                "decoding": request.decoding.value,
+                "decoding": "greedy",
             },
             "response": {"text": response.text},
         }
@@ -717,7 +721,7 @@ class RecordingBackend(GenerationBackend):
         return response
 
 
-class CachedBackend(GenerationBackend):
+class CachedBackend(WrapperBackend):
     """In-memory request cache; identical requests hit upstream exactly once.
 
     Concurrent misses on the same key share one in-flight upstream call,
@@ -725,18 +729,10 @@ class CachedBackend(GenerationBackend):
     """
 
     def __init__(self, inner: GenerationBackend):
-        super().__init__(
-            concurrency=inner.concurrency,
-            retry_cap=inner.retry_cap,
-            backoff_s=inner.backoff_s,
-        )
-        self.inner = inner
+        super().__init__(inner)
         self._lock = threading.Lock()
         self._futures: dict[str, Future] = {}
         self.upstream_calls = 0
-
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        return self._generate_once(request)
 
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
         key = request.digest()

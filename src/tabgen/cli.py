@@ -33,6 +33,7 @@ from tabgen.pipeline import (
 from tabgen.prompts import NoHeaders, PromptTemplate
 from tabgen.table import (
     EmptyInput,
+    InvalidTable,
     StructuralError,
     Table,
     table_from_json,
@@ -321,11 +322,9 @@ def _cmd_update(args: argparse.Namespace) -> int:
 
     try:
         delta_data = json.loads(Path(args.delta).read_text("utf-8"))
-        delta = SkeletonDelta(
-            add_row_headers=tuple(delta_data.get("add_row_headers", ())),
-            add_col_headers=tuple(delta_data.get("add_col_headers", ())),
-            reask=tuple((r, c) for r, c in delta_data.get("reask", ())),
-        )
+        if not isinstance(delta_data, dict):
+            raise ValueError("must hold a JSON object")
+        delta = SkeletonDelta(**delta_data)
     except FileNotFoundError as err:
         raise ConfigError(f"delta file not found: {args.delta}") from err
     except (ValueError, TypeError) as err:
@@ -341,21 +340,24 @@ def _cmd_update(args: argparse.Namespace) -> int:
     if not evidence.strip() and not delta.is_empty():
         raise ConfigError("update needs evidence text (--evidence or --evidence-file)")
 
-    backend = _build_backend(config, [], getattr(args, "oracle", None)) if not delta.is_empty() else None
-    updated = (
-        table
-        if delta.is_empty()
-        else update_table(
-            table,
-            delta,
-            evidence,
-            config.kind,
-            backend,
-            template=config.qa_template,
-            max_input_tokens=config.backend.max_input_tokens,
-            answer_max_new_tokens=config.backend.answer_max_new_tokens,
-        )
-    )
+    updated = table
+    if not delta.is_empty():
+        backend = _build_backend(config, [], getattr(args, "oracle", None))
+        try:
+            updated = update_table(
+                table,
+                delta,
+                evidence,
+                config.kind,
+                backend,
+                template=config.qa_template,
+                max_input_tokens=config.backend.max_input_tokens,
+                answer_max_new_tokens=config.backend.answer_max_new_tokens,
+            )
+        except InvalidTable as err:
+            raise ConfigError(f"table file {args.table}: {err}") from err
+        except ValueError as err:  # a delta that does not fit the table
+            raise ConfigError(f"delta file {args.delta}: {err}") from err
     output = json.dumps(table_to_json(updated), sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(output, "utf-8")

@@ -5,17 +5,23 @@ skeleton. Stage two synthesizes one question per skeleton slot, answers
 them in a single batch, and assembles the table. Because the shape comes
 from the skeleton and never from free-form generation, the output is
 structurally valid for any backend behavior.
+
+Generation and incremental update share one slot plan: a list of
+(row index or None, column index) slots, asked in one batch by
+`_ask_slots` and written into a grid that `_assemble` turns into a table.
+Generation plans every slot of an empty grid; an update plans only the
+slots a `SkeletonDelta` adds or re-asks, over the old cells.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
-from tabgen.backends import BackendError, GenerationBackend, GenerationRequest
+from tabgen.backends import BackendError, GenerationBackend, GenerationRequest, GenerationResponse
 from tabgen.kinds import DatasetKind
 from tabgen.prompts import (
-    CellQuestion,
     PromptTemplate,
     build_baseline_prompt,
     build_qa_prompt,
@@ -26,7 +32,6 @@ from tabgen.prompts import (
     extract_numeric,
     formulate_question,
     parse_structure_answer,
-    questions_for_headers,
     truncate_passage,
 )
 from tabgen.table import (
@@ -108,9 +113,16 @@ class SkeletonDelta:
     reask: tuple[tuple[str | None, str], ...] = ()  # (row header or None, col header)
 
     def __post_init__(self):
+        for name in ("add_row_headers", "add_col_headers", "reask"):
+            if isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a sequence, not a bare string")
         object.__setattr__(self, "add_row_headers", tuple(self.add_row_headers))
         object.__setattr__(self, "add_col_headers", tuple(self.add_col_headers))
         object.__setattr__(self, "reask", tuple((r, c) for r, c in self.reask))
+        headers = [*self.add_row_headers, *self.add_col_headers, *(c for _, c in self.reask),
+                   *(r for r, _ in self.reask if r is not None)]
+        if not all(isinstance(h, str) for h in headers):
+            raise TypeError("headers must be strings")
 
     def is_empty(self) -> bool:
         return not (self.add_row_headers or self.add_col_headers or self.reask)
@@ -160,20 +172,38 @@ def _postprocess(raw: str, numeric: bool) -> str | None:
     return value or None
 
 
-def _qa_requests(
-    questions: list[str],
+def _ask_slots(
+    slots: list[tuple[int | None, int]],
+    row_headers: Sequence[str],
+    col_headers: Sequence[str],
+    grid: list[list[str | None]],
     passage: str,
+    kind: DatasetKind,
+    backend: GenerationBackend,
     template: PromptTemplate | None,
     max_input_tokens: int | None,
     answer_max_new_tokens: int,
-) -> list[GenerationRequest]:
-    """One request per question, each prompt exactly as `build_qa_prompt` builds it.
+) -> tuple[list[str], list[GenerationResponse | BackendError]]:
+    """Stage two's one dispatch point: one question per slot, all in one batch.
 
-    The passage is cut to the budget here, once per distinct question
-    length, instead of being word-counted again for every question; each
-    question is word-counted once, and `build_qa_prompt`, given no budget,
-    counts nothing.
+    A slot is (row index or None, column index); an attribute-value table
+    has no row axis, and its slots address the grid's one implicit row.
+    Each post-processed answer is written into `grid`; a failed cell
+    degrades to absent instead of aborting the table. Returns the
+    questions and the raw results, aligned with `slots`.
+
+    Each prompt is exactly what `build_qa_prompt` builds, but the passage
+    is cut to the budget once per distinct question length instead of
+    being word-counted again for every question; `build_qa_prompt`, given
+    no budget, counts nothing.
     """
+    numeric = kind.numeric
+    questions = [
+        formulate_question(None if r is None else row_headers[r], col_headers[c], numeric)
+        for r, c in slots
+    ]
+    if not questions:
+        return questions, []
     template = template or default_qa_template()
     cut: dict[int, str] = {}  # question token estimate -> passage as cut beside it
     requests = []
@@ -184,44 +214,23 @@ def _qa_requests(
             cut[length] = truncate_passage(passage, max_input_tokens, overhead)
         prompt = build_qa_prompt(cut[length], question, template)
         requests.append(GenerationRequest(prompt, max_new_tokens=answer_max_new_tokens))
-    return requests
-
-
-def _answer_questions(
-    questions: list[CellQuestion],
-    passage: str,
-    kind: DatasetKind,
-    backend: GenerationBackend,
-    skeleton: TableSkeleton,
-    template: PromptTemplate | None,
-    max_input_tokens: int | None,
-    answer_max_new_tokens: int,
-) -> tuple[list[str | None], list[CellTrace]]:
-    requests = _qa_requests(
-        [q.question for q in questions], passage, template, max_input_tokens, answer_max_new_tokens
-    )
-    results = backend.generate_batch(requests) if requests else []
-
-    values: list[str | None] = []
-    traces: list[CellTrace] = []
-    for question, result in zip(questions, results):
-        row_header = (
-            skeleton.row_headers[question.row_index] if question.row_index is not None else None
+    results = backend.generate_batch(requests)
+    for (r, c), result in zip(slots, results):
+        grid[r or 0][c] = (
+            None if isinstance(result, BackendError) else _postprocess(result.text, numeric)
         )
-        col_header = skeleton.col_headers[question.col_index]
-        if isinstance(result, BackendError):
-            # A failed cell degrades to absent instead of aborting the table.
-            values.append(None)
-            traces.append(
-                CellTrace(row_header, col_header, question.question, None, None, None, str(result))
-            )
-            continue
-        value = _postprocess(result.text, kind.numeric)
-        values.append(value)
-        traces.append(
-            CellTrace(row_header, col_header, question.question, result.text, value, result.latency_ms)
-        )
-    return values, traces
+    return questions, results
+
+
+def _assemble(
+    orientation: Orientation,
+    row_headers: Sequence[str],
+    col_headers: Sequence[str],
+    grid: list[list[str | None]],
+) -> Table:
+    if orientation is Orientation.ATTRIBUTE_VALUE:
+        return Table.attribute_value(zip(col_headers, grid[0]))
+    return Table.matrix(row_headers, col_headers, grid)
 
 
 def generate_content(
@@ -241,20 +250,25 @@ def generate_content(
     absent.
     """
     started = time.monotonic()
-    questions = questions_for_headers(
-        skeleton.orientation, skeleton.row_headers, skeleton.col_headers, kind.numeric
-    )
-    values, traces = _answer_questions(
-        questions, passage, kind, backend, skeleton, template, max_input_tokens, answer_max_new_tokens
+    rows, cols = skeleton.row_headers, skeleton.col_headers
+    row_slots = [None] if skeleton.orientation is Orientation.ATTRIBUTE_VALUE else range(len(rows))
+    slots = [(r, c) for r in row_slots for c in range(len(cols))]
+    grid: list[list[str | None]] = [[None] * len(cols) for _ in row_slots]
+    questions, results = _ask_slots(
+        slots, rows, cols, grid, passage, kind, backend, template, max_input_tokens,
+        answer_max_new_tokens,
     )
 
-    if skeleton.orientation is Orientation.ATTRIBUTE_VALUE:
-        table = Table.attribute_value(list(zip(skeleton.col_headers, values)))
-    else:
-        width = len(skeleton.col_headers)
-        grid = [values[i * width : (i + 1) * width] for i in range(len(skeleton.row_headers))]
-        table = Table.matrix(skeleton.row_headers, skeleton.col_headers, grid)
-
+    traces = []
+    for (r, c), question, result in zip(slots, questions, results):
+        row_header = None if r is None else rows[r]
+        if isinstance(result, BackendError):
+            traces.append(CellTrace(row_header, cols[c], question, None, None, None, str(result)))
+        else:
+            traces.append(CellTrace(
+                row_header, cols[c], question, result.text, grid[r or 0][c], result.latency_ms
+            ))
+    table = _assemble(skeleton.orientation, rows, cols, grid)
     trace = GenerationTrace(cells=tuple(traces), content_ms=(time.monotonic() - started) * 1000.0)
     return table, trace
 
@@ -387,90 +401,37 @@ def update_table(
     if delta.is_empty():
         return table
 
-    numeric = kind.numeric
     reask_slots = _resolve_reask(table, delta.reask)
-
     if table.orientation is Orientation.ATTRIBUTE_VALUE:
         if delta.add_row_headers:
             raise ValueError("attribute-value tables have no row-header axis to extend")
-        existing = [h for h, _ in table.rows]
-        combined = dedupe_headers([*existing, *delta.add_col_headers])
-        new_headers = combined[len(existing):]
+        rows: list[str] = []
+        cols = [header for header, _ in table.rows]
+        grid = [[value for _, value in table.rows]]
+        row_slots: Sequence[int | None] = [None]
+    else:
+        rows = list(table.row_headers)
+        cols = list(table.col_headers)
+        grid = [list(row) for row in table.cells]
+        row_slots = range(len(rows))
+    # Existing headers stay as they are; added ones are de-duplicated against
+    # them, and the grid grows by absent cells to match.
+    old_rows, old_cols = len(rows), len(cols)
+    if delta.add_col_headers:
+        cols += dedupe_headers([*cols, *delta.add_col_headers])[old_cols:]
+        padding = [None] * (len(cols) - old_cols)
+        for row in grid:
+            row += padding
+    if delta.add_row_headers:
+        rows += dedupe_headers([*rows, *delta.add_row_headers])[old_rows:]
+        grid += [[None] * len(cols) for _ in range(len(rows) - old_rows)]
 
-        # (target, index, question): new attribute slots first, then re-asks.
-        plan: list[tuple[str, int, str]] = []
-        for offset, header in enumerate(new_headers):
-            plan.append(("new", offset, formulate_question(None, header)))
-        for _, index in reask_slots:
-            header = table.rows[index][0]
-            plan.append(("reask", index, formulate_question(None, header)))
-
-        answers = _batched_answers(
-            [q for _, _, q in plan], new_passage, backend, template, max_input_tokens,
-            answer_max_new_tokens, numeric,
-        )
-
-        rows = list(table.rows)
-        appended: list[tuple[str, str | None]] = []
-        for (target, index, _), value in zip(plan, answers):
-            if target == "new":
-                appended.append((new_headers[index], value))
-            else:
-                rows[index] = (rows[index][0], value)
-        return Table.attribute_value(rows + appended)
-
-    existing_rows = list(table.row_headers)
-    existing_cols = list(table.col_headers)
-    combined_rows = dedupe_headers([*existing_rows, *delta.add_row_headers])
-    combined_cols = dedupe_headers([*existing_cols, *delta.add_col_headers])
-    new_rows = combined_rows[len(existing_rows):]
-    new_cols = combined_cols[len(existing_cols):]
-
-    plan_matrix: list[tuple[int, int, str]] = []
-    for i, row_header in enumerate(new_rows):
-        r = len(existing_rows) + i
-        for c, col_header in enumerate(combined_cols):
-            plan_matrix.append((r, c, formulate_question(row_header, col_header, numeric)))
-    for r, row_header in enumerate(existing_rows):
-        for j, col_header in enumerate(new_cols):
-            c = len(existing_cols) + j
-            plan_matrix.append((r, c, formulate_question(row_header, col_header, numeric)))
-    for r, c in reask_slots:
-        plan_matrix.append(
-            (r, c, formulate_question(existing_rows[r], existing_cols[c], numeric))
-        )
-
-    answers = _batched_answers(
-        [q for _, _, q in plan_matrix], new_passage, backend, template, max_input_tokens,
-        answer_max_new_tokens, numeric,
+    # New rows × all columns, then existing rows × new columns, then re-asks.
+    slots = [(r, c) for r in range(old_rows, len(rows)) for c in range(len(cols))]
+    slots += [(r, c) for r in row_slots for c in range(old_cols, len(cols))]
+    slots += reask_slots
+    _ask_slots(
+        slots, rows, cols, grid, new_passage, kind, backend, template, max_input_tokens,
+        answer_max_new_tokens,
     )
-
-    grid: list[list[str | None]] = [
-        [*row, *([None] * len(new_cols))] for row in table.cells
-    ]
-    grid.extend([[None] * len(combined_cols) for _ in new_rows])
-    for (r, c, _), value in zip(plan_matrix, answers):
-        grid[r][c] = value
-    return Table.matrix(combined_rows, combined_cols, grid)
-
-
-def _batched_answers(
-    questions: list[str],
-    passage: str,
-    backend: GenerationBackend,
-    template: PromptTemplate | None,
-    max_input_tokens: int | None,
-    answer_max_new_tokens: int,
-    numeric: bool,
-) -> list[str | None]:
-    if not questions:
-        return []
-    requests = _qa_requests(questions, passage, template, max_input_tokens, answer_max_new_tokens)
-    results = backend.generate_batch(requests)
-    values: list[str | None] = []
-    for result in results:
-        if isinstance(result, BackendError):
-            values.append(None)
-        else:
-            values.append(_postprocess(result.text, numeric))
-    return values
+    return _assemble(table.orientation, rows, cols, grid)

@@ -7,7 +7,12 @@ from typing import Callable, Iterable
 
 import pytest
 
-from tabgen.backends import GenerationBackend, GenerationRequest, GenerationResponse
+from tabgen.backends import (
+    GenerationBackend,
+    GenerationRequest,
+    GenerationResponse,
+    WrapperBackend,
+)
 from tabgen.corpus import Sample, fixture_path, load_jsonl
 from tabgen.kinds import DatasetKind
 
@@ -52,21 +57,13 @@ class ScriptedBackend(GenerationBackend):
         return GenerationResponse(text=text, latency_ms=0.0)
 
 
-class CountingBackend(GenerationBackend):
+class CountingBackend(WrapperBackend):
     """Delegates to an inner backend while counting issued generate calls."""
 
     def __init__(self, inner: GenerationBackend):
-        super().__init__(
-            concurrency=inner.concurrency,
-            retry_cap=inner.retry_cap,
-            backoff_s=inner.backoff_s,
-        )
-        self.inner = inner
+        super().__init__(inner)
         self._lock = threading.Lock()
         self.calls = 0
-
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        return self._generate_once(request)
 
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
         with self._lock:

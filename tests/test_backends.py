@@ -66,6 +66,12 @@ class TestRequestTypes:
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
 
+    def test_digest_is_pinned(self):
+        # Replay fixtures are named by digest; a change here orphans every recorded one.
+        assert GenerationRequest("hello", 7).digest() == (
+            "9e5affef2905f4e78c84992f930e16157c0ea94c140ed4ef5eef2d346c133ef4"
+        )
+
 
 class TestRetries:
     def test_retries_then_succeeds(self):
@@ -220,6 +226,16 @@ class TestReplay:
         replay = ReplayBackend(tmp_path)
         assert replay.generate(request).text == recorded.text
 
+    def test_fixture_bytes_are_pinned(self, tmp_path):
+        request = GenerationRequest("hello", 7)
+        RecordingBackend(ScriptedBackend(lambda _: "Café 42"), tmp_path).generate(request)
+        [fixture] = tmp_path.iterdir()
+        assert fixture.name == f"{request.digest()}.json"
+        assert fixture.read_bytes() == (
+            b'{\n  "request": {\n    "decoding": "greedy",\n    "max_new_tokens": 7,\n'
+            b'    "prompt": "hello"\n  },\n  "response": {\n    "text": "Caf\xc3\xa9 42"\n  }\n}'
+        )
+
     def test_missing_fixture_is_malformed_response(self, tmp_path):
         replay = ReplayBackend(tmp_path)
         with pytest.raises(MalformedResponse):
@@ -335,6 +351,30 @@ class TestCache:
             t.join()
         assert results == ["slow"] * 4
         assert cached.upstream_calls == 1
+
+
+class TestWrapperBackend:
+    def test_stacked_wrappers_do_not_multiply_attempts(self, tmp_path):
+        inner = FlakyBackend(100, BackendTimeout("slow"), retry_cap=3)
+        stacked = RecordingBackend(CachedBackend(inner), tmp_path)
+        with pytest.raises(BackendTimeout):
+            stacked.generate(GenerationRequest("p"))
+        assert inner.attempts == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_inner_retries_still_apply(self, tmp_path):
+        inner = FlakyBackend(2, Unreachable("down"), retry_cap=3)
+        stacked = RecordingBackend(CachedBackend(inner), tmp_path)
+        assert stacked.generate(GenerationRequest("p")).text == "ok"
+        assert inner.attempts == 3
+
+    def test_wrappers_dispatch_like_their_inner_backend(self, tmp_path):
+        inner = ScriptedBackend(lambda p: p, concurrency=5, retry_cap=4, backoff_s=0.125)
+        cached = CachedBackend(inner)
+        recording = RecordingBackend(cached, tmp_path)
+        for wrapper in (cached, recording):
+            assert (wrapper.concurrency, wrapper.retry_cap, wrapper.backoff_s) == (5, 4, 0.125)
+        assert cached.inner is inner and recording.inner is cached
 
 
 class TestMockEmbedder:

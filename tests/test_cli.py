@@ -390,6 +390,56 @@ class TestUpdate:
         assert code == 2
 
 
+class TestUpdateBadDelta:
+    """A delta file that does not describe a delta for the table is a config error."""
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            [["Raptors"]],
+            {"add_row_headers": "Raptors"},
+            {"add_rows": ["Raptors"]},
+            {"reask": [["Celtics", "Wins"]]},
+            {"reask": [["Magic", "Wins"]]},
+            {"add_col_headers": [""]},
+            {"add_row_headers": [1]},
+            {"reask": [["Hawks", 4]]},
+        ],
+        ids=["json-array", "bare-string", "unknown-key", "reask-unknown-header",
+             "reask-present-cell", "empty-added-header", "number-header", "number-in-reask"],
+    )
+    def test_exits_two_without_traceback(self, tmp_path, capsys, delta):
+        sample = json.loads(open(TEAM_EXAMPLE, encoding="utf-8").readline())
+        table_file = tmp_path / "table.json"
+        table_file.write_text(json.dumps(sample["table"]), "utf-8")
+        delta_file = tmp_path / "delta.json"
+        delta_file.write_text(json.dumps(delta), "utf-8")
+        code = dispatch(
+            ["update", "--kind", "rotowire-team", "--table", str(table_file),
+             "--delta", str(delta_file), "--evidence", sample["text"],
+             "--oracle", TEAM_EXAMPLE, "--backend", "mock-oracle"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error: delta file {delta_file}:" in err
+        assert "Traceback" not in err
+
+    def test_ragged_table_is_blamed_on_the_table_file(self, tmp_path, capsys):
+        table_file = tmp_path / "table.json"
+        table_file.write_text(json.dumps({"orientation": "matrix", "row_headers": ["Magic"],
+                                          "col_headers": ["Wins"], "cells": [["1", "2"]]}), "utf-8")
+        delta_file = tmp_path / "delta.json"
+        delta_file.write_text(json.dumps({"add_col_headers": ["Losses"]}), "utf-8")
+        code = dispatch(
+            ["update", "--kind", "rotowire-team", "--table", str(table_file),
+             "--delta", str(delta_file), "--evidence", "Magic lost 3.",
+             "--oracle", TEAM_EXAMPLE, "--backend", "mock-oracle"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error: table file {table_file}: invalid table" in err
+
+
 class TestStats:
     def test_counts_per_file(self, capsys):
         code = dispatch(["stats", "--kind", "e2e", "--in", E2E_MINI, "--in", E2E_EXAMPLE])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,17 @@ from hypothesis import strategies as st
 
 import tabgen.pipeline as pipeline_module
 import tabgen.prompts as prompts_module
-from tabgen.backends import MockOracleBackend, Unreachable
+from tabgen.backends import (
+    BackendError,
+    GenerationRequest,
+    MalformedResponse,
+    MockOracleBackend,
+    Unreachable,
+)
 from tabgen.kinds import DatasetKind
 from tabgen.pipeline import (
+    CellTrace,
+    GenerationTrace,
     SkeletonDelta,
     TableSkeleton,
     baseline_generate,
@@ -26,13 +35,16 @@ from tabgen.prompts import (
     PromptTemplate,
     build_qa_prompt,
     default_qa_template,
+    formulate_question,
     questions_for_headers,
 )
 from tabgen.table import (
     EmptyInput,
+    InvalidTable,
     Orientation,
     StructuralError,
     Table,
+    dedupe_headers,
     to_tuples,
     validate,
 )
@@ -478,3 +490,261 @@ class TestCountedOnce:
         table = Table.matrix(["Magic"], ["Wins", "Losses"], [[None, "1"]])
         with pytest.raises(ValueError, match=message):
             pipeline_module._resolve_reask(table, (address,))
+
+
+# Stage two as it was before generation and update shared one slot plan,
+# kept verbatim as the reference the shared path must reproduce.
+
+
+def _ref_qa_requests(questions, passage, template, max_input_tokens, answer_max_new_tokens):
+    template = template or default_qa_template()
+    cut: dict[int, str] = {}
+    requests = []
+    for question in questions:
+        length = prompts_module.estimate_tokens(question)
+        if length not in cut:
+            overhead = template.overhead_tokens() + length
+            cut[length] = prompts_module.truncate_passage(passage, max_input_tokens, overhead)
+        prompt = build_qa_prompt(cut[length], question, template)
+        requests.append(GenerationRequest(prompt, max_new_tokens=answer_max_new_tokens))
+    return requests
+
+
+def _ref_generate_content(
+    skeleton, passage, kind, backend, *, template=None, max_input_tokens=2048,
+    answer_max_new_tokens=64,
+):
+    questions = questions_for_headers(
+        skeleton.orientation, skeleton.row_headers, skeleton.col_headers, kind.numeric
+    )
+    requests = _ref_qa_requests(
+        [q.question for q in questions], passage, template, max_input_tokens, answer_max_new_tokens
+    )
+    results = backend.generate_batch(requests) if requests else []
+    values, traces = [], []
+    for question, result in zip(questions, results):
+        row_header = (
+            skeleton.row_headers[question.row_index] if question.row_index is not None else None
+        )
+        col_header = skeleton.col_headers[question.col_index]
+        if isinstance(result, BackendError):
+            values.append(None)
+            traces.append(
+                CellTrace(row_header, col_header, question.question, None, None, None, str(result))
+            )
+            continue
+        value = pipeline_module._postprocess(result.text, kind.numeric)
+        values.append(value)
+        traces.append(
+            CellTrace(row_header, col_header, question.question, result.text, value, result.latency_ms)
+        )
+    if skeleton.orientation is Orientation.ATTRIBUTE_VALUE:
+        table = Table.attribute_value(list(zip(skeleton.col_headers, values)))
+    else:
+        width = len(skeleton.col_headers)
+        grid = [values[i * width : (i + 1) * width] for i in range(len(skeleton.row_headers))]
+        table = Table.matrix(skeleton.row_headers, skeleton.col_headers, grid)
+    return table, GenerationTrace(cells=tuple(traces))
+
+
+def _ref_batched_answers(
+    questions, passage, backend, template, max_input_tokens, answer_max_new_tokens, numeric
+):
+    if not questions:
+        return []
+    requests = _ref_qa_requests(questions, passage, template, max_input_tokens, answer_max_new_tokens)
+    return [
+        None if isinstance(result, BackendError) else pipeline_module._postprocess(result.text, numeric)
+        for result in backend.generate_batch(requests)
+    ]
+
+
+def _ref_update_table(
+    table, delta, new_passage, kind, backend, *, template=None, max_input_tokens=2048,
+    answer_max_new_tokens=64,
+):
+    report = validate(table)
+    if not report.valid:
+        raise InvalidTable(report)
+    if delta.is_empty():
+        return table
+    numeric = kind.numeric
+    reask_slots = pipeline_module._resolve_reask(table, delta.reask)
+    if table.orientation is Orientation.ATTRIBUTE_VALUE:
+        if delta.add_row_headers:
+            raise ValueError("attribute-value tables have no row-header axis to extend")
+        existing = [h for h, _ in table.rows]
+        combined = dedupe_headers([*existing, *delta.add_col_headers])
+        new_headers = combined[len(existing):]
+        plan = [("new", offset, formulate_question(None, header))
+                for offset, header in enumerate(new_headers)]
+        for _, index in reask_slots:
+            plan.append(("reask", index, formulate_question(None, table.rows[index][0])))
+        answers = _ref_batched_answers(
+            [q for _, _, q in plan], new_passage, backend, template, max_input_tokens,
+            answer_max_new_tokens, numeric,
+        )
+        rows = list(table.rows)
+        appended = []
+        for (target, index, _), value in zip(plan, answers):
+            if target == "new":
+                appended.append((new_headers[index], value))
+            else:
+                rows[index] = (rows[index][0], value)
+        return Table.attribute_value(rows + appended)
+
+    existing_rows = list(table.row_headers)
+    existing_cols = list(table.col_headers)
+    combined_rows = dedupe_headers([*existing_rows, *delta.add_row_headers])
+    combined_cols = dedupe_headers([*existing_cols, *delta.add_col_headers])
+    new_rows = combined_rows[len(existing_rows):]
+    new_cols = combined_cols[len(existing_cols):]
+    plan_matrix = []
+    for i, row_header in enumerate(new_rows):
+        r = len(existing_rows) + i
+        for c, col_header in enumerate(combined_cols):
+            plan_matrix.append((r, c, formulate_question(row_header, col_header, numeric)))
+    for r, row_header in enumerate(existing_rows):
+        for j, col_header in enumerate(new_cols):
+            c = len(existing_cols) + j
+            plan_matrix.append((r, c, formulate_question(row_header, col_header, numeric)))
+    for r, c in reask_slots:
+        plan_matrix.append((r, c, formulate_question(existing_rows[r], existing_cols[c], numeric)))
+    answers = _ref_batched_answers(
+        [q for _, _, q in plan_matrix], new_passage, backend, template, max_input_tokens,
+        answer_max_new_tokens, numeric,
+    )
+    grid = [[*row, *([None] * len(new_cols))] for row in table.cells]
+    grid.extend([[None] * len(combined_cols) for _ in new_rows])
+    for (r, c, _), value in zip(plan_matrix, answers):
+        grid[r][c] = value
+    return Table.matrix(combined_rows, combined_cols, grid)
+
+
+class TestStageTwoReference:
+    """Generation and update give the tables, traces and prompt order they always have."""
+
+    HEADER = st.sampled_from(["Wins", "wins", "Points", "Hawks", "Magic", "a b", "Wins #2", ""])
+    ANSWERS = ["7", "scored 12 points", "unknown", "  Low  ", "N/A", "", "none", "twelve",
+               MalformedResponse("bad json"), Unreachable("down")]
+    KINDS = st.sampled_from(ALL_KINDS)
+
+    @classmethod
+    def run(cls, salt, call):
+        """`call(backend)`'s result or error, and every prompt the backend got, in order."""
+        prompts: list[str] = []
+
+        def answer(prompt: str) -> str:
+            prompts.append(prompt)
+            choice = cls.ANSWERS[zlib.crc32(f"{salt}|{prompt}".encode()) % len(cls.ANSWERS)]
+            if isinstance(choice, BackendError):
+                raise choice
+            return choice
+
+        try:
+            result = call(ScriptedBackend(answer, concurrency=1))
+        except ValueError as err:
+            result = (type(err), str(err))
+        except BackendError as err:
+            result = (type(err), str(err))
+        if isinstance(result, tuple) and len(result) == 2 and isinstance(result[1], GenerationTrace):
+            table, trace = result
+            result = (table, dataclasses.replace(trace, content_ms=0.0))
+        return result, prompts
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        KINDS,
+        st.lists(HEADER, max_size=4),
+        st.lists(HEADER, max_size=4),
+        st.sampled_from([2048, 150, 40, 12, None]),
+        st.integers(0, 1000),
+    )
+    def test_generate_content_matches_reference(self, kind, rows, cols, budget, salt):
+        if kind.orientation is Orientation.ATTRIBUTE_VALUE:
+            rows = []
+        skeleton = TableSkeleton(kind.orientation, rows, cols)
+        passage = "Magic won 7 games and scored 12 points in the fourth quarter."
+        got = self.run(salt, lambda backend: generate_content(
+            skeleton, passage, kind, backend, max_input_tokens=budget))
+        want = self.run(salt, lambda backend: _ref_generate_content(
+            skeleton, passage, kind, backend, max_input_tokens=budget))
+        assert got == want
+
+    @staticmethod
+    @st.composite
+    def tables_and_deltas(draw):
+        kind = draw(TestStageTwoReference.KINDS)
+        header = TestStageTwoReference.HEADER.filter(bool)
+        value = st.sampled_from([None, None, "3", "Low"])
+        cols = dedupe_headers(draw(st.lists(header, max_size=3)))
+        if kind.orientation is Orientation.ATTRIBUTE_VALUE:
+            rows = []
+            table = Table.attribute_value([(h, draw(value)) for h in cols])
+            absent = [(draw(st.sampled_from([None, ""])), h) for h, v in table.rows if v is None]
+            present = [(None, h) for h, v in table.rows if v is not None]
+        else:
+            rows = dedupe_headers(draw(st.lists(header, max_size=3)))
+            table = Table.matrix(rows, cols, [[draw(value) for _ in cols] for _ in rows])
+            absent = [(rows[r], cols[c]) for r in range(len(rows)) for c in range(len(cols))
+                      if table.cells[r][c] is None]
+            present = [(rows[r], cols[c]) for r in range(len(rows)) for c in range(len(cols))
+                       if table.cells[r][c] is not None]
+        reask = draw(st.lists(st.sampled_from(absent), unique=True)) if absent else []
+        reask = [(r if r is None else draw(st.sampled_from([r, r.upper(), f" {r}"])), c)
+                 for r, c in reask]
+        if draw(st.integers(0, 9)) == 0:  # an invalid address, rejected the same way
+            reask.append(draw(st.sampled_from(present + [(None, "Steals"), ("Celtics", "Wins")])))
+        add_rows = draw(st.lists(TestStageTwoReference.HEADER, max_size=3))
+        if kind.orientation is Orientation.ATTRIBUTE_VALUE and draw(st.integers(0, 4)):
+            add_rows = []
+        delta = SkeletonDelta(
+            add_row_headers=add_rows,
+            add_col_headers=draw(st.lists(TestStageTwoReference.HEADER, max_size=3)),
+            reask=reask,
+        )
+        return kind, table, delta
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables_and_deltas(), st.sampled_from([2048, 150, 40, 12, None]), st.integers(0, 1000))
+    def test_update_table_matches_reference(self, case, budget, salt):
+        kind, table, delta = case
+        passage = "Magic won 7 games and scored 12 points in the fourth quarter."
+        got = self.run(salt, lambda backend: update_table(
+            table, delta, passage, kind, backend, max_input_tokens=budget))
+        want = self.run(salt, lambda backend: _ref_update_table(
+            table, delta, passage, kind, backend, max_input_tokens=budget))
+        assert got == want
+
+
+class TestUpdateKeepsExistingHeaders:
+    def test_existing_duplicate_headers_are_kept_and_asked_as_given(self):
+        table = Table.matrix(["Magic", "magic"], ["Wins", "wins"], [[None, "1"], ["2", None]])
+        prompts: list[str] = []
+        backend = ScriptedBackend(lambda prompt: (prompts.append(prompt), "5")[1], concurrency=1)
+        delta = SkeletonDelta(add_row_headers=["Suns"], add_col_headers=["Magic"],
+                              reask=[("Magic", "Wins")])
+        updated = update_table(table, delta, "Suns won 5.", DatasetKind.ROTOWIRE_TEAM, backend)
+        assert updated.row_headers == ("Magic", "magic", "Suns")
+        assert updated.col_headers == ("Wins", "wins", "Magic")
+        questions = [formulate_question(r, c, True) for r, c in [
+            ("Suns", "Wins"), ("Suns", "wins"), ("Suns", "Magic"),
+            ("Magic", "Magic"), ("magic", "Magic"), ("magic", "wins"),
+        ]]
+        assert [q for p in prompts for q in questions if q in p] == questions
+
+
+class TestSkeletonDelta:
+    @pytest.mark.parametrize("field", ["add_row_headers", "add_col_headers", "reask"])
+    def test_bare_string_is_rejected(self, field):
+        with pytest.raises(TypeError, match=f"{field} must be a sequence"):
+            SkeletonDelta(**{field: "Raptors"})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"add_row_headers": [1]}, {"add_col_headers": ["Wins", None]}, {"reask": [("Hawks", 4)]},
+         {"reask": [(2, "Wins")]}, {"reask": [(None, None)]}],
+    )
+    def test_non_string_header_is_rejected(self, fields):
+        with pytest.raises(TypeError, match="headers must be strings"):
+            SkeletonDelta(**fields)
