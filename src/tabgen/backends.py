@@ -13,21 +13,20 @@ import hashlib
 import json
 import math
 import os
-import re
 import threading
 import time
 from abc import ABC, abstractmethod
-from collections import Counter
+from bisect import bisect_left
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 # numpy, requests and the date parsing only `Retry-After` needs are imported
 # where they are used, not here: they are most of a cold `import tabgen`, and
 # generation with the oracle, baselines, updates and exact evaluation never
 # touch them.
-from tabgen.prompts import QUESTION_END, QUESTION_OPENING, SEP_TOKEN, formulate_question
+from tabgen.prompts import SEP_TOKEN, PromptTemplate, formulate_question, packaged_templates
 from tabgen.table import NEWLINE_TOKEN, Orientation, Table, serialize_flat
 
 
@@ -385,17 +384,8 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
         return EmbeddingResponse(vectors=vectors, mode=mode)
 
 
-# A truncated passage is matched by its opening: this many leading characters
-# of the whitespace-normalised passage.
-_OPENING_CHARS = 120
-
-
-class _PrefixMemo(threading.local):
-    """One thread's last cell-question resolution: (the prompt up to the end
-    of its passage, the sample, the template text before the passage, the
-    first word after it). None until a cell question sets it."""
-
-    resolution: tuple[str, int, str, str] | None = None
+# A registered passage is indexed by its length and this many leading characters.
+_KEY_CHARS = 32
 
 
 class MockOracleBackend(GenerationBackend):
@@ -405,126 +395,108 @@ class MockOracleBackend(GenerationBackend):
     gold cell (or "unknown" for an absent cell), and baseline prompts get
     the gold table in flat format.
 
-    Prompts are matched to samples by the passage text embedded in them,
-    with whitespace runs collapsed to one space on both sides. A sample
-    whose whole passage occurs matches, the longest such passage winning.
-    Otherwise the prompt builder truncated the passage: among the samples
-    whose first 120 characters occur, the one whose leading words the
-    prompt repeats furthest wins, and a tie is an error. A passage cut
-    inside its first 120 characters is found the same way among all
-    samples. The kind of answer and the cell question are read from the
-    prompt text outside that passage, so a passage that quotes `<SEP>`,
-    `<NEWLINE>` or a cell question is answered like any other.
+    A prompt is read through the template that built it: the packaged
+    templates first, then those given as `templates`. The first template
+    the prompt fits whose passage slot names a sample decides, and its own
+    text gives the kind of answer: headers if it holds `<SEP>`, a flat
+    table if it holds `<NEWLINE>`, a cell otherwise. A prompt that fits no
+    template raises `MalformedResponse`.
 
-    Each sample is indexed under the rarest word inside its opening, so a
-    prompt only checks the samples whose index word it contains. Cell
-    questions are looked up in a per-table question index, built on the
-    first cell question the table gets.
+    Each way the prompt fits the template, longest passage first, names a
+    sample by its passage slot: the exact registered text, or else that
+    text with whitespace runs collapsed to one space. The first way that
+    names a whole passage wins. Otherwise the prompt builder truncated the
+    passage, and the longest passage slot that is a word prefix of some
+    registered passage decides; a prefix of several is a tie and raises
+    `MalformedResponse`. A lone registered sample answers any passage.
 
-    A table's cell-question prompts share the text up to the end of the
-    passage. Each thread remembers how it resolved its last cell question
-    whose whole passage occurred with whitespace after it (`_PrefixMemo`).
-    A prompt that starts with that prefix, followed by whitespace, the same
-    first word, no `<SEP>` or `<NEWLINE>`, and less text than the sample's
-    normalised passage, is answered from that sample with no passage
-    lookup. The memo is set only when no registered passage holds that
-    first word after one of its spaces, or ends in a last word that opens
-    it: the crossing check, worked out once per word.
-
-    Answers do not change. A passage that beats the remembered sample on
-    the new prompt occurs whole in its normalised text. One inside the
-    prefix occurred in the earlier prompt too and lost there. One after the
-    prefix is shorter than the remembered passage, by the length guard.
-    Any other spans the whitespace after the prefix, so it holds the first
-    word after a space or ends in a prefix of it, which the crossing check
-    rules out. The passage's first occurrence lies inside the identical
-    prefix, so the text before and after it is what a full lookup reads,
-    save whitespace the registered text may carry at its ends; no question
-    or format token begins or ends with whitespace.
+    A cell's answer is looked up by the exact text of the question slot;
+    a question the table was never asked answers "unknown".
     """
 
-    def __init__(self, samples: Iterable[tuple[str, Table]], **kwargs):
+    def __init__(
+        self,
+        samples: Iterable[tuple[str, Table]],
+        templates: Iterable[PromptTemplate] = (),
+        **kwargs,
+    ):
         super().__init__(**kwargs)
         pairs = list(samples)
         if not pairs:
             raise ValueError("mock oracle needs at least one (passage, gold table) pair")
         self._texts = [passage for passage, _ in pairs]
-        self._passages = [" ".join(passage.split()) for passage in self._texts]
         self._tables = [table for _, table in pairs]
-        self._questions: list[_QuestionIndex | None] = [None] * len(pairs)
+        self._cells: list[dict[str, str | None] | None] = [None] * len(pairs)
+        self._by_key: dict[tuple[int, str], list[int]] = {}
+        self._by_passage: dict[str, int] = {}
+        passages = [" ".join(text.split()) for text in self._texts]
+        for i, (text, passage) in enumerate(zip(self._texts, passages)):
+            self._by_key.setdefault((len(text), text[:_KEY_CHARS]), []).append(i)
+            self._by_passage.setdefault(passage, i)
+        self._order = sorted(range(len(pairs)), key=passages.__getitem__)
+        self._sorted = [passages[i] for i in self._order]
 
-        # The words strictly inside an opening are whole words of any prompt
-        # the opening occurs in; its first and last word may be glued to
-        # template text or cut.
-        inner = [passage[:_OPENING_CHARS].split(" ")[1:-1] for passage in self._passages]
-        counts = Counter(word for words in inner for word in set(words))
-        self._by_anchor: dict[str, list[int]] = {}
-        self._unanchored: list[int] = []
-        for i, words in enumerate(inner):
-            if words:
-                self._by_anchor.setdefault(min(words, key=counts.__getitem__), []).append(i)
-            else:
-                self._unanchored.append(i)
-        self._memo = _PrefixMemo()
-        self._crossed: dict[str, bool] = {}
+        self._templates: list[tuple[PromptTemplate, str]] = []
+        for template in [*packaged_templates(), *templates]:
+            template.layout  # raises ValueError for a template the oracle cannot read
+            text = "".join(template.pieces[0])
+            kind = "headers" if SEP_TOKEN in text else "flat" if NEWLINE_TOKEN in text else "cell"
+            self._templates.append((template, kind))
 
-    def _crosses(self, word: str) -> bool:
-        """Whether a registered passage could run across a gap into `word`."""
-        crossed = self._crossed.get(word)
-        if crossed is None:
-            crossed = self._crossed[word] = any(
-                f" {word}" in passage or word.startswith(passage[passage.rfind(" ") + 1 :])
-                for passage in self._passages
-            )
-        return crossed
+    def _sample(self, prompt: str, ways: Iterator) -> tuple[int, tuple[int, int] | None] | None:
+        """The sample the prompt's passage slot names, and the question slot of that way.
 
-    def _find_sample(self, prompt: str) -> tuple[int, str]:
-        """The prompt's sample and the normalised text of its passage the prompt holds.
-
-        That text is the whole passage, or its leading words when the
-        prompt builder truncated it. A lone sample answers any prompt: the
-        text is empty when not even its passage's opening occurs.
+        None when there is no way at all: the prompt does not fit the template.
         """
-        words = prompt.split()
-        text = " ".join(words)
-        candidates = list(self._unanchored)
-        for anchor in self._by_anchor.keys() & words:
-            candidates.extend(self._by_anchor[anchor])
-        whole = [i for i in candidates if self._passages[i] in text]
-        if whole:
-            i = max(whole, key=lambda i: (len(self._passages[i]), -i))
-            return i, self._passages[i]
+        lone = truncated = None
+        for (start, end), question in ways:
+            for i in self._by_key.get((end - start, prompt[start : min(end, start + _KEY_CHARS)]), ()):
+                if prompt.startswith(self._texts[i], start):
+                    return i, question
+            shown = " ".join(prompt[start:end].split())
+            i = self._by_passage.get(shown)
+            if i is not None:
+                return i, question
+            if truncated is None:
+                low = bisect_left(self._sorted, shown + " ")
+                high = bisect_left(self._sorted, shown + "!", low)  # "!" follows " "
+                if high > low:
+                    truncated = high - low, self._order[low], question
+            if lone is None:
+                lone = 0, question
+        if truncated is not None:
+            count, i, question = truncated
+            if count > 1:
+                raise MalformedResponse(f"truncated prompt matches {count} registered passages equally")
+            return i, question
+        if lone is None or len(self._texts) == 1:
+            return lone
+        raise MalformedResponse("prompt does not mention any registered passage")
 
-        opened = [i for i in candidates if self._passages[i][:_OPENING_CHARS] in text]
-        if not opened and len(self._passages) == 1:
-            return 0, ""
-        padded = f" {text} "
-        shared = {
-            i: _shared_words(self._passages[i], padded)
-            for i in (opened or range(len(self._passages)))
-        }
-        best = max(shared.values())
-        if not opened and best == 0:
-            raise MalformedResponse("prompt does not mention any registered passage")
-        winners = [i for i, count in shared.items() if count == best]
-        if len(winners) > 1:
-            raise MalformedResponse(
-                f"truncated prompt matches {len(winners)} registered passages equally"
-            )
-        return winners[0], " ".join(self._passages[winners[0]].split(" ")[:best])
+    def _asked(self, i: int) -> dict[str, str | None]:
+        """Every question table `i` can be asked, mapped to its cell.
 
-    def _outside_passage(self, i: int, prompt: str, shown: str) -> tuple[str, str]:
-        """The prompt text before and after the passage it shows: the template's own text."""
-        if not shown:
-            return prompt, ""
-        forms = (self._texts[i], shown) if shown == self._passages[i] else (shown,)
-        for form in forms:
-            start = prompt.find(form)
-            if start != -1:
-                return prompt[:start], prompt[start + len(form) :]
-        # The passage is there with other whitespace than it was given with.
-        found = re.search(r"\s+".join(map(re.escape, shown.split(" "))), prompt)
-        return prompt[: found.start()], prompt[found.end() :]
+        The first in asking order wins: attribute-value rows, or matrix
+        cells row-major, each with the numeric hint on and then off.
+        """
+        cells = self._cells[i]
+        if cells is None:
+            table = self._tables[i]
+            if table.orientation is Orientation.ATTRIBUTE_VALUE:
+                asked = [(formulate_question(None, header), value) for header, value in table.rows]
+            else:
+                asked = [
+                    (formulate_question(row_header, col_header, hint), table.cells[r][c])
+                    for r, row_header in enumerate(table.row_headers)
+                    for c, col_header in enumerate(table.col_headers)
+                    for hint in (True, False)
+                ]
+            cells = {}
+            for question, value in asked:
+                cells.setdefault(question, value)
+            # Two threads may both build it; they build equal dicts.
+            self._cells[i] = cells
+        return cells
 
     @staticmethod
     def _structure_answer(table: Table) -> str:
@@ -536,100 +508,27 @@ class MockOracleBackend(GenerationBackend):
 
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
         prompt = request.prompt
-        memo = self._memo.resolution
-        if memo is not None:
-            prefix, i, before, word = memo
-            after = prompt[len(prefix) :]
-            if (
-                prompt.startswith(prefix)
-                and len(after) < len(self._passages[i])
-                and after[:1].isspace()
-                and after.split(None, 1)[:1] == [word]
-                and SEP_TOKEN not in after
-                and NEWLINE_TOKEN not in after
-            ):
-                return GenerationResponse(text=self._questions[i].answer(before, after), latency_ms=0.0)
-        i, shown = self._find_sample(prompt)
+        failure = None
+        for template, kind in self._templates:
+            try:
+                found = self._sample(prompt, template.fits(prompt))
+            except MalformedResponse as err:
+                failure = failure or err
+                continue
+            if found is not None:
+                break
+        else:
+            raise failure or MalformedResponse("prompt fits no template the oracle holds")
+        i, question = found
         table = self._tables[i]
-        # Route and answer on the template's text only: a passage may quote
-        # the format tokens or another cell's question.
-        before, after = self._outside_passage(i, prompt, shown)
-        if SEP_TOKEN in before or SEP_TOKEN in after:
+        if kind == "headers":
             text = self._structure_answer(table)
-        elif NEWLINE_TOKEN in before or NEWLINE_TOKEN in after:
+        elif kind == "flat":
             text = serialize_flat(table)
         else:
-            questions = self._questions[i]
-            if questions is None:
-                # Two threads may both build it; they build equal indexes.
-                questions = self._questions[i] = _QuestionIndex(table)
-            text = questions.answer(before, after)
-            # Only cell questions come many to a passage; a structure or
-            # baseline prompt would never meet its prefix again.
-            first = after.split(None, 1)[:1] if after[:1].isspace() else []
-            if shown == self._passages[i] and first and not self._crosses(first[0]):
-                self._memo.resolution = (prompt[: len(prompt) - len(after)], i, before, first[0])
+            value = None if question is None else self._asked(i).get(prompt[question[0] : question[1]])
+            text = "unknown" if value is None else value
         return GenerationResponse(text=text, latency_ms=0.0)
-
-
-def _shared_words(passage: str, padded_text: str) -> int:
-    """How many leading words of `passage` occur in order as whole words of the text.
-
-    `padded_text` is the normalised prompt with one space added at each end.
-    """
-    words = passage.split(" ")
-    low, high = 0, len(words)
-    while low < high:
-        mid = (low + high + 1) // 2
-        if f" {' '.join(words[:mid])} " in padded_text:
-            low = mid
-        else:
-            high = mid - 1
-    return low
-
-
-class _QuestionIndex:
-    """Every cell question a table can be asked, mapped to the cell it asks for.
-
-    A prompt's answer comes from the longest such question its texts contain;
-    among equally long ones, the first in asking order: attribute-value
-    rows, or matrix cells row-major, each with the numeric hint on and
-    then off. No match, or an absent cell, answers "unknown".
-    """
-
-    def __init__(self, table: Table):
-        if table.orientation is Orientation.ATTRIBUTE_VALUE:
-            asked = [(formulate_question(None, header), value) for header, value in table.rows]
-        else:
-            asked = [
-                (formulate_question(row_header, col_header, hint), table.cells[r][c])
-                for r, row_header in enumerate(table.row_headers)
-                for c, col_header in enumerate(table.col_headers)
-                for hint in (True, False)
-            ]
-        self._cells: dict[str, tuple[int, str | None]] = {}
-        for order, (question, value) in enumerate(asked):
-            self._cells.setdefault(question, (order, value))
-        self._longest = max(map(len, self._cells), default=0)
-
-    def answer(self, *texts: str) -> str:
-        # Every question runs from an occurrence of the opening to a later
-        # end mark, so those spans are the only ones worth looking up.
-        best: tuple[int, int] | None = None
-        value = None
-        for text in texts:
-            start = text.find(QUESTION_OPENING)
-            while start != -1:
-                end = text.find(QUESTION_END, start)
-                while end != -1 and end < start + self._longest:
-                    hit = self._cells.get(text[start : end + 1])
-                    if hit is not None:
-                        rank = (end + 1 - start, -hit[0])  # longer first, then earlier
-                        if best is None or rank > best:
-                            best, value = rank, hit[1]
-                    end = text.find(QUESTION_END, end + 1)
-                start = text.find(QUESTION_OPENING, start + 1)
-        return value if value is not None else "unknown"
 
 
 class ReplayBackend(GenerationBackend):

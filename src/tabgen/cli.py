@@ -117,9 +117,13 @@ def _build_backend(config: RunConfig, samples: list[Sample], oracle_path: str | 
             pool = load_jsonl(oracle_path, config.kind)
         if not pool:
             raise ConfigError("mock-oracle backend needs gold samples (--in or --oracle)")
-        backend: GenerationBackend = MockOracleBackend(
-            [(s.text, s.gold) for s in pool], **common
-        )
+        overrides = (config.structure_template, config.qa_template, config.baseline_template)
+        try:
+            backend: GenerationBackend = MockOracleBackend(
+                [(s.text, s.gold) for s in pool], templates=[t for t in overrides if t], **common
+            )
+        except ValueError as err:  # a template the oracle cannot read
+            raise ConfigError(str(err)) from err
     elif settings.kind == "replay":
         if not settings.fixture_dir:
             raise ConfigError("replay backend needs a fixture directory (--fixtures or config)")
@@ -456,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evidence-file", dest="evidence_file", help="file holding the new evidence text")
     p.add_argument("--out", help="write the updated table here instead of stdout")
     p.add_argument("--oracle", help="gold JSONL used to seed the mock-oracle backend")
+    p.add_argument("--qa-template", help="override the question template file")
     _add_backend_flags(p)
     p.set_defaults(handler=_cmd_update)
 

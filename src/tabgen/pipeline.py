@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from tabgen.backends import BackendError, GenerationBackend, GenerationRequest, GenerationResponse
 from tabgen.kinds import DatasetKind
@@ -343,39 +343,58 @@ def baseline_generate(
     return parse_flat(response.text, kind.orientation)
 
 
+def _header_finder(headers: Sequence[str], what: str) -> Callable[[str], int]:
+    """Look up a re-ask address header on one axis: by exact text first, then
+    by normalized text when that names exactly one header."""
+    exact: dict[str, list[int]] = {}
+    normalized: dict[str, list[int]] = {}
+    for i, header in enumerate(headers):
+        exact.setdefault(header, []).append(i)
+        normalized.setdefault(normalize_text(header), []).append(i)
+
+    def find(header: str) -> int:
+        norm = normalize_text(header)
+        matches = exact.get(header) or normalized.get(norm, [])
+        if not matches:
+            raise ValueError(f"unknown {what} {header!r} in re-ask address")
+        if len(matches) > 1:
+            raise ValueError(f"{what} {header!r} in re-ask address matches {len(matches)} headers")
+        return matches[0]
+
+    return find
+
+
 def _resolve_reask(
     table: Table, reask: tuple[tuple[str | None, str], ...]
 ) -> list[tuple[int | None, int]]:
-    """Map re-ask addresses (by header text) to slot indices, insisting they are absent."""
+    """Map re-ask addresses (by header text) to distinct slots, insisting they are absent.
+
+    Slots keep the order their first address names them in.
+    """
     resolved: list[tuple[int | None, int]] = []
     if table.orientation is Orientation.ATTRIBUTE_VALUE:
-        headers = {normalize_text(h): i for i, (h, _) in enumerate(table.rows)}
+        find = _header_finder([h for h, _ in table.rows], "header")
         for row_header, col_header in reask:
             if row_header not in (None, ""):
                 raise ValueError("attribute-value re-ask addresses have no row header")
-            index = headers.get(normalize_text(col_header))
-            if index is None:
-                raise ValueError(f"unknown header {col_header!r} in re-ask address")
+            index = find(col_header)
             if table.rows[index][1] is not None:
                 raise ValueError(f"cell for {col_header!r} is present; only absent cells can be re-asked")
             resolved.append((None, index))
-        return resolved
+        return list(dict.fromkeys(resolved))
 
-    row_index = {normalize_text(h): i for i, h in enumerate(table.row_headers)}
-    col_index = {normalize_text(h): i for i, h in enumerate(table.col_headers)}
+    find_row = _header_finder(table.row_headers, "row header")
+    find_col = _header_finder(table.col_headers, "column header")
     for row_header, col_header in reask:
-        r = None if row_header is None else row_index.get(normalize_text(row_header))
-        if r is None:
-            raise ValueError(f"unknown row header {row_header!r} in re-ask address")
-        c = col_index.get(normalize_text(col_header))
-        if c is None:
-            raise ValueError(f"unknown column header {col_header!r} in re-ask address")
+        if row_header is None:
+            raise ValueError("unknown row header None in re-ask address")
+        r, c = find_row(row_header), find_col(col_header)
         if table.cells[r][c] is not None:
             raise ValueError(
                 f"cell ({row_header!r}, {col_header!r}) is present; only absent cells can be re-asked"
             )
         resolved.append((r, c))
-    return resolved
+    return list(dict.fromkeys(resolved))
 
 
 def update_table(
@@ -392,14 +411,18 @@ def update_table(
     """Fill only new or designated slots against new evidence.
 
     Untouched cells are carried over unchanged and no questions are asked
-    for them, so the cost is exactly the delta size. An empty delta
-    returns the table as is without any backend call.
+    for them, so the cost is exactly the delta size: one question per
+    distinct slot. An empty delta returns the table as is without any
+    backend call; a blank added header is a ValueError.
     """
     report = validate(table)
     if not report.valid:
         raise InvalidTable(report)
     if delta.is_empty():
         return table
+    for header in (*delta.add_row_headers, *delta.add_col_headers):
+        if not normalize_text(header):
+            raise ValueError(f"added header {header!r} is blank")
 
     reask_slots = _resolve_reask(table, delta.reask)
     if table.orientation is Orientation.ATTRIBUTE_VALUE:

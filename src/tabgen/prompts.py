@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Collection, Sequence
+from typing import Collection, Iterator, Sequence
 
 from tabgen.kinds import DatasetKind
 from tabgen.table import Orientation, dedupe_headers, normalize_text
@@ -19,6 +19,9 @@ ROWCOL_TOKEN = "<ROWCOL>"
 TOKEN_ESTIMATE_FACTOR = 1.3
 
 DEFAULT_NO_ANSWER = frozenset({"unknown", "n/a", "none", "not mentioned", ""})
+
+
+_SLOT_RE = re.compile(r"\{\{(passage|question)\}\}")
 
 
 class NoHeaders(ValueError):
@@ -43,16 +46,67 @@ class PromptTemplate:
 
     def render(self, *, passage: str, question: str | None = None) -> str:
         """Fill every slot in one pass, so slot markers inside a filled-in value stay text."""
-        if question is None and "{{question}}" in self.text:
+        if question is None and "question" in self.pieces[1]:
             raise ValueError(f"template {self.name!r} has a question slot but no question given")
         return self._format.format(passage=passage, question=question)
 
     @cached_property
+    def pieces(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The literal texts around the slots and the slot names, in order.
+
+        There is one more literal than there are slots; a literal may be empty.
+        """
+        parts = _SLOT_RE.split(self.text)
+        return tuple(parts[0::2]), tuple(parts[1::2])
+
+    @cached_property
     def _format(self) -> str:
-        """The template as a `str.format` string: every brace doubled, then each slot a field."""
-        escaped = self.text.replace("{", "{{").replace("}", "}}")
-        escaped = escaped.replace("{{{{passage}}}}", "{passage}")
-        return escaped.replace("{{{{question}}}}", "{question}")
+        """The template as a `str.format` string: literal braces doubled, each slot a field."""
+        literals, slots = self.pieces
+        escaped = [literal.replace("{", "{{").replace("}", "}}") for literal in literals]
+        return escaped[0] + "".join(f"{{{slot}}}{literal}" for slot, literal in zip(slots, escaped[1:]))
+
+    def fits(self, prompt: str) -> Iterator[tuple[tuple[int, int], tuple[int, int] | None]]:
+        """Every way `render` could have built `prompt`, longest passage first.
+
+        A way is the (start, end) offsets in `prompt` of the passage and of
+        the question (None for a template without a question slot). The
+        prompt must open with the literal before the first slot and close
+        with the one after the last; each occurrence of the literal between
+        two slots is one way. Ways are found as they are asked for, so the
+        first costs no scan of the whole prompt.
+        """
+        first, middle, last, passage_first = self.layout
+        start, end = len(first), len(prompt) - len(last)
+        if end < start or not prompt.startswith(first) or not prompt.endswith(last):
+            return
+        if middle is None:
+            yield (start, end), None
+        elif passage_first:
+            cut = prompt.rfind(middle, start, end)
+            while cut != -1:
+                yield (start, cut), (cut + len(middle), end)
+                cut = prompt.rfind(middle, start, cut + len(middle) - 1)
+        else:
+            cut = prompt.find(middle, start, end)
+            while cut != -1:
+                yield (cut + len(middle), end), (start, cut)
+                cut = prompt.find(middle, cut + 1, end)
+
+    @cached_property
+    def layout(self) -> tuple[str, str | None, str, bool]:
+        """(first literal, middle literal or None, last literal, whether the passage comes first).
+
+        Raises ValueError for a template that does not hold exactly one
+        passage slot and at most one question slot: no way to read it.
+        """
+        literals, slots = self.pieces
+        if slots not in (("passage",), ("passage", "question"), ("question", "passage")):
+            raise ValueError(
+                f"template {self.name!r} needs one {{{{passage}}}} slot and at most one {{{{question}}}} slot"
+            )
+        middle = literals[1] if len(slots) == 2 else None
+        return literals[0], middle, literals[-1], slots[0] == "passage"
 
     def overhead_tokens(self) -> int:
         """Estimated token cost of the template text itself, slots excluded."""
@@ -85,6 +139,15 @@ def default_qa_template() -> PromptTemplate:
 
 def default_baseline_template(orientation: Orientation) -> PromptTemplate:
     return _load_packaged(f"baseline_{orientation.value}")
+
+
+def packaged_templates() -> list[PromptTemplate]:
+    """Every template the package ships: question, then structure per kind, then baseline."""
+    return [
+        default_qa_template(),
+        *map(default_structure_template, DatasetKind),
+        *map(default_baseline_template, Orientation),
+    ]
 
 
 def estimate_tokens(text: str) -> int:
@@ -143,12 +206,6 @@ def parse_structure_answer(
             row_headers = ()
         return row_headers, tuple(parse_header_sequence(right))
     return (), tuple(parse_header_sequence(text))
-
-
-# Every question `formulate_question` renders opens with QUESTION_OPENING and
-# closes with QUESTION_END; the mock oracle finds asked questions by them.
-QUESTION_OPENING = "What is the "
-QUESTION_END = "?"
 
 
 def formulate_question(

@@ -31,8 +31,15 @@ from tabgen.backends import (
 )
 from tabgen.kinds import DatasetKind
 from tabgen.pipeline import generate_content, skeleton_from_table
-from tabgen.prompts import formulate_question
-from tabgen.table import serialize_flat
+from tabgen.prompts import (
+    PromptTemplate,
+    build_baseline_prompt,
+    build_qa_prompt,
+    build_structure_prompt,
+    default_qa_template,
+    formulate_question,
+)
+from tabgen.table import Orientation, serialize_flat
 
 from .conftest import ScriptedBackend, load_example
 
@@ -171,14 +178,14 @@ class TestMockOracle:
     def test_structure_answer_attribute_value(self, wikibio_sample):
         backend = MockOracleBackend([(wikibio_sample.text, wikibio_sample.gold)])
         response = backend.generate(
-            GenerationRequest(f"list headers with <SEP>: {wikibio_sample.text}")
+            GenerationRequest(build_structure_prompt(wikibio_sample.text, DatasetKind.WIKIBIO))
         )
         assert response.text == "Debut team <SEP> Name <SEP> Birth Date"
 
     def test_structure_answer_matrix(self, rotowire_team_sample):
         backend = MockOracleBackend([(rotowire_team_sample.text, rotowire_team_sample.gold)])
         response = backend.generate(
-            GenerationRequest(f"list headers with <SEP> and <ROWCOL>: {rotowire_team_sample.text}")
+            GenerationRequest(build_structure_prompt(rotowire_team_sample.text, DatasetKind.ROTOWIRE_TEAM))
         )
         assert response.text == (
             "Magic <SEP> Hawks <ROWCOL> Losses <SEP> Total points <SEP> "
@@ -187,33 +194,81 @@ class TestMockOracle:
 
     def test_gold_cell_answer(self, wikibio_sample):
         backend = MockOracleBackend([(wikibio_sample.text, wikibio_sample.gold)])
-        prompt = f"{wikibio_sample.text}\n\nQuestion: What is the Name?\n\nAnswer:"
+        prompt = build_qa_prompt(wikibio_sample.text, "What is the Name?")
         assert backend.generate(GenerationRequest(prompt)).text == "Lenny Randle"
 
     def test_absent_cell_answers_unknown(self, rotowire_team_sample):
         backend = MockOracleBackend([(rotowire_team_sample.text, rotowire_team_sample.gold)])
-        prompt = (
-            f"{rotowire_team_sample.text}\n\n"
-            "Question: What is the number of Points in 4th quarter for Hawks?\n\nAnswer:"
+        prompt = build_qa_prompt(
+            rotowire_team_sample.text, "What is the number of Points in 4th quarter for Hawks?"
         )
         assert backend.generate(GenerationRequest(prompt)).text == "unknown"
 
     def test_unmatched_question_answers_unknown(self, wikibio_sample):
         backend = MockOracleBackend([(wikibio_sample.text, wikibio_sample.gold)])
-        prompt = f"{wikibio_sample.text}\n\nQuestion: What is the Shoe Size?\n\nAnswer:"
+        prompt = build_qa_prompt(wikibio_sample.text, "What is the Shoe Size?")
         assert backend.generate(GenerationRequest(prompt)).text == "unknown"
 
     def test_baseline_prompt_gets_flat_gold(self, e2e_sample):
         backend = MockOracleBackend([(e2e_sample.text, e2e_sample.gold)])
-        prompt = f"emit the table with <NEWLINE> rows: {e2e_sample.text}"
+        prompt = build_baseline_prompt(e2e_sample.text, Orientation.ATTRIBUTE_VALUE)
         assert backend.generate(GenerationRequest(prompt)).text == serialize_flat(e2e_sample.gold)
 
     def test_multi_sample_lookup_by_passage(self):
         a = load_example(DatasetKind.E2E)
         b = load_example(DatasetKind.WIKIBIO)
         backend = MockOracleBackend([(a.text, a.gold), (b.text, b.gold)])
-        prompt = f"{b.text}\n\nQuestion: What is the Name?\n\nAnswer:"
+        prompt = build_qa_prompt(b.text, "What is the Name?")
         assert backend.generate(GenerationRequest(prompt)).text == "Lenny Randle"
+
+    def test_prompt_from_a_template_it_was_not_given_is_rejected(self, wikibio_sample):
+        template = PromptTemplate("custom", "Passage:\n{{passage}}\nQ: {{question}}\nA:")
+        prompt = build_qa_prompt(wikibio_sample.text, "What is the Name?", template)
+        backend = MockOracleBackend([(wikibio_sample.text, wikibio_sample.gold)])
+        with pytest.raises(MalformedResponse, match="fits no template"):
+            backend.generate(GenerationRequest(prompt))
+        given = MockOracleBackend([(wikibio_sample.text, wikibio_sample.gold)], templates=[template])
+        assert given.generate(GenerationRequest(prompt)).text == "Lenny Randle"
+
+    def test_given_template_with_the_packaged_opening_and_closing_is_read(self):
+        # The prompt also fits the packaged template, whose passage slot
+        # then holds the extra line and names no sample.
+        a, b = load_example(DatasetKind.E2E), load_example(DatasetKind.WIKIBIO)
+        packaged = default_qa_template().text
+        template = PromptTemplate("custom", packaged.replace("\n\nQuestion:", "\nBe brief.\n\nQuestion:"))
+        backend = MockOracleBackend([(a.text, a.gold), (b.text, b.gold)], templates=[template])
+        prompt = build_qa_prompt(b.text, "What is the Name?", template)
+        assert backend.generate(GenerationRequest(prompt)).text == "Lenny Randle"
+
+    @pytest.mark.parametrize("text", ["{{passage}} {{passage}}", "no slots", "{{question}} only"])
+    def test_template_it_cannot_read_is_rejected_up_front(self, wikibio_sample, text):
+        with pytest.raises(ValueError, match="passage"):
+            MockOracleBackend(
+                [(wikibio_sample.text, wikibio_sample.gold)], templates=[PromptTemplate("odd", text)]
+            )
+
+    def test_answer_kind_comes_from_the_templates_own_text(self, e2e_sample):
+        backend = MockOracleBackend(
+            [(e2e_sample.text, e2e_sample.gold)],
+            templates=[
+                PromptTemplate("headers", "List headers, split by <SEP>: {{passage}}"),
+                PromptTemplate("flat", "Table, rows split by <NEWLINE>: {{passage}}"),
+                PromptTemplate("cell", "{{question}} in {{passage}}"),
+            ],
+        )
+        answers = [
+            backend.generate(GenerationRequest(prompt)).text
+            for prompt in (
+                f"List headers, split by <SEP>: {e2e_sample.text}",
+                f"Table, rows split by <NEWLINE>: {e2e_sample.text}",
+                f"What is the Name? in {e2e_sample.text}",
+            )
+        ]
+        assert answers == [
+            " <SEP> ".join(header for header, _ in e2e_sample.gold.rows),
+            serialize_flat(e2e_sample.gold),
+            e2e_sample.gold.rows[0][1],
+        ]
 
 
 class TestReplay:

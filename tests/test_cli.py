@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from importlib.resources import files
 
 import pytest
 
@@ -402,11 +403,14 @@ class TestUpdateBadDelta:
             {"reask": [["Celtics", "Wins"]]},
             {"reask": [["Magic", "Wins"]]},
             {"add_col_headers": [""]},
+            {"add_row_headers": [""]},
+            {"add_row_headers": [" \t"]},
             {"add_row_headers": [1]},
             {"reask": [["Hawks", 4]]},
         ],
         ids=["json-array", "bare-string", "unknown-key", "reask-unknown-header",
-             "reask-present-cell", "empty-added-header", "number-header", "number-in-reask"],
+             "reask-present-cell", "empty-added-header", "empty-added-row-header",
+             "blank-added-row-header", "number-header", "number-in-reask"],
     )
     def test_exits_two_without_traceback(self, tmp_path, capsys, delta):
         sample = json.loads(open(TEAM_EXAMPLE, encoding="utf-8").readline())
@@ -438,6 +442,70 @@ class TestUpdateBadDelta:
         err = capsys.readouterr().err
         assert code == 2
         assert f"config error: table file {table_file}: invalid table" in err
+
+
+def extended_template(tmp_path, name: str) -> str:
+    """A copy of a packaged template with one more line of instructions, as a file."""
+    text = (files("tabgen") / "templates" / f"{name}.txt").read_text("utf-8")
+    path = tmp_path / f"custom_{name}.txt"
+    path.write_text("Think it through before you answer.\n" + text, "utf-8")
+    return str(path)
+
+
+class TestTemplateOverrides:
+    """Each `--*-template` flag reaches the prompts and the mock oracle reads them."""
+
+    def test_generate_with_custom_templates_gives_the_gold_tables(self, tmp_path):
+        out = tmp_path / "preds.jsonl"
+        code = dispatch(
+            ["generate", "--kind", "rotowire-team", "--backend", "mock-oracle", "--in", TEAM_MINI,
+             "--structure-template", extended_template(tmp_path, "structure_rotowire-team"),
+             "--qa-template", extended_template(tmp_path, "qa"), "--out", str(out)]
+        )
+        assert code == 0
+        golds = load_jsonl(TEAM_MINI, DatasetKind.ROTOWIRE_TEAM)
+        assert [table_from_json(r["table"]) for r in read_jsonl(out)] == [s.gold for s in golds]
+
+    def test_baseline_with_a_custom_template_gives_the_gold_tables(self, tmp_path):
+        out = tmp_path / "preds.jsonl"
+        code = dispatch(
+            ["baseline", "--kind", "e2e", "--backend", "mock-oracle", "--in", E2E_MINI,
+             "--baseline-template", extended_template(tmp_path, "baseline_attribute_value"),
+             "--out", str(out)]
+        )
+        assert code == 0
+        golds = load_jsonl(E2E_MINI, DatasetKind.E2E)
+        assert [table_from_json(r["table"]) for r in read_jsonl(out)] == [s.gold for s in golds]
+
+    def test_update_with_a_custom_template_gives_the_gold_table(self, tmp_path):
+        sample = load_jsonl(TEAM_EXAMPLE, DatasetKind.ROTOWIRE_TEAM)[0]
+        gold = sample.gold
+        trimmed = {"orientation": "matrix", "row_headers": list(gold.row_headers[:-1]),
+                   "col_headers": list(gold.col_headers), "cells": [list(r) for r in gold.cells[:-1]]}
+        table_file = tmp_path / "table.json"
+        table_file.write_text(json.dumps(trimmed), "utf-8")
+        delta_file = tmp_path / "delta.json"
+        delta_file.write_text(json.dumps({"add_row_headers": [gold.row_headers[-1]]}), "utf-8")
+        out = tmp_path / "updated.json"
+        code = dispatch(
+            ["update", "--kind", "rotowire-team", "--table", str(table_file),
+             "--delta", str(delta_file), "--evidence", sample.text, "--oracle", TEAM_EXAMPLE,
+             "--backend", "mock-oracle", "--qa-template", extended_template(tmp_path, "qa"),
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert table_from_json(json.loads(out.read_text("utf-8"))) == gold
+
+    def test_template_the_oracle_cannot_read_exits_two(self, tmp_path, capsys):
+        template = tmp_path / "twice.txt"
+        template.write_text("{{passage}}\n{{passage}}\n{{question}}", "utf-8")
+        code = dispatch(
+            ["generate", "--kind", "e2e", "--backend", "mock-oracle", "--in", E2E_EXAMPLE,
+             "--qa-template", str(template), "--out", str(tmp_path / "preds.jsonl")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error:" in err and "Traceback" not in err
 
 
 class TestStats:

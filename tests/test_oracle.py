@@ -9,19 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabgen.backends import (
-    GenerationBackend,
-    GenerationRequest,
-    MalformedResponse,
-    MockOracleBackend,
-)
+from tabgen.backends import GenerationRequest, MalformedResponse, MockOracleBackend
 from tabgen.kinds import DatasetKind
 from tabgen.pipeline import (
     SkeletonDelta,
     baseline_generate,
-    generate_content,
     generate_table,
-    skeleton_from_table,
     update_table,
 )
 from tabgen.prompts import (
@@ -38,11 +31,11 @@ from tabgen.table import Orientation, Table
 from .conftest import load_example, load_mini
 
 
-def reference_answer(table: Table, prompt: str) -> str:
-    """The oracle's original brute-force question match, kept as the specification.
+def reference_answer(table: Table, question: str) -> str:
+    """The specification of the oracle's question match.
 
-    Every question the table can be asked is rendered; the longest one
-    found in the prompt wins, the first in asking order among equals.
+    Every question the table can be asked is rendered in asking order;
+    the first one equal to the asked question gives the answer.
     """
     candidates: list[tuple[str, str | None]] = []
     if table.orientation is Orientation.ATTRIBUTE_VALUE:
@@ -54,14 +47,14 @@ def reference_answer(table: Table, prompt: str) -> str:
                 value = table.cells[r][c]
                 for hint in (True, False):
                     candidates.append((formulate_question(row_header, col_header, hint), value))
-    matches = [(q, v) for q, v in candidates if q in prompt]
-    if not matches:
+    matches = [v for q, v in candidates if q == question]
+    if not matches or matches[0] is None:
         return "unknown"
-    _, value = max(matches, key=lambda pair: len(pair[0]))
-    return value if value is not None else "unknown"
+    return matches[0]
 
 
-def oracle_answer(table: Table, prompt: str) -> str:
+def oracle_answer(table: Table, question: str, passage: str = "passage") -> str:
+    prompt = build_qa_prompt(passage, question)
     return MockOracleBackend([("passage", table)]).generate(GenerationRequest(prompt)).text
 
 
@@ -85,7 +78,7 @@ def tables(draw) -> Table:
 
 
 @st.composite
-def tables_and_prompts(draw) -> tuple[Table, str]:
+def tables_and_questions(draw) -> tuple[Table, str, str]:
     table = draw(tables())
     if table.orientation is Orientation.ATTRIBUTE_VALUE:
         asked = [formulate_question(None, header) for header, _ in table.rows]
@@ -98,29 +91,30 @@ def tables_and_prompts(draw) -> tuple[Table, str]:
         ]
     stray = st.builds(formulate_question, st.one_of(st.none(), ROW_HEADERS), HEADERS, st.booleans())
     questions = st.one_of(stray, st.sampled_from(asked)) if asked else stray
-    # Passages and hand-built prompts that themselves hold question text.
+    # Passages that themselves hold question text.
     text = st.lists(st.one_of(PIECES, questions), max_size=6).map("".join)
-    if draw(st.booleans()):
-        return table, build_qa_prompt("passage " + draw(text), draw(questions))
-    return table, draw(text)
+    return table, draw(questions), "passage " + draw(text)
 
 
 class TestQuestionMatch:
     @settings(max_examples=400, deadline=None)
-    @given(tables_and_prompts())
-    def test_indexed_answer_equals_brute_force(self, case):
-        table, prompt = case
-        assert oracle_answer(table, prompt) == reference_answer(table, prompt)
+    @given(tables_and_questions())
+    def test_indexed_answer_equals_reference(self, case):
+        table, question, passage = case
+        assert oracle_answer(table, question, passage) == reference_answer(table, question)
 
     def test_longest_question_wins(self):
         table = Table.attribute_value([("Name", "short"), ("Name of the venue", "long")])
-        prompt = "Question: What is the Name of the venue?"
-        assert oracle_answer(table, prompt) == "long"
+        assert oracle_answer(table, "What is the Name of the venue?") == "long"
 
     def test_first_in_asking_order_wins_a_tie(self):
-        # Both questions have the same length and both occur.
+        # The passage quotes the other question, asked first.
         table = Table.attribute_value([("ab", "first"), ("cd", "second")])
-        assert oracle_answer(table, "What is the cd? What is the ab?") == "first"
+        assert oracle_answer(table, "What is the ab?", "What is the cd?") == "first"
+        # Two cells that the same question asks for: the hinted question
+        # for "Wins" is the plain one for "number of Wins".
+        table = Table.matrix(["Hawks"], ["Wins", "number of Wins"], [["46", "7"]])
+        assert oracle_answer(table, "What is the number of Wins for Hawks?") == "46"
 
     def test_numeric_and_plain_phrasings_both_answer(self):
         table = Table.matrix(["Hawks"], ["Wins"], [["46"]])
@@ -204,9 +198,9 @@ class TestPassageLookup:
         long_text = short_text + " It also runs a coffee shop."
         long_gold = Table.attribute_value([("Name", "The Mill annex")])
         backend = MockOracleBackend([(short_text, short_gold), (long_text, long_gold)])
-        ask = "\n\nQuestion: What is the Name?"
-        assert backend.generate(GenerationRequest(long_text + ask)).text == "The Mill annex"
-        assert backend.generate(GenerationRequest(short_text + ask)).text == "The Mill"
+        ask = "What is the Name?"
+        assert backend.generate(GenerationRequest(build_qa_prompt(long_text, ask))).text == "The Mill annex"
+        assert backend.generate(GenerationRequest(build_qa_prompt(short_text, ask))).text == "The Mill"
 
     def test_truncated_prompt_goes_to_the_longest_shared_word_prefix(self):
         common = " ".join(f"common{i}" for i in range(40))
@@ -247,11 +241,12 @@ class TestPassageLookup:
         a, b = load_example(DatasetKind.E2E), load_example(DatasetKind.WIKIBIO)
         backend = MockOracleBackend([(a.text, a.gold), (b.text, b.gold)])
         with pytest.raises(MalformedResponse):
-            backend.generate(GenerationRequest("zzz qqq\n\nQuestion: What is the Name?"))
+            backend.generate(GenerationRequest(build_qa_prompt("zzz qqq", "What is the Name?")))
 
     def test_single_sample_answers_any_prompt(self, wikibio_sample):
         backend = MockOracleBackend([(wikibio_sample.text, wikibio_sample.gold)])
-        assert backend.generate(GenerationRequest("What is the Name?")).text == "Lenny Randle"
+        prompt = build_qa_prompt("An unrelated passage.", "What is the Name?")
+        assert backend.generate(GenerationRequest(prompt)).text == "Lenny Randle"
 
 
 # Passages that quote what the oracle reads from the template: the format
@@ -311,10 +306,9 @@ class TestPassageQuotingPromptText:
         assert backend.generate(GenerationRequest(prompt)).text == "Aromi"
 
 
-# Prompts of one table share the text up to the end of its passage, and the
-# oracle answers a prompt that repeats that prefix from the passage lookup of
-# the thread's last cell question. A fresh oracle per prompt has no such
-# memory, so it is the reference the shared one must match.
+# The oracle keeps nothing between prompts but each table's question dict,
+# built on first use, so a fresh oracle per prompt is the reference a shared
+# one must match over prompts of tables that repeat and extend each other.
 PASSAGE_WORDS = st.sampled_from(
     ["alpha", "beta", "gamma", "delta", "What", "is", "the", "Name?", "<SEP>", "x.", "Q:"]
 )
@@ -329,6 +323,7 @@ SHARED_PREFIX_TEMPLATES = [
     PromptTemplate("glued", "P:{{passage}}{{question}}A:"),
     PromptTemplate("odd-space", "P: {{passage}}\u2028Q: {{question}}"),
 ]
+CUSTOM_TEMPLATES = [template for template in SHARED_PREFIX_TEMPLATES if template is not None]
 
 
 @st.composite
@@ -394,24 +389,14 @@ def answer_or_error(backend: MockOracleBackend, prompt: str) -> str:
         return f"error: {err}"
 
 
-class SplitCountingPrompt(str):
-    """A prompt that counts how often the whole of it is split into words."""
-
-    splits = 0
-
-    def split(self, *args, **kwargs):
-        type(self).splits += 1
-        return super().split(*args, **kwargs)
-
-
 class TestSharedPrefix:
     @settings(max_examples=300, deadline=None)
     @given(prompt_sequences())
     def test_shared_oracle_answers_like_a_fresh_one(self, case):
         samples, prompts = case
-        shared = MockOracleBackend(samples)
+        shared = MockOracleBackend(samples, templates=CUSTOM_TEMPLATES)
         for prompt in prompts:
-            fresh = MockOracleBackend(samples)
+            fresh = MockOracleBackend(samples, templates=CUSTOM_TEMPLATES)
             assert answer_or_error(shared, prompt) == answer_or_error(fresh, prompt), prompt
 
     @pytest.mark.parametrize(
@@ -429,7 +414,9 @@ class TestSharedPrefix:
         short_text = text.removesuffix(" area.")
         long_text = short_text + extension
         long_gold = Table.attribute_value([("Name", "The Mill annex")])
-        backend = MockOracleBackend([(short_text, short_gold), (long_text, long_gold)])
+        backend = MockOracleBackend(
+            [(short_text, short_gold), (long_text, long_gold)], templates=[template] if template else ()
+        )
         for text, name in ((short_text, "The Mill"), (long_text, "The Mill annex")) * 2:
             prompt = build_qa_prompt(text, "What is the Name?", template)
             assert backend.generate(GenerationRequest(prompt)).text == name
@@ -465,32 +452,9 @@ class TestSharedPrefix:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
 
-    def test_a_large_tables_cell_questions_split_the_full_prompt_once(self, monkeypatch):
-        rows = [f"Team{r}" for r in range(26)]
-        cols = [f"STAT{c}" for c in range(20)]
-        cells = [[str(r * 20 + c) if (r + c) % 7 else None for c in range(20)] for r in range(26)]
-        gold = Table.matrix(rows, cols, cells)
-        passage = " ".join(f"{row} posted {' '.join(cells[r][c] or '-' for c in range(20))}."
-                           for r, row in enumerate(rows))
-        other = load_example(DatasetKind.ROTOWIRE_TEAM)
-        oracle = MockOracleBackend([(passage, gold), (other.text, other.gold)])
-        monkeypatch.setattr(SplitCountingPrompt, "splits", 0)
 
-        class Counted(GenerationBackend):
-            def _generate_once(self, request):
-                counted = GenerationRequest(SplitCountingPrompt(request.prompt), request.max_new_tokens)
-                return oracle.generate(counted)
-
-        table, _ = generate_content(
-            skeleton_from_table(gold), passage, DatasetKind.ROTOWIRE_TEAM, Counted(concurrency=1)
-        )
-        assert table == gold
-        assert SplitCountingPrompt.splits == 1
-
-
-class TestRememberedResolution:
-    """The per-thread memo of the last passage lookup: prompts it must not
-    answer, and how many lookups it saves."""
+class TestPassageRunningIntoTemplateText:
+    """A registered passage that is another one followed by template text."""
 
     @pytest.mark.parametrize(
         "template, between",
@@ -501,23 +465,24 @@ class TestRememberedResolution:
     )
     def test_passage_running_into_the_question_answers_like_a_fresh_oracle(self, template, between):
         # B is A followed by the start of A's Food question, so the Food
-        # prompt holds B whole: B wins, and what is left of the question
-        # outside B asks nothing.
+        # prompt holds B whole; the passage slot still holds A only.
         a_text, a_gold = _venue("The Mill", "Indian", "riverside")
         b_text = a_text + between + "What is the Food"
         b_gold = Table.attribute_value([("Name", "The Mill annex"), ("Food", "Thai")])
         samples = [(a_text, a_gold), (b_text, b_gold)]
-        shared = MockOracleBackend(samples)
+        templates = [template] if template else ()
+        shared = MockOracleBackend(samples, templates=templates)
         answers = []
         for header in ("Name", "Food", "Area") * 2:
             prompt = build_qa_prompt(a_text, formulate_question(None, header), template)
             answers.append(answer_or_error(shared, prompt))
-            assert answers[-1] == answer_or_error(MockOracleBackend(samples), prompt), prompt
-        assert answers == ["The Mill", "unknown", "riverside"] * 2
+            fresh = MockOracleBackend(samples, templates=templates)
+            assert answers[-1] == answer_or_error(fresh, prompt), prompt
+        assert answers == ["The Mill", "Indian", "riverside"] * 2
 
     def test_passage_shorter_than_the_template_text_after_it_answers_like_a_fresh_oracle(self):
-        # B fits in the template text after A, so a prompt of A can hold B
-        # whole after A's passage, and the longer B wins.
+        # B fits in the template text after A, so a prompt of A holds B
+        # whole after A's passage; the passage slot still holds A only.
         a_text = "Aromi serves food."
         b_text = "Question: What is the Food? Answer:"
         samples = [
@@ -530,35 +495,4 @@ class TestRememberedResolution:
             prompt = build_qa_prompt(a_text, formulate_question(None, header))
             answers.append(answer_or_error(shared, prompt))
             assert answers[-1] == answer_or_error(MockOracleBackend(samples), prompt), prompt
-        assert answers == ["Aromi", "unknown"] * 2
-
-    def test_a_large_tables_cell_questions_look_up_the_passage_once_per_thread(self, monkeypatch):
-        rows = [f"Team{r}" for r in range(26)]
-        cols = [f"STAT{c}" for c in range(20)]
-        cells = [[str(r * 20 + c) if (r + c) % 7 else None for c in range(20)] for r in range(26)]
-        gold = Table.matrix(rows, cols, cells)
-        passage = " ".join(f"{row} posted {' '.join(cells[r][c] or '-' for c in range(20))}."
-                           for r, row in enumerate(rows))
-        other = load_example(DatasetKind.ROTOWIRE_TEAM)
-        oracle = MockOracleBackend([(passage, gold), (other.text, other.gold)], concurrency=4)
-        looked_up: list[int] = []
-        find_sample = oracle._find_sample
-
-        def counted(prompt):
-            looked_up.append(threading.get_ident())
-            return find_sample(prompt)
-
-        monkeypatch.setattr(oracle, "_find_sample", counted)
-        table, _ = generate_content(skeleton_from_table(gold), passage, DatasetKind.ROTOWIRE_TEAM, oracle)
-        assert table == gold
-        assert 1 <= len(looked_up) == len(set(looked_up)) <= 4
-
-        # Structure and baseline prompts are looked up in full every time,
-        # before and after cell questions that reuse the last lookup.
-        looked_up.clear()
-        question = build_qa_prompt(passage, formulate_question("Team3", "STAT5", True))
-        for _ in range(3):
-            assert oracle.generate(GenerationRequest(question)).text == "65"
-            oracle.generate(GenerationRequest(build_structure_prompt(passage, DatasetKind.ROTOWIRE_TEAM)))
-            oracle.generate(GenerationRequest(build_baseline_prompt(passage, Orientation.MATRIX)))
-        assert len(looked_up) == 1 + 2 * 3
+        assert answers == ["Aromi", "Italian"] * 2

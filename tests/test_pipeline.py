@@ -45,6 +45,7 @@ from tabgen.table import (
     StructuralError,
     Table,
     dedupe_headers,
+    normalize_text,
     to_tuples,
     validate,
 )
@@ -712,8 +713,12 @@ class TestStageTwoReference:
         passage = "Magic won 7 games and scored 12 points in the fourth quarter."
         got = self.run(salt, lambda backend: update_table(
             table, delta, passage, kind, backend, max_input_tokens=budget))
-        want = self.run(salt, lambda backend: _ref_update_table(
-            table, delta, passage, kind, backend, max_input_tokens=budget))
+        blank = [h for h in (*delta.add_row_headers, *delta.add_col_headers) if not normalize_text(h)]
+        if blank:  # rejected up front since blank added headers became an error
+            want = ((ValueError, f"added header {blank[0]!r} is blank"), [])
+        else:
+            want = self.run(salt, lambda backend: _ref_update_table(
+                table, delta, passage, kind, backend, max_input_tokens=budget))
         assert got == want
 
 
@@ -729,9 +734,55 @@ class TestUpdateKeepsExistingHeaders:
         assert updated.col_headers == ("Wins", "wins", "Magic")
         questions = [formulate_question(r, c, True) for r, c in [
             ("Suns", "Wins"), ("Suns", "wins"), ("Suns", "Magic"),
-            ("Magic", "Magic"), ("magic", "Magic"), ("magic", "wins"),
+            ("Magic", "Magic"), ("magic", "Magic"), ("Magic", "Wins"),
         ]]
         assert [q for p in prompts for q in questions if q in p] == questions
+
+
+class TestUpdateDeltaChecks:
+    """Added headers must name something, and re-ask addresses name distinct slots."""
+
+    @pytest.mark.parametrize("field", ["add_row_headers", "add_col_headers"])
+    @pytest.mark.parametrize("header", ["", "  \t", '""'])
+    def test_blank_added_header_is_rejected_before_any_call(self, rotowire_team_sample, field, header):
+        backend = CountingBackend(oracle_for(rotowire_team_sample))
+        with pytest.raises(ValueError, match="is blank"):
+            update_table(rotowire_team_sample.gold, SkeletonDelta(**{field: ["Raptors", header]}),
+                         rotowire_team_sample.text, DatasetKind.ROTOWIRE_TEAM, backend)
+        assert backend.calls == 0
+
+    def test_blank_added_attribute_is_rejected(self, e2e_sample):
+        with pytest.raises(ValueError, match="is blank"):
+            update_table(Table.attribute_value(e2e_sample.gold.rows[:1]),
+                         SkeletonDelta(add_col_headers=[" "]), e2e_sample.text, DatasetKind.E2E,
+                         oracle_for(e2e_sample))
+
+    def test_reask_matches_exact_header_text_first(self):
+        table = Table.matrix(["Magic", "magic"], ["Wins", "wins"], [[None, None], [None, None]])
+        resolve = pipeline_module._resolve_reask
+        assert resolve(table, (("Magic", "Wins"),)) == [(0, 0)]
+        assert resolve(table, (("magic", "wins"),)) == [(1, 1)]
+        with pytest.raises(ValueError, match="row header 'MAGIC' in re-ask address matches 2 headers"):
+            resolve(table, (("MAGIC", "Wins"),))
+        with pytest.raises(ValueError, match="column header ' wins' in re-ask address matches 2"):
+            resolve(table, (("Magic", " wins"),))
+
+    def test_reask_by_unique_normalized_text_still_resolves(self):
+        table = Table.attribute_value([("Name", None), ("Area", None)])
+        assert pipeline_module._resolve_reask(table, ((None, " AREA"),)) == [(None, 1)]
+
+    def test_repeated_reask_addresses_ask_each_slot_once(self, rotowire_team_sample):
+        gold = rotowire_team_sample.gold
+        blanked = Table.matrix(gold.row_headers, gold.col_headers,
+                               [[None, "88", "21", "19"], [None, "95", None, "46"]])
+        backend = CountingBackend(oracle_for(rotowire_team_sample))
+        reask = (("Hawks", "Losses"), ("Hawks", "Losses"), ("hawks ", "LOSSES"), ("Magic", "Losses"),
+                 ("Hawks", "Losses"))
+        updated = update_table(blanked, SkeletonDelta(reask=reask), rotowire_team_sample.text,
+                               DatasetKind.ROTOWIRE_TEAM, backend)
+        assert backend.calls == 2
+        assert updated == gold
+        assert pipeline_module._resolve_reask(blanked, reask) == [(1, 0), (0, 0)]
 
 
 class TestSkeletonDelta:

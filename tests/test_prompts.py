@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from tabgen import prompts
 from tabgen.kinds import DatasetKind
 from tabgen.prompts import (
-    QUESTION_END,
-    QUESTION_OPENING,
     NoHeaders,
     PromptTemplate,
     build_baseline_prompt,
@@ -107,8 +105,8 @@ class TestFormulateQuestion:
     @given(st.one_of(st.none(), st.text(max_size=8)), st.text(min_size=1, max_size=8), st.booleans())
     def test_question_phrasing_is_delimited(self, row, col, hint):
         question = formulate_question(row, col, hint)
-        assert question.startswith(QUESTION_OPENING)
-        assert question.endswith(QUESTION_END)
+        assert question.startswith("What is the ")
+        assert question.endswith("?")
 
     def test_questions_for_headers_row_major(self):
         questions = questions_for_headers(Orientation.MATRIX, ["r1", "r2"], ["c1", "c2"], False)
@@ -228,6 +226,55 @@ class TestPromptBuilders:
         template = PromptTemplate(name="custom", text=text)
         expected = text.replace("{{passage}}", passage).replace("{{question}}", question)
         assert template.render(passage=passage, question=question) == expected
+
+
+READ_TEMPLATES = [
+    default_qa_template(),
+    prompts.default_structure_template(DatasetKind.ROTOWIRE_TEAM),
+    prompts.default_baseline_template(Orientation.MATRIX),
+    PromptTemplate("question-first", "Q: {{question}}\nP: {{passage}}\nA:"),
+    PromptTemplate("glued", "P:{{passage}}{{question}}A:"),
+    PromptTemplate("bare", "{{passage}}"),
+]
+# Slot values that quote the templates' own text.
+SLOT_TEXT = st.lists(
+    st.sampled_from(["\n\nQuestion: ", "\n\nAnswer:\n", "Q: ", "\nP: ", "P:", "A:", "x", " ", "?"]),
+    max_size=5,
+).map("".join)
+
+
+class TestTemplateFits:
+    @pytest.mark.parametrize("template", READ_TEMPLATES, ids=lambda t: t.name)
+    @given(passage=SLOT_TEXT, question=SLOT_TEXT)
+    def test_every_way_renders_the_prompt_and_one_is_the_real_one(self, template, passage, question):
+        prompt = template.render(passage=passage, question=question)
+        ways = template.fits(prompt)
+        has_question = "question" in template.pieces[1]
+        real = (passage, question if has_question else None)
+        read = [
+            (prompt[p[0] : p[1]], None if q is None else prompt[q[0] : q[1]]) for p, q in ways
+        ]
+        assert real in read
+        for shown, asked in read:
+            assert template.render(passage=shown, question=asked or "") == prompt
+        lengths = [len(shown) for shown, _ in read]
+        assert lengths == sorted(lengths, reverse=True)
+
+    def test_prompt_without_the_opening_or_closing_text_fits_no_way(self):
+        template = default_qa_template()
+        prompt = template.render(passage="p", question="q")
+        assert list(template.fits(prompt[1:])) == []
+        assert list(template.fits(prompt[:-1])) == []
+        assert list(template.fits("")) == []
+
+    def test_pieces_split_the_text_around_its_slots(self):
+        template = PromptTemplate("t", "P={{passage}} {Q}={{question}}!")
+        assert template.pieces == (("P=", " {Q}=", "!"), ("passage", "question"))
+
+    @pytest.mark.parametrize("text", ["{{passage}} {{passage}}", "no slots", "{{question}}"])
+    def test_template_without_one_passage_slot_cannot_be_read(self, text):
+        with pytest.raises(ValueError, match="passage"):
+            list(PromptTemplate("odd", text).fits("anything"))
 
 
 class TestTruncation:
