@@ -399,8 +399,10 @@ class MockOracleBackend(GenerationBackend):
     templates first, then those given as `templates`. The first template
     the prompt fits whose passage slot names a sample decides, and its own
     text gives the kind of answer: headers if it holds `<SEP>`, a flat
-    table if it holds `<NEWLINE>`, a cell otherwise. A prompt that fits no
-    template raises `MalformedResponse`.
+    table if it holds `<NEWLINE>`, a cell otherwise. A cell template
+    decides only if its question slot also holds a question the sample's
+    table can be asked; when no template gives one, the answer is
+    "unknown". A prompt that fits no template raises `MalformedResponse`.
 
     Each way the prompt fits the template, longest passage first, names a
     sample by its passage slot: the exact registered text, or else that
@@ -410,8 +412,7 @@ class MockOracleBackend(GenerationBackend):
     registered passage decides; a prefix of several is a tie and raises
     `MalformedResponse`. A lone registered sample answers any passage.
 
-    A cell's answer is looked up by the exact text of the question slot;
-    a question the table was never asked answers "unknown".
+    A cell's answer is looked up by the exact text of the question slot.
     """
 
     def __init__(
@@ -438,7 +439,7 @@ class MockOracleBackend(GenerationBackend):
 
         self._templates: list[tuple[PromptTemplate, str]] = []
         for template in [*packaged_templates(), *templates]:
-            template.layout  # raises ValueError for a template the oracle cannot read
+            template.check_slots()
             text = "".join(template.pieces[0])
             kind = "headers" if SEP_TOKEN in text else "flat" if NEWLINE_TOKEN in text else "cell"
             self._templates.append((template, kind))
@@ -508,27 +509,34 @@ class MockOracleBackend(GenerationBackend):
 
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
         prompt = request.prompt
-        failure = None
+        failure, unasked = None, False
         for template, kind in self._templates:
             try:
                 found = self._sample(prompt, template.fits(prompt))
             except MalformedResponse as err:
                 failure = failure or err
                 continue
-            if found is not None:
-                break
-        else:
-            raise failure or MalformedResponse("prompt fits no template the oracle holds")
-        i, question = found
-        table = self._tables[i]
-        if kind == "headers":
-            text = self._structure_answer(table)
-        elif kind == "flat":
-            text = serialize_flat(table)
-        else:
-            value = None if question is None else self._asked(i).get(prompt[question[0] : question[1]])
-            text = "unknown" if value is None else value
-        return GenerationResponse(text=text, latency_ms=0.0)
+            if found is None:
+                continue
+            i, question = found
+            if kind == "headers":
+                text = self._structure_answer(self._tables[i])
+            elif kind == "flat":
+                text = serialize_flat(self._tables[i])
+            else:
+                cells = self._asked(i)
+                asked = None if question is None else prompt[question[0] : question[1]]
+                if asked not in cells:
+                    # A later template may read the question that this one's
+                    # question slot holds wrapped in template text.
+                    unasked = True
+                    continue
+                value = cells[asked]
+                text = "unknown" if value is None else value
+            return GenerationResponse(text=text, latency_ms=0.0)
+        if unasked:
+            return GenerationResponse(text="unknown", latency_ms=0.0)
+        raise failure or MalformedResponse("prompt fits no template the oracle holds")
 
 
 class ReplayBackend(GenerationBackend):

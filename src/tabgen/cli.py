@@ -354,7 +354,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
                 evidence,
                 config.kind,
                 backend,
-                template=config.qa_template,
                 max_input_tokens=config.backend.max_input_tokens,
                 answer_max_new_tokens=config.backend.answer_max_new_tokens,
             )
@@ -460,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evidence-file", dest="evidence_file", help="file holding the new evidence text")
     p.add_argument("--out", help="write the updated table here instead of stdout")
     p.add_argument("--oracle", help="gold JSONL used to seed the mock-oracle backend")
-    p.add_argument("--qa-template", help="override the question template file")
     _add_backend_flags(p)
     p.set_defaults(handler=_cmd_update)
 

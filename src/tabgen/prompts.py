@@ -76,7 +76,7 @@ class PromptTemplate:
         two slots is one way. Ways are found as they are asked for, so the
         first costs no scan of the whole prompt.
         """
-        first, middle, last, passage_first = self.layout
+        first, middle, last, passage_first = self._layout
         start, end = len(first), len(prompt) - len(last)
         if end < start or not prompt.startswith(first) or not prompt.endswith(last):
             return
@@ -93,18 +93,22 @@ class PromptTemplate:
                 yield (cut + len(middle), end), (start, cut)
                 cut = prompt.find(middle, cut + 1, end)
 
-    @cached_property
-    def layout(self) -> tuple[str, str | None, str, bool]:
-        """(first literal, middle literal or None, last literal, whether the passage comes first).
+    def check_slots(self) -> None:
+        """Raise ValueError unless `fits` can read this template.
 
-        Raises ValueError for a template that does not hold exactly one
-        passage slot and at most one question slot: no way to read it.
+        It can read a template with exactly one passage slot and at most
+        one question slot.
         """
-        literals, slots = self.pieces
-        if slots not in (("passage",), ("passage", "question"), ("question", "passage")):
+        if self.pieces[1] not in (("passage",), ("passage", "question"), ("question", "passage")):
             raise ValueError(
                 f"template {self.name!r} needs one {{{{passage}}}} slot and at most one {{{{question}}}} slot"
             )
+
+    @cached_property
+    def _layout(self) -> tuple[str, str | None, str, bool]:
+        """(first literal, middle literal or None, last literal, whether the passage comes first)."""
+        self.check_slots()
+        literals, slots = self.pieces
         middle = literals[1] if len(slots) == 2 else None
         return literals[0], middle, literals[-1], slots[0] == "passage"
 

@@ -240,6 +240,22 @@ class TestMockOracle:
         prompt = build_qa_prompt(b.text, "What is the Name?", template)
         assert backend.generate(GenerationRequest(prompt)).text == "Lenny Randle"
 
+    @pytest.mark.parametrize("wrap", ["{{question}}\nAnswer with a number only.", "Please say {{question}}"])
+    def test_given_template_with_text_around_the_question_is_read(self, rotowire_team_sample, wrap):
+        # The prompt also fits the packaged template, whose question slot
+        # then holds the extra text and is no question the table is asked.
+        sample = rotowire_team_sample
+        template = PromptTemplate("custom", default_qa_template().text.replace("{{question}}", wrap))
+        backend = MockOracleBackend([(sample.text, sample.gold)], templates=[template])
+        answers = [
+            backend.generate(GenerationRequest(build_qa_prompt(sample.text, question, template))).text
+            for question in (
+                "What is the number of Wins for Magic?",
+                "What is the number of Points in 4th quarter for Hawks?",
+            )
+        ]
+        assert answers == [sample.gold.cells[0][3], "unknown"]
+
     @pytest.mark.parametrize("text", ["{{passage}} {{passage}}", "no slots", "{{question}} only"])
     def test_template_it_cannot_read_is_rejected_up_front(self, wikibio_sample, text):
         with pytest.raises(ValueError, match="passage"):

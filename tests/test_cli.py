@@ -477,24 +477,20 @@ class TestTemplateOverrides:
         golds = load_jsonl(E2E_MINI, DatasetKind.E2E)
         assert [table_from_json(r["table"]) for r in read_jsonl(out)] == [s.gold for s in golds]
 
-    def test_update_with_a_custom_template_gives_the_gold_table(self, tmp_path):
-        sample = load_jsonl(TEAM_EXAMPLE, DatasetKind.ROTOWIRE_TEAM)[0]
-        gold = sample.gold
-        trimmed = {"orientation": "matrix", "row_headers": list(gold.row_headers[:-1]),
-                   "col_headers": list(gold.col_headers), "cells": [list(r) for r in gold.cells[:-1]]}
-        table_file = tmp_path / "table.json"
-        table_file.write_text(json.dumps(trimmed), "utf-8")
-        delta_file = tmp_path / "delta.json"
-        delta_file.write_text(json.dumps({"add_row_headers": [gold.row_headers[-1]]}), "utf-8")
-        out = tmp_path / "updated.json"
+    def test_generate_with_text_after_the_question_gives_the_gold_tables(self, tmp_path):
+        # Its prompts also fit the packaged question template, whose question
+        # slot then holds the extra line as well.
+        text = (files("tabgen") / "templates" / "qa.txt").read_text("utf-8")
+        template = tmp_path / "qa.txt"
+        template.write_text(text.replace("{{question}}", "{{question}}\nAnswer with a number only."), "utf-8")
+        out = tmp_path / "preds.jsonl"
         code = dispatch(
-            ["update", "--kind", "rotowire-team", "--table", str(table_file),
-             "--delta", str(delta_file), "--evidence", sample.text, "--oracle", TEAM_EXAMPLE,
-             "--backend", "mock-oracle", "--qa-template", extended_template(tmp_path, "qa"),
-             "--out", str(out)]
+            ["generate", "--kind", "rotowire-team", "--backend", "mock-oracle", "--in", TEAM_MINI,
+             "--qa-template", str(template), "--out", str(out)]
         )
         assert code == 0
-        assert table_from_json(json.loads(out.read_text("utf-8"))) == gold
+        golds = load_jsonl(TEAM_MINI, DatasetKind.ROTOWIRE_TEAM)
+        assert [table_from_json(r["table"]) for r in read_jsonl(out)] == [s.gold for s in golds]
 
     def test_template_the_oracle_cannot_read_exits_two(self, tmp_path, capsys):
         template = tmp_path / "twice.txt"
