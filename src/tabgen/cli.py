@@ -446,7 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="predictions JSONL")
     p.add_argument("--gold", required=True, help="gold corpus JSONL")
     p.add_argument("--gold-headers", action="store_true", help="label the report as the gold-header ablation")
-    p.add_argument("--semantic", action="store_true", help="add embedding-similarity scores")
+    p.add_argument(
+        "--semantic",
+        action="store_true",
+        help="add embedding-similarity scores over MockEmbedder's hash-seeded token vectors: "
+        "a structural check, not BERTScore's contextual embeddings",
+    )
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(handler=_cmd_evaluate)

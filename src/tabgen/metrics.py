@@ -82,18 +82,19 @@ class _TokenTable:
 
     `add` sends the tokens it has not seen yet to the embedder in one
     `mode="token"` request, so each distinct token is embedded once per
-    call. The table lives for one call only: nothing is remembered across
-    calls.
+    call. `split` holds the tokens of each cell text the call has met. The
+    table lives for one call only: nothing is remembered across calls.
     """
 
     def __init__(self, embedder: EmbeddingBackend):
         import numpy as np
 
         self._embedder = embedder
+        self.split = _SplitMemo()
         self._rows: dict[str, int] = {}
         self._unit = np.empty((0, 0))
 
-    def add(self, *sides: Counter[str]) -> None:
+    def add(self, *sides: Iterable[str]) -> None:
         import numpy as np
 
         new = [t for t in dict.fromkeys(chain.from_iterable(sides)) if t not in self._rows]
@@ -102,13 +103,19 @@ class _TokenTable:
         vectors = np.array(self._embedder.embed(new, mode="token").vectors, dtype=float)
         if len(vectors) != len(new):
             raise MalformedResponse(f"embedder returned {len(vectors)} vectors for {len(new)} tokens")
+        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+        # A zero or non-finite norm has no unit vector; NaN fails both tests.
+        bad = ~((norms > 0) & (norms < np.inf))
+        if bad.any():
+            token = new[int(bad.argmax())]
+            raise MalformedResponse(f"embedder returned a zero-norm or non-finite vector for {token!r}")
         size = len(self._rows)
         if size + len(new) > len(self._unit):
             grown = np.empty((2 * (size + len(new)), vectors.shape[1]))
             if size:
                 grown[:size] = self._unit[:size]
             self._unit = grown
-        self._unit[size : size + len(new)] = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+        self._unit[size : size + len(new)] = vectors / norms
         self._rows.update(zip(new, range(size, size + len(new))))
 
     def score(self, candidate: Counter[str], reference: Counter[str]) -> PRF:
@@ -120,14 +127,33 @@ class _TokenTable:
         """
         import numpy as np
 
-        cand = self._unit[[self._rows[t] for t in candidate]]
-        ref = self._unit[[self._rows[t] for t in reference]]
-        similarity = cand @ ref.T
-        cand_counts = np.fromiter(candidate.values(), dtype=float, count=len(candidate))
-        ref_counts = np.fromiter(reference.values(), dtype=float, count=len(reference))
-        precision = float(cand_counts @ similarity.max(axis=1)) / candidate.total()
-        recall = float(ref_counts @ similarity.max(axis=0)) / reference.total()
+        n = len(candidate)
+        unit = self._unit[list(map(self._rows.__getitem__, chain(candidate, reference)))]
+        counts = np.fromiter(
+            chain(candidate.values(), reference.values()), dtype=float, count=n + len(reference)
+        )
+        similarity = unit[:n] @ unit[n:].T
+        precision = float(counts[:n] @ similarity.max(axis=1)) / candidate.total()
+        recall = float(counts[n:] @ similarity.max(axis=0)) / reference.total()
         return PRF.from_rates(_clamp01(precision), _clamp01(recall))
+
+
+_ONES = PRF(1.0, 1.0, 1.0)
+
+
+def _pair_score(table: _TokenTable, candidate: Sequence[str], reference: Sequence[str]) -> PRF:
+    """One pair's score; two sides with the same distinct tokens score one with no matrix.
+
+    Each token's best match is then itself at cosine 1, and no cosine of
+    unit vectors is above 1 (`_TokenTable.add` has rejected any vector
+    without a unit direction).
+    """
+    if not (candidate and reference):
+        return PRF.zeros()
+    if candidate == reference:
+        return _ONES
+    candidate, reference = Counter(candidate), Counter(reference)
+    return _ONES if candidate.keys() == reference.keys() else table.score(candidate, reference)
 
 
 def _semantic_scores(
@@ -137,9 +163,8 @@ def _semantic_scores(
 
     Either side empty scores zero, and its tokens are not embedded.
     """
-    sides = [(Counter(cand), Counter(ref)) for cand, ref in pairs]
-    table.add(*chain.from_iterable(pair for pair in sides if all(pair)))
-    return [table.score(cand, ref) if cand and ref else PRF.zeros() for cand, ref in sides]
+    table.add(*chain.from_iterable(pair for pair in pairs if all(pair)))
+    return [_pair_score(table, cand, ref) for cand, ref in pairs]
 
 
 def semantic_score(
@@ -192,9 +217,24 @@ def _header_tokens(headers: set[str]) -> list[str]:
     return " ".join(sorted(headers)).split()
 
 
-def _cell_tokens(cells: set[CellTuple]) -> list[str]:
-    # Normalized text is single-spaced with no outer whitespace.
-    return [token for cell in sorted(cells) for part in cell if part for token in part.split(" ")]
+class _SplitMemo(dict):
+    """The tokens of each normalized text one call has seen: each text is split once.
+
+    Normalized text is single-spaced with no outer whitespace, so splitting
+    on one space gives its tokens; the empty text has none.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> tuple[str, ...]:
+        tokens = self[text] = tuple(text.split(" ")) if text else ()
+        return tokens
+
+
+def _cell_tokens(cells: set[CellTuple], split: _SplitMemo | None = None) -> list[str]:
+    """The tokens of every part of every cell, cells in sorted order."""
+    split = _SplitMemo() if split is None else split
+    return list(chain.from_iterable(map(split.__getitem__, chain.from_iterable(sorted(cells)))))
 
 
 def evaluate_sample(
@@ -245,7 +285,7 @@ def _evaluate_sample(
             tokens,
             [
                 (_header_tokens(pred_all), _header_tokens(gold_all)),
-                (_cell_tokens(pred_cells), _cell_tokens(gold_cells)),
+                (_cell_tokens(pred_cells, tokens.split), _cell_tokens(gold_cells, tokens.split)),
             ],
         )
 

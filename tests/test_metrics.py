@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabgen.backends import BackendError, EmbeddingBackend, MockEmbedder, Unreachable
+from tabgen.backends import (
+    BackendError,
+    EmbeddingBackend,
+    EmbeddingResponse,
+    MalformedResponse,
+    MockEmbedder,
+    Unreachable,
+)
 from tabgen.corpus import fixture_path, load_jsonl
 from tabgen.kinds import DatasetKind
 from tabgen.metrics import (
@@ -19,6 +26,7 @@ from tabgen.metrics import (
     evaluate_sample,
     exact_f1,
     semantic_score,
+    _TokenTable,
 )
 from tabgen.table import InvalidTable, Orientation, StructuralError, Table, normalize_text, to_tuples
 
@@ -401,8 +409,24 @@ class TestTokensEmbeddedOnce:
         with pytest.raises(BackendError):
             evaluate_corpus(self.PAIRS, embedder=Short())
 
+    @pytest.mark.parametrize("component", [0.0, float("nan"), float("inf")])
+    def test_vector_without_a_unit_direction_is_rejected(self, component):
+        class Broken(EmbeddingBackend):
+            def embed(self, texts, mode="text"):
+                vectors = MockEmbedder().embed(texts, mode=mode).vectors
+                return EmbeddingResponse(
+                    vectors=tuple((component,) * 32 if t == "thai" else v for t, v in zip(texts, vectors)),
+                    mode=mode,
+                )
 
-TOKENS = st.lists(st.sampled_from(["a", "b", "c", "pts", "reb", "the", "12", "7"]), max_size=12)
+        gold = Table.attribute_value([("Name", "cafe"), ("Food", "Thai")])
+        pred = Table.attribute_value([("Name", "cafe"), ("Food", "thai food")])
+        with pytest.raises(MalformedResponse, match="'thai'"):
+            evaluate_corpus([(pred, gold)], embedder=Broken())
+
+
+WORDS = ["a", "b", "c", "pts", "reb", "the", "12", "7"]
+TOKENS = st.lists(st.sampled_from(WORDS), max_size=12)
 TEXTS = TOKENS.map(" ".join)
 
 
@@ -447,6 +471,86 @@ class TestSameScoresAsTheReference:
             alone = evaluate_sample(pred, gold, embedder=embedder)
             assert_prf_close(alone.semantic_header, sample.semantic_header)
             assert_prf_close(alone.semantic_cell, sample.semantic_cell)
+
+
+@st.composite
+def same_token_lists(draw) -> tuple[list[str], list[str]]:
+    """Two token lists over one set of distinct tokens, each in its own order and repeats."""
+    distinct = draw(st.lists(st.sampled_from(WORDS), min_size=1, unique=True))
+
+    def side() -> list[str]:
+        return draw(st.permutations(distinct + draw(st.lists(st.sampled_from(distinct), max_size=8))))
+
+    return side(), side()
+
+
+@st.composite
+def reworded(draw, text: str) -> str:
+    """`text`'s tokens shuffled, one of them repeated: no token it did not have."""
+    tokens = text.split()
+    return " ".join(draw(st.permutations(tokens + tokens[:1])))
+
+
+@st.composite
+def same_token_tables(draw) -> tuple[Table, Table]:
+    """A gold table and a prediction holding its header and cell tokens in other orders and counts.
+
+    The prediction has gold's rows shuffled, plus copies of some rows under
+    reworded headers (and, for attribute-value tables, reworded values).
+    """
+    if draw(st.booleans()):
+        gold_rows = draw(st.lists(st.tuples(TEXTS, st.one_of(st.none(), TEXTS)), min_size=1, max_size=5))
+        copies = [
+            (draw(reworded(h)), None if v is None else draw(reworded(v)))
+            for h, v in draw(st.lists(st.sampled_from(gold_rows), max_size=3))
+        ]
+        gold = Table.attribute_value(gold_rows)
+        pred = Table.attribute_value(draw(st.permutations(gold_rows + copies)))
+        return pred, gold
+    row_headers = draw(st.lists(TEXTS, min_size=1, max_size=3))
+    col_headers = draw(st.lists(TEXTS, min_size=1, max_size=3))
+    gold_rows = [(h, [draw(st.one_of(st.none(), TEXTS)) for _ in col_headers]) for h in row_headers]
+    copies = [(draw(reworded(h)), cells) for h, cells in draw(st.lists(st.sampled_from(gold_rows), max_size=3))]
+    gold = Table.matrix(row_headers, col_headers, [cells for _, cells in gold_rows])
+    pred_rows = draw(st.permutations(gold_rows + copies))
+    pred = Table.matrix([h for h, _ in pred_rows], col_headers, [cells for _, cells in pred_rows])
+    return pred, gold
+
+
+class TestSameTokensScoreOne:
+    """Sides with the same distinct tokens score exactly one, with no similarity matrix."""
+
+    @staticmethod
+    def scored_without_a_matrix(score, *args, **kwargs):
+        calls = []
+        real = _TokenTable.score
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_TokenTable, "score", lambda self, *sides: calls.append(sides) or real(self, *sides))
+            result = score(*args, **kwargs)
+        assert calls == []
+        return result
+
+    @given(same_token_lists())
+    def test_token_lists(self, sides):
+        embedder = MockEmbedder(dim=8)
+        score = self.scored_without_a_matrix(semantic_score, *sides, embedder)
+        assert score == PRF(1.0, 1.0, 1.0)
+        assert_prf_close(score, reference_semantic_score(*sides, embedder))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(same_token_tables(), min_size=1, max_size=4))
+    def test_tables(self, pairs):
+        embedder = MockEmbedder(dim=8)
+        report = self.scored_without_a_matrix(evaluate_corpus, pairs, embedder=embedder)
+        for (pred, gold), sample in zip(pairs, report.per_sample):
+            for extract, score in (
+                (reference_header_tokens, sample.semantic_header),
+                (reference_cell_tokens, sample.semantic_cell),
+            ):
+                candidate, reference = extract(pred), extract(gold)
+                assert set(candidate) == set(reference)
+                assert score == (PRF(1.0, 1.0, 1.0) if reference else PRF.zeros())
+                assert_prf_close(score, reference_semantic_score(candidate, reference, embedder))
 
 
 def perturbed(gold: Table, i: int) -> Table | None:
