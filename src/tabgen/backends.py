@@ -98,6 +98,16 @@ class MalformedResponse(BackendError):
     retryable = False
 
 
+# The JSON types a config value may have, by the annotation of its field.
+_CONFIG_TYPES: dict[str, tuple[type, ...]] = {
+    "str": (str,),
+    "str | None": (str, type(None)),
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+}
+
+
 @dataclass
 class BackendConfig:
     """Configuration for backend construction; file keys mirror field names.
@@ -125,19 +135,25 @@ class BackendConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BackendConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        """Settings from a parsed JSON config, rejecting unknown keys and values of the wrong type.
+
+        An int is accepted where a float is expected; a bool is never taken for a number.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("config must hold a JSON object")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(data) - set(types))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in data.items():
+            allowed = _CONFIG_TYPES[types[key]]
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+                raise ValueError(f"config key {key!r} must be {types[key]}, not {type(value).__name__}")
         return cls(**data)
 
     @classmethod
     def from_file(cls, path: str) -> "BackendConfig":
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise ValueError("config file must hold a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(json.loads(Path(path).read_text("utf-8")))
 
     def merged(self, **overrides) -> "BackendConfig":
         provided = {k: v for k, v in overrides.items() if v is not None}
@@ -157,6 +173,8 @@ class GenerationBackend(ABC):
             raise ValueError("concurrency must be >= 1")
         if retry_cap < 1:
             raise ValueError("retry_cap must be >= 1")
+        if not 0 <= backoff_s < math.inf:
+            raise ValueError("backoff_s must be a finite number >= 0")
         self.concurrency = concurrency
         self.retry_cap = retry_cap
         self.backoff_s = backoff_s
@@ -295,6 +313,8 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
         )
         if not config.base_url:
             raise ValueError("http backend requires base_url")
+        if config.timeout_ms < 1:
+            raise ValueError("timeout_ms must be >= 1")
         self.config = config
         self._token = None
         if config.auth_env:

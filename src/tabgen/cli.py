@@ -5,8 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zlib
+from argparse import Namespace
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
 
@@ -20,7 +22,7 @@ from tabgen.backends import (
     RecordingBackend,
     ReplayBackend,
 )
-from tabgen.corpus import InvalidGoldTable, Sample, SchemaError, corpus_stats, load_jsonl
+from tabgen.corpus import Sample, corpus_stats, load_jsonl
 from tabgen.kinds import DatasetKind
 from tabgen.metrics import GOLD_HEADERS, PREDICTED_HEADERS, evaluate_corpus
 from tabgen.pipeline import (
@@ -42,251 +44,224 @@ from tabgen.table import (
 
 
 class ConfigError(ValueError):
-    """Bad flags, config file, or environment; maps to exit code 2."""
+    """Input a run cannot start from; maps to exit code 2.
+
+    That covers an input, config or template file that is missing,
+    unreadable, not UTF-8 or malformed; a config value that is unknown or
+    of the wrong type; a backend setting out of range; `--jobs` below 1;
+    and an output file or record directory that cannot be written.
+    """
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run settings: config file merged with flags and environment."""
-
-    backend: BackendConfig
-    kind: DatasetKind
-    gold_headers: bool = False
-    jobs: int = 1
-    structure_template: PromptTemplate | None = None
-    qa_template: PromptTemplate | None = None
-    baseline_template: PromptTemplate | None = None
-
-
-def _load_template(path: str | None) -> PromptTemplate | None:
-    if path is None:
-        return None
+def _read_text(path: str, label: str) -> str:
+    """The text of a UTF-8 input file; one that cannot be read is a config error."""
     try:
-        return PromptTemplate.from_file(path)
-    except OSError as err:
-        raise ConfigError(f"cannot read template {path}: {err}") from err
+        return Path(path).read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {label} {path}: {err}") from err
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    backend_config = BackendConfig()
-    if getattr(args, "config", None):
-        try:
-            backend_config = BackendConfig.from_file(args.config)
-        except (OSError, ValueError) as err:
-            raise ConfigError(f"config file {args.config}: {err}") from err
-
-    backend_config = backend_config.merged(
-        kind=getattr(args, "backend", None),
-        base_url=getattr(args, "base_url", None),
-        model=getattr(args, "model", None),
-        auth_env=getattr(args, "auth_env", None),
-        fixture_dir=getattr(args, "fixtures", None),
-        concurrency=getattr(args, "concurrency", None),
-        timeout_ms=getattr(args, "timeout_ms", None),
-        retry_cap=getattr(args, "retry_cap", None),
-    )
-    if getattr(args, "cache", False):
-        backend_config.cache = True
-
-    try:
-        kind = DatasetKind.from_string(args.kind)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-
-    return RunConfig(
-        backend=backend_config,
-        kind=kind,
-        gold_headers=getattr(args, "gold_headers", False),
-        jobs=getattr(args, "jobs", 1) or 1,
-        structure_template=_load_template(getattr(args, "structure_template", None)),
-        qa_template=_load_template(getattr(args, "qa_template", None)),
-        baseline_template=_load_template(getattr(args, "baseline_template", None)),
-    )
-
-
-def _build_backend(config: RunConfig, samples: list[Sample], oracle_path: str | None) -> GenerationBackend:
-    settings = config.backend
-    common = {
-        "concurrency": settings.concurrency,
-        "retry_cap": settings.retry_cap,
-        "backoff_s": settings.backoff_s,
-    }
-    if settings.kind == "mock-oracle":
-        pool = samples
-        if oracle_path:
-            pool = load_jsonl(oracle_path, config.kind)
-        if not pool:
-            raise ConfigError("mock-oracle backend needs gold samples (--in or --oracle)")
-        overrides = (config.structure_template, config.qa_template, config.baseline_template)
-        try:
-            backend: GenerationBackend = MockOracleBackend(
-                [(s.text, s.gold) for s in pool], templates=[t for t in overrides if t], **common
-            )
-        except ValueError as err:  # a template the oracle cannot read
-            raise ConfigError(str(err)) from err
-    elif settings.kind == "replay":
-        if not settings.fixture_dir:
-            raise ConfigError("replay backend needs a fixture directory (--fixtures or config)")
-        backend = ReplayBackend(settings.fixture_dir, **common)
-    elif settings.kind == "http":
-        try:
-            backend = HttpBackend(settings)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-    else:
-        raise ConfigError(f"unknown backend kind {settings.kind!r}")
-
-    if settings.cache:
-        backend = CachedBackend(backend)
-    return backend
-
-
-def _write_lines(records: list[dict], out: str | None) -> None:
-    text = "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n" for r in records)
-    if out:
-        Path(out).write_text(text, "utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _load_corpus(path: str, kind: DatasetKind, label: str = "corpus file") -> list[Sample]:
+def _load_corpus(path: str, kind: DatasetKind, label: str) -> list[Sample]:
+    """The samples of a corpus file; one that cannot be read or parsed is a config error."""
     try:
         return load_jsonl(path, kind)
-    except FileNotFoundError as err:
-        raise ConfigError(f"{label} not found: {path}") from err
-    except (SchemaError, InvalidGoldTable) as err:
+    except (OSError, ValueError, EOFError, zlib.error) as err:  # the last two: a damaged .gz
         raise ConfigError(f"{label} {path}: {err}") from err
 
 
-def _prepare_run(args: argparse.Namespace) -> tuple[RunConfig, list[Sample], GenerationBackend]:
-    """Settings, the input corpus and the backend of a `generate` or `baseline` run."""
-    config = _resolve_config(args)
-    samples = _load_corpus(args.infile, config.kind)
+def _write(text: str, out: str | None) -> None:
+    """A command's output, to `out` or else to stdout; an unwritable `out` is a config error."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, "utf-8")
+    except OSError as err:
+        raise ConfigError(f"cannot write {out}: {err}") from err
+
+
+def _read_json(path: str, label: str, build: Callable):
+    """`build` applied to the JSON in a file; a file it cannot be built from is a config error."""
+    text = _read_text(path, label)
+    try:
+        return build(json.loads(text))
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"{label} {path}: {err}") from err
+
+
+def _jsonl(records: list[dict]) -> str:
+    return "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n" for r in records)
+
+
+def _backend_config(args: Namespace) -> BackendConfig:
+    """The `--config` file's settings, if one is given, with the backend flags laid over them."""
+    config = BackendConfig()
+    if args.config:
+        config = _read_json(args.config, "config file", BackendConfig.from_dict)
+    # Each backend flag but `--backend` is stored under the name of the field it sets.
+    flags = "base_url model auth_env fixture_dir concurrency timeout_ms retry_cap cache".split()
+    return config.merged(kind=args.backend, **{name: getattr(args, name) for name in flags})
+
+
+def _template(path: str | None) -> PromptTemplate | None:
+    """The template in a `--*-template` file; None without the flag."""
+    return None if path is None else PromptTemplate(name=path, text=_read_text(path, "template"))
+
+
+def _build_backend(
+    args: Namespace, config: BackendConfig, samples: list[Sample], *templates: PromptTemplate | None
+) -> GenerationBackend:
+    """The backend `config` names, cached and recording as asked.
+
+    The mock oracle answers from `--oracle`'s gold samples, or else from
+    `samples`, and reads prompts built from `templates` too. A setting any
+    backend rejects is a config error.
+    """
+    if config.kind == "mock-oracle" and args.oracle:
+        samples = _load_corpus(args.oracle, args.kind, "oracle file")
+    common = dict(concurrency=config.concurrency, retry_cap=config.retry_cap, backoff_s=config.backoff_s)
+    try:
+        if config.kind == "mock-oracle":
+            if not samples:
+                raise ValueError("mock-oracle backend needs gold samples (--oracle)")
+            backend: GenerationBackend = MockOracleBackend(
+                [(s.text, s.gold) for s in samples], templates=[t for t in templates if t], **common
+            )
+        elif config.kind == "replay":
+            if not config.fixture_dir:
+                raise ValueError("replay backend needs a fixture directory (--fixtures or config)")
+            backend = ReplayBackend(config.fixture_dir, **common)
+        elif config.kind == "http":
+            backend = HttpBackend(config)
+        else:
+            raise ValueError(f"unknown backend kind {config.kind!r}")
+
+        if config.cache:
+            backend = CachedBackend(backend)
+        record_dir = getattr(args, "record_dir", None)
+        if record_dir is not None:
+            if not record_dir:
+                raise ValueError("replay-record needs --record-dir")
+            backend = RecordingBackend(backend, record_dir)
+    except (OSError, ValueError) as err:
+        raise ConfigError(str(err)) from err
+    return backend
+
+
+def _run_corpus(
+    args: Namespace, config: BackendConfig, run_sample: Callable, *templates: PromptTemplate | None
+) -> int:
+    """Run a corpus command: `run_sample` on every `--in` sample, `--jobs` samples at a time.
+
+    `run_sample(backend, sample)` gives a sample's record and trace (or
+    None); a sample it raises on gets an error record and counts as failed
+    (exit code 1). Records and traces keep input order.
+    """
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
+    samples = _load_corpus(args.infile, args.kind, "corpus file")
     if not samples:
         raise ConfigError(f"corpus file {args.infile} holds no samples")
-    return config, samples, _build_backend(config, samples, getattr(args, "oracle", None))
-
-
-def _run_samples(run: Callable[[Sample], tuple], samples: list[Sample], jobs: int) -> list[tuple]:
-    """`run` on every sample, results in input order; `jobs` samples at a time."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, samples))
-    return [run(s) for s in samples]
-
-
-def _cmd_generate(args: argparse.Namespace, record_dir: str | None = None) -> int:
-    config, samples, backend = _prepare_run(args)
-    if record_dir:
-        backend = RecordingBackend(backend, record_dir)
-
-    settings = config.backend
+    backend = _build_backend(args, config, samples, *templates)
 
     def run(sample: Sample) -> tuple[dict, dict | None, bool]:
-        skeleton = skeleton_from_table(sample.gold) if config.gold_headers else None
         try:
-            table, trace = generate_table_traced(
-                sample.text,
-                config.kind,
-                backend,
-                structure_template=config.structure_template,
-                qa_template=config.qa_template,
-                max_input_tokens=settings.max_input_tokens,
-                headers_max_new_tokens=settings.headers_max_new_tokens,
-                answer_max_new_tokens=settings.answer_max_new_tokens,
-                skeleton=skeleton,
-            )
+            return (*run_sample(backend, sample), False)
         except Exception as err:  # per-sample isolation: one bad sample never kills the run
-            record = {"id": sample.id, "error": {"type": type(err).__name__, "message": str(err)}}
-            return record, None, True
-        trace_record = {
-            "id": sample.id,
-            **asdict(trace),
-            "structure_ms": round(trace.structure_ms, 3),
-            "content_ms": round(trace.content_ms, 3),
-        }
-        return {"id": sample.id, "table": table_to_json(table)}, trace_record, False
+            error = {"type": type(err).__name__, "message": str(err)}
+            return {"id": sample.id, "error": error}, None, True
 
-    results = _run_samples(run, samples, config.jobs)
-    records = [record for record, _, _ in results]
-    traces = [trace for _, trace, _ in results if trace is not None]
-    failed = sum(1 for _, _, bad in results if bad)
+    if args.jobs > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(run, samples))
+    else:
+        results = [run(s) for s in samples]
 
-    _write_lines(records, args.out)
+    _write(_jsonl([record for record, _, _ in results]), args.out)
     if getattr(args, "trace", None):
-        _write_lines(traces, args.trace)
+        _write(_jsonl([trace for _, trace, _ in results if trace is not None]), args.trace)
+    failed = sum(1 for _, _, bad in results if bad)
     if failed:
         print(f"{failed}/{len(samples)} samples failed", file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    config, samples, backend = _prepare_run(args)
-    settings = config.backend
+def _cmd_generate(args: Namespace) -> int:
+    config = _backend_config(args)
+    structure, qa = _template(args.structure_template), _template(args.qa_template)
 
-    def run(sample: Sample) -> tuple[dict, bool]:
+    def run(backend: GenerationBackend, sample: Sample) -> tuple[dict, dict]:
+        table, trace = generate_table_traced(
+            sample.text,
+            args.kind,
+            backend,
+            structure_template=structure,
+            qa_template=qa,
+            max_input_tokens=config.max_input_tokens,
+            headers_max_new_tokens=config.headers_max_new_tokens,
+            answer_max_new_tokens=config.answer_max_new_tokens,
+            skeleton=skeleton_from_table(sample.gold) if args.gold_headers else None,
+        )
+        trace_record = {
+            "id": sample.id,
+            **asdict(trace),
+            "structure_ms": round(trace.structure_ms, 3),
+            "content_ms": round(trace.content_ms, 3),
+        }
+        return {"id": sample.id, "table": table_to_json(table)}, trace_record
+
+    return _run_corpus(args, config, run, structure, qa)
+
+
+def _cmd_baseline(args: Namespace) -> int:
+    config = _backend_config(args)
+    template = _template(args.baseline_template)
+
+    def run(backend: GenerationBackend, sample: Sample) -> tuple[dict, None]:
         try:
             table = baseline_generate(
                 sample.text,
-                config.kind,
+                args.kind,
                 backend,
-                template=config.baseline_template,
-                max_input_tokens=settings.max_input_tokens,
-                baseline_max_new_tokens=settings.baseline_max_new_tokens,
+                template=template,
+                max_input_tokens=config.max_input_tokens,
+                baseline_max_new_tokens=config.baseline_max_new_tokens,
             )
         except StructuralError as err:
             # Ragged output is a measured outcome, not a run failure.
-            return {"id": sample.id, "error": {"type": "StructuralError", "widths": err.widths}}, False
+            return {"id": sample.id, "error": {"type": "StructuralError", "widths": err.widths}}, None
         except EmptyInput:
-            return {"id": sample.id, "error": {"type": "EmptyInput"}}, False
-        except Exception as err:
-            return {"id": sample.id, "error": {"type": type(err).__name__, "message": str(err)}}, True
-        return {"id": sample.id, "table": table_to_json(table)}, False
+            return {"id": sample.id, "error": {"type": "EmptyInput"}}, None
+        return {"id": sample.id, "table": table_to_json(table)}, None
 
-    results = _run_samples(run, samples, config.jobs)
-    records = [record for record, _ in results]
-    backend_failures = sum(1 for _, bad in results if bad)
-
-    _write_lines(records, args.out)
-    if backend_failures:
-        print(f"{backend_failures}/{len(samples)} samples failed", file=sys.stderr)
-        return 1
-    return 0
+    return _run_corpus(args, config, run, template)
 
 
 def _read_predictions(path: str) -> dict[str, Table | None]:
+    """Predicted tables by sample id; None for a sample whose generation errored."""
     predictions: dict[str, Table | None] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise ConfigError(f"{path} line {line_no}: invalid JSON: {err}") from None
-                if not isinstance(data, dict) or not isinstance(data.get("id"), str):
-                    raise ConfigError(f'{path} line {line_no}: needs a string "id"')
-                if "table" in data:
-                    try:
-                        predictions[data["id"]] = table_from_json(data["table"])
-                    except ValueError as err:
-                        raise ConfigError(f"{path} line {line_no}: {err}") from None
-                else:
-                    predictions[data["id"]] = None  # errored sample
-    except FileNotFoundError as err:
-        raise ConfigError(f"prediction file not found: {path}") from err
+    # Split on "\n" only: a JSON string may hold a raw U+2028, which `splitlines` breaks at.
+    for line_no, line in enumerate(_read_text(path, "prediction file").split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+            if not isinstance(data, dict) or not isinstance(data.get("id"), str):
+                raise ValueError('needs a string "id"')
+            predictions[data["id"]] = table_from_json(data["table"]) if "table" in data else None
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{path} line {line_no}: invalid JSON: {err}") from None
+        except ValueError as err:
+            raise ConfigError(f"{path} line {line_no}: {err}") from None
     return predictions
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        kind = DatasetKind.from_string(args.kind)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    gold_samples = _load_corpus(args.gold, kind, "gold file")
+def _cmd_evaluate(args: Namespace) -> int:
+    gold_samples = _load_corpus(args.gold, args.kind, "gold file")
+    if not gold_samples:
+        raise ConfigError(f"gold file {args.gold} holds no samples")
     predictions = _read_predictions(args.pred)
 
     gold_ids = [s.id for s in gold_samples]
@@ -308,96 +283,71 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         output = report.to_csv()
     else:
         output = report.to_text() + "\n"
-    if args.out:
-        Path(args.out).write_text(output, "utf-8")
-    else:
-        sys.stdout.write(output)
+    _write(output, args.out)
     return 0
 
 
-def _cmd_update(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    try:
-        table = table_from_json(json.loads(Path(args.table).read_text("utf-8")))
-    except FileNotFoundError as err:
-        raise ConfigError(f"table file not found: {args.table}") from err
-    except ValueError as err:
-        raise ConfigError(f"table file {args.table}: {err}") from err
+def _cmd_update(args: Namespace) -> int:
+    config = _backend_config(args)
+    table = _read_json(args.table, "table file", table_from_json)
+    delta = _read_json(args.delta, "delta file", lambda data: SkeletonDelta(**data))
 
-    try:
-        delta_data = json.loads(Path(args.delta).read_text("utf-8"))
-        if not isinstance(delta_data, dict):
-            raise ValueError("must hold a JSON object")
-        delta = SkeletonDelta(**delta_data)
-    except FileNotFoundError as err:
-        raise ConfigError(f"delta file not found: {args.delta}") from err
-    except (ValueError, TypeError) as err:
-        raise ConfigError(f"delta file {args.delta}: {err}") from err
-
+    evidence = args.evidence or ""
     if args.evidence_file:
-        try:
-            evidence = Path(args.evidence_file).read_text("utf-8")
-        except OSError as err:
-            raise ConfigError(f"cannot read evidence file: {err}") from err
-    else:
-        evidence = args.evidence or ""
+        evidence = _read_text(args.evidence_file, "evidence file")
     if not evidence.strip() and not delta.is_empty():
         raise ConfigError("update needs evidence text (--evidence or --evidence-file)")
 
     updated = table
     if not delta.is_empty():
-        backend = _build_backend(config, [], getattr(args, "oracle", None))
+        backend = _build_backend(args, config, [])
         try:
             updated = update_table(
                 table,
                 delta,
                 evidence,
-                config.kind,
+                args.kind,
                 backend,
-                max_input_tokens=config.backend.max_input_tokens,
-                answer_max_new_tokens=config.backend.answer_max_new_tokens,
+                max_input_tokens=config.max_input_tokens,
+                answer_max_new_tokens=config.answer_max_new_tokens,
             )
         except InvalidTable as err:
             raise ConfigError(f"table file {args.table}: {err}") from err
         except ValueError as err:  # a delta that does not fit the table
             raise ConfigError(f"delta file {args.delta}: {err}") from err
     output = json.dumps(table_to_json(updated), sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(output, "utf-8")
-    else:
-        sys.stdout.write(output)
+    _write(output, args.out)
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        kind = DatasetKind.from_string(args.kind)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-
-    blocks = [(path, corpus_stats(_load_corpus(path, kind))) for path in args.infile]
+def _cmd_stats(args: Namespace) -> int:
+    blocks = [(path, corpus_stats(_load_corpus(path, args.kind, "corpus file"))) for path in args.infile]
 
     if args.format == "json":
         payload = {path: stats.to_json() for path, stats in blocks}
-        sys.stdout.write(json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
+        _write(json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n", None)
         return 0
 
+    lines = []
     for path, stats in blocks:
-        sys.stdout.write(f"{path}: {stats.count} samples\n")
-        for kind_, kind_stats in stats.by_kind:
-            sys.stdout.write(
-                f"  {kind_.value}: count={kind_stats.count}"
-                f" mean_rows={kind_stats.mean_rows:.2f}"
-                f" mean_cols={kind_stats.mean_cols:.2f}"
-                f" sparsity={kind_stats.sparsity:.3f}\n"
-            )
+        lines.append(f"{path}: {stats.count} samples\n")
+        lines.extend(
+            f"  {kind.value}: count={kind_stats.count}"
+            f" mean_rows={kind_stats.mean_rows:.2f}"
+            f" mean_cols={kind_stats.mean_cols:.2f}"
+            f" sparsity={kind_stats.sparsity:.3f}\n"
+            for kind, kind_stats in stats.by_kind
+        )
+    _write("".join(lines), None)
     return 0
 
 
-def _cmd_replay_record(args: argparse.Namespace) -> int:
-    if not args.record_dir:
-        raise ConfigError("replay-record needs --record-dir")
-    return _cmd_generate(args, record_dir=args.record_dir)
+def _kind(value: str) -> DatasetKind:
+    """`--kind`: a dataset kind; anything else is argparse's usage error, naming the kinds."""
+    try:
+        return DatasetKind.from_string(value)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
@@ -406,20 +356,29 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--base-url", dest="base_url")
     parser.add_argument("--model")
     parser.add_argument("--auth-env", dest="auth_env", help="name of the env var holding the API token")
-    parser.add_argument("--fixtures", help="fixture directory for the replay backend")
+    parser.add_argument("--fixtures", dest="fixture_dir", help="fixture directory for the replay backend")
     parser.add_argument("--concurrency", type=int, default=None)
     parser.add_argument("--timeout-ms", dest="timeout_ms", type=int, default=None)
     parser.add_argument("--retry-cap", dest="retry_cap", type=int, default=None)
-    parser.add_argument("--cache", action="store_true", help="enable the in-memory request cache")
+    parser.add_argument("--cache", action="store_const", const=True, help="enable the request cache")
+    parser.add_argument("--oracle", help="gold JSONL used to seed the mock-oracle backend")
+
+
+def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--kind", required=True, type=_kind)
+    parser.add_argument("--in", dest="infile", required=True, help="input corpus JSONL")
+    parser.add_argument("--out", help="output predictions JSONL (default stdout)")
+    parser.add_argument("--jobs", type=int, default=1, help="sample-level parallelism (at least 1)")
+    _add_backend_flags(parser)
 
 
 def _add_generate_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kind", required=True)
-    parser.add_argument("--in", dest="infile", required=True, help="input corpus JSONL")
-    parser.add_argument("--out", help="output predictions JSONL (default stdout)")
-    parser.add_argument("--oracle", help="gold JSONL used to seed the mock-oracle backend")
-    parser.add_argument("--jobs", type=int, default=1, help="sample-level parallelism")
-    _add_backend_flags(parser)
+    """The flags of `generate`, which `replay-record` shares."""
+    _add_corpus_flags(parser)
+    parser.add_argument("--trace", help="write per-cell trace JSONL here")
+    parser.add_argument("--gold-headers", action="store_true", help="seed stage two with gold headers")
+    parser.add_argument("--structure-template", help="override the header-stage template file")
+    parser.add_argument("--qa-template", help="override the question template file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,19 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="two-stage generation over a corpus")
     _add_generate_flags(p)
-    p.add_argument("--trace", help="write per-cell trace JSONL here")
-    p.add_argument("--gold-headers", action="store_true", help="seed stage two with gold headers")
-    p.add_argument("--structure-template", help="override the header-stage template file")
-    p.add_argument("--qa-template", help="override the question template file")
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("baseline", help="single-stage flat-format generation")
-    _add_generate_flags(p)
+    _add_corpus_flags(p)
     p.add_argument("--baseline-template", help="override the flat-format template file")
     p.set_defaults(handler=_cmd_baseline)
 
     p = sub.add_parser("evaluate", help="score predictions against gold tables")
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, type=_kind)
     p.add_argument("--pred", required=True, help="predictions JSONL")
     p.add_argument("--gold", required=True, help="gold corpus JSONL")
     p.add_argument("--gold-headers", action="store_true", help="label the report as the gold-header ablation")
@@ -457,18 +412,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_evaluate)
 
     p = sub.add_parser("update", help="fill new or re-asked cells from new evidence")
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, type=_kind)
     p.add_argument("--table", required=True, help="existing table JSON file")
     p.add_argument("--delta", required=True, help="delta JSON file")
     p.add_argument("--evidence", help="new evidence text")
     p.add_argument("--evidence-file", dest="evidence_file", help="file holding the new evidence text")
     p.add_argument("--out", help="write the updated table here instead of stdout")
-    p.add_argument("--oracle", help="gold JSONL used to seed the mock-oracle backend")
     _add_backend_flags(p)
     p.set_defaults(handler=_cmd_update)
 
     p = sub.add_parser("stats", help="corpus statistics")
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, type=_kind)
     p.add_argument("--in", dest="infile", action="append", required=True, help="corpus JSONL (repeatable)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(handler=_cmd_stats)
@@ -476,11 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay-record", help="run generation and record replay fixtures")
     _add_generate_flags(p)
     p.add_argument("--record-dir", required=True, help="directory to write fixtures into")
-    p.add_argument("--trace", help="write per-cell trace JSONL here")
-    p.add_argument("--gold-headers", action="store_true")
-    p.add_argument("--structure-template")
-    p.add_argument("--qa-template")
-    p.set_defaults(handler=_cmd_replay_record)
+    p.set_defaults(handler=_cmd_generate)
 
     return parser
 

@@ -113,6 +113,12 @@ class TestRetries:
         assert sleeps[0] <= 60.0
         assert sleeps == [tabgen.backends.MAX_RETRY_AFTER_S]
 
+    @pytest.mark.parametrize("backoff_s", [-0.5, float("nan"), float("inf")])
+    def test_backoff_must_be_finite_and_not_negative(self, backoff_s):
+        # time.sleep rejects these, so they would fail only at the first retry.
+        with pytest.raises(ValueError, match="backoff_s"):
+            FlakyBackend(1, Unreachable("down"), backoff_s=backoff_s)
+
     def test_exponential_backoff_delays(self, monkeypatch):
         sleeps: list[float] = []
         monkeypatch.setattr("tabgen.backends.time.sleep", sleeps.append)
@@ -538,6 +544,12 @@ class TestHttpBackend:
         with pytest.raises(ValueError, match="TABGEN_TEST_TOKEN"):
             HttpBackend(config)
 
+    @pytest.mark.parametrize("timeout_ms", [0, -5])
+    def test_timeout_must_be_positive(self, timeout_ms):
+        # requests rejects these on every call, outside the BackendError contract.
+        with pytest.raises(ValueError, match="timeout_ms"):
+            HttpBackend(BackendConfig(kind="http", base_url="http://localhost:1", timeout_ms=timeout_ms))
+
     def test_completion_round_trip(self, http_server, monkeypatch):
         monkeypatch.setenv("TABGEN_TEST_TOKEN", "secret")
         config = BackendConfig(kind="http", base_url=http_server, model="m", auth_env="TABGEN_TEST_TOKEN")
@@ -674,6 +686,28 @@ class TestBackendConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="mystery"):
             BackendConfig.from_dict({"mystery": 1})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"concurrency": "x"},
+            {"cache": "false"},
+            {"cache": 0},
+            {"concurrency": True},
+            {"concurrency": 2.0},
+            {"backoff_s": "0.5"},
+            {"backoff_s": False},
+            {"model": 3},
+            {"kind": None},
+        ],
+    )
+    def test_value_of_the_wrong_type_is_rejected_by_key(self, data):
+        with pytest.raises(ValueError, match=next(iter(data))):
+            BackendConfig.from_dict(data)
+
+    def test_int_for_float_and_null_for_optional_string_accepted(self):
+        config = BackendConfig.from_dict({"backoff_s": 1, "model": None, "base_url": "http://x"})
+        assert (config.backoff_s, config.model, config.base_url) == (1, None, "http://x")
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"

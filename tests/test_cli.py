@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gzip
 import json
 import threading
 import time
@@ -442,6 +443,101 @@ class TestUpdateBadDelta:
         err = capsys.readouterr().err
         assert code == 2
         assert f"config error: table file {table_file}: invalid table" in err
+
+
+GENERATE = ["generate", "--kind", "e2e", "--in", E2E_EXAMPLE]
+REPLAY = [*GENERATE, "--backend", "replay", "--fixtures", "fixtures"]
+UPDATE_FILES = ["update", "--kind", "e2e", "--table", "table.json", "--delta", "delta.json"]
+UPDATE = [*UPDATE_FILES, "--evidence", "The Eagle is owned by a local family."]
+
+
+def bad_input_files(root):
+    """The files the bad-input cases name, made in `root`."""
+    (root / "dir").mkdir()
+    (root / "fixtures").mkdir()
+    (root / "latin.txt").write_bytes(b"\xff\xfe")
+    (root / "empty.jsonl").write_bytes(b"")
+    corpus = fixture_path("e2e_example.jsonl").read_bytes()
+    (root / "plain.jsonl.gz").write_bytes(corpus)
+    (root / "truncated.jsonl.gz").write_bytes(gzip.compress(corpus)[:40])
+    (root / "schema.jsonl").write_text(json.dumps({"id": "x", "text": "t"}) + "\n", "utf-8")
+    sample = json.loads(corpus.splitlines()[0])
+    (root / "table.json").write_text(json.dumps(sample["table"]), "utf-8")
+    (root / "delta.json").write_text(json.dumps({"add_col_headers": ["Owner"]}), "utf-8")
+    configs = {
+        "retry_cap.json": {"kind": "replay", "fixture_dir": "fixtures", "retry_cap": 0},
+        "concurrency_x.json": {"concurrency": "x"},
+        "cache_string.json": {"cache": "false"},
+        "negative_backoff.json": {"backoff_s": -1},
+    }
+    for name, config in configs.items():
+        (root / name).write_text(json.dumps(config), "utf-8")
+
+
+class TestBadInput:
+    """Input a run cannot start from exits 2 with a `config error:` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*REPLAY, "--concurrency", "0"],
+            [*REPLAY, "--retry-cap", "0"],
+            [*GENERATE, "--config", "retry_cap.json"],
+            [*GENERATE, "--config", "concurrency_x.json"],
+            [*GENERATE, "--config", "cache_string.json"],
+            [*GENERATE, "--config", "negative_backoff.json"],
+            [*GENERATE, "--backend", "http", "--base-url", "http://localhost:1", "--timeout-ms", "-5"],
+            [*GENERATE, "--jobs", "0"],
+            ["generate", "--kind", "e2e", "--in", "dir"],
+            ["generate", "--kind", "e2e", "--in", "latin.txt"],
+            ["generate", "--kind", "e2e", "--in", "plain.jsonl.gz"],
+            ["generate", "--kind", "e2e", "--in", "truncated.jsonl.gz"],
+            ["stats", "--kind", "e2e", "--in", "dir"],
+            [*GENERATE, "--oracle", "missing.jsonl"],
+            [*GENERATE, "--oracle", "schema.jsonl"],
+            [*GENERATE, "--qa-template", "latin.txt"],
+            [*GENERATE, "--out", "dir"],
+            [*GENERATE, "--trace", "dir"],
+            ["replay-record", "--kind", "e2e", "--in", E2E_EXAMPLE, "--record-dir", "latin.txt"],
+            ["evaluate", "--kind", "e2e", "--pred", "dir", "--gold", E2E_EXAMPLE],
+            ["evaluate", "--kind", "e2e", "--pred", "latin.txt", "--gold", E2E_EXAMPLE],
+            ["evaluate", "--kind", "e2e", "--pred", "empty.jsonl", "--gold", "empty.jsonl"],
+            ["evaluate", "--kind", "e2e", "--pred", E2E_EXAMPLE, "--gold", E2E_EXAMPLE, "--out", "dir"],
+            [*UPDATE, "--oracle", "missing.jsonl"],
+            ["update", "--kind", "e2e", "--table", "dir", "--delta", "delta.json", "--evidence", "x"],
+            ["update", "--kind", "e2e", "--table", "table.json", "--delta", "dir", "--evidence", "x"],
+            [*UPDATE_FILES, "--evidence-file", "latin.txt", "--oracle", E2E_EXAMPLE],
+            [*UPDATE, "--oracle", E2E_EXAMPLE, "--out", "dir"],
+        ],
+        ids=["concurrency-0", "retry-cap-0", "config-retry-cap-0", "config-wrong-type",
+             "config-cache-string", "config-negative-backoff", "http-negative-timeout", "jobs-0",
+             "in-directory", "in-not-utf8", "in-not-gzip", "in-truncated-gzip", "stats-in-directory",
+             "oracle-missing", "oracle-bad-schema", "qa-template-not-utf8", "out-directory",
+             "trace-directory", "record-dir-is-a-file", "pred-directory", "pred-not-utf8",
+             "empty-gold", "report-out-directory", "update-oracle-missing", "update-table-directory",
+             "update-delta-directory", "update-evidence-not-utf8", "update-out-directory"],
+    )
+    def test_exits_two_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
+        bad_input_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code = dispatch(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_empty_record_dir_is_a_config_error(self, tmp_path, capsys):
+        code = dispatch(["replay-record", "--kind", "e2e", "--in", E2E_EXAMPLE, "--record-dir", "",
+                         "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 2
+        assert "config error: replay-record needs --record-dir" in capsys.readouterr().err
+
+    def test_update_without_an_oracle_names_only_its_flag(self, tmp_path, capsys, monkeypatch):
+        bad_input_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(UPDATE) == 2
+        err = capsys.readouterr().err
+        assert "(--oracle)" in err and "--in" not in err
 
 
 def extended_template(tmp_path, name: str) -> str:
