@@ -7,6 +7,7 @@ from tabgen.backends import (
     CachedBackend,
     EmbeddingBackend,
     EmbeddingResponse,
+    FixtureStore,
     GenerationBackend,
     GenerationRequest,
     GenerationResponse,
@@ -15,8 +16,6 @@ from tabgen.backends import (
     MockEmbedder,
     MockOracleBackend,
     RateLimited,
-    RecordingBackend,
-    ReplayBackend,
     Unreachable,
 )
 from tabgen.corpus import (
@@ -55,7 +54,6 @@ from tabgen.pipeline import (
     update_table,
 )
 from tabgen.prompts import (
-    CellQuestion,
     NoHeaders,
     PromptTemplate,
     build_qa_prompt,

@@ -1,10 +1,10 @@
 """Pluggable text-generation and embedding providers.
 
 Four generation backends share one contract: a remote HTTP completion
-service, a gold-table oracle for offline testing, a record/replay pair
-for deterministic CI, and a caching wrapper. Batch dispatch fans out up
-to a configured concurrency limit and realigns responses by index, so
-callers never observe completion order.
+service, a gold-table oracle for offline testing, a fixture store that
+replays and records for deterministic CI, and a caching wrapper. Batch
+dispatch fans out up to a configured concurrency limit and realigns
+responses by index, so callers never observe completion order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from bisect import bisect_left
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # numpy, requests and the date parsing only `Retry-After` needs are imported
 # where they are used, not here: they are most of a cold `import tabgen`, and
@@ -39,17 +39,13 @@ class GenerationRequest:
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
 
+    def as_dict(self) -> dict:
+        """The request as its digest hashes it and a fixture records it."""
+        # Decoding is always greedy; the key keeps recorded digests valid.
+        return {"prompt": self.prompt, "max_new_tokens": self.max_new_tokens, "decoding": "greedy"}
+
     def digest(self) -> str:
-        payload = json.dumps(
-            {
-                "prompt": self.prompt,
-                "max_new_tokens": self.max_new_tokens,
-                # Decoding is always greedy; the key keeps recorded digests valid.
-                "decoding": "greedy",
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        payload = json.dumps(self.as_dict(), sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -132,6 +128,12 @@ class BackendConfig:
     headers_max_new_tokens: int = 256
     answer_max_new_tokens: int = 64
     baseline_max_new_tokens: int = 512
+
+    def __post_init__(self):
+        for name in ("max_input_tokens", "headers_max_new_tokens", "answer_max_new_tokens",
+                     "baseline_max_new_tokens"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "BackendConfig":
@@ -559,40 +561,6 @@ class MockOracleBackend(GenerationBackend):
         raise failure or MalformedResponse("prompt fits no template the oracle holds")
 
 
-class ReplayBackend(GenerationBackend):
-    """Serves responses recorded on disk; a missing fixture fails loudly.
-
-    An optional latency function simulates slow upstream completion
-    without affecting what is returned.
-    """
-
-    def __init__(
-        self,
-        fixture_dir: str | Path,
-        latency_fn: Callable[[GenerationRequest], float] | None = None,
-        **kwargs,
-    ):
-        super().__init__(**kwargs)
-        self.fixture_dir = Path(fixture_dir)
-        self.latency_fn = latency_fn
-
-    def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
-        path = self.fixture_dir / f"{request.digest()}.json"
-        if not path.exists():
-            raise MalformedResponse(f"no recorded fixture for request digest {request.digest()}")
-        try:
-            data = json.loads(path.read_text("utf-8"))
-            text = data["response"]["text"]
-        except (ValueError, KeyError, TypeError) as err:
-            raise MalformedResponse(f"fixture {path.name} is unreadable") from err
-        if not isinstance(text, str):
-            raise MalformedResponse(f"fixture {path.name} has no response text")
-        delay = self.latency_fn(request) if self.latency_fn else 0.0
-        if delay > 0:
-            time.sleep(delay)
-        return GenerationResponse(text=text, latency_ms=delay * 1000.0)
-
-
 class WrapperBackend(GenerationBackend):
     """A backend that adds behaviour around `inner` and dispatches like it.
 
@@ -611,33 +579,52 @@ class WrapperBackend(GenerationBackend):
         return self._generate_once(request)
 
 
-class RecordingBackend(WrapperBackend):
-    """Wraps a live backend and persists every response as a replay fixture."""
+class FixtureStore(WrapperBackend):
+    """Answers from `<digest>.json` fixtures on disk, recording `inner`'s answers on a miss.
 
-    def __init__(self, inner: GenerationBackend, fixture_dir: str | Path):
-        super().__init__(inner)
+    A request whose digest has a fixture is answered from it and never
+    reaches `inner`, so a recording run stopped halfway and run again on
+    the same directory sends upstream only the calls it has not recorded.
+    Without `inner` the store only replays: the directory must exist, a
+    miss raises `MalformedResponse`, and `kwargs` set how it dispatches.
+    """
+
+    def __init__(self, fixture_dir: str | Path, inner: GenerationBackend | None = None, **kwargs):
         self.fixture_dir = Path(fixture_dir)
-        self.fixture_dir.mkdir(parents=True, exist_ok=True)
+        if inner is None:
+            GenerationBackend.__init__(self, **kwargs)
+            self.inner = None
+            if not self.fixture_dir.is_dir():
+                raise ValueError(f"fixture directory {self.fixture_dir} does not exist")
+        else:
+            super().__init__(inner)
+            self.fixture_dir.mkdir(parents=True, exist_ok=True)
 
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
+        path = self.fixture_dir / f"{request.digest()}.json"
+        if not path.exists():
+            if self.inner is None:
+                raise MalformedResponse(f"no recorded fixture for request digest {request.digest()}")
+            return self._record(request, path)
+        try:
+            text = json.loads(path.read_text("utf-8"))["response"]["text"]
+        except (OSError, ValueError, KeyError, TypeError) as err:
+            raise MalformedResponse(f"fixture {path.name} is unreadable") from err
+        if not isinstance(text, str):
+            raise MalformedResponse(f"fixture {path.name} has no response text")
+        return GenerationResponse(text=text, latency_ms=0.0)
+
+    def _record(self, request: GenerationRequest, path: Path) -> GenerationResponse:
         response = self.inner.generate(request)
-        record = {
-            "request": {
-                "prompt": request.prompt,
-                "max_new_tokens": request.max_new_tokens,
-                "decoding": "greedy",
-            },
-            "response": {"text": response.text},
-        }
+        record = {"request": request.as_dict(), "response": {"text": response.text}}
         # Encode before touching the disk, then swap the whole file in: a
         # response that cannot be encoded, or a crash mid-write, never leaves
-        # a truncated fixture in place of an earlier one.
+        # a truncated fixture behind.
         try:
             data = json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2).encode("utf-8")
         except UnicodeEncodeError as err:
             # A lone surrogate cannot be written as UTF-8; fail this call only.
             raise MalformedResponse(f"response cannot be recorded as UTF-8: {err.reason}") from err
-        path = self.fixture_dir / f"{request.digest()}.json"
         temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             temp.write_bytes(data)

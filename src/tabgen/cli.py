@@ -15,12 +15,11 @@ from typing import Callable
 from tabgen.backends import (
     BackendConfig,
     CachedBackend,
+    FixtureStore,
     GenerationBackend,
     HttpBackend,
     MockEmbedder,
     MockOracleBackend,
-    RecordingBackend,
-    ReplayBackend,
 )
 from tabgen.corpus import Sample, corpus_stats, load_jsonl
 from tabgen.kinds import DatasetKind
@@ -48,8 +47,9 @@ class ConfigError(ValueError):
 
     That covers an input, config or template file that is missing,
     unreadable, not UTF-8 or malformed; a config value that is unknown or
-    of the wrong type; a backend setting out of range; `--jobs` below 1;
-    and an output file or record directory that cannot be written.
+    of the wrong type; a backend setting or token budget out of range; a
+    replay fixture directory that does not exist; `--jobs` below 1; and an
+    output file or record directory that cannot be written.
     """
 
 
@@ -130,7 +130,7 @@ def _build_backend(
         elif config.kind == "replay":
             if not config.fixture_dir:
                 raise ValueError("replay backend needs a fixture directory (--fixtures or config)")
-            backend = ReplayBackend(config.fixture_dir, **common)
+            backend = FixtureStore(config.fixture_dir, **common)
         elif config.kind == "http":
             backend = HttpBackend(config)
         else:
@@ -142,7 +142,7 @@ def _build_backend(
         if record_dir is not None:
             if not record_dir:
                 raise ValueError("replay-record needs --record-dir")
-            backend = RecordingBackend(backend, record_dir)
+            backend = FixtureStore(record_dir, inner=backend)
     except (OSError, ValueError) as err:
         raise ConfigError(str(err)) from err
     return backend

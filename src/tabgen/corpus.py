@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import logging
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -12,8 +11,6 @@ from typing import Iterable, Sequence
 
 from tabgen.kinds import DatasetKind
 from tabgen.table import Table, header_issues, table_from_json, table_to_json, validate
-
-logger = logging.getLogger(__name__)
 
 
 class SchemaError(ValueError):
@@ -107,7 +104,7 @@ def load_jsonl(path: str | Path, kind: DatasetKind) -> list[Sample]:
     """Load one sample per line; any malformed line is rejected with its line number.
 
     Gzip-compressed files are accepted by extension. An empty file yields
-    an empty list with a warning rather than an error.
+    an empty list, not an error; the caller decides what that means.
     """
     path = Path(path)
     samples: list[Sample] = []
@@ -121,8 +118,6 @@ def load_jsonl(path: str | Path, kind: DatasetKind) -> list[Sample]:
             except json.JSONDecodeError as err:
                 raise SchemaError(line_no, f"invalid JSON: {err}") from None
             samples.append(_sample_from_line(line_no, data, kind))
-    if not samples:
-        logger.warning("corpus file %s contained no samples", path)
     return samples
 
 

@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterator
 
 from tabgen.kinds import DatasetKind
 from tabgen.table import Orientation, dedupe_headers, normalize_text
@@ -26,15 +26,6 @@ _SLOT_RE = re.compile(r"\{\{(passage|question)\}\}")
 
 class NoHeaders(ValueError):
     """A header sequence parsed to nothing usable."""
-
-
-@dataclass(frozen=True)
-class CellQuestion:
-    """A question bound to one skeleton slot; row_index is None for attribute-value."""
-
-    row_index: int | None
-    col_index: int
-    question: str
 
 
 @dataclass(frozen=True)
@@ -227,25 +218,6 @@ def formulate_question(
     if numeric_hint:
         return f"What is the number of {col_header} for {row_header}?"
     return f"What is the {col_header} for {row_header}?"
-
-
-def questions_for_headers(
-    orientation: Orientation,
-    row_headers: Sequence[str],
-    col_headers: Sequence[str],
-    numeric_hint: bool = False,
-) -> list[CellQuestion]:
-    """One question per slot, row-major; attribute-value slots have no row."""
-    if orientation is Orientation.ATTRIBUTE_VALUE:
-        return [
-            CellQuestion(None, j, formulate_question(None, header))
-            for j, header in enumerate(col_headers)
-        ]
-    return [
-        CellQuestion(i, j, formulate_question(row, col, numeric_hint))
-        for i, row in enumerate(row_headers)
-        for j, col in enumerate(col_headers)
-    ]
 
 
 def build_structure_prompt(

@@ -12,7 +12,6 @@ character), so a whole table is a single line of text.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -341,11 +340,6 @@ def table_from_json(data: object) -> Table:
                 raise ValueError(f"cells row {i} values must be strings or null")
         cells.append(tuple(row))
     return Table.matrix(data["row_headers"], data["col_headers"], cells)
-
-
-def table_to_json_text(table: Table) -> str:
-    """Deterministic single-line JSON rendering of the canonical form."""
-    return json.dumps(table_to_json(table), sort_keys=True, ensure_ascii=False)
 
 
 def _md_escape(value: str) -> str:

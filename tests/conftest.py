@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable
+import time
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import pytest
 
@@ -15,6 +17,8 @@ from tabgen.backends import (
 )
 from tabgen.corpus import Sample, fixture_path, load_jsonl
 from tabgen.kinds import DatasetKind
+from tabgen.prompts import formulate_question
+from tabgen.table import Orientation
 
 ALL_KINDS = [
     DatasetKind.E2E,
@@ -69,6 +73,49 @@ class CountingBackend(WrapperBackend):
         with self._lock:
             self.calls += 1
         return self.inner.generate(request)
+
+
+class DelayedBackend(WrapperBackend):
+    """Delegates to an inner backend after sleeping `latency_fn(request)` seconds."""
+
+    def __init__(self, inner: GenerationBackend, latency_fn: Callable[[GenerationRequest], float]):
+        super().__init__(inner)
+        self.latency_fn = latency_fn
+
+    def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
+        time.sleep(self.latency_fn(request))
+        return self.inner.generate(request)
+
+
+@dataclass(frozen=True)
+class CellQuestion:
+    """A question bound to one skeleton slot; row_index is None for attribute-value."""
+
+    row_index: int | None
+    col_index: int
+    question: str
+
+
+def questions_for_headers(
+    orientation: Orientation,
+    row_headers: Sequence[str],
+    col_headers: Sequence[str],
+    numeric_hint: bool = False,
+) -> list[CellQuestion]:
+    """One question per slot, row-major; attribute-value slots have no row.
+
+    The order stage two asks in, kept as the reference its prompts are checked against.
+    """
+    if orientation is Orientation.ATTRIBUTE_VALUE:
+        return [
+            CellQuestion(None, j, formulate_question(None, header))
+            for j, header in enumerate(col_headers)
+        ]
+    return [
+        CellQuestion(i, j, formulate_question(row, col, numeric_hint))
+        for i, row in enumerate(row_headers)
+        for j, col in enumerate(col_headers)
+    ]
 
 
 @pytest.fixture

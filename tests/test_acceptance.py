@@ -8,6 +8,7 @@ completion endpoint.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import string
@@ -17,14 +18,13 @@ import pytest
 
 from tabgen.backends import (
     BackendConfig,
+    FixtureStore,
     GenerationBackend,
     GenerationRequest,
     GenerationResponse,
     HttpBackend,
     MockEmbedder,
     MockOracleBackend,
-    RecordingBackend,
-    ReplayBackend,
 )
 from tabgen.corpus import corpus_stats, load_jsonl
 from tabgen.kinds import DatasetKind
@@ -45,17 +45,22 @@ from tabgen.table import (
     Table,
     parse_flat,
     serialize_flat,
-    table_to_json_text,
+    table_to_json,
     to_tuples,
     validate,
 )
 
-from .conftest import ALL_KINDS, CountingBackend, ScriptedBackend, load_example, load_mini
+from .conftest import ALL_KINDS, CountingBackend, DelayedBackend, ScriptedBackend, load_example, load_mini
 from .test_metrics import brute_force_prf
 
 
 def passed(criterion: int, message: str) -> None:
     print(f"ACCEPTANCE {criterion} PASS: {message}")
+
+
+def table_to_json_text(table: Table) -> str:
+    """Deterministic single-line JSON rendering of the canonical form."""
+    return json.dumps(table_to_json(table), sort_keys=True, ensure_ascii=False)
 
 
 class FuzzBackend(GenerationBackend):
@@ -210,7 +215,7 @@ def test_criterion_6_numeric_extraction_vector():
 def test_criterion_7_batch_determinism_under_shuffled_latency(tmp_path):
     sample = load_example(DatasetKind.ROTOWIRE_TEAM)
     oracle = MockOracleBackend([(sample.text, sample.gold)])
-    recorder = RecordingBackend(oracle, tmp_path)
+    recorder = FixtureStore(tmp_path, oracle)
     reference = generate_table(sample.text, DatasetKind.ROTOWIRE_TEAM, recorder)
     reference_bytes = table_to_json_text(reference).encode()
 
@@ -220,7 +225,7 @@ def test_criterion_7_batch_determinism_under_shuffled_latency(tmp_path):
         rng.shuffle(latencies)
         pool = iter(latencies)
 
-        replay = ReplayBackend(tmp_path, latency_fn=lambda _: next(pool), concurrency=8)
+        replay = DelayedBackend(FixtureStore(tmp_path, concurrency=8), lambda _: next(pool))
         table = generate_table(sample.text, DatasetKind.ROTOWIRE_TEAM, replay)
         assert table_to_json_text(table).encode() == reference_bytes, f"trial {trial} differs"
     passed(7, "100 replay trials with shuffled completion latencies are byte-identical")

@@ -16,6 +16,7 @@ from tabgen.backends import (
     BackendError,
     BackendTimeout,
     CachedBackend,
+    FixtureStore,
     GenerationBackend,
     GenerationRequest,
     GenerationResponse,
@@ -24,13 +25,12 @@ from tabgen.backends import (
     MockEmbedder,
     MockOracleBackend,
     RateLimited,
-    RecordingBackend,
-    ReplayBackend,
     Unreachable,
+    WrapperBackend,
     _retry_after_seconds,
 )
 from tabgen.kinds import DatasetKind
-from tabgen.pipeline import generate_content, skeleton_from_table
+from tabgen.pipeline import generate_content, generate_table, skeleton_from_table
 from tabgen.prompts import (
     PromptTemplate,
     build_baseline_prompt,
@@ -39,9 +39,9 @@ from tabgen.prompts import (
     default_qa_template,
     formulate_question,
 )
-from tabgen.table import Orientation, serialize_flat
+from tabgen.table import Orientation, serialize_flat, table_to_json
 
-from .conftest import ScriptedBackend, load_example
+from .conftest import CountingBackend, DelayedBackend, ScriptedBackend, load_example
 
 
 class FlakyBackend(GenerationBackend):
@@ -169,13 +169,13 @@ class TestBatch:
 
     def test_shuffled_latency_does_not_reorder(self, tmp_path):
         inner = ScriptedBackend(lambda p: f"v:{p}")
-        recorder = RecordingBackend(inner, tmp_path)
+        recorder = FixtureStore(tmp_path, inner)
         requests = [GenerationRequest(f"q{i}") for i in range(8)]
         for request in requests:
             recorder.generate(request)
 
         rng = random.Random(7)
-        replay = ReplayBackend(tmp_path, latency_fn=lambda _: rng.random() * 0.01)
+        replay = DelayedBackend(FixtureStore(tmp_path), lambda _: rng.random() * 0.01)
         results = replay.generate_batch(requests)
         assert [r.text for r in results] == [f"v:q{i}" for i in range(8)]
 
@@ -293,19 +293,37 @@ class TestMockOracle:
         ]
 
 
-class TestReplay:
+class Stopped(BaseException):
+    """Ends a run the way a kill does: no backend or pipeline code catches it."""
+
+
+class StopAfter(WrapperBackend):
+    """Delegates its first `calls` requests to `inner`, then stops the run."""
+
+    def __init__(self, inner: GenerationBackend, calls: int):
+        super().__init__(inner)
+        self.left = calls
+
+    def _generate_once(self, request):
+        if self.left == 0:
+            raise Stopped
+        self.left -= 1
+        return self.inner.generate(request)
+
+
+class TestFixtureStore:
     def test_record_then_replay_round_trip(self, tmp_path):
         inner = ScriptedBackend(lambda p: f"resp:{p}")
-        recorder = RecordingBackend(inner, tmp_path)
+        recorder = FixtureStore(tmp_path, inner)
         request = GenerationRequest("hello")
         recorded = recorder.generate(request)
 
-        replay = ReplayBackend(tmp_path)
+        replay = FixtureStore(tmp_path)
         assert replay.generate(request).text == recorded.text
 
     def test_fixture_bytes_are_pinned(self, tmp_path):
         request = GenerationRequest("hello", 7)
-        RecordingBackend(ScriptedBackend(lambda _: "Café 42"), tmp_path).generate(request)
+        FixtureStore(tmp_path, ScriptedBackend(lambda _: "Café 42")).generate(request)
         [fixture] = tmp_path.iterdir()
         assert fixture.name == f"{request.digest()}.json"
         assert fixture.read_bytes() == (
@@ -314,14 +332,20 @@ class TestReplay:
         )
 
     def test_missing_fixture_is_malformed_response(self, tmp_path):
-        replay = ReplayBackend(tmp_path)
+        replay = FixtureStore(tmp_path)
         with pytest.raises(MalformedResponse):
             replay.generate(GenerationRequest("never recorded"))
+
+    def test_missing_directory_is_rejected_without_inner(self, tmp_path):
+        with pytest.raises(ValueError, match="does not exist"):
+            FixtureStore(tmp_path / "missing")
+        FixtureStore(tmp_path / "made", ScriptedBackend(lambda _: "x"))
+        assert (tmp_path / "made").is_dir()
 
     def test_corrupt_fixture_is_malformed_response(self, tmp_path):
         request = GenerationRequest("hello")
         (tmp_path / f"{request.digest()}.json").write_text("{not json", "utf-8")
-        replay = ReplayBackend(tmp_path)
+        replay = FixtureStore(tmp_path)
         with pytest.raises(MalformedResponse):
             replay.generate(request)
 
@@ -329,21 +353,52 @@ class TestReplay:
         # A lone surrogate has no UTF-8 form; the write used to truncate the
         # fixture to 0 bytes before failing, which replay then called unreadable.
         request = GenerationRequest("hello")
-        recorder = RecordingBackend(ScriptedBackend(lambda _: "caf\ud800"), tmp_path)
+        recorder = FixtureStore(tmp_path, ScriptedBackend(lambda _: "caf\ud800"))
         with pytest.raises(MalformedResponse, match="cannot be recorded"):
             recorder.generate(request)
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(MalformedResponse, match="no recorded fixture"):
-            ReplayBackend(tmp_path).generate(request)
+            FixtureStore(tmp_path).generate(request)
 
     def test_unencodable_response_keeps_the_earlier_fixture(self, tmp_path):
+        # An earlier fixture answers, so an inner backend that would return
+        # an unencodable text is never reached and the fixture stays as it was.
         request = GenerationRequest("hello")
-        RecordingBackend(ScriptedBackend(lambda _: "café"), tmp_path).generate(request)
-        recorder = RecordingBackend(ScriptedBackend(lambda _: "caf\ud800"), tmp_path)
-        with pytest.raises(MalformedResponse, match="cannot be recorded"):
-            recorder.generate(request)
-        assert [p.name for p in tmp_path.iterdir()] == [f"{request.digest()}.json"]
-        assert ReplayBackend(tmp_path).generate(request).text == "café"
+        FixtureStore(tmp_path, ScriptedBackend(lambda _: "café")).generate(request)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        inner = CountingBackend(ScriptedBackend(lambda _: "caf\ud800"))
+        assert FixtureStore(tmp_path, inner).generate(request).text == "café"
+        assert inner.calls == 0
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert FixtureStore(tmp_path).generate(request).text == "café"
+
+    @pytest.mark.parametrize("stop_after", [1, 4, 8])
+    def test_rerun_after_a_stop_sends_only_the_calls_not_recorded(self, tmp_path, stop_after):
+        sample = load_example(DatasetKind.ROTOWIRE_TEAM)
+
+        def oracle():
+            return MockOracleBackend([(sample.text, sample.gold)], concurrency=1)
+
+        def run(directory, inner) -> str:
+            table = generate_table(sample.text, DatasetKind.ROTOWIRE_TEAM, FixtureStore(directory, inner))
+            return json.dumps(table_to_json(table), sort_keys=True, ensure_ascii=False)
+
+        def fixtures(directory) -> dict[str, bytes]:
+            return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+        unbroken = CountingBackend(oracle())
+        reference = run(tmp_path / "unbroken", unbroken)
+        total = unbroken.calls
+        assert total == 9  # one header call and eight cells
+
+        resumed = tmp_path / "resumed"
+        with pytest.raises(Stopped):
+            run(resumed, StopAfter(oracle(), stop_after))
+        assert len(fixtures(resumed)) == stop_after
+        rest = CountingBackend(oracle())
+        assert run(resumed, rest) == reference
+        assert rest.calls == total - stop_after
+        assert fixtures(resumed) == fixtures(tmp_path / "unbroken")
 
     def test_unencodable_answer_fails_only_its_cell(self, tmp_path):
         sample = load_example(DatasetKind.E2E)
@@ -356,7 +411,7 @@ class TestReplay:
                 return "caf\ud800"
             return oracle.generate(GenerationRequest(prompt)).text
 
-        recorder = RecordingBackend(ScriptedBackend(answer), tmp_path)
+        recorder = FixtureStore(tmp_path, ScriptedBackend(answer))
         table, trace = generate_content(
             skeleton_from_table(sample.gold), sample.text, DatasetKind.E2E, recorder
         )
@@ -433,7 +488,7 @@ class TestCache:
 class TestWrapperBackend:
     def test_stacked_wrappers_do_not_multiply_attempts(self, tmp_path):
         inner = FlakyBackend(100, BackendTimeout("slow"), retry_cap=3)
-        stacked = RecordingBackend(CachedBackend(inner), tmp_path)
+        stacked = FixtureStore(tmp_path, CachedBackend(inner))
         with pytest.raises(BackendTimeout):
             stacked.generate(GenerationRequest("p"))
         assert inner.attempts == 3
@@ -441,14 +496,14 @@ class TestWrapperBackend:
 
     def test_inner_retries_still_apply(self, tmp_path):
         inner = FlakyBackend(2, Unreachable("down"), retry_cap=3)
-        stacked = RecordingBackend(CachedBackend(inner), tmp_path)
+        stacked = FixtureStore(tmp_path, CachedBackend(inner))
         assert stacked.generate(GenerationRequest("p")).text == "ok"
         assert inner.attempts == 3
 
     def test_wrappers_dispatch_like_their_inner_backend(self, tmp_path):
         inner = ScriptedBackend(lambda p: p, concurrency=5, retry_cap=4, backoff_s=0.125)
         cached = CachedBackend(inner)
-        recording = RecordingBackend(cached, tmp_path)
+        recording = FixtureStore(tmp_path, cached)
         for wrapper in (cached, recording):
             assert (wrapper.concurrency, wrapper.retry_cap, wrapper.backoff_s) == (5, 4, 0.125)
         assert cached.inner is inner and recording.inner is cached

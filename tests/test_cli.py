@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -469,6 +473,11 @@ def bad_input_files(root):
         "concurrency_x.json": {"concurrency": "x"},
         "cache_string.json": {"cache": "false"},
         "negative_backoff.json": {"backoff_s": -1},
+        "answer_tokens_0.json": {"answer_max_new_tokens": 0},
+        "headers_tokens_0.json": {"headers_max_new_tokens": 0},
+        "baseline_tokens_0.json": {"baseline_max_new_tokens": 0},
+        "input_tokens_0.json": {"max_input_tokens": 0},
+        "input_tokens_negative.json": {"max_input_tokens": -3},
     }
     for name, config in configs.items():
         (root / name).write_text(json.dumps(config), "utf-8")
@@ -486,6 +495,12 @@ class TestBadInput:
             [*GENERATE, "--config", "concurrency_x.json"],
             [*GENERATE, "--config", "cache_string.json"],
             [*GENERATE, "--config", "negative_backoff.json"],
+            [*GENERATE, "--config", "answer_tokens_0.json"],
+            [*GENERATE, "--config", "headers_tokens_0.json"],
+            ["baseline", "--kind", "e2e", "--in", E2E_EXAMPLE, "--config", "baseline_tokens_0.json"],
+            [*GENERATE, "--config", "input_tokens_0.json"],
+            [*GENERATE, "--config", "input_tokens_negative.json"],
+            [*GENERATE, "--backend", "replay", "--fixtures", "missing-dir"],
             [*GENERATE, "--backend", "http", "--base-url", "http://localhost:1", "--timeout-ms", "-5"],
             [*GENERATE, "--jobs", "0"],
             ["generate", "--kind", "e2e", "--in", "dir"],
@@ -510,7 +525,9 @@ class TestBadInput:
             [*UPDATE, "--oracle", E2E_EXAMPLE, "--out", "dir"],
         ],
         ids=["concurrency-0", "retry-cap-0", "config-retry-cap-0", "config-wrong-type",
-             "config-cache-string", "config-negative-backoff", "http-negative-timeout", "jobs-0",
+             "config-cache-string", "config-negative-backoff", "config-answer-tokens-0",
+             "config-headers-tokens-0", "config-baseline-tokens-0", "config-input-tokens-0",
+             "config-input-tokens-negative", "replay-missing-dir", "http-negative-timeout", "jobs-0",
              "in-directory", "in-not-utf8", "in-not-gzip", "in-truncated-gzip", "stats-in-directory",
              "oracle-missing", "oracle-bad-schema", "qa-template-not-utf8", "out-directory",
              "trace-directory", "record-dir-is-a-file", "pred-directory", "pred-not-utf8",
@@ -531,6 +548,23 @@ class TestBadInput:
                          "--out", str(tmp_path / "preds.jsonl")])
         assert code == 2
         assert "config error: replay-record needs --record-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate", "--kind", "e2e", "--in", "empty.jsonl"],
+         ["evaluate", "--kind", "e2e", "--pred", "empty.jsonl", "--gold", "empty.jsonl"]],
+        ids=["generate", "evaluate"],
+    )
+    def test_empty_corpus_prints_one_line(self, tmp_path, argv):
+        # A new interpreter: pytest's log capture would hide a line logged on the way.
+        (tmp_path / "empty.jsonl").write_bytes(b"")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "tabgen.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error:") and "holds no samples" in done.stderr
+        assert done.stderr.count("\n") == 1
 
     def test_update_without_an_oracle_names_only_its_flag(self, tmp_path, capsys, monkeypatch):
         bad_input_files(tmp_path)
@@ -631,6 +665,25 @@ class TestReplayRecord:
              "--fixtures", str(fixtures), "--in", TEAM_EXAMPLE, "--out", str(replayed)]
         ) == 0
         assert recorded.read_bytes() == replayed.read_bytes()
+
+    def test_rerun_on_the_record_dir_asks_nothing_upstream(self, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        recorded = tmp_path / "recorded.jsonl"
+        rerun = tmp_path / "rerun.jsonl"
+        assert dispatch(
+            ["replay-record", "--kind", "rotowire-team", "--backend", "mock-oracle",
+             "--in", TEAM_EXAMPLE, "--out", str(recorded), "--record-dir", str(fixtures)]
+        ) == 0
+        before = {p.name: p.read_bytes() for p in fixtures.iterdir()}
+        # Upstream is a replay of an empty directory: any call it got would fail its cell.
+        (tmp_path / "empty").mkdir()
+        assert dispatch(
+            ["replay-record", "--kind", "rotowire-team", "--backend", "replay",
+             "--fixtures", str(tmp_path / "empty"), "--in", TEAM_EXAMPLE, "--out", str(rerun),
+             "--record-dir", str(fixtures)]
+        ) == 0
+        assert rerun.read_bytes() == recorded.read_bytes()
+        assert {p.name: p.read_bytes() for p in fixtures.iterdir()} == before
 
     def test_replay_missing_fixture_reports_partial_failure(self, tmp_path, capsys):
         fixtures = tmp_path / "fixtures"

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import logging
 
 import pytest
 
@@ -98,12 +97,10 @@ class TestLoadJsonl:
         with pytest.raises(InvalidGoldTable):
             load_jsonl(path, DatasetKind.E2E)
 
-    def test_empty_file_warns_and_returns_empty(self, tmp_path, caplog):
+    def test_empty_file_returns_empty(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", "utf-8")
-        with caplog.at_level(logging.WARNING):
-            assert load_jsonl(path, DatasetKind.E2E) == []
-        assert "no samples" in caplog.text
+        assert load_jsonl(path, DatasetKind.E2E) == []
 
     def test_gzip_by_extension(self, tmp_path):
         path = tmp_path / "corpus.jsonl.gz"

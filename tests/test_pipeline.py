@@ -36,7 +36,6 @@ from tabgen.prompts import (
     build_qa_prompt,
     default_qa_template,
     formulate_question,
-    questions_for_headers,
 )
 from tabgen.table import (
     EmptyInput,
@@ -50,7 +49,13 @@ from tabgen.table import (
     validate,
 )
 
-from .conftest import ALL_KINDS, CountingBackend, ScriptedBackend, load_example
+from .conftest import (
+    ALL_KINDS,
+    CountingBackend,
+    ScriptedBackend,
+    load_example,
+    questions_for_headers,
+)
 
 
 def oracle_for(sample):

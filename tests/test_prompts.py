@@ -19,10 +19,11 @@ from tabgen.prompts import (
     formulate_question,
     parse_header_sequence,
     parse_structure_answer,
-    questions_for_headers,
     truncate_passage,
 )
 from tabgen.table import Orientation
+
+from .conftest import questions_for_headers
 
 HEADER_WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
 
