@@ -46,7 +46,8 @@ class GenerationRequest:
 
     def digest(self) -> str:
         payload = json.dumps(self.as_dict(), sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        # A lone surrogate in the prompt still digests; every other prompt's bytes are unchanged.
+        return hashlib.sha256(payload.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -130,10 +131,13 @@ class BackendConfig:
     baseline_max_new_tokens: int = 512
 
     def __post_init__(self):
-        for name in ("max_input_tokens", "headers_max_new_tokens", "answer_max_new_tokens",
-                     "baseline_max_new_tokens"):
+        for name in ("timeout_ms", "retry_cap", "max_input_tokens", "headers_max_new_tokens",
+                     "answer_max_new_tokens", "baseline_max_new_tokens"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # time.sleep rejects these, so they would fail only at the first retry.
+        if not 0 <= self.backoff_s < math.inf:
+            raise ValueError("backoff_s must be a finite number >= 0")
 
     @classmethod
     def from_dict(cls, data: dict) -> "BackendConfig":
@@ -153,10 +157,6 @@ class BackendConfig:
                 raise ValueError(f"config key {key!r} must be {types[key]}, not {type(value).__name__}")
         return cls(**data)
 
-    @classmethod
-    def from_file(cls, path: str) -> "BackendConfig":
-        return cls.from_dict(json.loads(Path(path).read_text("utf-8")))
-
     def merged(self, **overrides) -> "BackendConfig":
         provided = {k: v for k, v in overrides.items() if v is not None}
         return replace(self, **provided)
@@ -168,42 +168,20 @@ MAX_RETRY_AFTER_S = 60.0
 
 
 class GenerationBackend(ABC):
-    """Base generation provider: retry policy plus the concurrent batch contract."""
+    """Base generation provider: the concurrent batch contract."""
 
-    def __init__(self, *, concurrency: int = 8, retry_cap: int = 3, backoff_s: float = 0.25):
+    def __init__(self, *, concurrency: int = 8):
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        if retry_cap < 1:
-            raise ValueError("retry_cap must be >= 1")
-        if not 0 <= backoff_s < math.inf:
-            raise ValueError("backoff_s must be a finite number >= 0")
         self.concurrency = concurrency
-        self.retry_cap = retry_cap
-        self.backoff_s = backoff_s
 
     @abstractmethod
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
         ...
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
-        """Run one request with bounded exponential-backoff retries.
-
-        Retryable failures are retried up to `retry_cap` total attempts;
-        a rate limit that names a retry-after delay is honored, up to
-        `MAX_RETRY_AFTER_S`.
-        """
-        for attempt in range(self.retry_cap):
-            try:
-                return self._generate_once(request)
-            except BackendError as err:
-                last_attempt = attempt == self.retry_cap - 1
-                if not err.retryable or last_attempt:
-                    raise
-                delay = self.backoff_s * (2**attempt)
-                if isinstance(err, RateLimited) and err.retry_after is not None:
-                    delay = min(err.retry_after, MAX_RETRY_AFTER_S)
-                time.sleep(delay)
-        raise AssertionError("unreachable")
+        """Answer one request."""
+        return self._generate_once(request)
 
     def generate_batch(
         self, requests_: Sequence[GenerationRequest]
@@ -301,22 +279,18 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
 
     POSTs {model, prompt, max_tokens, temperature: 0} and reads the
     generated text from choices[0]; endpoint paths, model name, and the
-    auth env var are all configuration.
+    auth env var are all configuration. It is the only backend that
+    retries: every POST, completion or embeddings, is attempted up to
+    `retry_cap` times.
     """
 
     def __init__(self, config: BackendConfig):
         import requests
         from requests.adapters import HTTPAdapter
 
-        super().__init__(
-            concurrency=config.concurrency,
-            retry_cap=config.retry_cap,
-            backoff_s=config.backoff_s,
-        )
+        super().__init__(concurrency=config.concurrency)
         if not config.base_url:
             raise ValueError("http backend requires base_url")
-        if config.timeout_ms < 1:
-            raise ValueError("timeout_ms must be >= 1")
         self.config = config
         self._token = None
         if config.auth_env:
@@ -339,6 +313,25 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
         return headers
 
     def _post(self, path: str, payload: dict) -> dict:
+        """POST with bounded exponential-backoff retries.
+
+        Retryable failures are retried up to `retry_cap` total attempts;
+        a rate limit that names a retry-after delay is honored, up to
+        `MAX_RETRY_AFTER_S`.
+        """
+        for attempt in range(self.config.retry_cap):
+            try:
+                return self._post_once(path, payload)
+            except BackendError as err:
+                if not err.retryable or attempt == self.config.retry_cap - 1:
+                    raise
+                delay = self.config.backoff_s * (2**attempt)
+                if isinstance(err, RateLimited) and err.retry_after is not None:
+                    delay = min(err.retry_after, MAX_RETRY_AFTER_S)
+                time.sleep(delay)
+        raise AssertionError("unreachable")
+
+    def _post_once(self, path: str, payload: dict) -> dict:
         import requests
 
         url = self.config.base_url.rstrip("/") + path
@@ -441,9 +434,10 @@ class MockOracleBackend(GenerationBackend):
         self,
         samples: Iterable[tuple[str, Table]],
         templates: Iterable[PromptTemplate] = (),
-        **kwargs,
+        *,
+        concurrency: int = 8,
     ):
-        super().__init__(**kwargs)
+        super().__init__(concurrency=concurrency)
         pairs = list(samples)
         if not pairs:
             raise ValueError("mock oracle needs at least one (passage, gold table) pair")
@@ -562,21 +556,11 @@ class MockOracleBackend(GenerationBackend):
 
 
 class WrapperBackend(GenerationBackend):
-    """A backend that adds behaviour around `inner` and dispatches like it.
-
-    It takes `inner`'s concurrency, retry cap and backoff. `inner` already
-    retries, so `generate` runs `_generate_once` once: stacked wrappers
-    never multiply the attempts.
-    """
+    """A backend that adds behaviour around `inner` and dispatches with its concurrency."""
 
     def __init__(self, inner: GenerationBackend):
-        super().__init__(
-            concurrency=inner.concurrency, retry_cap=inner.retry_cap, backoff_s=inner.backoff_s
-        )
+        super().__init__(concurrency=inner.concurrency)
         self.inner = inner
-
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        return self._generate_once(request)
 
 
 class FixtureStore(WrapperBackend):
@@ -586,13 +570,16 @@ class FixtureStore(WrapperBackend):
     reaches `inner`, so a recording run stopped halfway and run again on
     the same directory sends upstream only the calls it has not recorded.
     Without `inner` the store only replays: the directory must exist, a
-    miss raises `MalformedResponse`, and `kwargs` set how it dispatches.
+    miss raises `MalformedResponse`, and `concurrency` sets how it
+    dispatches; with `inner` it dispatches like `inner`.
     """
 
-    def __init__(self, fixture_dir: str | Path, inner: GenerationBackend | None = None, **kwargs):
+    def __init__(
+        self, fixture_dir: str | Path, inner: GenerationBackend | None = None, *, concurrency: int = 8
+    ):
         self.fixture_dir = Path(fixture_dir)
         if inner is None:
-            GenerationBackend.__init__(self, **kwargs)
+            GenerationBackend.__init__(self, concurrency=concurrency)
             self.inner = None
             if not self.fixture_dir.is_dir():
                 raise ValueError(f"fixture directory {self.fixture_dir} does not exist")
@@ -615,6 +602,12 @@ class FixtureStore(WrapperBackend):
         return GenerationResponse(text=text, latency_ms=0.0)
 
     def _record(self, request: GenerationRequest, path: Path) -> GenerationResponse:
+        # A lone surrogate cannot be written as UTF-8: such a prompt is failed
+        # before it is sent upstream, since its answer could not be recorded.
+        try:
+            request.prompt.encode("utf-8")
+        except UnicodeEncodeError as err:
+            raise MalformedResponse(f"request cannot be recorded as UTF-8: {err.reason}") from err
         response = self.inner.generate(request)
         record = {"request": request.as_dict(), "response": {"text": response.text}}
         # Encode before touching the disk, then swap the whole file in: a
@@ -623,7 +616,6 @@ class FixtureStore(WrapperBackend):
         try:
             data = json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2).encode("utf-8")
         except UnicodeEncodeError as err:
-            # A lone surrogate cannot be written as UTF-8; fail this call only.
             raise MalformedResponse(f"response cannot be recorded as UTF-8: {err.reason}") from err
         temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:

@@ -100,7 +100,10 @@ def _backend_config(args: Namespace) -> BackendConfig:
         config = _read_json(args.config, "config file", BackendConfig.from_dict)
     # Each backend flag but `--backend` is stored under the name of the field it sets.
     flags = "base_url model auth_env fixture_dir concurrency timeout_ms retry_cap cache".split()
-    return config.merged(kind=args.backend, **{name: getattr(args, name) for name in flags})
+    try:
+        return config.merged(kind=args.backend, **{name: getattr(args, name) for name in flags})
+    except ValueError as err:  # a flag value out of range
+        raise ConfigError(str(err)) from err
 
 
 def _template(path: str | None) -> PromptTemplate | None:
@@ -119,18 +122,19 @@ def _build_backend(
     """
     if config.kind == "mock-oracle" and args.oracle:
         samples = _load_corpus(args.oracle, args.kind, "oracle file")
-    common = dict(concurrency=config.concurrency, retry_cap=config.retry_cap, backoff_s=config.backoff_s)
     try:
         if config.kind == "mock-oracle":
             if not samples:
                 raise ValueError("mock-oracle backend needs gold samples (--oracle)")
             backend: GenerationBackend = MockOracleBackend(
-                [(s.text, s.gold) for s in samples], templates=[t for t in templates if t], **common
+                [(s.text, s.gold) for s in samples],
+                templates=[t for t in templates if t],
+                concurrency=config.concurrency,
             )
         elif config.kind == "replay":
             if not config.fixture_dir:
                 raise ValueError("replay backend needs a fixture directory (--fixtures or config)")
-            backend = FixtureStore(config.fixture_dir, **common)
+            backend = FixtureStore(config.fixture_dir, concurrency=config.concurrency)
         elif config.kind == "http":
             backend = HttpBackend(config)
         else:

@@ -7,10 +7,10 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from tabgen.kinds import DatasetKind
-from tabgen.table import Table, header_issues, table_from_json, table_to_json, validate
+from tabgen.table import Table, header_issues, table_from_json, validate
 
 
 class SchemaError(ValueError):
@@ -119,16 +119,6 @@ def load_jsonl(path: str | Path, kind: DatasetKind) -> list[Sample]:
                 raise SchemaError(line_no, f"invalid JSON: {err}") from None
             samples.append(_sample_from_line(line_no, data, kind))
     return samples
-
-
-def sample_to_json(sample: Sample) -> dict:
-    return {"id": sample.id, "text": sample.text, "table": table_to_json(sample.gold)}
-
-
-def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def corpus_stats(samples: Sequence[Sample]) -> CorpusStats:

@@ -112,11 +112,6 @@ class PromptTemplate:
         bare = self.text.replace("{{passage}}", "").replace("{{question}}", "")
         return estimate_tokens(bare)
 
-    @classmethod
-    def from_file(cls, path: str) -> "PromptTemplate":
-        with open(path, encoding="utf-8") as handle:
-            return cls(name=path, text=handle.read())
-
 
 @lru_cache(maxsize=None)
 def _load_packaged(name: str) -> PromptTemplate:

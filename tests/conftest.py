@@ -40,9 +40,8 @@ def load_mini(kind: DatasetKind) -> list[Sample]:
 class ScriptedBackend(GenerationBackend):
     """Answers from a prompt->text function or a canned response sequence."""
 
-    def __init__(self, script: Callable[[str], str] | Iterable[str], **kwargs):
-        kwargs.setdefault("backoff_s", 0.0)
-        super().__init__(**kwargs)
+    def __init__(self, script: Callable[[str], str] | Iterable[str], *, concurrency: int = 8):
+        super().__init__(concurrency=concurrency)
         if callable(script):
             self._fn = script
             self._queue = None

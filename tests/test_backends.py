@@ -44,21 +44,24 @@ from tabgen.table import Orientation, serialize_flat, table_to_json
 from .conftest import CountingBackend, DelayedBackend, ScriptedBackend, load_example
 
 
-class FlakyBackend(GenerationBackend):
-    """Fails `failures` times with the given error, then succeeds."""
+class FlakyHttp(HttpBackend):
+    """An HTTP client whose single-attempt POST fails `failures` times with `error`, then answers.
 
-    def __init__(self, failures: int, error: BackendError, **kwargs):
-        kwargs.setdefault("backoff_s", 0.0)
-        super().__init__(**kwargs)
+    `config` holds `BackendConfig` fields; no request leaves the process.
+    """
+
+    def __init__(self, failures: int, error: BackendError, **config):
+        config.setdefault("backoff_s", 0.0)
+        super().__init__(BackendConfig(kind="http", base_url="http://flaky.invalid", **config))
         self.failures = failures
         self.error = error
         self.attempts = 0
 
-    def _generate_once(self, request):
+    def _post_once(self, path, payload):
         self.attempts += 1
         if self.attempts <= self.failures:
             raise self.error
-        return GenerationResponse(text="ok")
+        return {"choices": [{"text": "ok"}]}
 
 
 class TestRequestTypes:
@@ -82,18 +85,18 @@ class TestRequestTypes:
 
 class TestRetries:
     def test_retries_then_succeeds(self):
-        backend = FlakyBackend(2, Unreachable("down"), retry_cap=3)
+        backend = FlakyHttp(2, Unreachable("down"), retry_cap=3)
         assert backend.generate(GenerationRequest("p")).text == "ok"
         assert backend.attempts == 3
 
     def test_attempt_cap_is_never_exceeded(self):
-        backend = FlakyBackend(10, BackendTimeout("slow"), retry_cap=3)
+        backend = FlakyHttp(10, BackendTimeout("slow"), retry_cap=3)
         with pytest.raises(BackendTimeout):
             backend.generate(GenerationRequest("p"))
         assert backend.attempts == 3
 
     def test_malformed_response_is_not_retried(self):
-        backend = FlakyBackend(10, MalformedResponse("bad"), retry_cap=5)
+        backend = FlakyHttp(10, MalformedResponse("bad"), retry_cap=5)
         with pytest.raises(MalformedResponse):
             backend.generate(GenerationRequest("p"))
         assert backend.attempts == 1
@@ -101,14 +104,14 @@ class TestRetries:
     def test_rate_limit_honors_retry_after(self, monkeypatch):
         sleeps: list[float] = []
         monkeypatch.setattr("tabgen.backends.time.sleep", sleeps.append)
-        backend = FlakyBackend(1, RateLimited("slow down", retry_after=7.5), retry_cap=3, backoff_s=100.0)
+        backend = FlakyHttp(1, RateLimited("slow down", retry_after=7.5), retry_cap=3, backoff_s=100.0)
         assert backend.generate(GenerationRequest("p")).text == "ok"
         assert sleeps == [7.5]
 
     def test_huge_retry_after_is_capped(self, monkeypatch):
         sleeps: list[float] = []
         monkeypatch.setattr("tabgen.backends.time.sleep", sleeps.append)
-        backend = FlakyBackend(1, RateLimited("come back tomorrow", retry_after=86400), retry_cap=3)
+        backend = FlakyHttp(1, RateLimited("come back tomorrow", retry_after=86400), retry_cap=3)
         assert backend.generate(GenerationRequest("p")).text == "ok"
         assert sleeps[0] <= 60.0
         assert sleeps == [tabgen.backends.MAX_RETRY_AFTER_S]
@@ -117,12 +120,12 @@ class TestRetries:
     def test_backoff_must_be_finite_and_not_negative(self, backoff_s):
         # time.sleep rejects these, so they would fail only at the first retry.
         with pytest.raises(ValueError, match="backoff_s"):
-            FlakyBackend(1, Unreachable("down"), backoff_s=backoff_s)
+            BackendConfig(kind="http", base_url="http://flaky.invalid", backoff_s=backoff_s)
 
     def test_exponential_backoff_delays(self, monkeypatch):
         sleeps: list[float] = []
         monkeypatch.setattr("tabgen.backends.time.sleep", sleeps.append)
-        backend = FlakyBackend(2, Unreachable("down"), retry_cap=3, backoff_s=0.5)
+        backend = FlakyHttp(2, Unreachable("down"), retry_cap=3, backoff_s=0.5)
         backend.generate(GenerationRequest("p"))
         assert sleeps == [0.5, 1.0]
 
@@ -153,7 +156,7 @@ class TestBatch:
                     raise BackendTimeout("slow")
                 return GenerationResponse(text="ok")
 
-        backend = Half(retry_cap=1)
+        backend = Half()
         results = backend.generate_batch([GenerationRequest("good"), GenerationRequest("bad")])
         assert results[0].text == "ok"
         assert isinstance(results[1], BackendTimeout)
@@ -163,7 +166,7 @@ class TestBatch:
             def _generate_once(self, request):
                 raise Unreachable("down")
 
-        backend = Down(retry_cap=1)
+        backend = Down()
         with pytest.raises(Unreachable):
             backend.generate_batch([GenerationRequest("a"), GenerationRequest("b")])
 
@@ -445,7 +448,7 @@ class TestCache:
         assert cached.upstream_calls == 2
 
     def test_failed_calls_are_not_cached(self):
-        backend = FlakyBackend(1, MalformedResponse("bad"), retry_cap=1)
+        backend = FlakyHttp(1, MalformedResponse("bad"), retry_cap=1)
         cached = CachedBackend(backend)
         with pytest.raises(MalformedResponse):
             cached.generate(GenerationRequest("p"))
@@ -486,26 +489,29 @@ class TestCache:
 
 
 class TestWrapperBackend:
-    def test_stacked_wrappers_do_not_multiply_attempts(self, tmp_path):
-        inner = FlakyBackend(100, BackendTimeout("slow"), retry_cap=3)
+    def test_stacked_wrappers_do_not_multiply_attempts(self, http_server, tmp_path):
+        _Handler.behavior = "server-error"
+        inner = HttpBackend(BackendConfig(kind="http", base_url=http_server, retry_cap=3, backoff_s=0.0))
         stacked = FixtureStore(tmp_path, CachedBackend(inner))
-        with pytest.raises(BackendTimeout):
+        with pytest.raises(Unreachable):
             stacked.generate(GenerationRequest("p"))
-        assert inner.attempts == 3
+        assert len(_Handler.seen) == 3
         assert list(tmp_path.iterdir()) == []
 
     def test_inner_retries_still_apply(self, tmp_path):
-        inner = FlakyBackend(2, Unreachable("down"), retry_cap=3)
+        inner = FlakyHttp(2, Unreachable("down"), retry_cap=3)
         stacked = FixtureStore(tmp_path, CachedBackend(inner))
         assert stacked.generate(GenerationRequest("p")).text == "ok"
         assert inner.attempts == 3
 
     def test_wrappers_dispatch_like_their_inner_backend(self, tmp_path):
-        inner = ScriptedBackend(lambda p: p, concurrency=5, retry_cap=4, backoff_s=0.125)
+        config = BackendConfig(kind="http", base_url="http://flaky.invalid", concurrency=5, retry_cap=4)
+        inner = HttpBackend(config)
         cached = CachedBackend(inner)
         recording = FixtureStore(tmp_path, cached)
         for wrapper in (cached, recording):
-            assert (wrapper.concurrency, wrapper.retry_cap, wrapper.backoff_s) == (5, 4, 0.125)
+            assert wrapper.concurrency == 5
+            assert not hasattr(wrapper, "retry_cap")
         assert cached.inner is inner and recording.inner is cached
 
 
@@ -657,6 +663,19 @@ class TestHttpBackend:
         assert len(response.vectors) == 2
         assert response.vectors[0] == (1.0, 0.0)
 
+    def test_embeddings_recover_from_one_rate_limit(self, http_server):
+        _Handler.behavior = "rate-limit-once"
+        backend = HttpBackend(BackendConfig(kind="http", base_url=http_server, backoff_s=0.0))
+        assert backend.embed(["a", "b"]).vectors == ((1.0, 0.0), (1.0, 0.0))
+        assert [sent["path"] for sent in _Handler.seen] == ["/v1/embeddings"] * 2
+
+    def test_embeddings_attempts_are_capped(self, http_server):
+        _Handler.behavior = "server-error"
+        backend = HttpBackend(BackendConfig(kind="http", base_url=http_server, retry_cap=2, backoff_s=0.0))
+        with pytest.raises(Unreachable):
+            backend.embed(["a"])
+        assert len(_Handler.seen) == 2
+
 
 class _KeepAliveHandler(_Handler):
     protocol_version = "HTTP/1.1"
@@ -764,13 +783,12 @@ class TestBackendConfig:
         config = BackendConfig.from_dict({"backoff_s": 1, "model": None, "base_url": "http://x"})
         assert (config.backoff_s, config.model, config.base_url) == (1, None, "http://x")
 
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"kind": "replay", "fixture_dir": "fx", "concurrency": 2}))
-        config = BackendConfig.from_file(str(path))
-        assert config.kind == "replay"
-        assert config.fixture_dir == "fx"
-        assert config.concurrency == 2
+    @pytest.mark.parametrize("data", [{"retry_cap": 0}, {"timeout_ms": 0}, {"timeout_ms": -5}])
+    def test_out_of_range_setting_is_rejected_by_key(self, data):
+        with pytest.raises(ValueError, match=next(iter(data))):
+            BackendConfig.from_dict(data)
+        with pytest.raises(ValueError, match=next(iter(data))):
+            BackendConfig().merged(**data)
 
     def test_merged_ignores_none(self):
         config = BackendConfig(model="a").merged(model=None, base_url="http://x")

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from tabgen import cli
-from tabgen.backends import GenerationBackend
+from tabgen.backends import GenerationBackend, WrapperBackend
 from tabgen.cli import dispatch
 from tabgen.corpus import fixture_path, load_jsonl
 from tabgen.kinds import DatasetKind
@@ -200,12 +200,11 @@ class TestGenerate:
         assert code == 2
 
 
-class InFlightBackend(GenerationBackend):
+class InFlightBackend(WrapperBackend):
     """Delegates to an inner backend, holding each call briefly and recording peak overlap."""
 
     def __init__(self, inner: GenerationBackend):
-        super().__init__(concurrency=inner.concurrency, retry_cap=inner.retry_cap)
-        self.inner = inner
+        super().__init__(inner)
         self._lock = threading.Lock()
         self._now = 0
         self.peak = 0
@@ -473,6 +472,7 @@ def bad_input_files(root):
         "concurrency_x.json": {"concurrency": "x"},
         "cache_string.json": {"cache": "false"},
         "negative_backoff.json": {"backoff_s": -1},
+        "nan_backoff.json": {"backoff_s": float("nan")},
         "answer_tokens_0.json": {"answer_max_new_tokens": 0},
         "headers_tokens_0.json": {"headers_max_new_tokens": 0},
         "baseline_tokens_0.json": {"baseline_max_new_tokens": 0},
@@ -495,6 +495,7 @@ class TestBadInput:
             [*GENERATE, "--config", "concurrency_x.json"],
             [*GENERATE, "--config", "cache_string.json"],
             [*GENERATE, "--config", "negative_backoff.json"],
+            [*GENERATE, "--config", "nan_backoff.json"],
             [*GENERATE, "--config", "answer_tokens_0.json"],
             [*GENERATE, "--config", "headers_tokens_0.json"],
             ["baseline", "--kind", "e2e", "--in", E2E_EXAMPLE, "--config", "baseline_tokens_0.json"],
@@ -502,6 +503,7 @@ class TestBadInput:
             [*GENERATE, "--config", "input_tokens_negative.json"],
             [*GENERATE, "--backend", "replay", "--fixtures", "missing-dir"],
             [*GENERATE, "--backend", "http", "--base-url", "http://localhost:1", "--timeout-ms", "-5"],
+            [*REPLAY, "--timeout-ms", "-5"],
             [*GENERATE, "--jobs", "0"],
             ["generate", "--kind", "e2e", "--in", "dir"],
             ["generate", "--kind", "e2e", "--in", "latin.txt"],
@@ -525,9 +527,11 @@ class TestBadInput:
             [*UPDATE, "--oracle", E2E_EXAMPLE, "--out", "dir"],
         ],
         ids=["concurrency-0", "retry-cap-0", "config-retry-cap-0", "config-wrong-type",
-             "config-cache-string", "config-negative-backoff", "config-answer-tokens-0",
+             "config-cache-string", "config-negative-backoff", "config-nan-backoff",
+             "config-answer-tokens-0",
              "config-headers-tokens-0", "config-baseline-tokens-0", "config-input-tokens-0",
-             "config-input-tokens-negative", "replay-missing-dir", "http-negative-timeout", "jobs-0",
+             "config-input-tokens-negative", "replay-missing-dir", "http-negative-timeout",
+             "replay-negative-timeout", "jobs-0",
              "in-directory", "in-not-utf8", "in-not-gzip", "in-truncated-gzip", "stats-in-directory",
              "oracle-missing", "oracle-bad-schema", "qa-template-not-utf8", "out-directory",
              "trace-directory", "record-dir-is-a-file", "pred-directory", "pred-not-utf8",
@@ -684,6 +688,28 @@ class TestReplayRecord:
         ) == 0
         assert rerun.read_bytes() == recorded.read_bytes()
         assert {p.name: p.read_bytes() for p in fixtures.iterdir()} == before
+
+    def test_lone_surrogate_in_a_passage(self, tmp_path, capsys):
+        # A `\ud800` escape in the corpus decodes to a lone surrogate, which has no UTF-8 form.
+        sample = json.loads(Path(E2E_EXAMPLE).read_text("utf-8").splitlines()[0])
+        sample["text"] += " caf\ud800"
+        corpus = tmp_path / "surrogate.jsonl"
+        corpus.write_text(json.dumps(sample) + "\n", "utf-8")
+        run = ["--kind", "e2e", "--backend", "mock-oracle", "--in", str(corpus)]
+        plain, cached, recorded = (tmp_path / name for name in ("plain", "cached", "recorded"))
+
+        assert dispatch(["generate", *run, "--out", str(plain)]) == 0
+        assert dispatch(["generate", *run, "--out", str(cached), "--cache"]) == 0
+        assert cached.read_bytes() == plain.read_bytes()
+
+        fixtures = tmp_path / "fixtures"
+        code = dispatch(["replay-record", *run, "--out", str(recorded), "--record-dir", str(fixtures)])
+        assert code == 1
+        assert capsys.readouterr().err == "1/1 samples failed\n"
+        [record] = read_jsonl(recorded)
+        assert record["error"]["type"] == "MalformedResponse"
+        assert "request cannot be recorded" in record["error"]["message"]
+        assert list(fixtures.iterdir()) == []
 
     def test_replay_missing_fixture_reports_partial_failure(self, tmp_path, capsys):
         fixtures = tmp_path / "fixtures"

@@ -13,11 +13,9 @@ from tabgen.corpus import (
     fixture_path,
     list_fixtures,
     load_jsonl,
-    sample_to_json,
-    write_jsonl,
 )
 from tabgen.kinds import DatasetKind
-from tabgen.table import Table
+from tabgen.table import Table, table_to_json
 
 from .conftest import ALL_KINDS, load_example, load_mini
 
@@ -30,6 +28,16 @@ VALID_LINE = {
 
 def write_lines(path, lines):
     path.write_text("".join(json.dumps(line) + "\n" for line in lines), "utf-8")
+
+
+def sample_to_json(sample: Sample) -> dict:
+    return {"id": sample.id, "text": sample.text, "table": table_to_json(sample.gold)}
+
+
+def write_jsonl(records, path) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 class TestLoadJsonl:

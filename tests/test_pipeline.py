@@ -136,7 +136,7 @@ class TestGenerateContent:
                     raise Unreachable("down")
                 return super()._generate_once(request)
 
-        backend = OneBad(lambda p: "7", retry_cap=1)
+        backend = OneBad(lambda p: "7")
         skeleton = TableSkeleton(Orientation.MATRIX, ("Suns",), ("Wins", "Losses"))
         table, trace = generate_content(skeleton, "passage", DatasetKind.ROTOWIRE_TEAM, backend)
         assert validate(table).valid
