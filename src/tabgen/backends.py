@@ -225,10 +225,112 @@ class EmbeddingBackend(ABC):
         ...
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _multiplier_run(init: int, mult: int, count: int) -> list[int]:
+    run = [init]
+    for _ in range(count):
+        run.append(run[-1] * mult & _M32)
+    return run
+
+
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx): the multipliers its
+# `hashmix` steps through, 4 + 12 calls while mixing the entropy pool and 8
+# while generating PCG64's four 64-bit state words, and the `mix` constants.
+_HASH_A = _multiplier_run(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _multiplier_run(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seeded_unit_vectors(seeds: Sequence[int], dim: int):
+    """Rows `r / |r|` for `r = np.random.default_rng(seed).random(dim) + 1e-9`, one per seed.
+
+    The same float64 bits as one generator per seed, for every seed in one
+    pass: SeedSequence's hashing in uint32 lanes, then PCG64's LCG jumped
+    straight to each of the `dim` draws (state_j = M^(j+1)·p + C_(j+1)·inc,
+    with C_k = 1 + M + ... + M^(k-1)), its XSL-RR output and `random`'s
+    `(x >> 11) * 2**-53`. Each row's norm is the inner product a batched
+    matmul takes, as `np.linalg.norm` of one row does.
+    """
+    import numpy as np
+
+    u32, u64 = np.uint32, np.uint64
+    seeds = np.asarray(seeds, dtype=u64)
+    n = len(seeds)
+
+    hash_a = np.array(_HASH_A, dtype=u32)[:, None]
+    calls = 0
+
+    def hashmix(values, k):
+        """`k` consecutive hashmix calls, one per row of the result."""
+        nonlocal calls
+        values = (values ^ hash_a[calls : calls + k]) * hash_a[calls + 1 : calls + k + 1]
+        calls += k
+        return values ^ (values >> u32(16))
+
+    # A seed below 2**32 is one entropy word, and SeedSequence pads a short
+    # pool with hashmix(0): the same as a zero high word.
+    zero = np.zeros(n, dtype=u32)
+    pool = hashmix(np.stack([(seeds & u64(_M32)).astype(u32), (seeds >> u64(32)).astype(u32), zero, zero]), 4)
+    for src in range(4):
+        # Row `src` is not written while it is mixed into the other three.
+        dst = [d for d in range(4) if d != src]
+        mixed = u32(_MIX_L) * pool[dst] - u32(_MIX_R) * hashmix(pool[src], 3)
+        pool[dst] = mixed ^ (mixed >> u32(16))
+    hash_b = np.array(_HASH_B, dtype=u32)[:, None]
+    words = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ hash_b[:-1]) * hash_b[1:]
+    words = (words ^ (words >> u32(16))).astype(u64)
+    init_hi, init_lo, seq_hi, seq_lo = words[0::2] | (words[1::2] << u64(32))
+
+    # PCG64 seeding: inc = seq << 1 | 1, p = inc + init; each draw steps first.
+    inc_hi = (seq_hi << u64(1)) | (seq_lo >> u64(63))
+    inc_lo = (seq_lo << u64(1)) | u64(1)
+    p_lo = inc_lo + init_lo
+    p_hi = inc_hi + init_hi + (p_lo < init_lo)
+    powers, sums = [], []
+    power, total = _PCG_MULT, 1
+    for _ in range(dim):
+        power, total = power * _PCG_MULT & _M128, (total * _PCG_MULT + 1) & _M128
+        powers.append(power)
+        sums.append(total)
+
+    def times(hi, lo, factors):
+        """(hi, lo) times each factor mod 2**128: a row per seed, a column per factor."""
+        f_hi = np.array([f >> 64 for f in factors], dtype=u64)
+        f_lo = np.array([f & _M64 for f in factors], dtype=u64)
+        f0, f1 = f_lo & u64(_M32), f_lo >> u64(32)
+        x0, x1 = (lo & u64(_M32))[:, None], (lo >> u64(32))[:, None]
+        hi, lo = hi[:, None], lo[:, None]
+        cross0, cross1 = x0 * f1, x1 * f0
+        mid = ((x0 * f0) >> u64(32)) + (cross0 & u64(_M32)) + (cross1 & u64(_M32))
+        high = x1 * f1 + (cross0 >> u64(32)) + (cross1 >> u64(32)) + (mid >> u64(32))
+        return high + hi * f_lo + lo * f_hi, lo * f_lo
+
+    a_hi, a_lo = times(p_hi, p_lo, powers)
+    g_hi, g_lo = times(inc_hi, inc_lo, sums)
+    lo = a_lo + g_lo
+    hi = a_hi + g_hi + (lo < a_lo)
+    # XSL-RR: hi ^ lo rotated right by the state's top six bits.
+    rot = hi >> u64(58)
+    xored = hi ^ lo
+    bits = (xored >> rot) | (xored << ((u64(64) - rot) & u64(63)))
+    raw = (bits >> u64(11)).astype(np.float64) * 2.0**-53 + 1e-9
+    return raw / np.sqrt(raw[:, None, :] @ raw[:, :, None])[:, 0]
+
+
 class MockEmbedder(EmbeddingBackend):
     """Hash-seeded unit vectors: identical inputs embed identically, forever.
 
-    Components are non-negative so cosine similarities stay in [0, 1].
+    A text's vector is the first `dim` draws of NumPy's PCG64 stream, as
+    `np.random.default_rng(seed).random(dim)` gives them, each plus 1e-9,
+    scaled to unit length, where `seed` is the first 8 bytes (big-endian)
+    of the SHA-256 of the text's UTF-8 (lone surrogates pass through).
+    `_seeded_unit_vectors` computes a whole request in one pass, so the
+    definition does not rest on NumPy keeping `Generator` streams stable.
+    Components are positive so cosine similarities stay in [0, 1].
     """
 
     def __init__(self, dim: int = 32):
@@ -236,18 +338,15 @@ class MockEmbedder(EmbeddingBackend):
             raise ValueError("dim must be >= 1")
         self.dim = dim
 
-    def _vector(self, text: str) -> tuple[float, ...]:
-        import numpy as np
-
-        seed = int.from_bytes(hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()[:8], "big")
-        rng = np.random.default_rng(seed)
-        raw = rng.random(self.dim) + 1e-9
-        return tuple((raw / np.linalg.norm(raw)).tolist())
-
     def embed(self, texts: Sequence[str], mode: str = "text") -> EmbeddingResponse:
         if not texts:
             raise ValueError("embed requires a non-empty input list")
-        return EmbeddingResponse(vectors=tuple(self._vector(t) for t in texts), mode=mode)
+        seeds = [
+            int.from_bytes(hashlib.sha256(t.encode("utf-8", "surrogatepass")).digest()[:8], "big")
+            for t in texts
+        ]
+        vectors = _seeded_unit_vectors(seeds, self.dim).tolist()
+        return EmbeddingResponse(vectors=tuple(map(tuple, vectors)), mode=mode)
 
 
 def _retry_after_seconds(value: str | None) -> float | None:

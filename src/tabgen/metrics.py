@@ -7,7 +7,7 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 # numpy is imported inside `_TokenTable`, its only user, so that importing
@@ -77,49 +77,49 @@ def _clamp01(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-class _TokenTable:
-    """Unit-normalised vectors of the tokens one scoring call has seen, a row per distinct token.
+# The most tokens one embedding request carries: the input cap of common
+# hosted embedding APIs (a published figure, not checked against a live
+# endpoint). It also bounds the size of `MockEmbedder`'s temporaries.
+_EMBED_CAP = 2048
 
-    `add` sends the tokens it has not seen yet to the embedder in one
-    `mode="token"` request, so each distinct token is embedded once per
-    call. `split` holds the tokens of each cell text the call has met. The
-    table lives for one call only: nothing is remembered across calls.
+
+class _TokenTable:
+    """Unit-normalised vectors of the tokens one scoring call scores, a row per distinct token.
+
+    Built once per call from every token the call scores: each distinct
+    token is embedded once, in `mode="token"` requests of at most
+    `_EMBED_CAP` tokens, so a call sends ceil(distinct tokens / cap)
+    requests. Nothing is remembered across calls.
     """
 
-    def __init__(self, embedder: EmbeddingBackend):
+    def __init__(self, embedder: EmbeddingBackend, tokens: Iterable[str]):
         import numpy as np
 
-        self._embedder = embedder
-        self.split = _SplitMemo()
-        self._rows: dict[str, int] = {}
+        distinct = list(dict.fromkeys(tokens))
+        self._rows = dict(zip(distinct, range(len(distinct))))
         self._unit = np.empty((0, 0))
-
-    def add(self, *sides: Iterable[str]) -> None:
-        import numpy as np
-
-        new = [t for t in dict.fromkeys(chain.from_iterable(sides)) if t not in self._rows]
-        if not new:
-            return
-        vectors = np.array(self._embedder.embed(new, mode="token").vectors, dtype=float)
-        if len(vectors) != len(new):
-            raise MalformedResponse(f"embedder returned {len(vectors)} vectors for {len(new)} tokens")
-        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-        # A zero or non-finite norm has no unit vector; NaN fails both tests.
-        bad = ~((norms > 0) & (norms < np.inf))
-        if bad.any():
-            token = new[int(bad.argmax())]
-            raise MalformedResponse(f"embedder returned a zero-norm or non-finite vector for {token!r}")
-        size = len(self._rows)
-        if size + len(new) > len(self._unit):
-            grown = np.empty((2 * (size + len(new)), vectors.shape[1]))
-            if size:
-                grown[:size] = self._unit[:size]
-            self._unit = grown
-        self._unit[size : size + len(new)] = vectors / norms
-        self._rows.update(zip(new, range(size, size + len(new))))
+        for start in range(0, len(distinct), _EMBED_CAP):
+            chunk = distinct[start : start + _EMBED_CAP]
+            vectors = np.array(embedder.embed(chunk, mode="token").vectors, dtype=float)
+            if len(vectors) != len(chunk):
+                raise MalformedResponse(f"embedder returned {len(vectors)} vectors for {len(chunk)} tokens")
+            if not start:
+                self._unit = np.empty((len(distinct), vectors.shape[1]))
+            elif vectors.shape[1] != self._unit.shape[1]:
+                raise MalformedResponse(
+                    f"embedder returned {vectors.shape[1]}-dimensional vectors"
+                    f" after {self._unit.shape[1]}-dimensional ones in the same call"
+                )
+            norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+            # A zero or non-finite norm has no unit vector; NaN fails both tests.
+            bad = ~((norms > 0) & (norms < np.inf))
+            if bad.any():
+                token = chunk[int(bad.argmax())]
+                raise MalformedResponse(f"embedder returned a zero-norm or non-finite vector for {token!r}")
+            self._unit[start : start + len(chunk)] = vectors / norms
 
     def score(self, candidate: Counter[str], reference: Counter[str]) -> PRF:
-        """Greedy max-cosine matching of two token multisets already added.
+        """Greedy max-cosine matching of two token multisets already embedded.
 
         Each side is reduced to its distinct tokens weighted by their
         counts: precision is the count-weighted best similarity of the
@@ -145,7 +145,7 @@ def _pair_score(table: _TokenTable, candidate: Sequence[str], reference: Sequenc
     """One pair's score; two sides with the same distinct tokens score one with no matrix.
 
     Each token's best match is then itself at cosine 1, and no cosine of
-    unit vectors is above 1 (`_TokenTable.add` has rejected any vector
+    unit vectors is above 1 (`_TokenTable` has rejected any vector
     without a unit direction).
     """
     if not (candidate and reference):
@@ -157,13 +157,14 @@ def _pair_score(table: _TokenTable, candidate: Sequence[str], reference: Sequenc
 
 
 def _semantic_scores(
-    table: _TokenTable, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]
+    embedder: EmbeddingBackend, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]
 ) -> list[PRF]:
-    """Score (candidate, reference) token lists, embedding their new tokens in one request.
+    """Score (candidate, reference) token lists, embedding each distinct token once.
 
     Either side empty scores zero, and its tokens are not embedded.
     """
-    table.add(*chain.from_iterable(pair for pair in pairs if all(pair)))
+    scored = chain.from_iterable(pair for pair in pairs if all(pair))
+    table = _TokenTable(embedder, chain.from_iterable(scored))
     return [_pair_score(table, cand, ref) for cand, ref in pairs]
 
 
@@ -178,7 +179,7 @@ def semantic_score(
     candidate token; precision is the mirror image. Either side empty
     scores zero.
     """
-    [score] = _semantic_scores(_TokenTable(embedder), [(candidate_tokens, reference_tokens)])
+    [score] = _semantic_scores(embedder, [(candidate_tokens, reference_tokens)])
     return score
 
 
@@ -251,17 +252,17 @@ def evaluate_sample(
     (row header, column header, value) tuple. Each distinct string is
     normalized once per call.
     """
-    tokens = _TokenTable(embedder) if embedder is not None else None
-    return _evaluate_sample(pred, gold, sample_id, tokens, _NormalizeMemo())
+    [sample] = _evaluate_samples([(pred, gold)], [sample_id], embedder)
+    return sample
 
 
-def _evaluate_sample(
-    pred: Table,
-    gold: Table,
-    sample_id: str,
-    tokens: _TokenTable | None,
-    memo: _NormalizeMemo,
-) -> SampleEval:
+def _exact_scores(
+    pred: Table, gold: Table, memo: _NormalizeMemo, split: _SplitMemo | None
+) -> tuple[tuple[PRF, PRF, PRF | None, PRF | None], list[tuple[list[str], list[str]]]]:
+    """(header, cell, row header, col header) scores, and the header and cell token pairs.
+
+    The token pairs, for semantic scoring, are built only when `split` is given.
+    """
     pred_all, pred_rows, pred_cols = _header_sets(pred, memo)
     gold_all, gold_rows, gold_cols = _header_sets(gold, memo)
 
@@ -276,29 +277,51 @@ def _evaluate_sample(
 
     pred_cells = _cell_tuples(pred, memo)
     gold_cells = _cell_tuples(gold, memo)
-    cell_prf = exact_f1(pred_cells, gold_cells)
+    scores = (header_prf, exact_f1(pred_cells, gold_cells), row_prf, col_prf)
+    if split is None:
+        return scores, []
+    return scores, [
+        (_header_tokens(pred_all), _header_tokens(gold_all)),
+        (_cell_tokens(pred_cells, split), _cell_tokens(gold_cells, split)),
+    ]
 
-    semantic_header = None
-    semantic_cell = None
-    if tokens is not None:
-        semantic_header, semantic_cell = _semantic_scores(
-            tokens,
-            [
-                (_header_tokens(pred_all), _header_tokens(gold_all)),
-                (_cell_tokens(pred_cells, tokens.split), _cell_tokens(gold_cells, tokens.split)),
-            ],
-        )
 
-    return SampleEval(
-        sample_id=sample_id,
-        errored=False,
-        header=header_prf,
-        cell=cell_prf,
-        row_header=row_prf,
-        col_header=col_prf,
-        semantic_header=semantic_header,
-        semantic_cell=semantic_cell,
-    )
+def _evaluate_samples(
+    pairs: Sequence[tuple[Table | None, Table]],
+    ids: Sequence[str],
+    embedder: EmbeddingBackend | None,
+) -> list[SampleEval]:
+    """Every sample's scores: exact scoring first, then one semantic pass over all samples.
+
+    The semantic pass embeds each distinct token the call scores once (see
+    `_TokenTable`). A None prediction is an errored sample scoring zero.
+    """
+    memo = _NormalizeMemo()
+    split = None if embedder is None else _SplitMemo()
+    exact = []
+    token_pairs: list[tuple[list[str], list[str]]] = []
+    for pred, gold in pairs:
+        if pred is None:
+            exact.append(None)
+        else:
+            scores, tokens = _exact_scores(pred, gold, memo, split)
+            exact.append(scores)
+            token_pairs.extend(tokens)
+    semantic = iter(_semantic_scores(embedder, token_pairs)) if embedder is not None else repeat(None)
+
+    samples = []
+    for sample_id, (_, gold), scores in zip(ids, pairs, exact):
+        if scores is None:
+            samples.append(
+                _errored_sample(
+                    sample_id,
+                    semantic=embedder is not None,
+                    matrix=gold.orientation is Orientation.MATRIX,
+                )
+            )
+        else:
+            samples.append(SampleEval(sample_id, False, *scores, next(semantic), next(semantic)))
+    return samples
 
 
 def _errored_sample(sample_id: str, semantic: bool, matrix: bool) -> SampleEval:
@@ -413,7 +436,10 @@ def evaluate_corpus(
     versus gold-header seeding) so ablation reports stay labeled. Each
     distinct header and value text in the call is normalized once, through
     one memo shared by every sample of the call; nothing is kept across
-    calls.
+    calls. With an `embedder`, semantic scoring follows every sample's
+    exact scoring and embeds each distinct token the call scores once: one
+    `mode="token"` request per call, split into requests of at most 2048
+    tokens.
     """
     if not pairs:
         raise ValueError("evaluate_corpus requires at least one (pred, gold) pair")
@@ -424,20 +450,7 @@ def evaluate_corpus(
     if len(ids) != len(pairs):
         raise ValueError(f"got {len(ids)} ids for {len(pairs)} sample pairs")
 
-    tokens = _TokenTable(embedder) if embedder is not None else None
-    memo = _NormalizeMemo()
-    samples = []
-    for sample_id, (pred, gold) in zip(ids, pairs):
-        if pred is None:
-            samples.append(
-                _errored_sample(
-                    sample_id,
-                    semantic=embedder is not None,
-                    matrix=gold.orientation is Orientation.MATRIX,
-                )
-            )
-        else:
-            samples.append(_evaluate_sample(pred, gold, sample_id, tokens, memo))
+    samples = _evaluate_samples(pairs, ids, embedder)
 
     def mean_optional(extract) -> PRF | None:
         values = [extract(s) for s in samples]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from dataclasses import dataclass
@@ -84,6 +85,21 @@ class DelayedBackend(WrapperBackend):
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
         time.sleep(self.latency_fn(request))
         return self.inner.generate(request)
+
+
+def reference_seeded_vector(seed: int, dim: int) -> tuple[float, ...]:
+    """A seed's unit vector from its own NumPy generator: `MockEmbedder`'s first derivation."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    raw = rng.random(dim) + 1e-9
+    return tuple((raw / np.linalg.norm(raw)).tolist())
+
+
+def reference_mock_vector(text: str, dim: int) -> tuple[float, ...]:
+    """`MockEmbedder`'s vector for one text, one generator per token, kept as the reference."""
+    seed = int.from_bytes(hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()[:8], "big")
+    return reference_seeded_vector(seed, dim)
 
 
 @dataclass(frozen=True)

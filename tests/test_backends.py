@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import threading
@@ -28,6 +29,7 @@ from tabgen.backends import (
     Unreachable,
     WrapperBackend,
     _retry_after_seconds,
+    _seeded_unit_vectors,
 )
 from tabgen.kinds import DatasetKind
 from tabgen.pipeline import generate_content, generate_table, skeleton_from_table
@@ -41,7 +43,14 @@ from tabgen.prompts import (
 )
 from tabgen.table import Orientation, serialize_flat, table_to_json
 
-from .conftest import CountingBackend, DelayedBackend, ScriptedBackend, load_example
+from .conftest import (
+    CountingBackend,
+    DelayedBackend,
+    ScriptedBackend,
+    load_example,
+    reference_mock_vector,
+    reference_seeded_vector,
+)
 
 
 class FlakyHttp(HttpBackend):
@@ -536,6 +545,34 @@ class TestMockEmbedder:
         vectors = np.array(MockEmbedder(dim=16).embed(["a", "b", "c"]).vectors)
         assert np.allclose(np.linalg.norm(vectors, axis=1), 1.0)
         assert (vectors >= 0).all()
+
+    # Odd texts (empty, a lone surrogate, non-ASCII, 1,000 characters) and 5,000 words.
+    TEXTS = ["", "caf\ud800", "café", "Ünïcödé 表 ✓", "x" * 1000] + [
+        "".join(random.Random(i).choices("abcdefghij0123456789 .-é", k=1 + i % 12)) + str(i)
+        for i in range(5000)
+    ]
+
+    @pytest.mark.parametrize("dim", [1, 8, 32, 33])
+    def test_vectors_equal_one_generator_per_token(self, dim):
+        vectors = MockEmbedder(dim=dim).embed(self.TEXTS, mode="token").vectors
+        assert vectors == tuple(reference_mock_vector(t, dim) for t in self.TEXTS)
+
+    @pytest.mark.parametrize("dim", [1, 8, 32, 33])
+    def test_kernel_equals_one_generator_per_seed(self, dim):
+        # A zero high word changes SeedSequence's entropy length; hashed seeds
+        # almost never have one.
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        seeds += [random.Random(dim).getrandbits(bits) for bits in (16, 32, 33, 64) * 50]
+        vectors = _seeded_unit_vectors(seeds, dim)
+        assert vectors.dtype == np.float64 and vectors.shape == (len(seeds), dim)
+        assert vectors.tolist() == [list(reference_seeded_vector(s, dim)) for s in seeds]
+
+    def test_vectors_are_pinned(self):
+        # NumPy does not promise stable Generator streams across releases;
+        # these bytes pin the definition that MockEmbedder computes itself.
+        vectors = MockEmbedder().embed(["pts", "reb", "", "café"]).vectors
+        digest = hashlib.sha256(np.array(vectors, dtype="<f8").tobytes()).hexdigest()
+        assert digest == "5aa8eef670ad1733294d0fc801e11b05bcdae6c78e5f90c57f3bd943eb4e979f"
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tabgen.metrics
 from tabgen.backends import (
     BackendError,
     EmbeddingBackend,
@@ -362,9 +364,34 @@ class TestTokensEmbeddedOnce:
         evaluate_corpus(self.PAIRS, embedder=embedder)
         assert sorted(embedder.embedded) == sorted(self.scored_tokens())
         assert all(mode == "token" for _, mode in embedder.requests)
-        # One request per sample that brings new tokens: the first and the last.
-        assert len(embedder.requests) == 2
-        assert "aromi" in embedder.requests[1][0]
+        # One request for the whole call, sent after every sample's exact scoring.
+        assert len(embedder.requests) == 1
+
+    @pytest.mark.parametrize("cap", [1, 4, 7])
+    def test_requests_are_split_at_the_cap(self, cap, monkeypatch):
+        uncapped = evaluate_corpus(self.PAIRS, embedder=MockEmbedder())
+        monkeypatch.setattr(tabgen.metrics, "_EMBED_CAP", cap)
+        embedder = CountingEmbedder()
+        report = evaluate_corpus(self.PAIRS, embedder=embedder)
+        scored = self.scored_tokens()
+        assert len(scored) > cap
+        assert len(embedder.requests) == math.ceil(len(scored) / cap)
+        assert all(len(texts) <= cap for texts, _ in embedder.requests)
+        assert sorted(embedder.embedded) == sorted(scored)
+        assert report == uncapped
+
+    def test_a_dimension_change_between_requests_is_rejected(self, monkeypatch):
+        class Shrinking(EmbeddingBackend):
+            def __init__(self):
+                self.dims = iter([32, 16])
+
+            def embed(self, texts, mode="text"):
+                return MockEmbedder(dim=next(self.dims)).embed(texts, mode=mode)
+
+        monkeypatch.setattr(tabgen.metrics, "_EMBED_CAP", 1, raising=False)
+        pairs = [(self.PRED_A, self.GOLD_A), (self.GOLD_B, self.GOLD_B)]
+        with pytest.raises(MalformedResponse, match="16-dimensional vectors after 32-dimensional"):
+            evaluate_corpus(pairs, embedder=Shrinking())
 
     def test_a_second_call_embeds_again(self):
         embedder = CountingEmbedder()
