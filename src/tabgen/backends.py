@@ -2,9 +2,12 @@
 
 Four generation backends share one contract: a remote HTTP completion
 service, a gold-table oracle for offline testing, a fixture store that
-replays and records for deterministic CI, and a caching wrapper. Batch
-dispatch fans out up to a configured concurrency limit and realigns
-responses by index, so callers never observe completion order.
+replays and records for deterministic CI, and a caching wrapper. Each
+backend dispatches batches for its whole life with one in-flight cap
+and one set of helper threads (see `GenerationBackend`); a backend whose
+calls never wait (the oracle, a replay-only store) answers inline.
+Responses are realigned by index, so callers never observe completion
+order.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 import os
 import threading
 import time
+import weakref
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -168,20 +172,39 @@ MAX_RETRY_AFTER_S = 60.0
 
 
 class GenerationBackend(ABC):
-    """Base generation provider: the concurrent batch contract."""
+    """Base generation provider: the concurrent batch contract.
+
+    A backend whose calls wait (`waits`, a class attribute) holds one of
+    its `concurrency` slots for each call, so every sample, stage and
+    thread that shares the backend shares one in-flight cap. A batch is
+    worked by the calling thread beside at most `concurrency - 1` helper
+    threads, which the backend starts when it first needs them and
+    releases when it is collected. A backend whose calls never wait
+    answers every batch on the calling thread.
+    """
+
+    # Whether a call waits on something outside the process (a service, a
+    # delay), so that running calls side by side saves time.
+    waits = True
 
     def __init__(self, *, concurrency: int = 8):
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         self.concurrency = concurrency
+        self._slots = threading.Semaphore(concurrency)
+        self._helpers: ThreadPoolExecutor | None = None
+        self._helpers_lock = threading.Lock()
 
     @abstractmethod
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
         ...
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
-        """Answer one request."""
-        return self._generate_once(request)
+        """Answer one request, in one of the backend's slots if its calls wait."""
+        if not self.waits:
+            return self._generate_once(request)
+        with self._slots:
+            return self._generate_once(request)
 
     def generate_batch(
         self, requests_: Sequence[GenerationRequest]
@@ -200,15 +223,49 @@ class GenerationBackend(ABC):
             except BackendError as err:
                 return err
 
-        if self.concurrency == 1 or len(requests_) == 1:
-            results = [call(r) for r in requests_]
+        helpers = min(self.concurrency, len(requests_)) - 1 if self.waits else 0
+        if helpers:
+            results = self._dispatch(call, requests_, helpers)
         else:
-            workers = min(self.concurrency, len(requests_))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(call, requests_))
+            results = [call(r) for r in requests_]
 
         if all(isinstance(r, Unreachable) for r in results):
             raise Unreachable(f"all {len(results)} batched requests failed as unreachable")
+        return results
+
+    def _dispatch(self, call, requests_: Sequence[GenerationRequest], helpers: int) -> list:
+        """`call` on every request, by this thread and up to `helpers` helper threads.
+
+        A helper that gets to the batch after it is answered finds nothing
+        left to take. An error a call raises is raised here.
+        """
+        results: list = [None] * len(requests_)
+        order = iter(range(len(requests_)))
+        lock = threading.Lock()
+
+        def work() -> None:
+            while True:
+                with lock:
+                    i = next(order, None)
+                if i is None:
+                    return
+                results[i] = call(requests_[i])
+
+        with self._helpers_lock:
+            if self._helpers is None:
+                self._helpers = ThreadPoolExecutor(self.concurrency - 1, "tabgen-dispatch")
+                weakref.finalize(self, self._helpers.shutdown, wait=False)
+        started = [self._helpers.submit(work) for _ in range(helpers)]
+        try:
+            work()
+        finally:
+            with lock:
+                for _ in order:  # after an error on this thread, helpers take nothing more
+                    pass
+        # A helper still queued is cancelled; every other one is waited for.
+        errors = [error for future in started if not future.cancel() and (error := future.exception())]
+        if errors:
+            raise errors[0]
         return results
 
 
@@ -398,7 +455,7 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
                 raise ValueError(
                     f"auth environment variable {config.auth_env} is not set"
                 )
-        # One connection pool per backend, as large as the batch fan-out, so
+        # One connection pool per backend, as large as its in-flight cap, so
         # calls reuse connections instead of opening one each.
         self._session = requests.Session()
         adapter = HTTPAdapter(pool_maxsize=config.concurrency)
@@ -527,7 +584,11 @@ class MockOracleBackend(GenerationBackend):
     `MalformedResponse`. A lone registered sample answers any passage.
 
     A cell's answer is looked up by the exact text of the question slot.
+    Its calls do not wait, so it answers every batch on the calling
+    thread whatever `concurrency` is.
     """
+
+    waits = False
 
     def __init__(
         self,
@@ -655,11 +716,18 @@ class MockOracleBackend(GenerationBackend):
 
 
 class WrapperBackend(GenerationBackend):
-    """A backend that adds behaviour around `inner` and dispatches with its concurrency."""
+    """A backend that adds behaviour around `inner` and dispatches as `inner` does.
+
+    It takes `inner`'s concurrency and whether its calls wait.
+    """
 
     def __init__(self, inner: GenerationBackend):
         super().__init__(concurrency=inner.concurrency)
         self.inner = inner
+
+    @property
+    def waits(self) -> bool:
+        return self.inner.waits
 
 
 class FixtureStore(WrapperBackend):
@@ -669,8 +737,9 @@ class FixtureStore(WrapperBackend):
     reaches `inner`, so a recording run stopped halfway and run again on
     the same directory sends upstream only the calls it has not recorded.
     Without `inner` the store only replays: the directory must exist, a
-    miss raises `MalformedResponse`, and `concurrency` sets how it
-    dispatches; with `inner` it dispatches like `inner`.
+    miss raises `MalformedResponse`, and its calls do not wait, so it
+    answers every batch on the calling thread whatever `concurrency` is;
+    with `inner` it dispatches like `inner`.
     """
 
     def __init__(
@@ -685,6 +754,10 @@ class FixtureStore(WrapperBackend):
         else:
             super().__init__(inner)
             self.fixture_dir.mkdir(parents=True, exist_ok=True)
+
+    @property
+    def waits(self) -> bool:
+        return self.inner is not None and self.inner.waits
 
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
         path = self.fixture_dir / f"{request.digest()}.json"
@@ -738,6 +811,14 @@ class CachedBackend(WrapperBackend):
         self._lock = threading.Lock()
         self._futures: dict[str, Future] = {}
         self.upstream_calls = 0
+
+    def generate(self, request: GenerationRequest) -> GenerationResponse:
+        """Answer one request in no slot of the cache's own.
+
+        Only the upstream call needs a slot, and `inner` holds one for it;
+        a call that waits for another caller's identical request holds none.
+        """
+        return self._generate_once(request)
 
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
         key = request.digest()

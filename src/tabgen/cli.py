@@ -69,13 +69,17 @@ def _load_corpus(path: str, kind: DatasetKind, label: str) -> list[Sample]:
         raise ConfigError(f"{label} {path}: {err}") from err
 
 
-def _write(text: str, out: str | None) -> None:
-    """A command's output, to `out` or else to stdout; an unwritable `out` is a config error."""
+def _write(text: str, out: str | None, mode: str = "w") -> None:
+    """A command's output, to `out` or else to stdout; an unwritable `out` is a config error.
+
+    Mode "a" with no text checks `out` and leaves what it holds.
+    """
     if not out:
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text, "utf-8")
+        with open(out, mode, encoding="utf-8") as stream:
+            stream.write(text)
     except OSError as err:
         raise ConfigError(f"cannot write {out}: {err}") from err
 
@@ -159,7 +163,9 @@ def _run_corpus(
 
     `run_sample(backend, sample)` gives a sample's record and trace (or
     None); a sample it raises on gets an error record and counts as failed
-    (exit code 1). Records and traces keep input order.
+    (exit code 1). Records and traces keep input order; they are written
+    once every sample has run, but `--out` and `--trace` are checked
+    before the first backend call.
     """
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
@@ -167,6 +173,9 @@ def _run_corpus(
     if not samples:
         raise ConfigError(f"corpus file {args.infile} holds no samples")
     backend = _build_backend(args, config, samples, *templates)
+    trace_out = getattr(args, "trace", None)
+    for out in (args.out, trace_out):
+        _write("", out, "a")
 
     def run(sample: Sample) -> tuple[dict, dict | None, bool]:
         try:
@@ -182,8 +191,8 @@ def _run_corpus(
         results = [run(s) for s in samples]
 
     _write(_jsonl([record for record, _, _ in results]), args.out)
-    if getattr(args, "trace", None):
-        _write(_jsonl([trace for _, trace, _ in results if trace is not None]), args.trace)
+    if trace_out:
+        _write(_jsonl([trace for _, trace, _ in results if trace is not None]), trace_out)
     failed = sum(1 for _, _, bad in results if bad)
     if failed:
         print(f"{failed}/{len(samples)} samples failed", file=sys.stderr)

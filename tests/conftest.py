@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -76,15 +77,39 @@ class CountingBackend(WrapperBackend):
 
 
 class DelayedBackend(WrapperBackend):
-    """Delegates to an inner backend after sleeping `latency_fn(request)` seconds."""
+    """Delegates to an inner backend after sleeping `latency_fn(request)` seconds.
+
+    Its calls wait, whatever `inner` does, so its batches run on helper
+    threads. It records the most calls in flight at once, the most live
+    threads any call saw, the threads that made calls, and the calls per
+    request digest.
+    """
+
+    waits = True
 
     def __init__(self, inner: GenerationBackend, latency_fn: Callable[[GenerationRequest], float]):
         super().__init__(inner)
         self.latency_fn = latency_fn
+        self._lock = threading.Lock()
+        self._in_flight = 0
+        self.peak_in_flight = 0
+        self.peak_threads = 0
+        self.threads: set[int] = set()
+        self.calls: Counter[str] = Counter()
 
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
-        time.sleep(self.latency_fn(request))
-        return self.inner.generate(request)
+        with self._lock:
+            self._in_flight += 1
+            self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
+            self.peak_threads = max(self.peak_threads, threading.active_count())
+            self.threads.add(threading.get_ident())
+            self.calls[request.digest()] += 1
+        try:
+            time.sleep(self.latency_fn(request))
+            return self.inner.generate(request)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
 
 
 def reference_seeded_vector(seed: int, dim: int) -> tuple[float, ...]:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
+import sys
 import threading
+import time
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
@@ -190,6 +193,87 @@ class TestBatch:
         replay = DelayedBackend(FixtureStore(tmp_path), lambda _: rng.random() * 0.01)
         results = replay.generate_batch(requests)
         assert [r.text for r in results] == [f"v:q{i}" for i in range(8)]
+        assert len(replay.threads) > 1
+
+
+class TestDispatcher:
+    def test_backends_that_never_wait_answer_inline(self, tmp_path, wikibio_sample):
+        oracle = MockOracleBackend([(wikibio_sample.text, wikibio_sample.gold)], concurrency=8)
+        reference = generate_table(wikibio_sample.text, DatasetKind.WIKIBIO, FixtureStore(tmp_path, oracle))
+        replay = FixtureStore(tmp_path, concurrency=8)
+        for backend in (oracle, replay, CachedBackend(replay)):
+            assert not backend.waits
+            callers = set()
+
+            def generate(request, inner=backend.generate):
+                callers.add(threading.get_ident())
+                return inner(request)
+
+            backend.generate = generate
+            before = set(threading.enumerate())
+            assert generate_table(wikibio_sample.text, DatasetKind.WIKIBIO, backend) == reference
+            assert callers == {threading.get_ident()}
+            assert set(threading.enumerate()) <= before
+
+    def test_the_caller_works_its_batch_beside_reused_helpers(self):
+        start = threading.active_count()
+        backend = DelayedBackend(ScriptedBackend(lambda p: f"v:{p}", concurrency=4), lambda _: 0.005)
+        for batch in range(3):
+            results = backend.generate_batch([GenerationRequest(f"{batch}:{i}") for i in range(12)])
+            assert [r.text for r in results] == [f"v:{batch}:{i}" for i in range(12)]
+        assert threading.get_ident() in backend.threads
+        assert 1 < len(backend.threads) <= 4
+        assert backend.peak_in_flight <= 4
+        assert backend.peak_threads <= start + 3
+
+    def test_helpers_are_released_when_the_backend_is_collected(self):
+        before = set(threading.enumerate())
+        backend = DelayedBackend(ScriptedBackend(lambda p: p, concurrency=4), lambda _: 0.002)
+        backend.generate_batch([GenerationRequest(f"q{i}") for i in range(8)])
+        helpers = set(threading.enumerate()) - before
+        assert 0 < len(helpers) <= 3
+        del backend
+        gc.collect()
+        for helper in helpers:
+            helper.join(timeout=5)
+        assert not any(helper.is_alive() for helper in helpers)
+
+    def test_one_in_flight_cap_for_every_caller(self):
+        backend = DelayedBackend(ScriptedBackend(lambda p: p, concurrency=2), lambda _: 0.003)
+        start = threading.active_count()
+        answers = {}
+
+        def run(caller):
+            requests = [GenerationRequest(f"{caller}:{i}") for i in range(6)]
+            answers[caller] = [r.text for r in backend.generate_batch(requests)]
+            answers[caller].append(backend.generate(GenerationRequest(f"{caller}:single")).text)
+
+        callers = [threading.Thread(target=run, args=(c,)) for c in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert answers == {c: [*(f"{c}:{i}" for i in range(6)), f"{c}:single"] for c in range(4)}
+        assert backend.peak_in_flight == 2
+        assert backend.peak_threads <= start + 4 + 2
+
+    def test_an_error_a_helper_raises_reaches_the_caller(self):
+        def answer(prompt):
+            if prompt.startswith("bad"):
+                raise AssertionError(prompt)
+            return prompt
+
+        backend = DelayedBackend(ScriptedBackend(answer, concurrency=4), lambda _: 0.002)
+        requests = [GenerationRequest(p) for p in ("a", "b", "bad1", "c", "bad2", "d")]
+        with pytest.raises(AssertionError, match="^bad"):
+            backend.generate_batch(requests)
+        assert [r.text for r in backend.generate_batch(requests[:2])] == ["a", "b"]
 
 
 class TestMockOracle:
@@ -495,6 +579,21 @@ class TestCache:
             t.join()
         assert results == ["slow"] * 4
         assert cached.upstream_calls == 1
+
+    def test_a_call_waiting_on_a_shared_miss_holds_no_slot(self):
+        latency = {"x": 0.2, "y": 0.05}
+        inner = DelayedBackend(ScriptedBackend(lambda p: p, concurrency=2), lambda r: latency[r.prompt])
+        cached = CachedBackend(inner)
+        callers = [threading.Thread(target=cached.generate, args=(GenerationRequest(p),)) for p in "xxy"]
+        for caller in callers:
+            caller.start()
+            time.sleep(0.02)
+        for caller in callers:
+            caller.join(timeout=10)
+        assert not any(caller.is_alive() for caller in callers)
+        # "y" goes upstream beside the first "x" while the second "x" waits for that one.
+        assert inner.peak_in_flight == 2
+        assert cached.upstream_calls == 2
 
 
 class TestWrapperBackend:

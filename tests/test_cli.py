@@ -6,19 +6,20 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
 from tabgen import cli
-from tabgen.backends import GenerationBackend, WrapperBackend
+from tabgen.backends import CachedBackend
 from tabgen.cli import dispatch
 from tabgen.corpus import fixture_path, load_jsonl
 from tabgen.kinds import DatasetKind
 from tabgen.pipeline import generate_table_traced
 from tabgen.table import table_from_json
+
+from .conftest import DelayedBackend
 
 E2E_EXAMPLE = str(fixture_path("e2e_example.jsonl"))
 TEAM_EXAMPLE = str(fixture_path("rotowire-team_example.jsonl"))
@@ -200,44 +201,87 @@ class TestGenerate:
         assert code == 2
 
 
-class InFlightBackend(WrapperBackend):
-    """Delegates to an inner backend, holding each call briefly and recording peak overlap."""
+def delay_every_backend(monkeypatch, seconds: float) -> list[DelayedBackend]:
+    """Put a `DelayedBackend` around every backend the CLI builds; returns the ones built."""
+    built: list[DelayedBackend] = []
+    build = cli._build_backend
 
-    def __init__(self, inner: GenerationBackend):
-        super().__init__(inner)
-        self._lock = threading.Lock()
-        self._now = 0
-        self.peak = 0
+    def delayed(*args):
+        built.append(DelayedBackend(build(*args), lambda _: seconds))
+        return built[-1]
 
-    def _generate_once(self, request):
-        with self._lock:
-            self._now += 1
-            self.peak = max(self.peak, self._now)
-        try:
-            time.sleep(0.02)
-            return self.inner.generate(request)
-        finally:
-            with self._lock:
-                self._now -= 1
+    monkeypatch.setattr(cli, "_build_backend", delayed)
+    return built
+
+
+class TestSharedDispatch:
+    """One in-flight cap per backend across `--jobs`, and outputs checked before any call."""
+
+    def test_jobs_share_one_in_flight_cap(self, tmp_path, monkeypatch):
+        built = delay_every_backend(monkeypatch, 0.003)
+        args = ["generate", "--kind", "e2e", "--backend", "mock-oracle", "--in", E2E_MINI,
+                "--concurrency", "2"]
+        serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+        assert dispatch(args + ["--out", str(serial)]) == 0
+        start = threading.active_count()
+        assert dispatch(args + ["--out", str(parallel), "--jobs", "4"]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+        capped = built[1]
+        assert capped.peak_in_flight == 2
+        assert capped.peak_threads <= start + 2 + 4
+
+    def test_cached_duplicates_across_jobs_ask_upstream_once(self, tmp_path, monkeypatch):
+        sample = json.loads(Path(E2E_EXAMPLE).read_text("utf-8"))
+        corpus = tmp_path / "duplicates.jsonl"
+        corpus.write_text("".join(json.dumps({**sample, "id": f"copy-{i}"}) + "\n" for i in range(8)))
+        upstream: list[DelayedBackend] = []
+
+        def cached(inner):
+            upstream.append(DelayedBackend(inner, lambda _: 0.003))
+            return CachedBackend(upstream[-1])
+
+        monkeypatch.setattr(cli, "CachedBackend", cached)
+        out = tmp_path / "preds.jsonl"
+        codes = []
+        run = threading.Thread(daemon=True, target=lambda: codes.append(dispatch(
+            ["generate", "--kind", "e2e", "--backend", "mock-oracle", "--in", str(corpus), "--cache",
+             "--jobs", "4", "--concurrency", "2", "--out", str(out)])))
+        run.start()
+        run.join(timeout=60)
+        assert codes == [0]
+        assert len(upstream) == 1 and set(upstream[0].calls.values()) == {1}
+        assert upstream[0].peak_in_flight <= 2
+        assert len({json.dumps(r["table"]) for r in read_jsonl(out)}) == 1
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("generate", "--out"), ("generate", "--trace"), ("baseline", "--out")],
+    )
+    def test_unwritable_output_is_found_before_any_backend_call(
+        self, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        built = delay_every_backend(monkeypatch, 0.0)
+        bad = tmp_path / "missing" / "out.jsonl"
+        argv = [command, "--kind", "e2e", "--backend", "mock-oracle", "--in", E2E_MINI,
+                "--out", str(bad if flag == "--out" else tmp_path / "preds.jsonl")]
+        if command == "generate":
+            argv += ["--trace", str(bad if flag == "--trace" else tmp_path / "trace.jsonl")]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {bad}") and err.count("\n") == 1
+        assert sum(backend.calls.total() for backend in built) == 0
 
 
 class TestBaseline:
     def test_jobs_runs_samples_concurrently_and_keeps_order(self, tmp_path, monkeypatch):
-        built: list[InFlightBackend] = []
-        build = cli._build_backend
-
-        def wrapped(*args):
-            built.append(InFlightBackend(build(*args)))
-            return built[-1]
-
-        monkeypatch.setattr(cli, "_build_backend", wrapped)
+        built = delay_every_backend(monkeypatch, 0.02)
         args = ["baseline", "--kind", "rotowire-team", "--backend", "mock-oracle", "--in", TEAM_MINI]
         serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
         assert dispatch(args + ["--out", str(serial), "--jobs", "1"]) == 0
         assert dispatch(args + ["--out", str(parallel), "--jobs", "4"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
-        assert (built[0].peak, len(built)) == (1, 2)
-        assert built[1].peak > 1
+        assert (built[0].peak_in_flight, len(built)) == (1, 2)
+        assert built[1].peak_in_flight > 1
 
     def test_oracle_baseline_all_valid(self, tmp_path, capsys):
         out = tmp_path / "preds.jsonl"
