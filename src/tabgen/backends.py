@@ -3,11 +3,11 @@
 Four generation backends share one contract: a remote HTTP completion
 service, a gold-table oracle for offline testing, a fixture store that
 replays and records for deterministic CI, and a caching wrapper. Each
-backend dispatches batches for its whole life with one in-flight cap
-and one set of helper threads (see `GenerationBackend`); a backend whose
-calls never wait (the oracle, a replay-only store) answers inline.
-Responses are realigned by index, so callers never observe completion
-order.
+backend that waits dispatches batches for its whole life with one
+in-flight cap and one set of helper threads (see `GenerationBackend`),
+which every wrapper stacked on it shares; the oracle and a replay-only
+store never wait and answer inline. Responses are realigned by index,
+so callers never observe completion order.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ class BackendConfig:
     baseline_max_new_tokens: int = 512
 
     def __post_init__(self):
-        for name in ("timeout_ms", "retry_cap", "max_input_tokens", "headers_max_new_tokens",
-                     "answer_max_new_tokens", "baseline_max_new_tokens"):
+        for name in ("timeout_ms", "retry_cap", "concurrency", "max_input_tokens",
+                     "headers_max_new_tokens", "answer_max_new_tokens", "baseline_max_new_tokens"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         # time.sleep rejects these, so they would fail only at the first retry.
@@ -174,13 +174,13 @@ MAX_RETRY_AFTER_S = 60.0
 class GenerationBackend(ABC):
     """Base generation provider: the concurrent batch contract.
 
-    A backend whose calls wait (`waits`, a class attribute) holds one of
-    its `concurrency` slots for each call, so every sample, stage and
-    thread that shares the backend shares one in-flight cap. A batch is
-    worked by the calling thread beside at most `concurrency - 1` helper
-    threads, which the backend starts when it first needs them and
-    releases when it is collected. A backend whose calls never wait
-    answers every batch on the calling thread.
+    A backend whose own calls wait (`waits`, a class attribute) holds one
+    of its `concurrency` slots for each call, so every sample, stage and
+    thread that shares it shares one in-flight cap. A batch is worked by
+    the calling thread beside at most `concurrency - 1` helper threads,
+    which the backend starts when it first needs them and releases when
+    it is collected. A backend whose calls never wait answers every batch
+    on the calling thread. A `WrapperBackend` has no slots or helpers.
     """
 
     # Whether a call waits on something outside the process (a service, a
@@ -430,6 +430,12 @@ def _retry_after_seconds(value: str | None) -> float | None:
     return max(0.0, seconds) if math.isfinite(seconds) else None
 
 
+def _token_count(usage: object, key: str) -> int | None:
+    """`usage[key]` when `usage` is an object and that is a non-negative int, else None."""
+    count = usage.get(key) if isinstance(usage, dict) else None
+    return count if type(count) is int and count >= 0 else None
+
+
 class HttpBackend(GenerationBackend, EmbeddingBackend):
     """Client for a hosted completion/embeddings service speaking the common JSON shape.
 
@@ -534,11 +540,11 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
             raise MalformedResponse(f"unexpected completion payload: {data!r:.200}") from err
         if not isinstance(text, str):
             raise MalformedResponse("generated text is not a string")
-        usage = data.get("usage") or {}
+        usage = data.get("usage")
         return GenerationResponse(
             text=text,
-            prompt_tokens=usage.get("prompt_tokens"),
-            completion_tokens=usage.get("completion_tokens"),
+            prompt_tokens=_token_count(usage, "prompt_tokens"),
+            completion_tokens=_token_count(usage, "completion_tokens"),
             latency_ms=latency_ms,
         )
 
@@ -547,12 +553,18 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
             raise ValueError("embed requires a non-empty input list")
         data = self._post(self.config.embeddings_path, {"model": self.config.model, "input": list(texts)})
         try:
-            vectors = tuple(tuple(float(x) for x in item["embedding"]) for item in data["data"])
-        except (KeyError, TypeError, ValueError) as err:
+            rows = [item["embedding"] for item in data["data"]]
+        except (KeyError, TypeError) as err:
             raise MalformedResponse(f"unexpected embeddings payload: {data!r:.200}") from err
-        if len(vectors) != len(texts):
+        # A string or an object would iterate as its characters or keys.
+        if not all(isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in rows):
+            raise MalformedResponse("an embedding is not a JSON array of numbers")
+        if len(rows) != len(texts):
             raise MalformedResponse("embedding count does not match input count")
-        return EmbeddingResponse(vectors=vectors, mode=mode)
+        try:
+            return EmbeddingResponse(vectors=tuple(tuple(map(float, row)) for row in rows), mode=mode)
+        except (ValueError, OverflowError) as err:  # no component, ragged, or past float range
+            raise MalformedResponse(str(err)) from err
 
 
 # A registered passage is indexed by its length and this many leading characters.
@@ -716,18 +728,31 @@ class MockOracleBackend(GenerationBackend):
 
 
 class WrapperBackend(GenerationBackend):
-    """A backend that adds behaviour around `inner` and dispatches as `inner` does.
+    """A backend that adds behaviour around `inner` and dispatches on `inner`'s state.
 
-    It takes `inner`'s concurrency and whether its calls wait.
+    It owns no slot or helper thread: its `concurrency` and `waits` are
+    `inner`'s, and its batches run on `inner`'s helpers. So a stack has
+    one in-flight cap and at most `concurrency - 1` helpers, whichever
+    layer is asked, and a call that never reaches the backend that waits
+    (a fixture hit, a cached answer) never queues for a slot.
     """
 
-    def __init__(self, inner: GenerationBackend):
-        super().__init__(concurrency=inner.concurrency)
+    def __init__(self, inner: GenerationBackend | None):
         self.inner = inner
+
+    @property
+    def concurrency(self) -> int:
+        return self.inner.concurrency
 
     @property
     def waits(self) -> bool:
         return self.inner.waits
+
+    def generate(self, request: GenerationRequest) -> GenerationResponse:
+        return self._generate_once(request)
+
+    def _dispatch(self, call, requests_: Sequence[GenerationRequest], helpers: int) -> list:
+        return self.inner._dispatch(call, requests_, helpers)
 
 
 class FixtureStore(WrapperBackend):
@@ -738,22 +763,21 @@ class FixtureStore(WrapperBackend):
     the same directory sends upstream only the calls it has not recorded.
     Without `inner` the store only replays: the directory must exist, a
     miss raises `MalformedResponse`, and its calls do not wait, so it
-    answers every batch on the calling thread whatever `concurrency` is;
-    with `inner` it dispatches like `inner`.
+    answers every batch on the calling thread. With `inner` it dispatches
+    on `inner`'s slots and helpers, and a hit holds no slot.
     """
 
-    def __init__(
-        self, fixture_dir: str | Path, inner: GenerationBackend | None = None, *, concurrency: int = 8
-    ):
+    def __init__(self, fixture_dir: str | Path, inner: GenerationBackend | None = None):
+        super().__init__(inner)
         self.fixture_dir = Path(fixture_dir)
-        if inner is None:
-            GenerationBackend.__init__(self, concurrency=concurrency)
-            self.inner = None
-            if not self.fixture_dir.is_dir():
-                raise ValueError(f"fixture directory {self.fixture_dir} does not exist")
-        else:
-            super().__init__(inner)
+        if inner is not None:
             self.fixture_dir.mkdir(parents=True, exist_ok=True)
+        elif not self.fixture_dir.is_dir():
+            raise ValueError(f"fixture directory {self.fixture_dir} does not exist")
+
+    @property
+    def concurrency(self) -> int:
+        return 1 if self.inner is None else self.inner.concurrency
 
     @property
     def waits(self) -> bool:
@@ -802,8 +826,8 @@ class FixtureStore(WrapperBackend):
 class CachedBackend(WrapperBackend):
     """In-memory request cache; identical requests hit upstream exactly once.
 
-    Concurrent misses on the same key share one in-flight upstream call,
-    so batch semantics are unchanged with the cache on or off.
+    Concurrent misses on the same key share one upstream call, and only
+    it holds a slot, so batch semantics are unchanged with the cache on or off.
     """
 
     def __init__(self, inner: GenerationBackend):
@@ -811,14 +835,6 @@ class CachedBackend(WrapperBackend):
         self._lock = threading.Lock()
         self._futures: dict[str, Future] = {}
         self.upstream_calls = 0
-
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        """Answer one request in no slot of the cache's own.
-
-        Only the upstream call needs a slot, and `inner` holds one for it;
-        a call that waits for another caller's identical request holds none.
-        """
-        return self._generate_once(request)
 
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
         key = request.digest()

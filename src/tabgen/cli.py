@@ -7,6 +7,7 @@ import json
 import sys
 import zlib
 from argparse import Namespace
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -138,7 +139,7 @@ def _build_backend(
         elif config.kind == "replay":
             if not config.fixture_dir:
                 raise ValueError("replay backend needs a fixture directory (--fixtures or config)")
-            backend = FixtureStore(config.fixture_dir, concurrency=config.concurrency)
+            backend = FixtureStore(config.fixture_dir)
         elif config.kind == "http":
             backend = HttpBackend(config)
         else:
@@ -254,6 +255,7 @@ def _cmd_baseline(args: Namespace) -> int:
 def _read_predictions(path: str) -> dict[str, Table | None]:
     """Predicted tables by sample id; None for a sample whose generation errored."""
     predictions: dict[str, Table | None] = {}
+    first_line: dict[str, int] = {}
     # Split on "\n" only: a JSON string may hold a raw U+2028, which `splitlines` breaks at.
     for line_no, line in enumerate(_read_text(path, "prediction file").split("\n"), 1):
         line = line.strip()
@@ -263,7 +265,11 @@ def _read_predictions(path: str) -> dict[str, Table | None]:
             data = json.loads(line)
             if not isinstance(data, dict) or not isinstance(data.get("id"), str):
                 raise ValueError('needs a string "id"')
-            predictions[data["id"]] = table_from_json(data["table"]) if "table" in data else None
+            sample_id = data["id"]
+            if sample_id in first_line:
+                raise ValueError(f"id {sample_id!r} repeats line {first_line[sample_id]}")
+            first_line[sample_id] = line_no
+            predictions[sample_id] = table_from_json(data["table"]) if "table" in data else None
         except json.JSONDecodeError as err:
             raise ConfigError(f"{path} line {line_no}: invalid JSON: {err}") from None
         except ValueError as err:
@@ -278,7 +284,10 @@ def _cmd_evaluate(args: Namespace) -> int:
     predictions = _read_predictions(args.pred)
 
     gold_ids = [s.id for s in gold_samples]
-    if set(gold_ids) != set(predictions) or len(predictions) != len(gold_ids):
+    repeated = [sample_id for sample_id, count in Counter(gold_ids).items() if count > 1]
+    if repeated:
+        raise ConfigError(f"gold file {args.gold} repeats sample id {repeated[0]!r}")
+    if set(gold_ids) != set(predictions):
         missing = sorted(set(gold_ids) - set(predictions))[:5]
         extra = sorted(set(predictions) - set(gold_ids))[:5]
         raise ConfigError(

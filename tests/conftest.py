@@ -76,19 +76,25 @@ class CountingBackend(WrapperBackend):
         return self.inner.generate(request)
 
 
-class DelayedBackend(WrapperBackend):
+class DelayedBackend(GenerationBackend):
     """Delegates to an inner backend after sleeping `latency_fn(request)` seconds.
 
-    Its calls wait, whatever `inner` does, so its batches run on helper
-    threads. It records the most calls in flight at once, the most live
-    threads any call saw, the threads that made calls, and the calls per
-    request digest.
+    It sleeps itself, so it is a backend that waits, with its own slots
+    and helper threads, whatever `inner` does; its concurrency defaults
+    to `inner`'s. It records the most calls in flight at once, the most
+    live threads any call saw, the threads that made calls, and the calls
+    per request digest.
     """
 
-    waits = True
-
-    def __init__(self, inner: GenerationBackend, latency_fn: Callable[[GenerationRequest], float]):
-        super().__init__(inner)
+    def __init__(
+        self,
+        inner: GenerationBackend,
+        latency_fn: Callable[[GenerationRequest], float],
+        *,
+        concurrency: int | None = None,
+    ):
+        super().__init__(concurrency=inner.concurrency if concurrency is None else concurrency)
+        self.inner = inner
         self.latency_fn = latency_fn
         self._lock = threading.Lock()
         self._in_flight = 0

@@ -225,7 +225,7 @@ def test_criterion_7_batch_determinism_under_shuffled_latency(tmp_path):
         rng.shuffle(latencies)
         pool = iter(latencies)
 
-        replay = DelayedBackend(FixtureStore(tmp_path, concurrency=8), lambda _: next(pool))
+        replay = DelayedBackend(FixtureStore(tmp_path), lambda _: next(pool), concurrency=8)
         table = generate_table(sample.text, DatasetKind.ROTOWIRE_TEAM, replay)
         assert table_to_json_text(table).encode() == reference_bytes, f"trial {trial} differs"
     passed(7, "100 replay trials with shuffled completion latencies are byte-identical")

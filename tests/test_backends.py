@@ -190,7 +190,7 @@ class TestBatch:
             recorder.generate(request)
 
         rng = random.Random(7)
-        replay = DelayedBackend(FixtureStore(tmp_path), lambda _: rng.random() * 0.01)
+        replay = DelayedBackend(FixtureStore(tmp_path), lambda _: rng.random() * 0.01, concurrency=8)
         results = replay.generate_batch(requests)
         assert [r.text for r in results] == [f"v:q{i}" for i in range(8)]
         assert len(replay.threads) > 1
@@ -200,7 +200,7 @@ class TestDispatcher:
     def test_backends_that_never_wait_answer_inline(self, tmp_path, wikibio_sample):
         oracle = MockOracleBackend([(wikibio_sample.text, wikibio_sample.gold)], concurrency=8)
         reference = generate_table(wikibio_sample.text, DatasetKind.WIKIBIO, FixtureStore(tmp_path, oracle))
-        replay = FixtureStore(tmp_path, concurrency=8)
+        replay = FixtureStore(tmp_path)
         for backend in (oracle, replay, CachedBackend(replay)):
             assert not backend.waits
             callers = set()
@@ -620,7 +620,87 @@ class TestWrapperBackend:
         for wrapper in (cached, recording):
             assert wrapper.concurrency == 5
             assert not hasattr(wrapper, "retry_cap")
+            assert not hasattr(wrapper, "_slots") and not hasattr(wrapper, "_helpers")
         assert cached.inner is inner and recording.inner is cached
+
+
+class TestOneDispatcherPerStack:
+    """Only the backend that waits holds slots and helpers; wrappers stacked on it share them."""
+
+    @staticmethod
+    def start(calls, *, spacing: float = 0.005) -> list[threading.Thread]:
+        threads = []
+        for target, prompt in calls:
+            threads.append(threading.Thread(target=target, args=(GenerationRequest(prompt),)))
+            threads[-1].start()
+            time.sleep(spacing)
+        return threads
+
+    def test_a_store_over_a_cache_pins_no_slot_for_a_shared_miss(self, tmp_path):
+        latency = {"x": 0.2, "y": 0.05}
+        leaf = DelayedBackend(ScriptedBackend(lambda p: p, concurrency=2), lambda r: latency[r.prompt])
+        store = FixtureStore(tmp_path, CachedBackend(leaf))
+        callers = self.start((store.generate, p) for p in "xxy")
+        for caller in callers:
+            caller.join(timeout=10)
+        assert not any(caller.is_alive() for caller in callers)
+        # "y" goes upstream beside the first "x" while the second "x" waits for that one.
+        assert leaf.peak_in_flight == 2
+        assert leaf.calls.total() == 2
+
+    def test_a_fixture_hit_does_not_queue_behind_misses(self, tmp_path):
+        FixtureStore(tmp_path, ScriptedBackend(lambda p: f"v:{p}")).generate(GenerationRequest("hit"))
+        leaf = DelayedBackend(ScriptedBackend(lambda p: f"v:{p}", concurrency=2), lambda _: 0.2)
+        store = FixtureStore(tmp_path, leaf)
+        finished = []
+
+        def call(request):
+            finished.append(store.generate(request).text)
+
+        misses = self.start([(call, "miss1"), (call, "miss2")], spacing=0.01)
+        call(GenerationRequest("hit"))
+        for miss in misses:
+            miss.join(timeout=10)
+        assert finished[0] == "v:hit" and sorted(finished[1:]) == ["v:miss1", "v:miss2"]
+        assert leaf.peak_in_flight == 2 and leaf.calls.total() == 2
+
+    def test_every_layer_of_a_stack_runs_on_one_helper_pool(self, tmp_path):
+        before = set(threading.enumerate())
+        leaf = DelayedBackend(ScriptedBackend(lambda p: p, concurrency=4), lambda _: 0.005)
+        cache = CachedBackend(leaf)
+        store = FixtureStore(tmp_path, cache)
+        for name, layer in (("leaf", leaf), ("cache", cache), ("store", store)):
+            prompts = [f"{name}:{i}" for i in range(12)]
+            assert [r.text for r in layer.generate_batch([GenerationRequest(p) for p in prompts])] == prompts
+        helpers = set(threading.enumerate()) - before
+        assert 0 < len(helpers) <= 3
+        assert 1 < len(leaf.threads) <= 4
+        assert leaf.peak_in_flight <= 4
+
+    def test_callers_on_every_layer_share_one_cap_and_one_pool(self, tmp_path):
+        leaf = DelayedBackend(ScriptedBackend(lambda p: p, concurrency=2), lambda _: 0.002)
+        layers = [leaf, CachedBackend(leaf), FixtureStore(tmp_path, CachedBackend(leaf))]
+        start = threading.active_count()
+        answers = {}
+
+        def run(caller):
+            requests = [GenerationRequest(f"{caller}:{i}") for i in range(6)]
+            answers[caller] = [r.text for r in layers[caller % 3].generate_batch(requests)]
+
+        callers = [threading.Thread(target=run, args=(c,)) for c in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert answers == {c: [f"{c}:{i}" for i in range(6)] for c in range(6)}
+        assert leaf.peak_in_flight == 2
+        assert leaf.peak_threads <= start + 6 + 1
 
 
 class TestMockEmbedder:
@@ -792,6 +872,37 @@ class TestHttpBackend:
         )
         with pytest.raises(Unreachable):
             backend.generate(GenerationRequest("hi"))
+
+    @pytest.mark.parametrize(
+        ("usage", "counts"),
+        [
+            ("n/a", (None, None)),
+            ([1], (None, None)),
+            (None, (None, None)),
+            ({"prompt_tokens": "5", "completion_tokens": True}, (None, None)),
+            ({"prompt_tokens": -1, "completion_tokens": 2.0}, (None, None)),
+            ({"prompt_tokens": 5, "completion_tokens": 0}, (5, 0)),
+        ],
+    )
+    def test_token_counts_are_read_only_from_a_usage_object(self, usage, counts):
+        backend = FlakyHttp(0, Unreachable("unused"))
+        backend._post_once = lambda path, payload: {"choices": [{"text": "ok"}], "usage": usage}
+        [response] = backend.generate_batch([GenerationRequest("p")])
+        assert (response.text, response.prompt_tokens, response.completion_tokens) == ("ok", *counts)
+
+    @pytest.mark.parametrize(
+        "embeddings",
+        [["123"], [{"0": 1.0}], [[1.0, "2"]], [[True, 1.0]], [None], [[]], [[1.0], [1.0, 2.0]],
+         [[10**400]], "ab"],
+        ids=["string", "object", "string-item", "bool-item", "null", "empty", "ragged", "huge-int",
+             "data-string"],
+    )
+    def test_an_embedding_that_is_not_an_array_of_numbers_is_malformed(self, embeddings):
+        backend = FlakyHttp(0, Unreachable("unused"))
+        data = [{"embedding": e} for e in embeddings] if isinstance(embeddings, list) else embeddings
+        backend._post_once = lambda path, payload: {"data": data}
+        with pytest.raises(MalformedResponse):
+            backend.embed(["t"] * len(embeddings))
 
     def test_embeddings_round_trip(self, http_server):
         backend = HttpBackend(BackendConfig(kind="http", base_url=http_server))

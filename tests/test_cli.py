@@ -343,6 +343,24 @@ class TestEvaluate:
         assert code == 2
         assert "ids do not match" in capsys.readouterr().err
 
+    def test_a_repeated_id_is_named(self, tmp_path, capsys):
+        sample = json.loads(Path(E2E_EXAMPLE).read_text("utf-8"))
+        table = sample["table"]
+        truncated = {"id": sample["id"], "table": {**table, "rows": table["rows"][:1]}}
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps(truncated) + "\n\n" + json.dumps(sample) + "\n", "utf-8")
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps(sample) + "\n" + json.dumps(sample) + "\n", "utf-8")
+        evaluate = ["evaluate", "--kind", "e2e"]
+        sample_id = repr(sample["id"])
+
+        assert dispatch([*evaluate, "--pred", str(preds), "--gold", E2E_EXAMPLE]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {preds} line 3: id {sample_id} repeats line 1\n"
+        assert dispatch([*evaluate, "--pred", E2E_EXAMPLE, "--gold", str(gold)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: gold file {gold} repeats sample id {sample_id}\n"
+
     def test_text_format_report(self, tmp_path, capsys):
         out = tmp_path / "preds.jsonl"
         dispatch(["generate", "--kind", "e2e", "--backend", "mock-oracle", "--in", E2E_EXAMPLE,
@@ -525,6 +543,7 @@ def bad_input_files(root):
     }
     for name, config in configs.items():
         (root / name).write_text(json.dumps(config), "utf-8")
+    (root / "repeated.jsonl").write_bytes(corpus + corpus)
 
 
 class TestBadInput:
@@ -563,6 +582,8 @@ class TestBadInput:
             ["evaluate", "--kind", "e2e", "--pred", "dir", "--gold", E2E_EXAMPLE],
             ["evaluate", "--kind", "e2e", "--pred", "latin.txt", "--gold", E2E_EXAMPLE],
             ["evaluate", "--kind", "e2e", "--pred", "empty.jsonl", "--gold", "empty.jsonl"],
+            ["evaluate", "--kind", "e2e", "--pred", "repeated.jsonl", "--gold", E2E_EXAMPLE],
+            ["evaluate", "--kind", "e2e", "--pred", E2E_EXAMPLE, "--gold", "repeated.jsonl"],
             ["evaluate", "--kind", "e2e", "--pred", E2E_EXAMPLE, "--gold", E2E_EXAMPLE, "--out", "dir"],
             [*UPDATE, "--oracle", "missing.jsonl"],
             ["update", "--kind", "e2e", "--table", "dir", "--delta", "delta.json", "--evidence", "x"],
@@ -579,8 +600,9 @@ class TestBadInput:
              "in-directory", "in-not-utf8", "in-not-gzip", "in-truncated-gzip", "stats-in-directory",
              "oracle-missing", "oracle-bad-schema", "qa-template-not-utf8", "out-directory",
              "trace-directory", "record-dir-is-a-file", "pred-directory", "pred-not-utf8",
-             "empty-gold", "report-out-directory", "update-oracle-missing", "update-table-directory",
-             "update-delta-directory", "update-evidence-not-utf8", "update-out-directory"],
+             "empty-gold", "pred-repeated-id", "gold-repeated-id", "report-out-directory",
+             "update-oracle-missing", "update-table-directory", "update-delta-directory",
+             "update-evidence-not-utf8", "update-out-directory"],
     )
     def test_exits_two_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
         bad_input_files(tmp_path)
