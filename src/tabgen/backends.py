@@ -64,15 +64,26 @@ class GenerationResponse:
 
 @dataclass(frozen=True)
 class EmbeddingResponse:
-    vectors: tuple[tuple[float, ...], ...]
+    """One vector per input text, aligned by index.
+
+    `vectors` is given as any nested sequence of numbers and held as a
+    read-only 2-D float64 `numpy.ndarray`, a row per text; an array of
+    that dtype is taken without a copy. Empty, ragged or zero-dimension
+    input raises `ValueError`.
+    """
+
+    vectors: "numpy.ndarray"
     mode: str = "text"  # "text" | "token"
 
     def __post_init__(self):
-        if not self.vectors:
-            raise ValueError("EmbeddingResponse requires at least one vector")
-        dims = {len(v) for v in self.vectors}
-        if len(dims) != 1 or 0 in dims:
-            raise ValueError(f"vectors must share one dimension >= 1, got dims {sorted(dims)}")
+        import numpy as np
+
+        # A view, so the caller's own array keeps its flags.
+        vectors = np.asarray(self.vectors, dtype=np.float64).view()
+        if vectors.ndim != 2 or not vectors.size:
+            raise ValueError(f"vectors must be at least one row of dimension >= 1, got shape {vectors.shape}")
+        vectors.flags.writeable = False
+        object.__setattr__(self, "vectors", vectors)
 
 
 class BackendError(Exception):
@@ -166,8 +177,9 @@ class BackendConfig:
         return replace(self, **provided)
 
 
-# The longest `Retry-After` delay honoured before a retry, in seconds; a
-# server asking for more gets this, so one answer cannot stall a run for hours.
+# The longest wait before a retry, in seconds, whether a server's
+# `Retry-After` or the exponential backoff asks for it, so one request
+# cannot stall a run for hours.
 MAX_RETRY_AFTER_S = 60.0
 
 
@@ -282,112 +294,14 @@ class EmbeddingBackend(ABC):
         ...
 
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-
-
-def _multiplier_run(init: int, mult: int, count: int) -> list[int]:
-    run = [init]
-    for _ in range(count):
-        run.append(run[-1] * mult & _M32)
-    return run
-
-
-# NumPy's SeedSequence (numpy/random/bit_generator.pyx): the multipliers its
-# `hashmix` steps through, 4 + 12 calls while mixing the entropy pool and 8
-# while generating PCG64's four 64-bit state words, and the `mix` constants.
-_HASH_A = _multiplier_run(0x43B0D7E5, 0x931E8875, 16)
-_HASH_B = _multiplier_run(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _seeded_unit_vectors(seeds: Sequence[int], dim: int):
-    """Rows `r / |r|` for `r = np.random.default_rng(seed).random(dim) + 1e-9`, one per seed.
-
-    The same float64 bits as one generator per seed, for every seed in one
-    pass: SeedSequence's hashing in uint32 lanes, then PCG64's LCG jumped
-    straight to each of the `dim` draws (state_j = M^(j+1)·p + C_(j+1)·inc,
-    with C_k = 1 + M + ... + M^(k-1)), its XSL-RR output and `random`'s
-    `(x >> 11) * 2**-53`. Each row's norm is the inner product a batched
-    matmul takes, as `np.linalg.norm` of one row does.
-    """
-    import numpy as np
-
-    u32, u64 = np.uint32, np.uint64
-    seeds = np.asarray(seeds, dtype=u64)
-    n = len(seeds)
-
-    hash_a = np.array(_HASH_A, dtype=u32)[:, None]
-    calls = 0
-
-    def hashmix(values, k):
-        """`k` consecutive hashmix calls, one per row of the result."""
-        nonlocal calls
-        values = (values ^ hash_a[calls : calls + k]) * hash_a[calls + 1 : calls + k + 1]
-        calls += k
-        return values ^ (values >> u32(16))
-
-    # A seed below 2**32 is one entropy word, and SeedSequence pads a short
-    # pool with hashmix(0): the same as a zero high word.
-    zero = np.zeros(n, dtype=u32)
-    pool = hashmix(np.stack([(seeds & u64(_M32)).astype(u32), (seeds >> u64(32)).astype(u32), zero, zero]), 4)
-    for src in range(4):
-        # Row `src` is not written while it is mixed into the other three.
-        dst = [d for d in range(4) if d != src]
-        mixed = u32(_MIX_L) * pool[dst] - u32(_MIX_R) * hashmix(pool[src], 3)
-        pool[dst] = mixed ^ (mixed >> u32(16))
-    hash_b = np.array(_HASH_B, dtype=u32)[:, None]
-    words = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ hash_b[:-1]) * hash_b[1:]
-    words = (words ^ (words >> u32(16))).astype(u64)
-    init_hi, init_lo, seq_hi, seq_lo = words[0::2] | (words[1::2] << u64(32))
-
-    # PCG64 seeding: inc = seq << 1 | 1, p = inc + init; each draw steps first.
-    inc_hi = (seq_hi << u64(1)) | (seq_lo >> u64(63))
-    inc_lo = (seq_lo << u64(1)) | u64(1)
-    p_lo = inc_lo + init_lo
-    p_hi = inc_hi + init_hi + (p_lo < init_lo)
-    powers, sums = [], []
-    power, total = _PCG_MULT, 1
-    for _ in range(dim):
-        power, total = power * _PCG_MULT & _M128, (total * _PCG_MULT + 1) & _M128
-        powers.append(power)
-        sums.append(total)
-
-    def times(hi, lo, factors):
-        """(hi, lo) times each factor mod 2**128: a row per seed, a column per factor."""
-        f_hi = np.array([f >> 64 for f in factors], dtype=u64)
-        f_lo = np.array([f & _M64 for f in factors], dtype=u64)
-        f0, f1 = f_lo & u64(_M32), f_lo >> u64(32)
-        x0, x1 = (lo & u64(_M32))[:, None], (lo >> u64(32))[:, None]
-        hi, lo = hi[:, None], lo[:, None]
-        cross0, cross1 = x0 * f1, x1 * f0
-        mid = ((x0 * f0) >> u64(32)) + (cross0 & u64(_M32)) + (cross1 & u64(_M32))
-        high = x1 * f1 + (cross0 >> u64(32)) + (cross1 >> u64(32)) + (mid >> u64(32))
-        return high + hi * f_lo + lo * f_hi, lo * f_lo
-
-    a_hi, a_lo = times(p_hi, p_lo, powers)
-    g_hi, g_lo = times(inc_hi, inc_lo, sums)
-    lo = a_lo + g_lo
-    hi = a_hi + g_hi + (lo < a_lo)
-    # XSL-RR: hi ^ lo rotated right by the state's top six bits.
-    rot = hi >> u64(58)
-    xored = hi ^ lo
-    bits = (xored >> rot) | (xored << ((u64(64) - rot) & u64(63)))
-    raw = (bits >> u64(11)).astype(np.float64) * 2.0**-53 + 1e-9
-    return raw / np.sqrt(raw[:, None, :] @ raw[:, :, None])[:, 0]
-
-
 class MockEmbedder(EmbeddingBackend):
-    """Hash-seeded unit vectors: identical inputs embed identically, forever.
+    """Hash vectors: identical inputs embed identically, forever.
 
-    A text's vector is the first `dim` draws of NumPy's PCG64 stream, as
-    `np.random.default_rng(seed).random(dim)` gives them, each plus 1e-9,
-    scaled to unit length, where `seed` is the first 8 bytes (big-endian)
-    of the SHA-256 of the text's UTF-8 (lone surrogates pass through).
-    `_seeded_unit_vectors` computes a whole request in one pass, so the
-    definition does not rest on NumPy keeping `Generator` streams stable.
-    Components are positive so cosine similarities stay in [0, 1].
+    A text's vector: the first `8 * dim` bytes of the SHAKE-128 of its
+    UTF-8 (lone surrogates pass through), read as big-endian uint64
+    words; each word `w` gives `(w >> 11) * 2**-53 + 1e-9`, and the row
+    is scaled to unit length. Components are positive so cosine
+    similarities stay in [0, 1], and a vector depends on its text alone.
     """
 
     def __init__(self, dim: int = 32):
@@ -396,14 +310,16 @@ class MockEmbedder(EmbeddingBackend):
         self.dim = dim
 
     def embed(self, texts: Sequence[str], mode: str = "text") -> EmbeddingResponse:
+        import numpy as np
+
         if not texts:
             raise ValueError("embed requires a non-empty input list")
-        seeds = [
-            int.from_bytes(hashlib.sha256(t.encode("utf-8", "surrogatepass")).digest()[:8], "big")
-            for t in texts
-        ]
-        vectors = _seeded_unit_vectors(seeds, self.dim).tolist()
-        return EmbeddingResponse(vectors=tuple(map(tuple, vectors)), mode=mode)
+        size = 8 * self.dim
+        digests = b"".join(hashlib.shake_128(t.encode("utf-8", "surrogatepass")).digest(size) for t in texts)
+        raw = (np.frombuffer(digests, dtype=">u8").reshape(len(texts), self.dim) >> 11) * 2.0**-53 + 1e-9
+        # Each row's norm is the inner product a batched matmul takes, as
+        # `np.linalg.norm` of one row does, so a row is the same in any batch.
+        return EmbeddingResponse(vectors=raw / np.sqrt(raw[:, None, :] @ raw[:, :, None])[:, 0], mode=mode)
 
 
 def _retry_after_seconds(value: str | None) -> float | None:
@@ -477,20 +393,23 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
     def _post(self, path: str, payload: dict) -> dict:
         """POST with bounded exponential-backoff retries.
 
-        Retryable failures are retried up to `retry_cap` total attempts;
-        a rate limit that names a retry-after delay is honored, up to
-        `MAX_RETRY_AFTER_S`.
+        Retryable failures are retried up to `retry_cap` total attempts,
+        waiting `backoff_s * 2**attempt` before each retry, or the delay a
+        rate limit names; every wait is capped at `MAX_RETRY_AFTER_S`.
         """
+        # Doubled only while under the cap, so no attempt count overflows it.
+        backoff = min(self.config.backoff_s, MAX_RETRY_AFTER_S)
         for attempt in range(self.config.retry_cap):
             try:
                 return self._post_once(path, payload)
             except BackendError as err:
                 if not err.retryable or attempt == self.config.retry_cap - 1:
                     raise
-                delay = self.config.backoff_s * (2**attempt)
+                delay = backoff
                 if isinstance(err, RateLimited) and err.retry_after is not None:
                     delay = min(err.retry_after, MAX_RETRY_AFTER_S)
                 time.sleep(delay)
+                backoff = min(2 * backoff, MAX_RETRY_AFTER_S)
         raise AssertionError("unreachable")
 
     def _post_once(self, path: str, payload: dict) -> dict:
@@ -562,7 +481,7 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
         if len(rows) != len(texts):
             raise MalformedResponse("embedding count does not match input count")
         try:
-            return EmbeddingResponse(vectors=tuple(tuple(map(float, row)) for row in rows), mode=mode)
+            return EmbeddingResponse(vectors=rows, mode=mode)
         except (ValueError, OverflowError) as err:  # no component, ragged, or past float range
             raise MalformedResponse(str(err)) from err
 

@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--semantic",
         action="store_true",
-        help="add embedding-similarity scores over MockEmbedder's hash-seeded token vectors: "
+        help="add embedding-similarity scores over MockEmbedder's hash token vectors: "
         "a structural check, not BERTScore's contextual embeddings",
     )
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")

@@ -100,7 +100,7 @@ class _TokenTable:
         self._unit = np.empty((0, 0))
         for start in range(0, len(distinct), _EMBED_CAP):
             chunk = distinct[start : start + _EMBED_CAP]
-            vectors = np.array(embedder.embed(chunk, mode="token").vectors, dtype=float)
+            vectors = np.asarray(embedder.embed(chunk, mode="token").vectors)
             if len(vectors) != len(chunk):
                 raise MalformedResponse(f"embedder returned {len(vectors)} vectors for {len(chunk)} tokens")
             if not start:

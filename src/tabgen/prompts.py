@@ -302,12 +302,17 @@ def extract_numeric(answer: str) -> int | None:
 
     The leftmost occurrence wins regardless of form, so "scored 21 and
     five" yields 21 while "talled just five points" yields 5. Returns
-    None when no number is present.
+    None when no number is present, or when the first is a digit run
+    longer than Python converts between int and str (4,300 digits by
+    default).
     """
     digit_match = _DIGITS_RE.search(answer)
     word_match = _NUMBER_WORD_RE.search(answer)
     if digit_match and (not word_match or digit_match.start() <= word_match.start()):
-        return int(digit_match.group())
+        try:
+            return int(digit_match.group())
+        except ValueError:
+            return None
     if word_match:
         return _words_to_int(word_match.group())
     return None

@@ -118,19 +118,14 @@ class DelayedBackend(GenerationBackend):
                 self._in_flight -= 1
 
 
-def reference_seeded_vector(seed: int, dim: int) -> tuple[float, ...]:
-    """A seed's unit vector from its own NumPy generator: `MockEmbedder`'s first derivation."""
+def reference_mock_vector(text: str, dim: int):
+    """`MockEmbedder`'s vector for one text, hashed on its own: the definition, kept as the reference."""
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    raw = rng.random(dim) + 1e-9
-    return tuple((raw / np.linalg.norm(raw)).tolist())
-
-
-def reference_mock_vector(text: str, dim: int) -> tuple[float, ...]:
-    """`MockEmbedder`'s vector for one text, one generator per token, kept as the reference."""
-    seed = int.from_bytes(hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()[:8], "big")
-    return reference_seeded_vector(seed, dim)
+    digest = hashlib.shake_128(text.encode("utf-8", "surrogatepass")).digest(8 * dim)
+    words = [int.from_bytes(digest[i : i + 8], "big") for i in range(0, 8 * dim, 8)]
+    raw = np.array([(word >> 11) * 2.0**-53 + 1e-9 for word in words])
+    return raw / np.linalg.norm(raw)
 
 
 @dataclass(frozen=True)

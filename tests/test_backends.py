@@ -20,6 +20,7 @@ from tabgen.backends import (
     BackendError,
     BackendTimeout,
     CachedBackend,
+    EmbeddingResponse,
     FixtureStore,
     GenerationBackend,
     GenerationRequest,
@@ -32,7 +33,6 @@ from tabgen.backends import (
     Unreachable,
     WrapperBackend,
     _retry_after_seconds,
-    _seeded_unit_vectors,
 )
 from tabgen.kinds import DatasetKind
 from tabgen.pipeline import generate_content, generate_table, skeleton_from_table
@@ -52,7 +52,6 @@ from .conftest import (
     ScriptedBackend,
     load_example,
     reference_mock_vector,
-    reference_seeded_vector,
 )
 
 
@@ -93,6 +92,18 @@ class TestRequestTypes:
         assert GenerationRequest("hello", 7).digest() == (
             "9e5affef2905f4e78c84992f930e16157c0ea94c140ed4ef5eef2d346c133ef4"
         )
+
+    @pytest.mark.parametrize("vectors", [(), ((),), ((1.0,), (1.0, 2.0)), (1.0, 2.0), np.ones((2, 0))],
+                             ids=["empty", "zero-dimension", "ragged", "one-dimensional", "empty-array"])
+    def test_embedding_response_rejects_what_is_not_rows_of_numbers(self, vectors):
+        with pytest.raises(ValueError):
+            EmbeddingResponse(vectors=vectors)
+
+    def test_embedding_response_leaves_the_callers_array_writable(self):
+        given = np.ones((2, 3))
+        response = EmbeddingResponse(vectors=given)
+        assert np.shares_memory(response.vectors, given)
+        assert given.flags.writeable and not response.vectors.flags.writeable
 
 
 class TestRetries:
@@ -140,6 +151,21 @@ class TestRetries:
         backend = FlakyHttp(2, Unreachable("down"), retry_cap=3, backoff_s=0.5)
         backend.generate(GenerationRequest("p"))
         assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize("backoff_s", [0.25, 1e300])
+    def test_every_backoff_wait_is_capped(self, monkeypatch, backoff_s):
+        # Uncapped, 25 attempts at 0.25 s wait 2**21 s at the last retry, and
+        # 1e300 s overflows time.sleep; 1,100 attempts pass 2.0**1024.
+        sleeps: list[float] = []
+        monkeypatch.setattr("tabgen.backends.time.sleep", sleeps.append)
+        for attempts in (25, 1100):
+            sleeps.clear()
+            backend = FlakyHttp(attempts - 1, Unreachable("down"), retry_cap=attempts, backoff_s=backoff_s)
+            [response] = backend.generate_batch([GenerationRequest("p")])
+            assert response.text == "ok"
+            assert len(sleeps) == attempts - 1
+            assert max(sleeps) == tabgen.backends.MAX_RETRY_AFTER_S
+            assert sleeps == sorted(sleeps)
 
 
 class TestBatch:
@@ -714,7 +740,7 @@ class TestMockEmbedder:
     def test_distinct_tokens_differ(self):
         embedder = MockEmbedder()
         response = embedder.embed(["points", "rebounds"])
-        assert response.vectors[0] != response.vectors[1]
+        assert not np.array_equal(response.vectors[0], response.vectors[1])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -732,26 +758,23 @@ class TestMockEmbedder:
     ]
 
     @pytest.mark.parametrize("dim", [1, 8, 32, 33])
-    def test_vectors_equal_one_generator_per_token(self, dim):
+    def test_vectors_equal_one_hash_per_token(self, dim):
         vectors = MockEmbedder(dim=dim).embed(self.TEXTS, mode="token").vectors
-        assert vectors == tuple(reference_mock_vector(t, dim) for t in self.TEXTS)
+        expected = np.array([reference_mock_vector(t, dim) for t in self.TEXTS])
+        assert vectors.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("dim", [1, 8, 32, 33])
-    def test_kernel_equals_one_generator_per_seed(self, dim):
-        # A zero high word changes SeedSequence's entropy length; hashed seeds
-        # almost never have one.
-        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-        seeds += [random.Random(dim).getrandbits(bits) for bits in (16, 32, 33, 64) * 50]
-        vectors = _seeded_unit_vectors(seeds, dim)
-        assert vectors.dtype == np.float64 and vectors.shape == (len(seeds), dim)
-        assert vectors.tolist() == [list(reference_seeded_vector(s, dim)) for s in seeds]
+    def test_vectors_are_a_read_only_float64_array(self):
+        vectors = MockEmbedder(dim=8).embed(["a", "b", "c"]).vectors
+        assert isinstance(vectors, np.ndarray)
+        assert (vectors.dtype, vectors.shape) == (np.float64, (3, 8))
+        with pytest.raises(ValueError, match="read-only"):
+            vectors[0, 0] = 0.0
 
     def test_vectors_are_pinned(self):
-        # NumPy does not promise stable Generator streams across releases;
-        # these bytes pin the definition that MockEmbedder computes itself.
+        # These bytes pin the definition, whatever NumPy or hashlib release is installed.
         vectors = MockEmbedder().embed(["pts", "reb", "", "café"]).vectors
         digest = hashlib.sha256(np.array(vectors, dtype="<f8").tobytes()).hexdigest()
-        assert digest == "5aa8eef670ad1733294d0fc801e11b05bcdae6c78e5f90c57f3bd943eb4e979f"
+        assert digest == "4927f0a1caf5bbd514466aec1dd3645106a15348f2f335eadae2f10d65df17a5"
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -908,12 +931,12 @@ class TestHttpBackend:
         backend = HttpBackend(BackendConfig(kind="http", base_url=http_server))
         response = backend.embed(["a", "b"])
         assert len(response.vectors) == 2
-        assert response.vectors[0] == (1.0, 0.0)
+        assert response.vectors[0].tolist() == [1.0, 0.0]
 
     def test_embeddings_recover_from_one_rate_limit(self, http_server):
         _Handler.behavior = "rate-limit-once"
         backend = HttpBackend(BackendConfig(kind="http", base_url=http_server, backoff_s=0.0))
-        assert backend.embed(["a", "b"]).vectors == ((1.0, 0.0), (1.0, 0.0))
+        assert backend.embed(["a", "b"]).vectors.tolist() == [[1.0, 0.0], [1.0, 0.0]]
         assert [sent["path"] for sent in _Handler.seen] == ["/v1/embeddings"] * 2
 
     def test_embeddings_attempts_are_capped(self, http_server):

@@ -129,6 +129,19 @@ class TestGenerateContent:
         table, _ = generate_content(skeleton, "passage", DatasetKind.ROTOWIRE_PLAYER, backend)
         assert table.cells == ((None,),)
 
+    def test_a_digit_run_past_the_int_limit_becomes_absent(self):
+        # int() rejects more than 4,300 digits: the cell is absent, the sample not failed.
+        backend = ScriptedBackend(lambda p: "1" * 5000 if "Wins" in p else "7")
+        skeleton = TableSkeleton(Orientation.MATRIX, ("Suns",), ("Wins", "Losses"))
+        table, _ = generate_content(skeleton, "passage", DatasetKind.ROTOWIRE_TEAM, backend)
+        assert validate(table).valid
+        assert table.cells == ((None, "7"),)
+        updated = update_table(
+            table, SkeletonDelta(add_row_headers=("Jazz",)), "passage", DatasetKind.ROTOWIRE_TEAM, backend
+        )
+        assert validate(updated).valid
+        assert updated.cells == ((None, "7"), (None, "7"))
+
     def test_failed_cells_degrade_to_absent_and_are_flagged(self):
         class OneBad(ScriptedBackend):
             def _generate_once(self, request):
