@@ -34,14 +34,22 @@ from tabgen.prompts import SEP_TOKEN, PromptTemplate, formulate_question, packag
 from tabgen.table import NEWLINE_TOKEN, Orientation, Table, serialize_flat
 
 
+# Stage two builds a request, a response and a trace per cell, so these
+# records fill their instance dict in one call, where the `__init__` a
+# frozen dataclass generates sets each field by its own `object.__setattr__`.
+# A dataclass keeps an `__init__` its class defines, so a field added to one
+# of these records must be added to its `__init__` too.
+
+
 @dataclass(frozen=True)
 class GenerationRequest:
     prompt: str
     max_new_tokens: int = 64
 
-    def __post_init__(self):
-        if self.max_new_tokens < 1:
+    def __init__(self, prompt: str, max_new_tokens: int = 64):
+        if max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
+        self.__dict__.update(prompt=prompt, max_new_tokens=max_new_tokens)
 
     def as_dict(self) -> dict:
         """The request as its digest hashes it and a fixture records it."""
@@ -60,6 +68,18 @@ class GenerationResponse:
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
     latency_ms: float | None = None
+
+    def __init__(
+        self,
+        text: str,
+        prompt_tokens: int | None = None,
+        completion_tokens: int | None = None,
+        latency_ms: float | None = None,
+    ):
+        self.__dict__.update(
+            text=text, prompt_tokens=prompt_tokens, completion_tokens=completion_tokens,
+            latency_ms=latency_ms,
+        )
 
 
 @dataclass(frozen=True)

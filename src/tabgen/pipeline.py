@@ -93,6 +93,22 @@ class CellTrace:
     latency_ms: float | None
     error: str | None = None
 
+    # One per cell: filled in one call, as `GenerationRequest` is.
+    def __init__(
+        self,
+        row_header: str | None,
+        col_header: str,
+        question: str,
+        raw_answer: str | None,
+        value: str | None,
+        latency_ms: float | None,
+        error: str | None = None,
+    ):
+        self.__dict__.update(
+            row_header=row_header, col_header=col_header, question=question,
+            raw_answer=raw_answer, value=value, latency_ms=latency_ms, error=error,
+        )
+
 
 @dataclass(frozen=True)
 class GenerationTrace:
@@ -189,8 +205,10 @@ def _ask_slots(
     A slot is (row index or None, column index); an attribute-value table
     has no row axis, and its slots address the grid's one implicit row.
     Each post-processed answer is written into `grid`; a failed cell
-    degrades to absent instead of aborting the table. Returns the
-    questions and the raw results, aligned with `slots`.
+    degrades to absent instead of aborting the table. An answer text that
+    repeats within the batch (most box-score answers are small numbers)
+    is post-processed once. Returns the questions and the raw results,
+    aligned with `slots`.
 
     Each prompt is exactly what `build_qa_prompt` builds, but the passage
     is cut to the budget once per distinct question length instead of
@@ -215,10 +233,15 @@ def _ask_slots(
         prompt = build_qa_prompt(cut[length], question, template)
         requests.append(GenerationRequest(prompt, max_new_tokens=answer_max_new_tokens))
     results = backend.generate_batch(requests)
+    values: dict[str, str | None] = {}  # answer text -> cell value, for this batch only
     for (r, c), result in zip(slots, results):
-        grid[r or 0][c] = (
-            None if isinstance(result, BackendError) else _postprocess(result.text, numeric)
-        )
+        if isinstance(result, BackendError):
+            grid[r or 0][c] = None
+            continue
+        text = result.text
+        if text not in values:
+            values[text] = _postprocess(text, numeric)
+        grid[r or 0][c] = values[text]
     return questions, results
 
 

@@ -36,10 +36,18 @@ class PromptTemplate:
     text: str
 
     def render(self, *, passage: str, question: str | None = None) -> str:
-        """Fill every slot in one pass, so slot markers inside a filled-in value stay text."""
-        if question is None and "question" in self.pieces[1]:
+        """The template's literals and slot values joined in one pass.
+
+        A value is never read for slots, so slot markers and braces inside
+        a filled-in value stay text; the template is parsed once, by `pieces`.
+        """
+        literals, slots = self.pieces
+        if question is None and "question" in slots:
             raise ValueError(f"template {self.name!r} has a question slot but no question given")
-        return self._format.format(passage=passage, question=question)
+        parts = [literals[0]]
+        for slot, literal in zip(slots, literals[1:]):
+            parts += passage if slot == "passage" else question, literal
+        return "".join(parts)
 
     @cached_property
     def pieces(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -49,13 +57,6 @@ class PromptTemplate:
         """
         parts = _SLOT_RE.split(self.text)
         return tuple(parts[0::2]), tuple(parts[1::2])
-
-    @cached_property
-    def _format(self) -> str:
-        """The template as a `str.format` string: literal braces doubled, each slot a field."""
-        literals, slots = self.pieces
-        escaped = [literal.replace("{", "{{").replace("}", "}}") for literal in literals]
-        return escaped[0] + "".join(f"{{{slot}}}{literal}" for slot, literal in zip(slots, escaped[1:]))
 
     def fits(self, prompt: str) -> Iterator[tuple[tuple[int, int], tuple[int, int] | None]]:
         """Every way `render` could have built `prompt`, longest passage first.

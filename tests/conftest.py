@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import inspect
+import pickle
 import threading
 import time
 from collections import Counter
@@ -126,6 +129,46 @@ def reference_mock_vector(text: str, dim: int):
     words = [int.from_bytes(digest[i : i + 8], "big") for i in range(0, 8 * dim, 8)]
     raw = np.array([(word >> 11) * 2.0**-53 + 1e-9 for word in words])
     return raw / np.linalg.norm(raw)
+
+
+def check_frozen_record(cls: type, values: Sequence, others: Sequence) -> None:
+    """`cls`'s own `__init__` behaves as the one its dataclass would generate.
+
+    `values` and `others` give every field, in order, two different values.
+    The signature must list the dataclass fields with their defaults, so a
+    field added to the class but not to `__init__` fails here.
+    """
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    empty = inspect.Parameter.empty
+    assert [
+        (p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()
+    ] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         empty if f.default is dataclasses.MISSING else f.default)
+        for f in fields
+    ]
+    required = [f for f in fields if f.default is dataclasses.MISSING]
+    defaulted = cls(*values[: len(required)])
+    assert vars(defaulted) == {
+        **dict(zip(names, values)), **{f.name: f.default for f in fields[len(required):]}
+    }
+
+    record = cls(*values)
+    by_keyword = cls(**dict(zip(names, values)))
+    assert vars(record) == dict(zip(names, values))
+    assert record == by_keyword and hash(record) == hash(by_keyword)
+    assert record != cls(*others)
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, values)) + ")"
+    assert dataclasses.asdict(record) == dict(zip(names, values))
+    assert pickle.loads(pickle.dumps(record)) == record
+    for name, other in zip(names, others):
+        assert vars(dataclasses.replace(record, **{name: other})) == {
+            **dict(zip(names, values)), name: other
+        }
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, other)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -50,6 +51,7 @@ from .conftest import (
     CountingBackend,
     DelayedBackend,
     ScriptedBackend,
+    check_frozen_record,
     load_example,
     reference_mock_vector,
 )
@@ -76,9 +78,21 @@ class FlakyHttp(HttpBackend):
 
 
 class TestRequestTypes:
-    def test_max_new_tokens_must_be_positive(self):
-        with pytest.raises(ValueError):
-            GenerationRequest("p", max_new_tokens=0)
+    @pytest.mark.parametrize("make", [lambda: GenerationRequest("p", 0),
+                                      lambda: GenerationRequest("p", max_new_tokens=0),
+                                      lambda: GenerationRequest(prompt="p", max_new_tokens=-3)],
+                             ids=["positional", "keyword", "negative"])
+    def test_max_new_tokens_must_be_positive(self, make):
+        with pytest.raises(ValueError, match="max_new_tokens must be >= 1"):
+            make()
+
+    def test_request_init_is_the_dataclass_one(self):
+        check_frozen_record(GenerationRequest, ("p", 8), ("q", 9))
+        with pytest.raises(ValueError, match="max_new_tokens"):
+            dataclasses.replace(GenerationRequest("p"), max_new_tokens=0)
+
+    def test_response_init_is_the_dataclass_one(self):
+        check_frozen_record(GenerationResponse, ("ok", 3, 1, 0.5), ("no", 4, 2, 1.5))
 
     def test_digest_is_stable_and_prompt_sensitive(self):
         a = GenerationRequest("p", max_new_tokens=8)

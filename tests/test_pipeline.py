@@ -53,6 +53,7 @@ from .conftest import (
     ALL_KINDS,
     CountingBackend,
     ScriptedBackend,
+    check_frozen_record,
     load_example,
     questions_for_headers,
 )
@@ -169,6 +170,13 @@ class TestGenerateContent:
             skeleton_from_table(e2e_sample.gold), e2e_sample.text, DatasetKind.E2E, backend
         )
         assert backend.calls == 7
+
+    def test_cell_trace_init_is_the_dataclass_one(self):
+        check_frozen_record(
+            CellTrace,
+            ("Magic", "Wins", "What is the number of Wins for Magic?", "7 wins", "7", 0.5, "down"),
+            (None, "Name", "What is the Name?", None, None, None, None),
+        )
 
 
 class TestGenerateTable:
@@ -485,6 +493,35 @@ class TestCountedOnce:
         with pytest.raises(ValueError, match="passage must be non-empty"):
             generate_content(skeleton, passage, DatasetKind.ROTOWIRE_TEAM,
                              oracle_for(rotowire_team_sample), max_input_tokens=None)
+
+    def test_each_distinct_answer_is_postprocessed_once_per_batch(self, monkeypatch):
+        answers = {"Wins": "7", "Losses": "scored 7", "Points": "7", "Steals": "unknown",
+                   "Blocks": "twelve"}
+        backend = ScriptedBackend(
+            lambda prompt: next(a for col, a in answers.items() if f"number of {col} for" in prompt)
+        )
+        counted: list[str] = []
+        postprocess = pipeline_module._postprocess
+
+        def counted_postprocess(raw: str, numeric: bool):
+            counted.append(raw)
+            return postprocess(raw, numeric)
+
+        monkeypatch.setattr(pipeline_module, "_postprocess", counted_postprocess)
+        skeleton = TableSkeleton(Orientation.MATRIX, ("Magic", "Hawks", "Suns"),
+                                 ("Wins", "Losses", "Points", "Steals"))
+        kind = DatasetKind.ROTOWIRE_TEAM
+        table, trace = generate_content(skeleton, "passage", kind, backend)
+        assert table.cells == (("7", "7", "7", None),) * 3
+        assert [cell.value for cell in trace.cells] == ["7", "7", "7", None] * 3
+        assert sorted(counted) == ["7", "scored 7", "unknown"]
+
+        counted.clear()
+        delta = SkeletonDelta(add_row_headers=("Jazz",), add_col_headers=("Blocks",))
+        updated = update_table(table, delta, "passage", kind, backend)
+        assert updated.cells == (("7", "7", "7", None, "12"),) * 4
+        # The update's batch post-processes its own answers: nothing is kept across calls.
+        assert sorted(counted) == ["7", "scored 7", "twelve", "unknown"]
 
     def test_reask_normalizes_each_address_header_once(self, monkeypatch):
         rows, cols = ["Magic", "Hawks", "Suns"], ["Wins", "Losses"]

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tabgen import prompts
+from tabgen.backends import MockOracleBackend, WrapperBackend
+from tabgen.corpus import fixture_path, list_fixtures, load_jsonl
 from tabgen.kinds import DatasetKind
+from tabgen.pipeline import SkeletonDelta, baseline_generate, generate_table, update_table
 from tabgen.prompts import (
     NoHeaders,
     PromptTemplate,
@@ -21,7 +27,7 @@ from tabgen.prompts import (
     parse_structure_answer,
     truncate_passage,
 )
-from tabgen.table import Orientation
+from tabgen.table import Orientation, Table
 
 from .conftest import questions_for_headers
 
@@ -229,6 +235,52 @@ class TestPromptBuilders:
         assert template.render(passage=passage, question=question) == expected
 
 
+class TestRenderMatchesFormat:
+    """`render` gives what the `str.format` renderer it replaced gave, kept here verbatim."""
+
+    @staticmethod
+    def format_render(template: PromptTemplate, *, passage: str, question: str | None = None) -> str:
+        if question is None and "question" in template.pieces[1]:
+            raise ValueError(f"template {template.name!r} has a question slot but no question given")
+        literals, slots = template.pieces
+        escaped = [literal.replace("{", "{{").replace("}", "}}") for literal in literals]
+        format_string = escaped[0] + "".join(
+            f"{{{slot}}}{literal}" for slot, literal in zip(slots, escaped[1:])
+        )
+        return format_string.format(passage=passage, question=question)
+
+    PIECES = ["{", "}", "{{", "}}", "{{passage}}", "{{question}}", "{passage}", "{0}", "{}",
+              "{{{", "}}}", "x", " ", "\n", "é"]
+    VALUES = st.lists(st.sampled_from([*PIECES, "{question}", "{!r}", "%s"]), max_size=6).map("".join)
+
+    @given(
+        text=st.lists(st.sampled_from(PIECES), max_size=14).map("".join),
+        passage=VALUES | st.text(max_size=20),
+        question=st.none() | VALUES | st.text(max_size=20),
+    )
+    def test_render_equals_the_format_renderer(self, text, passage, question):
+        template = PromptTemplate(name="custom", text=text)
+        try:
+            expected = self.format_render(template, passage=passage, question=question)
+        except ValueError as err:
+            with pytest.raises(ValueError, match="no question given"):
+                template.render(passage=passage, question=question)
+            assert "no question given" in str(err)
+            return
+        assert template.render(passage=passage, question=question) == expected
+
+    @pytest.mark.parametrize(
+        "template",
+        [*prompts.packaged_templates(),
+         PromptTemplate("repeated", "{{question}}{{passage}} {{question}}{{passage}}")],
+        ids=lambda t: t.name,
+    )
+    @given(passage=VALUES, question=VALUES)
+    def test_packaged_and_repeated_slot_templates(self, template, passage, question):
+        got = template.render(passage=passage, question=question)
+        assert got == self.format_render(template, passage=passage, question=question)
+
+
 READ_TEMPLATES = [
     default_qa_template(),
     prompts.default_structure_template(DatasetKind.ROTOWIRE_TEAM),
@@ -366,3 +418,57 @@ class TestDetectNoAnswer:
         markers = MembershipOnly()
         assert detect_no_answer(" Nope ", no_answer_values=markers)
         assert not detect_no_answer("unknown", no_answer_values=markers)
+
+
+class PromptLog(WrapperBackend):
+    """Passes every request to `inner` and keeps its prompt, in the order asked."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.prompts: list[str] = []
+
+    def _generate_once(self, request):
+        self.prompts.append(request.prompt)
+        return self.inner.generate(request)
+
+
+def _update_delta(table: Table) -> SkeletonDelta:
+    """A new column (and, for a matrix, a new row) plus a re-ask of every absent cell."""
+    if table.orientation is Orientation.ATTRIBUTE_VALUE:
+        absent = [(None, header) for header, value in table.rows if value is None]
+        return SkeletonDelta(add_col_headers=("Attendance",), reask=absent)
+    absent = [(row, col) for row, cells in zip(table.row_headers, table.cells)
+              for col, value in zip(table.col_headers, cells) if value is None]
+    return SkeletonDelta(add_row_headers=("Bench",), add_col_headers=("Attendance",), reask=absent)
+
+
+# The count and sha256 of the prompts each bundled corpus sends through
+# stage one, stage two, the baseline and `update_table`, in order. Replay
+# fixtures are named by prompt digest, so one changed byte in any prompt
+# would orphan every fixture recorded from it.
+SENT_PROMPTS = {
+    "e2e_example.jsonl": (10, "cc5b2b7bae27ecbe0eb9a7e8ee688ea626171f08c07efef69f794198ec44fa06"),
+    "e2e_mini.jsonl": (80, "c1c663cbfa9a624d0b2105977a41a475556a81d27dba361b20afffb4b7d88076"),
+    "rotowire-player_example.jsonl": (25, "367eb7ef6f8b9f600fe4b8f4485973ff31f9ae9e23096b268041fada13b0147a"),
+    "rotowire-player_mini.jsonl": (147, "adf2e32eab0373780ea98aa67c748591566ffec2f8ae79baf6dd7c7c7b3d676a"),
+    "rotowire-team_example.jsonl": (18, "f7c5e278f4339590009dad203800805c5ba47c667e5f3e7425c16c68a65087ec"),
+    "rotowire-team_mini.jsonl": (177, "de636e61c2e5f809a125e4fee95bae9471ffea8fa7cb52bc328b1a4f618419cc"),
+    "wikibio_example.jsonl": (6, "dd259d9107e39657d0c22012b78a9f39a7c242ab5afa67c95497de20b618c8a1"),
+    "wikibio_mini.jsonl": (70, "ea0a7299acdca4d00caa0980afa10085f33680917cbb45d7378e8492f5a9a952"),
+    "wikitabletext_example.jsonl": (6, "8a46ba936e044807330d3bef396bb9e418b9c0158075bc500b65914dcff69855"),
+    "wikitabletext_mini.jsonl": (70, "d1010e90c12ffc2f6c96b91b40e2a9c8bcd5cf309d10bd8fd991aa3d980ae6b8"),
+}
+
+
+class TestSentPromptsArePinned:
+    @pytest.mark.parametrize("name", list_fixtures())
+    def test_every_prompt_a_bundled_corpus_sends(self, name):
+        kind = DatasetKind(name.rsplit("_", 1)[0])
+        samples = load_jsonl(fixture_path(name), kind)
+        backend = PromptLog(MockOracleBackend([(s.text, s.gold) for s in samples]))
+        for sample in samples:
+            generate_table(sample.text, kind, backend)
+            baseline_generate(sample.text, kind, backend)
+            update_table(sample.gold, _update_delta(sample.gold), sample.text, kind, backend)
+        digest = hashlib.sha256(json.dumps(backend.prompts).encode()).hexdigest()
+        assert (len(backend.prompts), digest) == SENT_PROMPTS[name]
