@@ -604,21 +604,20 @@ class MockOracleBackend(GenerationBackend):
     def _asked(self, i: int) -> dict[str, str | None]:
         """Every question table `i` can be asked, mapped to its cell.
 
-        The first in asking order wins: attribute-value rows, or matrix
-        cells row-major, each with the numeric hint on and then off.
+        The first in asking order wins: cells row-major, each with the
+        numeric hint on and then off. An attribute-value table's one row
+        has no row header, so its questions carry no hint.
         """
         cells = self._cells[i]
         if cells is None:
             table = self._tables[i]
-            if table.orientation is Orientation.ATTRIBUTE_VALUE:
-                asked = [(formulate_question(None, header), value) for header, value in table.rows]
-            else:
-                asked = [
-                    (formulate_question(row_header, col_header, hint), table.cells[r][c])
-                    for r, row_header in enumerate(table.row_headers)
-                    for c, col_header in enumerate(table.col_headers)
-                    for hint in (True, False)
-                ]
+            rows = table.row_headers
+            asked = [
+                (formulate_question(rows[r] if rows else None, col_header, hint), value)
+                for r, row in enumerate(table.cells)
+                for col_header, value in zip(table.col_headers, row)
+                for hint in (True, False)
+            ]
             cells = {}
             for question, value in asked:
                 cells.setdefault(question, value)

@@ -40,6 +40,7 @@ from tabgen.table import (
     Table,
     table_from_json,
     table_to_json,
+    validate,
 )
 
 
@@ -269,7 +270,10 @@ def _read_predictions(path: str) -> dict[str, Table | None]:
             if sample_id in first_line:
                 raise ValueError(f"id {sample_id!r} repeats line {first_line[sample_id]}")
             first_line[sample_id] = line_no
-            predictions[sample_id] = table_from_json(data["table"]) if "table" in data else None
+            table = table_from_json(data["table"]) if "table" in data else None
+            if table is not None and not (report := validate(table)).valid:
+                raise InvalidTable(report)
+            predictions[sample_id] = table
         except json.JSONDecodeError as err:
             raise ConfigError(f"{path} line {line_no}: invalid JSON: {err}") from None
         except ValueError as err:

@@ -195,12 +195,8 @@ class SampleEval:
     semantic_cell: PRF | None = None
 
 
-def _header_sets(
-    table: Table, memo: _NormalizeMemo
-) -> tuple[set[str], set[str] | None, set[str] | None]:
-    """(all headers, row headers, col headers); row/col axes only for matrix tables."""
-    if table.orientation is Orientation.ATTRIBUTE_VALUE:
-        return {memo[h] for h, _ in table.rows}, None, None
+def _header_sets(table: Table, memo: _NormalizeMemo) -> tuple[set[str], set[str], set[str]]:
+    """(all headers, row headers, col headers), normalized through the call's memo."""
     rows = set(map(memo.__getitem__, table.row_headers))
     cols = set(map(memo.__getitem__, table.col_headers))
     return rows | cols, rows, cols

@@ -7,10 +7,12 @@ from the skeleton and never from free-form generation, the output is
 structurally valid for any backend behavior.
 
 Generation and incremental update share one slot plan: a list of
-(row index or None, column index) slots, asked in one batch by
-`_ask_slots` and written into a grid that `_assemble` turns into a table.
-Generation plans every slot of an empty grid; an update plans only the
-slots a `SkeletonDelta` adds or re-asks, over the old cells.
+(row index, column index) slots, asked in one batch by `_ask_slots` and
+written into the grid that becomes the table's `cells`. Both layouts are
+one grid (an attribute-value table is one row with no row header), so no
+step converts between layouts. Generation plans every slot of an empty
+grid; an update plans only the slots a `SkeletonDelta` adds or re-asks,
+over the old cells.
 """
 
 from __future__ import annotations
@@ -71,16 +73,7 @@ class TableSkeleton:
 
 def skeleton_from_table(table: Table) -> TableSkeleton:
     """Gold-header seeding: lift an existing table's headers into a skeleton."""
-    if table.orientation is Orientation.ATTRIBUTE_VALUE:
-        return TableSkeleton(
-            orientation=table.orientation,
-            col_headers=tuple(header for header, _ in table.rows),
-        )
-    return TableSkeleton(
-        orientation=table.orientation,
-        row_headers=table.row_headers,
-        col_headers=table.col_headers,
-    )
+    return TableSkeleton(table.orientation, table.row_headers, table.col_headers)
 
 
 @dataclass(frozen=True)
@@ -134,7 +127,7 @@ class SkeletonDelta:
                 raise TypeError(f"{name} must be a sequence, not a bare string")
         object.__setattr__(self, "add_row_headers", tuple(self.add_row_headers))
         object.__setattr__(self, "add_col_headers", tuple(self.add_col_headers))
-        object.__setattr__(self, "reask", tuple((r, c) for r, c in self.reask))
+        object.__setattr__(self, "reask", tuple(map(_reask_address, self.reask)))
         headers = [*self.add_row_headers, *self.add_col_headers, *(c for _, c in self.reask),
                    *(r for r, _ in self.reask if r is not None)]
         if not all(isinstance(h, str) for h in headers):
@@ -142,6 +135,13 @@ class SkeletonDelta:
 
     def is_empty(self) -> bool:
         return not (self.add_row_headers or self.add_col_headers or self.reask)
+
+
+def _reask_address(address: object) -> tuple:
+    """A re-ask address as a pair; a string, or any other non-pair, is rejected by name."""
+    if isinstance(address, str) or not isinstance(address, Sequence) or len(address) != 2:
+        raise TypeError(f"re-ask address {address!r} must be a [row header, column header] pair")
+    return tuple(address)
 
 
 def _construct_structure_raw(
@@ -189,7 +189,7 @@ def _postprocess(raw: str, numeric: bool) -> str | None:
 
 
 def _ask_slots(
-    slots: list[tuple[int | None, int]],
+    slots: list[tuple[int, int]],
     row_headers: Sequence[str],
     col_headers: Sequence[str],
     grid: list[list[str | None]],
@@ -202,13 +202,13 @@ def _ask_slots(
 ) -> tuple[list[str], list[GenerationResponse | BackendError]]:
     """Stage two's one dispatch point: one question per slot, all in one batch.
 
-    A slot is (row index or None, column index); an attribute-value table
-    has no row axis, and its slots address the grid's one implicit row.
-    Each post-processed answer is written into `grid`; a failed cell
-    degrades to absent instead of aborting the table. An answer text that
-    repeats within the batch (most box-score answers are small numbers)
-    is post-processed once. Returns the questions and the raw results,
-    aligned with `slots`.
+    A slot is (row index, column index) into `grid`; its row header is
+    `row_headers[r]`, or None for an attribute-value table, whose slots
+    all address its one row. Each post-processed answer is written into
+    `grid`; a failed cell degrades to absent instead of aborting the
+    table. An answer text that repeats within the batch (most box-score
+    answers are small numbers) is post-processed once. Returns the
+    questions and the raw results, aligned with `slots`.
 
     Each prompt is exactly what `build_qa_prompt` builds, but the passage
     is cut to the budget once per distinct question length instead of
@@ -217,7 +217,7 @@ def _ask_slots(
     """
     numeric = kind.numeric
     questions = [
-        formulate_question(None if r is None else row_headers[r], col_headers[c], numeric)
+        formulate_question(row_headers[r] if row_headers else None, col_headers[c], numeric)
         for r, c in slots
     ]
     if not questions:
@@ -236,24 +236,13 @@ def _ask_slots(
     values: dict[str, str | None] = {}  # answer text -> cell value, for this batch only
     for (r, c), result in zip(slots, results):
         if isinstance(result, BackendError):
-            grid[r or 0][c] = None
+            grid[r][c] = None
             continue
         text = result.text
         if text not in values:
             values[text] = _postprocess(text, numeric)
-        grid[r or 0][c] = values[text]
+        grid[r][c] = values[text]
     return questions, results
-
-
-def _assemble(
-    orientation: Orientation,
-    row_headers: Sequence[str],
-    col_headers: Sequence[str],
-    grid: list[list[str | None]],
-) -> Table:
-    if orientation is Orientation.ATTRIBUTE_VALUE:
-        return Table.attribute_value(zip(col_headers, grid[0]))
-    return Table.matrix(row_headers, col_headers, grid)
 
 
 def generate_content(
@@ -274,9 +263,9 @@ def generate_content(
     """
     started = time.monotonic()
     rows, cols = skeleton.row_headers, skeleton.col_headers
-    row_slots = [None] if skeleton.orientation is Orientation.ATTRIBUTE_VALUE else range(len(rows))
-    slots = [(r, c) for r in row_slots for c in range(len(cols))]
-    grid: list[list[str | None]] = [[None] * len(cols) for _ in row_slots]
+    height = 1 if skeleton.orientation is Orientation.ATTRIBUTE_VALUE else len(rows)
+    slots = [(r, c) for r in range(height) for c in range(len(cols))]
+    grid: list[list[str | None]] = [[None] * len(cols) for _ in range(height)]
     questions, results = _ask_slots(
         slots, rows, cols, grid, passage, kind, backend, template, max_input_tokens,
         answer_max_new_tokens,
@@ -284,14 +273,14 @@ def generate_content(
 
     traces = []
     for (r, c), question, result in zip(slots, questions, results):
-        row_header = None if r is None else rows[r]
+        row_header = rows[r] if rows else None
         if isinstance(result, BackendError):
             traces.append(CellTrace(row_header, cols[c], question, None, None, None, str(result)))
         else:
             traces.append(CellTrace(
-                row_header, cols[c], question, result.text, grid[r or 0][c], result.latency_ms
+                row_header, cols[c], question, result.text, grid[r][c], result.latency_ms
             ))
-    table = _assemble(skeleton.orientation, rows, cols, grid)
+    table = Table(skeleton.orientation, rows, cols, grid)
     trace = GenerationTrace(cells=tuple(traces), content_ms=(time.monotonic() - started) * 1000.0)
     return table, trace
 
@@ -389,33 +378,25 @@ def _header_finder(headers: Sequence[str], what: str) -> Callable[[str], int]:
 
 def _resolve_reask(
     table: Table, reask: tuple[tuple[str | None, str], ...]
-) -> list[tuple[int | None, int]]:
+) -> list[tuple[int, int]]:
     """Map re-ask addresses (by header text) to distinct slots, insisting they are absent.
 
     Slots keep the order their first address names them in.
     """
-    resolved: list[tuple[int | None, int]] = []
-    if table.orientation is Orientation.ATTRIBUTE_VALUE:
-        find = _header_finder([h for h, _ in table.rows], "header")
-        for row_header, col_header in reask:
-            if row_header not in (None, ""):
-                raise ValueError("attribute-value re-ask addresses have no row header")
-            index = find(col_header)
-            if table.rows[index][1] is not None:
-                raise ValueError(f"cell for {col_header!r} is present; only absent cells can be re-asked")
-            resolved.append((None, index))
-        return list(dict.fromkeys(resolved))
-
+    attribute_value = table.orientation is Orientation.ATTRIBUTE_VALUE
     find_row = _header_finder(table.row_headers, "row header")
-    find_col = _header_finder(table.col_headers, "column header")
+    find_col = _header_finder(table.col_headers, "header" if attribute_value else "column header")
+    resolved: list[tuple[int, int]] = []
     for row_header, col_header in reask:
-        if row_header is None:
+        if attribute_value and row_header not in (None, ""):
+            raise ValueError("attribute-value re-ask addresses have no row header")
+        if not attribute_value and row_header is None:
             raise ValueError("unknown row header None in re-ask address")
-        r, c = find_row(row_header), find_col(col_header)
+        r = 0 if attribute_value else find_row(row_header)
+        c = find_col(col_header)
         if table.cells[r][c] is not None:
-            raise ValueError(
-                f"cell ({row_header!r}, {col_header!r}) is present; only absent cells can be re-asked"
-            )
+            cell = f"for {col_header!r}" if attribute_value else f"({row_header!r}, {col_header!r})"
+            raise ValueError(f"cell {cell} is present; only absent cells can be re-asked")
         resolved.append((r, c))
     return list(dict.fromkeys(resolved))
 
@@ -448,36 +429,28 @@ def update_table(
             raise ValueError(f"added header {header!r} is blank")
 
     reask_slots = _resolve_reask(table, delta.reask)
-    if table.orientation is Orientation.ATTRIBUTE_VALUE:
-        if delta.add_row_headers:
-            raise ValueError("attribute-value tables have no row-header axis to extend")
-        rows: list[str] = []
-        cols = [header for header, _ in table.rows]
-        grid = [[value for _, value in table.rows]]
-        row_slots: Sequence[int | None] = [None]
-    else:
-        rows = list(table.row_headers)
-        cols = list(table.col_headers)
-        grid = [list(row) for row in table.cells]
-        row_slots = range(len(rows))
+    if table.orientation is Orientation.ATTRIBUTE_VALUE and delta.add_row_headers:
+        raise ValueError("attribute-value tables have no row-header axis to extend")
+    rows, cols = list(table.row_headers), list(table.col_headers)
+    grid = [list(row) for row in table.cells]
     # Existing headers stay as they are; added ones are de-duplicated against
     # them, and the grid grows by absent cells to match.
-    old_rows, old_cols = len(rows), len(cols)
+    old_cols, old_height = len(cols), len(grid)
     if delta.add_col_headers:
         cols += dedupe_headers([*cols, *delta.add_col_headers])[old_cols:]
         padding = [None] * (len(cols) - old_cols)
         for row in grid:
             row += padding
     if delta.add_row_headers:
-        rows += dedupe_headers([*rows, *delta.add_row_headers])[old_rows:]
-        grid += [[None] * len(cols) for _ in range(len(rows) - old_rows)]
+        rows += dedupe_headers([*rows, *delta.add_row_headers])[len(rows):]
+        grid += [[None] * len(cols) for _ in delta.add_row_headers]
 
     # New rows × all columns, then existing rows × new columns, then re-asks.
-    slots = [(r, c) for r in range(old_rows, len(rows)) for c in range(len(cols))]
-    slots += [(r, c) for r in row_slots for c in range(old_cols, len(cols))]
+    slots = [(r, c) for r in range(old_height, len(grid)) for c in range(len(cols))]
+    slots += [(r, c) for r in range(old_height) for c in range(old_cols, len(cols))]
     slots += reask_slots
     _ask_slots(
         slots, rows, cols, grid, new_passage, kind, backend, template, max_input_tokens,
         answer_max_new_tokens,
     )
-    return _assemble(table.orientation, rows, cols, grid)
+    return Table(table.orientation, rows, cols, grid)

@@ -1,9 +1,11 @@
 """Table data model: validation, flat-format serialization/parsing, normalization.
 
-Two layouts are supported. An attribute-value table is a list of
-(header, value) rows, as in restaurant or biography summaries. A matrix
+Two layouts are supported, and both are stored as one grid. A matrix
 table has a row-header axis and a column-header axis with one optional
-value per (row, column) slot, as in sports box scores.
+value per (row, column) slot, as in sports box scores. An
+attribute-value table, as in restaurant or biography summaries, is the
+same grid with one row and no row header: its attributes are the column
+headers, and its (header, value) pairs are derived from them.
 
 The flat text format writes cells separated by "|" and rows separated by
 the literal "<NEWLINE>" tag (a 9-character token, not a control
@@ -12,7 +14,7 @@ character), so a whole table is a single line of text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -48,7 +50,7 @@ class StructuralError(ValueError):
 
 
 class Violation(NamedTuple):
-    kind: str  # "row_width" | "row_count"
+    kind: str  # "row_width" | "row_count" | "row_headers"
     index: int  # row index, or -1 for a table-level violation
     expected: int
     observed: int
@@ -103,27 +105,28 @@ def dedupe_headers(headers: Iterable[str]) -> list[str]:
 class Table:
     """Immutable table value; use the `matrix` / `attribute_value` constructors.
 
-    Matrix layout uses `row_headers`, `col_headers` and the `cells` grid
-    (None = absent). Attribute-value layout uses `rows` of
-    (header, optional value) pairs. Absent is the canonical form of an
-    empty cell; parsers map empty strings to absent.
+    Both layouts hold `row_headers`, `col_headers` and the `cells` grid
+    (None = absent). An attribute-value table is a one-row grid with no
+    row header: `row_headers` is (), its attributes are `col_headers`,
+    and its values are the one row of `cells`; `rows` derives its
+    (header, value) pairs. Absent is the canonical form of an empty cell;
+    parsers map empty strings to absent.
     """
 
     orientation: Orientation
     row_headers: tuple[str, ...] = ()
     col_headers: tuple[str, ...] = ()
     cells: tuple[tuple[str | None, ...], ...] = ()
-    rows: tuple[tuple[str, str | None], ...] = field(default=())
 
     def __post_init__(self):
         object.__setattr__(self, "row_headers", tuple(self.row_headers))
         object.__setattr__(self, "col_headers", tuple(self.col_headers))
         object.__setattr__(self, "cells", tuple(tuple(row) for row in self.cells))
-        object.__setattr__(self, "rows", tuple((h, v) for h, v in self.rows))
 
     @classmethod
     def attribute_value(cls, rows: Iterable[tuple[str, str | None]]) -> "Table":
-        return cls(orientation=Orientation.ATTRIBUTE_VALUE, rows=tuple(rows))
+        pairs = list(rows)
+        return cls(Orientation.ATTRIBUTE_VALUE, (), [h for h, _ in pairs], [[v for _, v in pairs]])
 
     @classmethod
     def matrix(
@@ -132,53 +135,57 @@ class Table:
         col_headers: Iterable[str],
         cells: Iterable[Iterable[str | None]],
     ) -> "Table":
-        return cls(
-            orientation=Orientation.MATRIX,
-            row_headers=tuple(row_headers),
-            col_headers=tuple(col_headers),
-            cells=tuple(tuple(row) for row in cells),
-        )
+        return cls(Orientation.MATRIX, row_headers, col_headers, cells)
+
+    @property
+    def rows(self) -> tuple[tuple[str, str | None], ...]:
+        """An attribute-value table's (header, value) pairs; () for a matrix."""
+        if self.orientation is Orientation.MATRIX or not self.cells:
+            return ()
+        return tuple(zip(self.col_headers, self.cells[0]))
 
     @property
     def shape(self) -> tuple[int, int]:
         """(data rows, value columns); attribute-value tables have one value column."""
         if self.orientation is Orientation.ATTRIBUTE_VALUE:
-            return (len(self.rows), 1)
+            return (len(self.col_headers), 1)
         return (len(self.row_headers), len(self.col_headers))
 
     def present_cell_count(self) -> int:
-        if self.orientation is Orientation.ATTRIBUTE_VALUE:
-            return sum(1 for _, v in self.rows if v is not None)
         return sum(1 for row in self.cells for v in row if v is not None)
 
 
+_VALID = ValidityReport(valid=True)
+
+
 def validate(table: Table) -> ValidityReport:
-    """Check rectangularity: every row has one shared cell count, every column likewise.
+    """Check rectangularity: one row per row header, each as wide as the column headers.
 
-    Malformed structure is reported, not raised; attribute-value tables
-    are rectangular by construction (each row is a header/value pair).
+    An attribute-value table must have no row headers and exactly one
+    row. Malformed structure is reported, not raised.
     """
-    if table.orientation is Orientation.ATTRIBUTE_VALUE:
-        return ValidityReport(valid=True)
-
     violations: list[Violation] = []
     expected_width = len(table.col_headers)
     for i, row in enumerate(table.cells):
         if len(row) != expected_width:
             violations.append(Violation("row_width", i, expected_width, len(row)))
-    if len(table.cells) != len(table.row_headers):
-        violations.append(Violation("row_count", -1, len(table.row_headers), len(table.cells)))
-    return ValidityReport(valid=not violations, violations=tuple(violations))
+    expected_rows = len(table.row_headers)
+    if table.orientation is Orientation.ATTRIBUTE_VALUE:
+        if table.row_headers:
+            violations.append(Violation("row_headers", -1, 0, len(table.row_headers)))
+        expected_rows = 1
+    if len(table.cells) != expected_rows:
+        violations.append(Violation("row_count", -1, expected_rows, len(table.cells)))
+    if not violations:
+        return _VALID
+    return ValidityReport(valid=False, violations=tuple(violations))
 
 
 def header_issues(table: Table) -> list[str]:
     """Non-structural header problems: empty after normalization, or duplicates within an axis."""
     issues: list[str] = []
-    if table.orientation is Orientation.ATTRIBUTE_VALUE:
-        axes = [("header", [h for h, _ in table.rows])]
-    else:
-        axes = [("row header", list(table.row_headers)), ("column header", list(table.col_headers))]
-    for label, headers in axes:
+    col_label = "header" if table.orientation is Orientation.ATTRIBUTE_VALUE else "column header"
+    for label, headers in [("row header", table.row_headers), (col_label, table.col_headers)]:
         seen: set[str] = set()
         for i, text in enumerate(headers):
             norm = normalize_text(text)
@@ -224,17 +231,13 @@ def parse_flat(text: str, orientation: Orientation) -> Table:
         raise StructuralError(widths)
 
     if orientation is Orientation.ATTRIBUTE_VALUE:
-        headers = dedupe_headers(row[0] for row in grid)
-        rows = []
-        for header, row in zip(headers, grid):
-            value = " | ".join(row[1:]) if len(row) > 1 else ""
-            rows.append((header, value if value else None))
-        return Table.attribute_value(rows)
+        values = [" | ".join(row[1:]) or None for row in grid]
+        return Table(orientation, (), dedupe_headers(row[0] for row in grid), [values])
 
     header_row, *data_rows = grid
     col_headers = dedupe_headers(header_row[1:])  # leading cell is the corner, dropped
     row_headers = dedupe_headers(row[0] for row in data_rows)
-    cells = tuple(tuple(v if v else None for v in row[1:]) for row in data_rows)
+    cells = [[v or None for v in row[1:]] for row in data_rows]
     return Table.matrix(row_headers, col_headers, cells)
 
 
@@ -274,7 +277,7 @@ def _cell_tuples(table: Table, memo: _NormalizeMemo) -> set[CellTuple]:
     if table.orientation is Orientation.ATTRIBUTE_VALUE:
         return {
             _new_tuple(CellTuple, ("", memo[header], norm))
-            for header, value in table.rows
+            for header, value in zip(table.col_headers, table.cells[0])
             if value is not None and (norm := memo[value])
         }
     col_headers = [memo[h] for h in table.col_headers]
@@ -316,15 +319,16 @@ def table_from_json(data: object) -> Table:
         rows = data.get("rows")
         if not isinstance(rows, list):
             raise ValueError('attribute-value table JSON requires a "rows" list')
-        parsed = []
+        headers, values = [], []
         for i, item in enumerate(rows):
             if not isinstance(item, dict) or not isinstance(item.get("header"), str):
                 raise ValueError(f'row {i} must be an object with a string "header"')
             value = item.get("value")
             if value is not None and not isinstance(value, str):
                 raise ValueError(f"row {i} value must be a string or null")
-            parsed.append((item["header"], value))
-        return Table.attribute_value(parsed)
+            headers.append(item["header"])
+            values.append(value)
+        return Table(Orientation.ATTRIBUTE_VALUE, (), headers, [values])
 
     for key in ("row_headers", "col_headers", "cells"):
         if not isinstance(data.get(key), list):

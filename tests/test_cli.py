@@ -361,6 +361,19 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err == f"config error: gold file {gold} repeats sample id {sample_id}\n"
 
+    def test_a_ragged_prediction_is_a_config_error(self, tmp_path, capsys):
+        sample = json.loads(Path(TEAM_EXAMPLE).read_text("utf-8"))
+        table = sample["table"]
+        ragged = {**table, "cells": [table["cells"][0][:-1], *table["cells"][1:]]}
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": sample["id"], "table": ragged}) + "\n", "utf-8")
+        code = dispatch(["evaluate", "--kind", "rotowire-team", "--pred", str(preds),
+                         "--gold", TEAM_EXAMPLE])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {preds} line 1: invalid table: ")
+        assert "row_width" in err and "Traceback" not in err
+
     def test_text_format_report(self, tmp_path, capsys):
         out = tmp_path / "preds.jsonl"
         dispatch(["generate", "--kind", "e2e", "--backend", "mock-oracle", "--in", E2E_EXAMPLE,
@@ -493,6 +506,28 @@ class TestUpdateBadDelta:
         assert code == 2
         assert f"config error: delta file {delta_file}:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "address, shown",
+        [("Hi", "'Hi'"), (["Hawks", "Wins", "Losses"], "['Hawks', 'Wins', 'Losses']"),
+         (None, "None"), (["Hawks"], "['Hawks']")],
+        ids=["string", "three-items", "null", "one-item"],
+    )
+    def test_a_reask_address_that_is_not_a_pair_is_named(self, tmp_path, capsys, address, shown):
+        table_file = tmp_path / "table.json"
+        table_file.write_text(json.dumps(json.loads(Path(TEAM_EXAMPLE).read_text("utf-8"))["table"]),
+                              "utf-8")
+        delta_file = tmp_path / "delta.json"
+        delta_file.write_text(json.dumps({"reask": [address]}), "utf-8")
+        code = dispatch(
+            ["update", "--kind", "rotowire-team", "--table", str(table_file),
+             "--delta", str(delta_file), "--evidence", "Magic lost 3.",
+             "--oracle", TEAM_EXAMPLE, "--backend", "mock-oracle"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"config error: delta file {delta_file}: re-ask address {shown}"
+                       " must be a [row header, column header] pair\n")
 
     def test_ragged_table_is_blamed_on_the_table_file(self, tmp_path, capsys):
         table_file = tmp_path / "table.json"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import zlib
 
 import pytest
@@ -824,7 +825,7 @@ class TestUpdateDeltaChecks:
 
     def test_reask_by_unique_normalized_text_still_resolves(self):
         table = Table.attribute_value([("Name", None), ("Area", None)])
-        assert pipeline_module._resolve_reask(table, ((None, " AREA"),)) == [(None, 1)]
+        assert pipeline_module._resolve_reask(table, ((None, " AREA"),)) == [(0, 1)]
 
     def test_repeated_reask_addresses_ask_each_slot_once(self, rotowire_team_sample):
         gold = rotowire_team_sample.gold
@@ -845,6 +846,11 @@ class TestSkeletonDelta:
     def test_bare_string_is_rejected(self, field):
         with pytest.raises(TypeError, match=f"{field} must be a sequence"):
             SkeletonDelta(**{field: "Raptors"})
+
+    @pytest.mark.parametrize("address", ["Hi", "ab", ("a", "b", "c"), None, ("a",), 7])
+    def test_reask_address_must_be_a_pair(self, address):
+        with pytest.raises(TypeError, match=f"re-ask address {re.escape(repr(address))} must be"):
+            SkeletonDelta(reask=[("Hawks", "Wins"), address])
 
     @pytest.mark.parametrize(
         "fields",

@@ -11,6 +11,7 @@ from tabgen.table import (
     Orientation,
     StructuralError,
     Table,
+    ValidityReport,
     dedupe_headers,
     header_issues,
     normalize_text,
@@ -78,6 +79,54 @@ class TestValidate:
             [table.cells[i] for i in order],
         )
         assert validate(permuted).valid == validate(table).valid
+
+
+class TestAttributeValueGrid:
+    """An attribute-value table is a one-row grid with no row header; its pairs are derived."""
+
+    def test_attributes_are_column_headers_and_values_are_one_row(self):
+        table = Table.attribute_value([("Name", "The Eagle"), ("Food", None)])
+        assert table.row_headers == ()
+        assert table.col_headers == ("Name", "Food")
+        assert table.cells == (("The Eagle", None),)
+        assert table.rows == (("Name", "The Eagle"), ("Food", None))
+        assert Table.matrix(["a"], ["x"], [["1"]]).rows == ()
+
+    @given(st.lists(st.tuples(PHRASES, VALUES), max_size=6))
+    def test_the_grid_form_equals_the_pairs_form(self, pairs):
+        cols, values = [h for h, _ in pairs], [v for _, v in pairs]
+        table = Table(Orientation.ATTRIBUTE_VALUE, (), cols, [values])
+        assert table == Table.attribute_value(zip(cols, values))
+        assert validate(table).valid
+
+    @pytest.mark.parametrize(
+        "row_headers, cells",
+        [((), []), ((), [["1"], ["2"]]), ((), [["1", "2"]]), ((), [[]]), (("r",), [["1"]])],
+        ids=["no-row", "two-rows", "too-wide", "too-narrow", "row-header"],
+    )
+    def test_validate_rejects_a_grid_that_is_not_one_headerless_row(self, row_headers, cells):
+        table = Table(Orientation.ATTRIBUTE_VALUE, row_headers, ["Name"], cells)
+        assert not validate(table).valid
+        assert len(table.rows) <= 1  # derived pairs never raise, even on an invalid table
+        with pytest.raises(InvalidTable):
+            to_tuples(table)
+
+    def test_valid_tables_share_one_report(self):
+        first = validate(Table.attribute_value([("Name", None)]))
+        assert first is validate(Table.matrix(["a"], ["x"], [["1"]]))
+        assert first == ValidityReport(valid=True)
+
+    @given(st.lists(st.tuples(st.text(), st.one_of(st.none(), st.text())), max_size=8))
+    def test_arbitrary_pairs_round_trip(self, pairs):
+        table = Table.attribute_value(pairs)
+        assert table.rows == tuple(pairs)
+        assert table_from_json(table_to_json(table)) == table
+        assert Table.attribute_value(table.rows) == table
+        assert to_tuples(table) == {
+            CellTuple("", normalize_text(header), normalize_text(value))
+            for header, value in pairs
+            if value is not None and normalize_text(value)
+        }
 
 
 class TestNormalize:
