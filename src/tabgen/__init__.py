@@ -44,13 +44,11 @@ from tabgen.metrics import (
 from tabgen.pipeline import (
     GenerationTrace,
     SkeletonDelta,
-    TableSkeleton,
     baseline_generate,
     construct_structure,
     generate_content,
     generate_table,
     generate_table_traced,
-    skeleton_from_table,
     update_table,
 )
 from tabgen.prompts import (

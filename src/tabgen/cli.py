@@ -29,7 +29,6 @@ from tabgen.pipeline import (
     SkeletonDelta,
     baseline_generate,
     generate_table_traced,
-    skeleton_from_table,
     update_table,
 )
 from tabgen.prompts import NoHeaders, PromptTemplate
@@ -216,7 +215,7 @@ def _cmd_generate(args: Namespace) -> int:
             max_input_tokens=config.max_input_tokens,
             headers_max_new_tokens=config.headers_max_new_tokens,
             answer_max_new_tokens=config.answer_max_new_tokens,
-            skeleton=skeleton_from_table(sample.gold) if args.gold_headers else None,
+            skeleton=sample.gold if args.gold_headers else None,
         )
         trace_record = {
             "id": sample.id,
@@ -313,9 +312,21 @@ def _cmd_evaluate(args: Namespace) -> int:
     return 0
 
 
+def _table_of_kind(data, kind: DatasetKind) -> Table:
+    """A table file's table; like a gold table, it must be valid and of `kind`'s orientation."""
+    table = table_from_json(data)
+    if table.orientation is not kind.orientation:
+        raise ValueError(
+            f"table orientation {table.orientation.value} does not match kind {kind.value}"
+        )
+    if not (report := validate(table)).valid:
+        raise InvalidTable(report)
+    return table
+
+
 def _cmd_update(args: Namespace) -> int:
     config = _backend_config(args)
-    table = _read_json(args.table, "table file", table_from_json)
+    table = _read_json(args.table, "table file", lambda data: _table_of_kind(data, args.kind))
     delta = _read_json(args.delta, "delta file", lambda data: SkeletonDelta(**data))
 
     evidence = args.evidence or ""
@@ -337,8 +348,6 @@ def _cmd_update(args: Namespace) -> int:
                 max_input_tokens=config.max_input_tokens,
                 answer_max_new_tokens=config.answer_max_new_tokens,
             )
-        except InvalidTable as err:
-            raise ConfigError(f"table file {args.table}: {err}") from err
         except ValueError as err:  # a delta that does not fit the table
             raise ConfigError(f"delta file {args.delta}: {err}") from err
     output = json.dumps(table_to_json(updated), sort_keys=True, ensure_ascii=False, indent=2) + "\n"

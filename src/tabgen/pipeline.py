@@ -1,24 +1,25 @@
 """Two-stage table generation, the single-stage flat baseline, and incremental updates.
 
-Stage one asks the backend for the table's headers and parses them into a
-skeleton. Stage two synthesizes one question per skeleton slot, answers
-them in a single batch, and assembles the table. Because the shape comes
-from the skeleton and never from free-form generation, the output is
-structurally valid for any backend behavior.
+Stage one asks the backend for the table's headers and returns them as a
+skeleton: a `Table` whose every cell is absent. Stage two synthesizes one
+question per cell of a skeleton's grid, answers them in a single batch,
+and assembles the table. Because the shape comes from the skeleton and
+never from free-form generation, the output is structurally valid for any
+backend behavior.
 
 Generation and incremental update share one slot plan: a list of
 (row index, column index) slots, asked in one batch by `_ask_slots` and
 written into the grid that becomes the table's `cells`. Both layouts are
 one grid (an attribute-value table is one row with no row header), so no
-step converts between layouts. Generation plans every slot of an empty
-grid; an update plans only the slots a `SkeletonDelta` adds or re-asks,
-over the old cells.
+step converts between layouts. Generation plans every slot of the
+skeleton's grid; an update plans only the slots a `SkeletonDelta` adds or
+re-asks, over the old cells.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from tabgen.backends import BackendError, GenerationBackend, GenerationRequest, GenerationResponse
@@ -45,35 +46,6 @@ from tabgen.table import (
     parse_flat,
     validate,
 )
-
-
-@dataclass(frozen=True)
-class TableSkeleton:
-    """Headers only: stage-one output, stage-two input.
-
-    Attribute-value skeletons keep their attribute headers in
-    `col_headers` (they address cells the way column headers do) and have
-    no row axis.
-    """
-
-    orientation: Orientation
-    row_headers: tuple[str, ...] = ()
-    col_headers: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "row_headers", tuple(self.row_headers))
-        object.__setattr__(self, "col_headers", tuple(self.col_headers))
-
-    @property
-    def slot_count(self) -> int:
-        if self.orientation is Orientation.ATTRIBUTE_VALUE:
-            return len(self.col_headers)
-        return len(self.row_headers) * len(self.col_headers)
-
-
-def skeleton_from_table(table: Table) -> TableSkeleton:
-    """Gold-header seeding: lift an existing table's headers into a skeleton."""
-    return TableSkeleton(table.orientation, table.row_headers, table.col_headers)
 
 
 @dataclass(frozen=True)
@@ -151,14 +123,13 @@ def _construct_structure_raw(
     template: PromptTemplate | None,
     max_input_tokens: int | None,
     headers_max_new_tokens: int,
-) -> tuple[TableSkeleton, str]:
+) -> tuple[Table, str]:
     prompt = build_structure_prompt(passage, kind, template, max_input_tokens)
     response = backend.generate(GenerationRequest(prompt, max_new_tokens=headers_max_new_tokens))
     row_headers, col_headers = parse_structure_answer(response.text, kind.orientation)
-    skeleton = TableSkeleton(
-        orientation=kind.orientation, row_headers=row_headers, col_headers=col_headers
-    )
-    return skeleton, response.text
+    height = 1 if kind.orientation is Orientation.ATTRIBUTE_VALUE else len(row_headers)
+    blank = ((None,) * len(col_headers),) * height
+    return Table(kind.orientation, row_headers, col_headers, blank), response.text
 
 
 def construct_structure(
@@ -169,8 +140,13 @@ def construct_structure(
     template: PromptTemplate | None = None,
     max_input_tokens: int | None = 2048,
     headers_max_new_tokens: int = 256,
-) -> TableSkeleton:
-    """Stage one: one backend call, parsed into a de-duplicated header skeleton."""
+) -> Table:
+    """Stage one: one backend call, parsed into the table's de-duplicated headers.
+
+    The result is a skeleton: a valid table of `kind`'s orientation whose
+    every cell is absent, one row for an attribute-value table and one per
+    row header for a matrix.
+    """
     skeleton, _ = _construct_structure_raw(
         passage, kind, backend, template, max_input_tokens, headers_max_new_tokens
     )
@@ -246,7 +222,7 @@ def _ask_slots(
 
 
 def generate_content(
-    skeleton: TableSkeleton,
+    skeleton: Table,
     passage: str,
     kind: DatasetKind,
     backend: GenerationBackend,
@@ -255,17 +231,22 @@ def generate_content(
     max_input_tokens: int | None = 2048,
     answer_max_new_tokens: int = 64,
 ) -> tuple[Table, GenerationTrace]:
-    """Stage two: one batched round of questions, one answer per skeleton slot.
+    """Stage two: one batched round of questions, one answer per cell of the skeleton's grid.
 
-    The output table always has exactly the skeleton's shape; cells whose
-    answer is a refusal, fails numeric extraction, or errors out are
+    The skeleton's cell values are never read: only its orientation,
+    headers and grid shape matter, so a filled table asks what its blank
+    copy asks. An invalid skeleton raises InvalidTable before any backend
+    call. The output table always has exactly the skeleton's shape; cells
+    whose answer is a refusal, fails numeric extraction, or errors out are
     absent.
     """
+    report = validate(skeleton)
+    if not report.valid:
+        raise InvalidTable(report)
     started = time.monotonic()
     rows, cols = skeleton.row_headers, skeleton.col_headers
-    height = 1 if skeleton.orientation is Orientation.ATTRIBUTE_VALUE else len(rows)
-    slots = [(r, c) for r in range(height) for c in range(len(cols))]
-    grid: list[list[str | None]] = [[None] * len(cols) for _ in range(height)]
+    slots = [(r, c) for r in range(len(skeleton.cells)) for c in range(len(cols))]
+    grid: list[list[str | None]] = [[None] * len(cols) for _ in skeleton.cells]
     questions, results = _ask_slots(
         slots, rows, cols, grid, passage, kind, backend, template, max_input_tokens,
         answer_max_new_tokens,
@@ -295,12 +276,14 @@ def generate_table_traced(
     max_input_tokens: int | None = 2048,
     headers_max_new_tokens: int = 256,
     answer_max_new_tokens: int = 64,
-    skeleton: TableSkeleton | None = None,
+    skeleton: Table | None = None,
 ) -> tuple[Table, GenerationTrace]:
-    """Both stages end to end; pass a skeleton to seed stage two directly.
+    """Both stages end to end; pass a skeleton table to seed stage two directly.
 
-    NoHeaders (an unusable stage-one answer) is the only unrecoverable
-    pipeline error.
+    A seeding table's headers are used and its values are not read, so a
+    gold table seeds gold-header generation as it is. NoHeaders (an
+    unusable stage-one answer) is the only unrecoverable pipeline error;
+    an invalid seeding table raises InvalidTable.
     """
     structure_answer = None
     structure_ms = 0.0
@@ -320,12 +303,7 @@ def generate_table_traced(
         max_input_tokens=max_input_tokens,
         answer_max_new_tokens=answer_max_new_tokens,
     )
-    return table, GenerationTrace(
-        cells=trace.cells,
-        structure_answer=structure_answer,
-        structure_ms=structure_ms,
-        content_ms=trace.content_ms,
-    )
+    return table, replace(trace, structure_answer=structure_answer, structure_ms=structure_ms)
 
 
 def generate_table(

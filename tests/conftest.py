@@ -23,7 +23,7 @@ from tabgen.backends import (
 from tabgen.corpus import Sample, fixture_path, load_jsonl
 from tabgen.kinds import DatasetKind
 from tabgen.prompts import formulate_question
-from tabgen.table import Orientation
+from tabgen.table import Orientation, Table
 
 ALL_KINDS = [
     DatasetKind.E2E,
@@ -169,6 +169,14 @@ def check_frozen_record(cls: type, values: Sequence, others: Sequence) -> None:
         }
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, name, other)
+
+
+def blank_table(
+    orientation: Orientation, row_headers: Sequence[str], col_headers: Sequence[str]
+) -> Table:
+    """A skeleton as stage one returns it: the headers, with every cell absent."""
+    height = 1 if orientation is Orientation.ATTRIBUTE_VALUE else len(row_headers)
+    return Table(orientation, row_headers, col_headers, [[None] * len(col_headers)] * height)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from tabgen.backends import (
     _retry_after_seconds,
 )
 from tabgen.kinds import DatasetKind
-from tabgen.pipeline import generate_content, generate_table, skeleton_from_table
+from tabgen.pipeline import generate_content, generate_table
 from tabgen.prompts import (
     PromptTemplate,
     build_baseline_prompt,
@@ -548,9 +548,7 @@ class TestFixtureStore:
             return oracle.generate(GenerationRequest(prompt)).text
 
         recorder = FixtureStore(tmp_path, ScriptedBackend(answer))
-        table, trace = generate_content(
-            skeleton_from_table(sample.gold), sample.text, DatasetKind.E2E, recorder
-        )
+        table, trace = generate_content(sample.gold, sample.text, DatasetKind.E2E, recorder)
 
         assert table.rows[0] == (bad_header, None)
         assert table.rows[1:] == sample.gold.rows[1:]

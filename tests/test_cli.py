@@ -544,6 +544,43 @@ class TestUpdateBadDelta:
         assert code == 2
         assert f"config error: table file {table_file}: invalid table" in err
 
+    def test_ragged_table_with_an_empty_delta_is_blamed_on_the_table_file(self, tmp_path, capsys):
+        table_file = tmp_path / "table.json"
+        table_file.write_text(json.dumps({"orientation": "matrix", "row_headers": ["Magic"],
+                                          "col_headers": ["Wins"], "cells": [["1", "2"]]}), "utf-8")
+        delta_file = tmp_path / "delta.json"
+        delta_file.write_text("{}", "utf-8")
+        code = dispatch(["update", "--kind", "rotowire-team", "--table", str(table_file),
+                         "--delta", str(delta_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"config error: table file {table_file}: invalid table" in captured.err
+
+    @pytest.mark.parametrize("empty_delta", [False, True], ids=["reask", "empty-delta"])
+    def test_a_table_of_another_kind_is_blamed_on_the_table_file(self, tmp_path, capsys, empty_delta):
+        sample = json.loads(Path(TEAM_EXAMPLE).read_text("utf-8").splitlines()[0])
+        table = sample["table"]
+        table["cells"][0][1] = None
+        table_file = tmp_path / "table.json"
+        table_file.write_text(json.dumps(table), "utf-8")
+        delta = {} if empty_delta else {"reask": [["Magic", table["col_headers"][1]]]}
+        delta_file = tmp_path / "delta.json"
+        delta_file.write_text(json.dumps(delta), "utf-8")
+        # A replay of an empty directory answers no call, so without the check the
+        # re-asked cell would stay absent and the run would exit 0.
+        (tmp_path / "fixtures").mkdir()
+        code = dispatch(
+            ["update", "--kind", "e2e", "--table", str(table_file), "--delta", str(delta_file),
+             "--evidence", sample["text"], "--backend", "replay",
+             "--fixtures", str(tmp_path / "fixtures")]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"config error: table file {table_file}:"
+                                " table orientation matrix does not match kind e2e\n")
+
 
 GENERATE = ["generate", "--kind", "e2e", "--in", E2E_EXAMPLE]
 REPLAY = [*GENERATE, "--backend", "replay", "--fixtures", "fixtures"]

@@ -18,17 +18,16 @@ from tabgen.backends import (
     Unreachable,
 )
 from tabgen.kinds import DatasetKind
+from tabgen.metrics import PRF, evaluate_sample
 from tabgen.pipeline import (
     CellTrace,
     GenerationTrace,
     SkeletonDelta,
-    TableSkeleton,
     baseline_generate,
     construct_structure,
     generate_content,
     generate_table,
     generate_table_traced,
-    skeleton_from_table,
     update_table,
 )
 from tabgen.prompts import (
@@ -37,6 +36,7 @@ from tabgen.prompts import (
     build_qa_prompt,
     default_qa_template,
     formulate_question,
+    parse_structure_answer,
 )
 from tabgen.table import (
     EmptyInput,
@@ -54,6 +54,7 @@ from .conftest import (
     ALL_KINDS,
     CountingBackend,
     ScriptedBackend,
+    blank_table,
     check_frozen_record,
     load_example,
     questions_for_headers,
@@ -106,35 +107,33 @@ class TestGenerateContent:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_gold_skeleton_reproduces_gold_table(self, kind):
         sample = load_example(kind)
-        table, trace = generate_content(
-            skeleton_from_table(sample.gold), sample.text, kind, oracle_for(sample)
-        )
+        table, trace = generate_content(sample.gold, sample.text, kind, oracle_for(sample))
         assert table == sample.gold
-        assert len(trace.cells) == skeleton_from_table(sample.gold).slot_count
+        assert len(trace.cells) == sum(map(len, sample.gold.cells))
 
     def test_all_unknown_answers_give_all_absent_cells(self):
         backend = ScriptedBackend(lambda p: "unknown")
-        skeleton = TableSkeleton(Orientation.MATRIX, ("a", "b"), ("x", "y"))
+        skeleton = blank_table(Orientation.MATRIX, ("a", "b"), ("x", "y"))
         table, _ = generate_content(skeleton, "passage", DatasetKind.ROTOWIRE_TEAM, backend)
         assert validate(table).valid
         assert table.present_cell_count() == 0
 
     def test_numeric_kind_extracts_first_number(self):
         backend = ScriptedBackend(lambda p: "talled just five points")
-        skeleton = TableSkeleton(Orientation.MATRIX, ("Rubio",), ("Points",))
+        skeleton = blank_table(Orientation.MATRIX, ("Rubio",), ("Points",))
         table, _ = generate_content(skeleton, "passage", DatasetKind.ROTOWIRE_PLAYER, backend)
         assert table.cells == (("5",),)
 
     def test_numeric_kind_without_number_becomes_absent(self):
         backend = ScriptedBackend(lambda p: "had a strong game")
-        skeleton = TableSkeleton(Orientation.MATRIX, ("Rubio",), ("Points",))
+        skeleton = blank_table(Orientation.MATRIX, ("Rubio",), ("Points",))
         table, _ = generate_content(skeleton, "passage", DatasetKind.ROTOWIRE_PLAYER, backend)
         assert table.cells == ((None,),)
 
     def test_a_digit_run_past_the_int_limit_becomes_absent(self):
         # int() rejects more than 4,300 digits: the cell is absent, the sample not failed.
         backend = ScriptedBackend(lambda p: "1" * 5000 if "Wins" in p else "7")
-        skeleton = TableSkeleton(Orientation.MATRIX, ("Suns",), ("Wins", "Losses"))
+        skeleton = blank_table(Orientation.MATRIX, ("Suns",), ("Wins", "Losses"))
         table, _ = generate_content(skeleton, "passage", DatasetKind.ROTOWIRE_TEAM, backend)
         assert validate(table).valid
         assert table.cells == ((None, "7"),)
@@ -152,7 +151,7 @@ class TestGenerateContent:
                 return super()._generate_once(request)
 
         backend = OneBad(lambda p: "7")
-        skeleton = TableSkeleton(Orientation.MATRIX, ("Suns",), ("Wins", "Losses"))
+        skeleton = blank_table(Orientation.MATRIX, ("Suns",), ("Wins", "Losses"))
         table, trace = generate_content(skeleton, "passage", DatasetKind.ROTOWIRE_TEAM, backend)
         assert validate(table).valid
         assert table.cells == ((None, "7"),)
@@ -161,15 +160,13 @@ class TestGenerateContent:
 
     def test_call_count_is_rows_times_cols(self, rotowire_team_sample):
         backend = CountingBackend(oracle_for(rotowire_team_sample))
-        skeleton = skeleton_from_table(rotowire_team_sample.gold)
+        skeleton = rotowire_team_sample.gold
         generate_content(skeleton, rotowire_team_sample.text, DatasetKind.ROTOWIRE_TEAM, backend)
         assert backend.calls == 8
 
     def test_call_count_attribute_value(self, e2e_sample):
         backend = CountingBackend(oracle_for(e2e_sample))
-        generate_content(
-            skeleton_from_table(e2e_sample.gold), e2e_sample.text, DatasetKind.E2E, backend
-        )
+        generate_content(e2e_sample.gold, e2e_sample.text, DatasetKind.E2E, backend)
         assert backend.calls == 7
 
     def test_cell_trace_init_is_the_dataclass_one(self):
@@ -210,13 +207,82 @@ class TestGenerateTable:
 
     def test_seeded_skeleton_skips_stage_one(self, e2e_sample):
         backend = CountingBackend(oracle_for(e2e_sample))
-        skeleton = skeleton_from_table(e2e_sample.gold)
+        skeleton = e2e_sample.gold
         table, trace = generate_table_traced(
             e2e_sample.text, DatasetKind.E2E, backend, skeleton=skeleton
         )
         assert backend.calls == 7  # content only, no structure call
         assert trace.structure_answer is None
         assert table == e2e_sample.gold
+
+
+class TestStageBoundary:
+    """Stage one returns a skeleton table; stage two reads its headers and grid, never its values."""
+
+    PIECE = st.sampled_from(
+        ["Wins", "wins", "Magic", "a b", "#2", '"Wins"', "<SEP>", "<ROWCOL>", " ", "\n", "\t", ""]
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(ALL_KINDS), st.lists(PIECE, max_size=12).map("".join))
+    def test_stage_one_returns_a_valid_blank_frozen_table(self, kind, answer):
+        backend = ScriptedBackend(lambda p: answer)
+        try:
+            headers = parse_structure_answer(answer, kind.orientation)
+        except NoHeaders:
+            with pytest.raises(NoHeaders):
+                construct_structure("passage", kind, backend)
+            return
+        skeleton = construct_structure("passage", kind, backend)
+        assert validate(skeleton).valid
+        assert skeleton.orientation is kind.orientation
+        assert skeleton.present_cell_count() == 0
+        assert (skeleton.row_headers, skeleton.col_headers) == headers
+        assert all(isinstance(row, tuple) for row in skeleton.cells)
+        for name in ("orientation", "row_headers", "col_headers", "cells"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(skeleton, name, ())
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_stage_two_reads_no_cell_value(self, kind):
+        sample = load_example(kind)
+        gold = sample.gold
+        blank = blank_table(kind.orientation, gold.row_headers, gold.col_headers)
+        from_gold, gold_trace = generate_content(gold, sample.text, kind, oracle_for(sample))
+        from_blank, blank_trace = generate_content(blank, sample.text, kind, oracle_for(sample))
+        assert from_gold == from_blank == gold
+        untimed = dataclasses.replace(gold_trace, content_ms=0.0)
+        assert untimed == dataclasses.replace(blank_trace, content_ms=0.0)
+
+    @pytest.mark.parametrize(
+        "skeleton",
+        [
+            Table.matrix(["Magic"], ["Wins"], [["1", "2"]]),
+            Table.matrix(["Magic", "Hawks"], ["Wins"], [[None]]),
+            Table(Orientation.ATTRIBUTE_VALUE, (), ["Name"], [[None], [None]]),
+        ],
+        ids=["ragged-matrix", "matrix-missing-a-row", "attribute-value-two-rows"],
+    )
+    def test_an_invalid_skeleton_raises_before_any_call(self, skeleton):
+        backend = CountingBackend(ScriptedBackend(lambda p: "7"))
+        attribute_value = skeleton.orientation is Orientation.ATTRIBUTE_VALUE
+        kind = DatasetKind.E2E if attribute_value else DatasetKind.ROTOWIRE_TEAM
+        with pytest.raises(InvalidTable):
+            generate_content(skeleton, "passage", kind, backend)
+        with pytest.raises(InvalidTable):
+            generate_table_traced("passage", kind, backend, skeleton=skeleton)
+        assert backend.calls == 0
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_stage_one_is_scored_as_table_construction(self, kind):
+        sample = load_example(kind)
+        skeleton = construct_structure(sample.text, kind, oracle_for(sample))
+        generated, _ = generate_content(skeleton, sample.text, kind, oracle_for(sample))
+        constructed = evaluate_sample(skeleton, sample.gold)
+        scored = evaluate_sample(generated, sample.gold)
+        assert constructed.header == scored.header == PRF(1.0, 1.0, 1.0)
+        assert (constructed.row_header, constructed.col_header) == (
+            scored.row_header, scored.col_header)
 
 
 class TestBaseline:
@@ -306,7 +372,7 @@ class TestUpdateTable:
         # Everything else must agree with a full regeneration against the
         # same evidence.
         regenerated, _ = generate_content(
-            skeleton_from_table(completed_gold),
+            completed_gold,
             rotowire_team_sample.text,
             DatasetKind.ROTOWIRE_TEAM,
             refreshed,
@@ -369,24 +435,6 @@ class TestUpdateTable:
         assert validate(updated).valid
 
 
-class TestSkeleton:
-    def test_slot_count(self):
-        matrix = TableSkeleton(Orientation.MATRIX, ("a", "b"), ("x", "y", "z"))
-        assert matrix.slot_count == 6
-        av = TableSkeleton(Orientation.ATTRIBUTE_VALUE, (), ("x", "y"))
-        assert av.slot_count == 2
-
-    def test_skeleton_from_table_round_trip(self, rotowire_team_sample):
-        skeleton = skeleton_from_table(rotowire_team_sample.gold)
-        assert skeleton.row_headers == rotowire_team_sample.gold.row_headers
-        assert skeleton.col_headers == rotowire_team_sample.gold.col_headers
-
-    def test_immutable(self):
-        skeleton = TableSkeleton(Orientation.MATRIX, ("a",), ("x",))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            skeleton.row_headers = ()
-
-
 class TestQAPrompts:
     """Stage two sends exactly the prompts `build_qa_prompt` builds, question by question."""
 
@@ -417,7 +465,7 @@ class TestQAPrompts:
     )
     def test_generate_and_update_prompts_are_unchanged(self, passage, rows, cols, budget):
         kind = DatasetKind.ROTOWIRE_PLAYER
-        skeleton = TableSkeleton(Orientation.MATRIX, rows, cols)
+        skeleton = blank_table(Orientation.MATRIX, rows, cols)
         prompts = self.recorded_prompts(
             lambda backend: generate_content(skeleton, passage, kind, backend, max_input_tokens=budget)
         )
@@ -444,7 +492,7 @@ class TestQAPrompts:
         monkeypatch.setattr(pipeline_module, "estimate_tokens", counting)
         template = PromptTemplate(name="qa", text=default_qa_template().text)
         gold = rotowire_team_sample.gold
-        skeleton = skeleton_from_table(gold)
+        skeleton = gold
         passage = rotowire_team_sample.text
         generate_content(skeleton, passage, DatasetKind.ROTOWIRE_TEAM, oracle_for(rotowire_team_sample),
                          template=template)
@@ -478,7 +526,7 @@ class TestCountedOnce:
             [(prompts_module, "estimate_tokens"), (pipeline_module, "estimate_tokens")],
             prompts_module.estimate_tokens,
         )
-        skeleton = skeleton_from_table(rotowire_team_sample.gold)
+        skeleton = rotowire_team_sample.gold
         generate_content(skeleton, rotowire_team_sample.text, DatasetKind.ROTOWIRE_TEAM,
                          oracle_for(rotowire_team_sample), max_input_tokens=budget)
         questions = [q.question for q in questions_for_headers(
@@ -487,7 +535,7 @@ class TestCountedOnce:
 
     @pytest.mark.parametrize("passage", ["", "   ", "\n \t"])
     def test_blank_passage_still_raises(self, rotowire_team_sample, passage):
-        skeleton = skeleton_from_table(rotowire_team_sample.gold)
+        skeleton = rotowire_team_sample.gold
         with pytest.raises(ValueError, match="passage must be non-empty"):
             generate_content(skeleton, passage, DatasetKind.ROTOWIRE_TEAM,
                              oracle_for(rotowire_team_sample))
@@ -509,7 +557,7 @@ class TestCountedOnce:
             return postprocess(raw, numeric)
 
         monkeypatch.setattr(pipeline_module, "_postprocess", counted_postprocess)
-        skeleton = TableSkeleton(Orientation.MATRIX, ("Magic", "Hawks", "Suns"),
+        skeleton = blank_table(Orientation.MATRIX, ("Magic", "Hawks", "Suns"),
                                  ("Wins", "Losses", "Points", "Steals"))
         kind = DatasetKind.ROTOWIRE_TEAM
         table, trace = generate_content(skeleton, "passage", kind, backend)
@@ -720,7 +768,7 @@ class TestStageTwoReference:
     def test_generate_content_matches_reference(self, kind, rows, cols, budget, salt):
         if kind.orientation is Orientation.ATTRIBUTE_VALUE:
             rows = []
-        skeleton = TableSkeleton(kind.orientation, rows, cols)
+        skeleton = blank_table(kind.orientation, rows, cols)
         passage = "Magic won 7 games and scored 12 points in the fourth quarter."
         got = self.run(salt, lambda backend: generate_content(
             skeleton, passage, kind, backend, max_input_tokens=budget))
