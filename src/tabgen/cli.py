@@ -31,12 +31,13 @@ from tabgen.pipeline import (
     generate_table_traced,
     update_table,
 )
-from tabgen.prompts import NoHeaders, PromptTemplate
+from tabgen.prompts import PromptTemplate
 from tabgen.table import (
     EmptyInput,
     InvalidTable,
     StructuralError,
     Table,
+    header_issues,
     table_from_json,
     table_to_json,
     validate,
@@ -49,8 +50,8 @@ class ConfigError(ValueError):
     That covers an input, config or template file that is missing,
     unreadable, not UTF-8 or malformed; a config value that is unknown or
     of the wrong type; a backend setting or token budget out of range; a
-    replay fixture directory that does not exist; `--jobs` below 1; and an
-    output file or record directory that cannot be written.
+    replay fixture directory that does not exist; and an output file or
+    record directory that cannot be written.
     """
 
 
@@ -160,16 +161,15 @@ def _build_backend(
 def _run_corpus(
     args: Namespace, config: BackendConfig, run_sample: Callable, *templates: PromptTemplate | None
 ) -> int:
-    """Run a corpus command: `run_sample` on every `--in` sample, `--jobs` samples at a time.
+    """Run a corpus command: `run_sample(backend, sample)` on every `--in` sample.
 
-    `run_sample(backend, sample)` gives a sample's record and trace (or
-    None); a sample it raises on gets an error record and counts as failed
-    (exit code 1). Records and traces keep input order; they are written
-    once every sample has run, but `--out` and `--trace` are checked
-    before the first backend call.
+    It gives a sample's record and trace (or None); a sample it raises on
+    gets an error record and counts as failed (exit code 1). As many
+    samples run at once as a backend that waits has slots; with one that
+    never waits, they run in turn on the calling thread. Records and
+    traces keep input order and are written at the end, but `--out` and
+    `--trace` are checked before any backend call.
     """
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
     samples = _load_corpus(args.infile, args.kind, "corpus file")
     if not samples:
         raise ConfigError(f"corpus file {args.infile} holds no samples")
@@ -185,8 +185,8 @@ def _run_corpus(
             error = {"type": type(err).__name__, "message": str(err)}
             return {"id": sample.id, "error": error}, None, True
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    if backend.waits:
+        with ThreadPoolExecutor(backend.concurrency) as pool:
             results = list(pool.map(run, samples))
     else:
         results = [run(s) for s in samples]
@@ -313,7 +313,7 @@ def _cmd_evaluate(args: Namespace) -> int:
 
 
 def _table_of_kind(data, kind: DatasetKind) -> Table:
-    """A table file's table; like a gold table, it must be valid and of `kind`'s orientation."""
+    """A table file's table; it must pass every check a gold table of `kind` passes."""
     table = table_from_json(data)
     if table.orientation is not kind.orientation:
         raise ValueError(
@@ -321,6 +321,8 @@ def _table_of_kind(data, kind: DatasetKind) -> Table:
         )
     if not (report := validate(table)).valid:
         raise InvalidTable(report)
+    if issues := header_issues(table):
+        raise ValueError("; ".join(issues))
     return table
 
 
@@ -334,6 +336,7 @@ def _cmd_update(args: Namespace) -> int:
         evidence = _read_text(args.evidence_file, "evidence file")
     if not evidence.strip() and not delta.is_empty():
         raise ConfigError("update needs evidence text (--evidence or --evidence-file)")
+    _write("", args.out, "a")
 
     updated = table
     if not delta.is_empty():
@@ -403,7 +406,6 @@ def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", required=True, type=_kind)
     parser.add_argument("--in", dest="infile", required=True, help="input corpus JSONL")
     parser.add_argument("--out", help="output predictions JSONL (default stdout)")
-    parser.add_argument("--jobs", type=int, default=1, help="sample-level parallelism (at least 1)")
     _add_backend_flags(parser)
 
 
@@ -482,9 +484,6 @@ def dispatch(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except NoHeaders as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

@@ -12,11 +12,18 @@ from pathlib import Path
 import pytest
 
 from tabgen import cli
-from tabgen.backends import CachedBackend
+from tabgen.backends import (
+    BackendConfig,
+    CachedBackend,
+    FixtureStore,
+    GenerationRequest,
+    MockOracleBackend,
+)
 from tabgen.cli import dispatch
 from tabgen.corpus import fixture_path, load_jsonl
 from tabgen.kinds import DatasetKind
 from tabgen.pipeline import generate_table_traced
+from tabgen.prompts import build_structure_prompt
 from tabgen.table import table_from_json
 
 from .conftest import DelayedBackend
@@ -151,14 +158,6 @@ class TestGenerate:
         assert dispatch(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_jobs_parallelism_keeps_order(self, tmp_path):
-        serial = tmp_path / "serial.jsonl"
-        parallel = tmp_path / "parallel.jsonl"
-        args = ["generate", "--kind", "e2e", "--backend", "mock-oracle", "--in", E2E_MINI]
-        assert dispatch(args + ["--out", str(serial)]) == 0
-        assert dispatch(args + ["--out", str(parallel), "--jobs", "4"]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-
     def test_http_backend_with_unset_auth_env_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("TABGEN_MISSING_TOKEN", raising=False)
         code = dispatch(
@@ -214,23 +213,59 @@ def delay_every_backend(monkeypatch, seconds: float) -> list[DelayedBackend]:
     return built
 
 
+def untimed(path: Path) -> list[dict]:
+    """A trace file's records without their stage timings, which differ from run to run."""
+    records = read_jsonl(path)
+    for record in records:
+        del record["structure_ms"], record["content_ms"]
+    return records
+
+
 class TestSharedDispatch:
-    """One in-flight cap per backend across `--jobs`, and outputs checked before any call."""
+    """Samples run as many at once as the backend stack has slots; outputs are checked before any call."""
 
-    def test_jobs_share_one_in_flight_cap(self, tmp_path, monkeypatch):
-        built = delay_every_backend(monkeypatch, 0.003)
-        args = ["generate", "--kind", "e2e", "--backend", "mock-oracle", "--in", E2E_MINI,
-                "--concurrency", "2"]
-        serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-        assert dispatch(args + ["--out", str(serial)]) == 0
-        start = threading.active_count()
-        assert dispatch(args + ["--out", str(parallel), "--jobs", "4"]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-        capped = built[1]
-        assert capped.peak_in_flight == 2
-        assert capped.peak_threads <= start + 2 + 4
+    @pytest.mark.parametrize("command", ["generate", "baseline"])
+    def test_samples_fill_the_slots_of_a_backend_that_waits(self, tmp_path, monkeypatch, command):
+        built = delay_every_backend(monkeypatch, 0.02)
+        outputs = {}
+        for concurrency in (1, 2, 4):
+            out, trace = tmp_path / f"{concurrency}.jsonl", tmp_path / f"{concurrency}.trace.jsonl"
+            argv = [command, "--kind", "rotowire-team", "--backend", "mock-oracle", "--in", TEAM_MINI,
+                    "--concurrency", str(concurrency), "--out", str(out)]
+            if command == "generate":
+                argv += ["--trace", str(trace)]
+            start = threading.active_count()
+            assert dispatch(argv) == 0
+            # `concurrency` sample threads beside the backend's `concurrency - 1` helpers.
+            assert built[-1].peak_in_flight == concurrency
+            assert built[-1].peak_threads <= start + 2 * concurrency - 1
+            outputs[concurrency] = out.read_bytes(), untimed(trace) if command == "generate" else None
+        assert outputs[1] == outputs[2] == outputs[4]
 
-    def test_cached_duplicates_across_jobs_ask_upstream_once(self, tmp_path, monkeypatch):
+    def test_a_stack_that_never_waits_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
+        threads = []
+        for cls in (MockOracleBackend, FixtureStore):
+            def recording(self, request, answer=cls._generate_once):
+                threads.append(threading.get_ident())
+                return answer(self, request)
+
+            monkeypatch.setattr(cls, "_generate_once", recording)
+        run = ["--kind", "rotowire-team", "--in", TEAM_MINI, "--concurrency", "4",
+               "--out", str(tmp_path / "preds.jsonl")]
+        oracle, fixtures = [*run, "--backend", "mock-oracle"], str(tmp_path / "fixtures")
+        for argv in (
+            ["generate", *oracle],
+            ["baseline", *oracle],
+            ["generate", *oracle, "--cache"],
+            ["replay-record", *oracle, "--record-dir", fixtures],
+            ["generate", *run, "--backend", "replay", "--fixtures", fixtures],
+        ):
+            threads.clear()
+            assert dispatch(argv) == 0
+            # A sample run on another thread would make its calls there.
+            assert len(threads) >= 10 and set(threads) == {threading.get_ident()}, argv
+
+    def test_cached_duplicates_ask_upstream_once(self, tmp_path, monkeypatch):
         sample = json.loads(Path(E2E_EXAMPLE).read_text("utf-8"))
         corpus = tmp_path / "duplicates.jsonl"
         corpus.write_text("".join(json.dumps({**sample, "id": f"copy-{i}"}) + "\n" for i in range(8)))
@@ -245,25 +280,33 @@ class TestSharedDispatch:
         codes = []
         run = threading.Thread(daemon=True, target=lambda: codes.append(dispatch(
             ["generate", "--kind", "e2e", "--backend", "mock-oracle", "--in", str(corpus), "--cache",
-             "--jobs", "4", "--concurrency", "2", "--out", str(out)])))
+             "--concurrency", "4", "--out", str(out)])))
         run.start()
         run.join(timeout=60)
         assert codes == [0]
         assert len(upstream) == 1 and set(upstream[0].calls.values()) == {1}
-        assert upstream[0].peak_in_flight <= 2
+        assert upstream[0].peak_in_flight <= 4
         assert len({json.dumps(r["table"]) for r in read_jsonl(out)}) == 1
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("generate", "--out"), ("generate", "--trace"), ("baseline", "--out")],
+        [("generate", "--out"), ("generate", "--trace"), ("baseline", "--out"), ("update", "--out")],
     )
     def test_unwritable_output_is_found_before_any_backend_call(
         self, tmp_path, capsys, monkeypatch, command, flag
     ):
         built = delay_every_backend(monkeypatch, 0.0)
         bad = tmp_path / "missing" / "out.jsonl"
-        argv = [command, "--kind", "e2e", "--backend", "mock-oracle", "--in", E2E_MINI,
-                "--out", str(bad if flag == "--out" else tmp_path / "preds.jsonl")]
+        argv = [command, "--kind", "e2e", "--backend", "mock-oracle", "--in", E2E_MINI]
+        if command == "update":
+            # The table lacks one attribute the delta adds, so the update asks one question.
+            sample = json.loads(Path(E2E_EXAMPLE).read_text("utf-8"))
+            table, delta = tmp_path / "table.json", tmp_path / "delta.json"
+            table.write_text(json.dumps({**sample["table"], "rows": sample["table"]["rows"][:3]}), "utf-8")
+            delta.write_text(json.dumps({"add_col_headers": ["Customer Rating"]}), "utf-8")
+            argv = [command, "--kind", "e2e", "--backend", "mock-oracle", "--oracle", E2E_EXAMPLE,
+                    "--table", str(table), "--delta", str(delta), "--evidence", sample["text"]]
+        argv += ["--out", str(bad if flag == "--out" else tmp_path / "preds.jsonl")]
         if command == "generate":
             argv += ["--trace", str(bad if flag == "--trace" else tmp_path / "trace.jsonl")]
         assert dispatch(argv) == 2
@@ -273,16 +316,6 @@ class TestSharedDispatch:
 
 
 class TestBaseline:
-    def test_jobs_runs_samples_concurrently_and_keeps_order(self, tmp_path, monkeypatch):
-        built = delay_every_backend(monkeypatch, 0.02)
-        args = ["baseline", "--kind", "rotowire-team", "--backend", "mock-oracle", "--in", TEAM_MINI]
-        serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-        assert dispatch(args + ["--out", str(serial), "--jobs", "1"]) == 0
-        assert dispatch(args + ["--out", str(parallel), "--jobs", "4"]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-        assert (built[0].peak_in_flight, len(built)) == (1, 2)
-        assert built[1].peak_in_flight > 1
-
     def test_oracle_baseline_all_valid(self, tmp_path, capsys):
         out = tmp_path / "preds.jsonl"
         code = dispatch(
@@ -557,6 +590,22 @@ class TestUpdateBadDelta:
         assert captured.out == ""
         assert f"config error: table file {table_file}: invalid table" in captured.err
 
+    @pytest.mark.parametrize("delta", [{}, {"add_row_headers": ["Hawks"]}], ids=["empty", "add-row"])
+    def test_an_empty_header_is_blamed_on_the_table_file(self, tmp_path, capsys, delta):
+        table_file = tmp_path / "table.json"
+        table_file.write_text(json.dumps({"orientation": "matrix", "row_headers": ["Magic"],
+                                          "col_headers": ["Wins", ""], "cells": [["19", "41"]]}), "utf-8")
+        delta_file = tmp_path / "delta.json"
+        delta_file.write_text(json.dumps(delta), "utf-8")
+        code = dispatch(["update", "--kind", "rotowire-team", "--table", str(table_file),
+                         "--delta", str(delta_file), "--evidence", "The Hawks won 46.",
+                         "--oracle", TEAM_EXAMPLE, "--backend", "mock-oracle"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"config error: table file {table_file}:"
+                                " column header 1 is empty after normalization\n")
+
     @pytest.mark.parametrize("empty_delta", [False, True], ids=["reask", "empty-delta"])
     def test_a_table_of_another_kind_is_blamed_on_the_table_file(self, tmp_path, capsys, empty_delta):
         sample = json.loads(Path(TEAM_EXAMPLE).read_text("utf-8").splitlines()[0])
@@ -639,7 +688,6 @@ class TestBadInput:
             [*GENERATE, "--backend", "replay", "--fixtures", "missing-dir"],
             [*GENERATE, "--backend", "http", "--base-url", "http://localhost:1", "--timeout-ms", "-5"],
             [*REPLAY, "--timeout-ms", "-5"],
-            [*GENERATE, "--jobs", "0"],
             ["generate", "--kind", "e2e", "--in", "dir"],
             ["generate", "--kind", "e2e", "--in", "latin.txt"],
             ["generate", "--kind", "e2e", "--in", "plain.jsonl.gz"],
@@ -668,7 +716,7 @@ class TestBadInput:
              "config-answer-tokens-0",
              "config-headers-tokens-0", "config-baseline-tokens-0", "config-input-tokens-0",
              "config-input-tokens-negative", "replay-missing-dir", "http-negative-timeout",
-             "replay-negative-timeout", "jobs-0",
+             "replay-negative-timeout",
              "in-directory", "in-not-utf8", "in-not-gzip", "in-truncated-gzip", "stats-in-directory",
              "oracle-missing", "oracle-bad-schema", "qa-template-not-utf8", "out-directory",
              "trace-directory", "record-dir-is-a-file", "pred-directory", "pred-not-utf8",
@@ -684,6 +732,11 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_jobs_is_not_a_flag(self, capsys):
+        # How many samples run at once follows `--concurrency`.
+        assert dispatch([*GENERATE, "--backend", "mock-oracle", "--jobs", "4"]) == 2
+        assert "unrecognized arguments: --jobs 4" in capsys.readouterr().err
 
     def test_empty_record_dir_is_a_config_error(self, tmp_path, capsys):
         code = dispatch(["replay-record", "--kind", "e2e", "--in", E2E_EXAMPLE, "--record-dir", "",
@@ -848,6 +901,24 @@ class TestReplayRecord:
         assert record["error"]["type"] == "MalformedResponse"
         assert "request cannot be recorded" in record["error"]["message"]
         assert list(fixtures.iterdir()) == []
+
+    def test_a_structure_answer_with_no_headers_fails_its_sample(self, tmp_path, capsys):
+        [sample] = load_jsonl(E2E_EXAMPLE, DatasetKind.E2E)
+        config = BackendConfig()
+        prompt = build_structure_prompt(sample.text, DatasetKind.E2E, None, config.max_input_tokens)
+        request = GenerationRequest(prompt, max_new_tokens=config.headers_max_new_tokens)
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / f"{request.digest()}.json").write_text(
+            json.dumps({"request": request.as_dict(), "response": {"text": "<SEP>"}}), "utf-8")
+        out = tmp_path / "preds.jsonl"
+        code = dispatch(["generate", "--kind", "e2e", "--backend", "replay", "--fixtures", str(fixtures),
+                         "--in", E2E_EXAMPLE, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "1/1 samples failed\n"
+        assert read_jsonl(out) == [
+            {"id": sample.id, "error": {"type": "NoHeaders", "message": "no headers in '<SEP>'"}}
+        ]
 
     def test_replay_missing_fixture_reports_partial_failure(self, tmp_path, capsys):
         fixtures = tmp_path / "fixtures"
