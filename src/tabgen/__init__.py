@@ -4,10 +4,8 @@ from tabgen.backends import (
     BackendConfig,
     BackendError,
     BackendTimeout,
-    CachedBackend,
     EmbeddingBackend,
     EmbeddingResponse,
-    FixtureStore,
     GenerationBackend,
     GenerationRequest,
     GenerationResponse,
@@ -16,6 +14,7 @@ from tabgen.backends import (
     MockEmbedder,
     MockOracleBackend,
     RateLimited,
+    RequestStore,
     Unreachable,
 )
 from tabgen.corpus import (

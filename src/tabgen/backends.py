@@ -1,13 +1,14 @@
 """Pluggable text-generation and embedding providers.
 
-Four generation backends share one contract: a remote HTTP completion
-service, a gold-table oracle for offline testing, a fixture store that
-replays and records for deterministic CI, and a caching wrapper. Each
-backend that waits dispatches batches for its whole life with one
-in-flight cap and one set of helper threads (see `GenerationBackend`),
-which every wrapper stacked on it shares; the oracle and a replay-only
-store never wait and answer inline. Responses are realigned by index,
-so callers never observe completion order.
+Three generation backends share one contract: a remote HTTP completion
+service, a gold-table oracle for offline testing, and a request store
+that answers each distinct request once, from memory or from fixtures
+it replays and records for deterministic CI. Each backend that waits
+dispatches batches for its whole life with one in-flight cap and one
+set of helper threads (see `GenerationBackend`), which a store stacked
+on it shares; the oracle and a replay-only store never wait and answer
+inline. Responses are realigned by index, so callers never observe
+completion order.
 """
 
 from __future__ import annotations
@@ -672,46 +673,12 @@ class WrapperBackend(GenerationBackend):
     `inner`'s, and its batches run on `inner`'s helpers. So a stack has
     one in-flight cap and at most `concurrency - 1` helpers, whichever
     layer is asked, and a call that never reaches the backend that waits
-    (a fixture hit, a cached answer) never queues for a slot.
+    (a stored answer) never queues for a slot. Without `inner` (a
+    replay-only store) its calls never wait and its concurrency is 1.
     """
 
     def __init__(self, inner: GenerationBackend | None):
         self.inner = inner
-
-    @property
-    def concurrency(self) -> int:
-        return self.inner.concurrency
-
-    @property
-    def waits(self) -> bool:
-        return self.inner.waits
-
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        return self._generate_once(request)
-
-    def _dispatch(self, call, requests_: Sequence[GenerationRequest], helpers: int) -> list:
-        return self.inner._dispatch(call, requests_, helpers)
-
-
-class FixtureStore(WrapperBackend):
-    """Answers from `<digest>.json` fixtures on disk, recording `inner`'s answers on a miss.
-
-    A request whose digest has a fixture is answered from it and never
-    reaches `inner`, so a recording run stopped halfway and run again on
-    the same directory sends upstream only the calls it has not recorded.
-    Without `inner` the store only replays: the directory must exist, a
-    miss raises `MalformedResponse`, and its calls do not wait, so it
-    answers every batch on the calling thread. With `inner` it dispatches
-    on `inner`'s slots and helpers, and a hit holds no slot.
-    """
-
-    def __init__(self, fixture_dir: str | Path, inner: GenerationBackend | None = None):
-        super().__init__(inner)
-        self.fixture_dir = Path(fixture_dir)
-        if inner is not None:
-            self.fixture_dir.mkdir(parents=True, exist_ok=True)
-        elif not self.fixture_dir.is_dir():
-            raise ValueError(f"fixture directory {self.fixture_dir} does not exist")
 
     @property
     def concurrency(self) -> int:
@@ -721,28 +688,90 @@ class FixtureStore(WrapperBackend):
     def waits(self) -> bool:
         return self.inner is not None and self.inner.waits
 
-    def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
-        path = self.fixture_dir / f"{request.digest()}.json"
-        if not path.exists():
-            if self.inner is None:
-                raise MalformedResponse(f"no recorded fixture for request digest {request.digest()}")
-            return self._record(request, path)
-        try:
-            text = json.loads(path.read_text("utf-8"))["response"]["text"]
-        except (OSError, ValueError, KeyError, TypeError) as err:
-            raise MalformedResponse(f"fixture {path.name} is unreadable") from err
-        if not isinstance(text, str):
-            raise MalformedResponse(f"fixture {path.name} has no response text")
-        return GenerationResponse(text=text, latency_ms=0.0)
+    def generate(self, request: GenerationRequest) -> GenerationResponse:
+        return self._generate_once(request)
 
-    def _record(self, request: GenerationRequest, path: Path) -> GenerationResponse:
-        # A lone surrogate cannot be written as UTF-8: such a prompt is failed
-        # before it is sent upstream, since its answer could not be recorded.
+    def _dispatch(self, call, requests_: Sequence[GenerationRequest], helpers: int) -> list:
+        return self.inner._dispatch(call, requests_, helpers)
+
+
+class RequestStore(WrapperBackend):
+    """Answers each distinct request once, by its digest, asking `inner` on a miss.
+
+    With a `directory`, answers live in `<digest>.json` fixtures there, so
+    a run stopped halfway and run again sends upstream only the calls it
+    has not recorded; without one, they live in memory. Without `inner`
+    the store only replays: the directory must exist and a miss raises
+    `MalformedResponse`. Every miss is single-flight: identical requests
+    in flight share one upstream call, and a caller waiting on it holds
+    no slot, nor does a hit. A failure is not kept; its waiters get it too.
+    """
+
+    def __init__(self, inner: GenerationBackend | None = None, *, directory: str | Path | None = None):
+        if inner is None and directory is None:
+            raise ValueError("a request store needs an inner backend, a directory or both")
+        super().__init__(inner)
+        self.directory = None if directory is None else Path(directory)
+        if inner is None and not self.directory.is_dir():
+            raise ValueError(f"fixture directory {self.directory} does not exist")
+        if inner is not None and self.directory is not None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        self._futures: dict[str, Future] = {}
+        self.upstream_calls = 0
+
+    def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
+        key = request.digest()
+        with self._lock:
+            future = self._futures.get(key)
+            if owner := future is None:
+                future = self._futures[key] = Future()
+        if not owner:
+            return future.result()
+
         try:
-            request.prompt.encode("utf-8")
-        except UnicodeEncodeError as err:
-            raise MalformedResponse(f"request cannot be recorded as UTF-8: {err.reason}") from err
+            response = self._answer(request, key)
+        except BaseException as err:
+            with self._lock:
+                del self._futures[key]  # failed calls are not kept
+            future.set_exception(err)
+            raise
+        if self.directory is not None:
+            with self._lock:
+                del self._futures[key]  # its fixture answers from now on
+        future.set_result(response)
+        return response
+
+    def _answer(self, request: GenerationRequest, key: str) -> GenerationResponse:
+        """The fixture's answer, else `inner`'s, recorded if there is a directory."""
+        # Only the caller holding `key` gets here, so it finds any fixture an earlier holder wrote.
+        path = None if self.directory is None else self.directory / f"{key}.json"
+        if path is not None and path.exists():
+            try:
+                text = json.loads(path.read_text("utf-8"))["response"]["text"]
+            except (OSError, ValueError, KeyError, TypeError) as err:
+                raise MalformedResponse(f"fixture {path.name} is unreadable") from err
+            if not isinstance(text, str):
+                raise MalformedResponse(f"fixture {path.name} has no response text")
+            return GenerationResponse(text=text, latency_ms=0.0)
+        if self.inner is None:
+            raise MalformedResponse(f"no recorded fixture for request digest {key}")
+        if path is not None:
+            # A lone surrogate cannot be written as UTF-8: such a prompt is failed
+            # before it is sent upstream, since its answer could not be recorded.
+            try:
+                request.prompt.encode("utf-8")
+            except UnicodeEncodeError as err:
+                raise MalformedResponse(f"request cannot be recorded as UTF-8: {err.reason}") from err
         response = self.inner.generate(request)
+        with self._lock:
+            self.upstream_calls += 1
+        if path is not None:
+            self._record(request, response, path)
+        return response
+
+    @staticmethod
+    def _record(request: GenerationRequest, response: GenerationResponse, path: Path) -> None:
         record = {"request": request.as_dict(), "response": {"text": response.text}}
         # Encode before touching the disk, then swap the whole file in: a
         # response that cannot be encoded, or a crash mid-write, never leaves
@@ -758,43 +787,3 @@ class FixtureStore(WrapperBackend):
         except BaseException:
             temp.unlink(missing_ok=True)
             raise
-        return response
-
-
-class CachedBackend(WrapperBackend):
-    """In-memory request cache; identical requests hit upstream exactly once.
-
-    Concurrent misses on the same key share one upstream call, and only
-    it holds a slot, so batch semantics are unchanged with the cache on or off.
-    """
-
-    def __init__(self, inner: GenerationBackend):
-        super().__init__(inner)
-        self._lock = threading.Lock()
-        self._futures: dict[str, Future] = {}
-        self.upstream_calls = 0
-
-    def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
-        key = request.digest()
-        with self._lock:
-            future = self._futures.get(key)
-            if future is None:
-                future = Future()
-                self._futures[key] = future
-                owner = True
-            else:
-                owner = False
-        if not owner:
-            return future.result()
-
-        try:
-            response = self.inner.generate(request)
-        except BaseException as err:
-            with self._lock:
-                del self._futures[key]  # failed calls are not cached
-            future.set_exception(err)
-            raise
-        with self._lock:
-            self.upstream_calls += 1
-        future.set_result(response)
-        return response

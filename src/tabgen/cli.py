@@ -15,18 +15,18 @@ from typing import Callable
 
 from tabgen.backends import (
     BackendConfig,
-    CachedBackend,
-    FixtureStore,
     GenerationBackend,
     HttpBackend,
     MockEmbedder,
     MockOracleBackend,
+    RequestStore,
 )
 from tabgen.corpus import Sample, corpus_stats, load_jsonl
 from tabgen.kinds import DatasetKind
 from tabgen.metrics import GOLD_HEADERS, PREDICTED_HEADERS, evaluate_corpus
 from tabgen.pipeline import (
     SkeletonDelta,
+    _fit_delta,
     baseline_generate,
     generate_table_traced,
     update_table,
@@ -120,11 +120,15 @@ def _template(path: str | None) -> PromptTemplate | None:
 def _build_backend(
     args: Namespace, config: BackendConfig, samples: list[Sample], *templates: PromptTemplate | None
 ) -> GenerationBackend:
-    """The backend `config` names, cached and recording as asked.
+    """The backend `config` names, behind a request store that keeps its answers as asked.
 
-    The mock oracle answers from `--oracle`'s gold samples, or else from
-    `samples`, and reads prompts built from `templates` too. A setting any
-    backend rejects is a config error.
+    `replay` is a store of `fixture_dir` with nothing behind it. A
+    `--record-dir` puts the backend behind a store of that directory,
+    and `--cache` behind a store in memory; a store of a directory
+    already answers repeats, so `--cache` adds nothing to one. The mock
+    oracle answers from `--oracle`'s gold samples, or else from
+    `samples`, and reads prompts built from `templates` too. A setting
+    any backend rejects is a config error.
     """
     if config.kind == "mock-oracle" and args.oracle:
         samples = _load_corpus(args.oracle, args.kind, "oracle file")
@@ -140,19 +144,19 @@ def _build_backend(
         elif config.kind == "replay":
             if not config.fixture_dir:
                 raise ValueError("replay backend needs a fixture directory (--fixtures or config)")
-            backend = FixtureStore(config.fixture_dir)
+            backend = RequestStore(directory=config.fixture_dir)
         elif config.kind == "http":
             backend = HttpBackend(config)
         else:
             raise ValueError(f"unknown backend kind {config.kind!r}")
 
-        if config.cache:
-            backend = CachedBackend(backend)
         record_dir = getattr(args, "record_dir", None)
         if record_dir is not None:
             if not record_dir:
                 raise ValueError("replay-record needs --record-dir")
-            backend = FixtureStore(record_dir, inner=backend)
+            backend = RequestStore(backend, directory=record_dir)
+        elif config.cache and config.kind != "replay":
+            backend = RequestStore(backend)
     except (OSError, ValueError) as err:
         raise ConfigError(str(err)) from err
     return backend
@@ -336,23 +340,23 @@ def _cmd_update(args: Namespace) -> int:
         evidence = _read_text(args.evidence_file, "evidence file")
     if not evidence.strip() and not delta.is_empty():
         raise ConfigError("update needs evidence text (--evidence or --evidence-file)")
+    try:
+        _fit_delta(table, delta)
+    except ValueError as err:
+        raise ConfigError(f"delta file {args.delta}: {err}") from err
     _write("", args.out, "a")
 
     updated = table
     if not delta.is_empty():
-        backend = _build_backend(args, config, [])
-        try:
-            updated = update_table(
-                table,
-                delta,
-                evidence,
-                args.kind,
-                backend,
-                max_input_tokens=config.max_input_tokens,
-                answer_max_new_tokens=config.answer_max_new_tokens,
-            )
-        except ValueError as err:  # a delta that does not fit the table
-            raise ConfigError(f"delta file {args.delta}: {err}") from err
+        updated = update_table(
+            table,
+            delta,
+            evidence,
+            args.kind,
+            _build_backend(args, config, []),
+            max_input_tokens=config.max_input_tokens,
+            answer_max_new_tokens=config.answer_max_new_tokens,
+        )
     output = json.dumps(table_to_json(updated), sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     _write(output, args.out)
     return 0
@@ -398,7 +402,7 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--concurrency", type=int, default=None)
     parser.add_argument("--timeout-ms", dest="timeout_ms", type=int, default=None)
     parser.add_argument("--retry-cap", dest="retry_cap", type=int, default=None)
-    parser.add_argument("--cache", action="store_const", const=True, help="enable the request cache")
+    parser.add_argument("--cache", action="store_const", const=True, help="ask each distinct request once")
     parser.add_argument("--oracle", help="gold JSONL used to seed the mock-oracle backend")
 
 

@@ -379,6 +379,20 @@ def _resolve_reask(
     return list(dict.fromkeys(resolved))
 
 
+def _fit_delta(table: Table, delta: SkeletonDelta) -> list[tuple[int, int]]:
+    """The slots a delta re-asks, with no backend call; a delta that does not fit the table raises."""
+    report = validate(table)
+    if not report.valid:
+        raise InvalidTable(report)
+    for header in (*delta.add_row_headers, *delta.add_col_headers):
+        if not normalize_text(header):
+            raise ValueError(f"added header {header!r} is blank")
+    reask_slots = _resolve_reask(table, delta.reask)
+    if table.orientation is Orientation.ATTRIBUTE_VALUE and delta.add_row_headers:
+        raise ValueError("attribute-value tables have no row-header axis to extend")
+    return reask_slots
+
+
 def update_table(
     table: Table,
     delta: SkeletonDelta,
@@ -397,18 +411,9 @@ def update_table(
     distinct slot. An empty delta returns the table as is without any
     backend call; a blank added header is a ValueError.
     """
-    report = validate(table)
-    if not report.valid:
-        raise InvalidTable(report)
+    reask_slots = _fit_delta(table, delta)
     if delta.is_empty():
         return table
-    for header in (*delta.add_row_headers, *delta.add_col_headers):
-        if not normalize_text(header):
-            raise ValueError(f"added header {header!r} is blank")
-
-    reask_slots = _resolve_reask(table, delta.reask)
-    if table.orientation is Orientation.ATTRIBUTE_VALUE and delta.add_row_headers:
-        raise ValueError("attribute-value tables have no row-header axis to extend")
     rows, cols = list(table.row_headers), list(table.col_headers)
     grid = [list(row) for row in table.cells]
     # Existing headers stay as they are; added ones are de-duplicated against

@@ -18,13 +18,13 @@ import pytest
 
 from tabgen.backends import (
     BackendConfig,
-    FixtureStore,
     GenerationBackend,
     GenerationRequest,
     GenerationResponse,
     HttpBackend,
     MockEmbedder,
     MockOracleBackend,
+    RequestStore,
 )
 from tabgen.corpus import corpus_stats, load_jsonl
 from tabgen.kinds import DatasetKind
@@ -212,7 +212,7 @@ def test_criterion_6_numeric_extraction_vector():
 def test_criterion_7_batch_determinism_under_shuffled_latency(tmp_path):
     sample = load_example(DatasetKind.ROTOWIRE_TEAM)
     oracle = MockOracleBackend([(sample.text, sample.gold)])
-    recorder = FixtureStore(tmp_path, oracle)
+    recorder = RequestStore(oracle, directory=tmp_path)
     reference = generate_table(sample.text, DatasetKind.ROTOWIRE_TEAM, recorder)
     reference_bytes = table_to_json_text(reference).encode()
 
@@ -222,7 +222,7 @@ def test_criterion_7_batch_determinism_under_shuffled_latency(tmp_path):
         rng.shuffle(latencies)
         pool = iter(latencies)
 
-        replay = DelayedBackend(FixtureStore(tmp_path), lambda _: next(pool), concurrency=8)
+        replay = DelayedBackend(RequestStore(directory=tmp_path), lambda _: next(pool), concurrency=8)
         table = generate_table(sample.text, DatasetKind.ROTOWIRE_TEAM, replay)
         assert table_to_json_text(table).encode() == reference_bytes, f"trial {trial} differs"
     passed(7, "100 replay trials with shuffled completion latencies are byte-identical")

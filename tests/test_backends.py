@@ -20,9 +20,7 @@ from tabgen.backends import (
     BackendConfig,
     BackendError,
     BackendTimeout,
-    CachedBackend,
     EmbeddingResponse,
-    FixtureStore,
     GenerationBackend,
     GenerationRequest,
     GenerationResponse,
@@ -31,6 +29,7 @@ from tabgen.backends import (
     MockEmbedder,
     MockOracleBackend,
     RateLimited,
+    RequestStore,
     Unreachable,
     WrapperBackend,
     _retry_after_seconds,
@@ -224,13 +223,13 @@ class TestBatch:
 
     def test_shuffled_latency_does_not_reorder(self, tmp_path):
         inner = ScriptedBackend(lambda p: f"v:{p}")
-        recorder = FixtureStore(tmp_path, inner)
+        recorder = RequestStore(inner, directory=tmp_path)
         requests = [GenerationRequest(f"q{i}") for i in range(8)]
         for request in requests:
             recorder.generate(request)
 
         rng = random.Random(7)
-        replay = DelayedBackend(FixtureStore(tmp_path), lambda _: rng.random() * 0.01, concurrency=8)
+        replay = DelayedBackend(RequestStore(directory=tmp_path), lambda _: rng.random() * 0.01, concurrency=8)
         results = replay.generate_batch(requests)
         assert [r.text for r in results] == [f"v:q{i}" for i in range(8)]
         assert len(replay.threads) > 1
@@ -239,9 +238,10 @@ class TestBatch:
 class TestDispatcher:
     def test_backends_that_never_wait_answer_inline(self, tmp_path, wikibio_sample):
         oracle = MockOracleBackend([(wikibio_sample.text, wikibio_sample.gold)], concurrency=8)
-        reference = generate_table(wikibio_sample.text, DatasetKind.WIKIBIO, FixtureStore(tmp_path, oracle))
-        replay = FixtureStore(tmp_path)
-        for backend in (oracle, replay, CachedBackend(replay)):
+        recorder = RequestStore(oracle, directory=tmp_path)
+        reference = generate_table(wikibio_sample.text, DatasetKind.WIKIBIO, recorder)
+        replay = RequestStore(directory=tmp_path)
+        for backend in (oracle, replay, RequestStore(replay), RequestStore(oracle)):
             assert not backend.waits
             callers = set()
 
@@ -447,19 +447,19 @@ class StopAfter(WrapperBackend):
         return self.inner.generate(request)
 
 
-class TestFixtureStore:
+class TestDirectoryStore:
     def test_record_then_replay_round_trip(self, tmp_path):
         inner = ScriptedBackend(lambda p: f"resp:{p}")
-        recorder = FixtureStore(tmp_path, inner)
+        recorder = RequestStore(inner, directory=tmp_path)
         request = GenerationRequest("hello")
         recorded = recorder.generate(request)
 
-        replay = FixtureStore(tmp_path)
+        replay = RequestStore(directory=tmp_path)
         assert replay.generate(request).text == recorded.text
 
     def test_fixture_bytes_are_pinned(self, tmp_path):
         request = GenerationRequest("hello", 7)
-        FixtureStore(tmp_path, ScriptedBackend(lambda _: "Café 42")).generate(request)
+        RequestStore(ScriptedBackend(lambda _: "Café 42"), directory=tmp_path).generate(request)
         [fixture] = tmp_path.iterdir()
         assert fixture.name == f"{request.digest()}.json"
         assert fixture.read_bytes() == (
@@ -468,20 +468,20 @@ class TestFixtureStore:
         )
 
     def test_missing_fixture_is_malformed_response(self, tmp_path):
-        replay = FixtureStore(tmp_path)
+        replay = RequestStore(directory=tmp_path)
         with pytest.raises(MalformedResponse):
             replay.generate(GenerationRequest("never recorded"))
 
     def test_missing_directory_is_rejected_without_inner(self, tmp_path):
         with pytest.raises(ValueError, match="does not exist"):
-            FixtureStore(tmp_path / "missing")
-        FixtureStore(tmp_path / "made", ScriptedBackend(lambda _: "x"))
+            RequestStore(directory=tmp_path / "missing")
+        RequestStore(ScriptedBackend(lambda _: "x"), directory=tmp_path / "made")
         assert (tmp_path / "made").is_dir()
 
     def test_corrupt_fixture_is_malformed_response(self, tmp_path):
         request = GenerationRequest("hello")
         (tmp_path / f"{request.digest()}.json").write_text("{not json", "utf-8")
-        replay = FixtureStore(tmp_path)
+        replay = RequestStore(directory=tmp_path)
         with pytest.raises(MalformedResponse):
             replay.generate(request)
 
@@ -489,24 +489,24 @@ class TestFixtureStore:
         # A lone surrogate has no UTF-8 form; the write used to truncate the
         # fixture to 0 bytes before failing, which replay then called unreadable.
         request = GenerationRequest("hello")
-        recorder = FixtureStore(tmp_path, ScriptedBackend(lambda _: "caf\ud800"))
+        recorder = RequestStore(ScriptedBackend(lambda _: "caf\ud800"), directory=tmp_path)
         with pytest.raises(MalformedResponse, match="cannot be recorded"):
             recorder.generate(request)
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(MalformedResponse, match="no recorded fixture"):
-            FixtureStore(tmp_path).generate(request)
+            RequestStore(directory=tmp_path).generate(request)
 
     def test_unencodable_response_keeps_the_earlier_fixture(self, tmp_path):
         # An earlier fixture answers, so an inner backend that would return
         # an unencodable text is never reached and the fixture stays as it was.
         request = GenerationRequest("hello")
-        FixtureStore(tmp_path, ScriptedBackend(lambda _: "café")).generate(request)
+        RequestStore(ScriptedBackend(lambda _: "café"), directory=tmp_path).generate(request)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         inner = CountingBackend(ScriptedBackend(lambda _: "caf\ud800"))
-        assert FixtureStore(tmp_path, inner).generate(request).text == "café"
+        assert RequestStore(inner, directory=tmp_path).generate(request).text == "café"
         assert inner.calls == 0
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-        assert FixtureStore(tmp_path).generate(request).text == "café"
+        assert RequestStore(directory=tmp_path).generate(request).text == "café"
 
     @pytest.mark.parametrize("stop_after", [1, 4, 8])
     def test_rerun_after_a_stop_sends_only_the_calls_not_recorded(self, tmp_path, stop_after):
@@ -516,7 +516,8 @@ class TestFixtureStore:
             return MockOracleBackend([(sample.text, sample.gold)], concurrency=1)
 
         def run(directory, inner) -> str:
-            table = generate_table(sample.text, DatasetKind.ROTOWIRE_TEAM, FixtureStore(directory, inner))
+            store = RequestStore(inner, directory=directory)
+            table = generate_table(sample.text, DatasetKind.ROTOWIRE_TEAM, store)
             return json.dumps(table_to_json(table), sort_keys=True, ensure_ascii=False)
 
         def fixtures(directory) -> dict[str, bytes]:
@@ -547,7 +548,7 @@ class TestFixtureStore:
                 return "caf\ud800"
             return oracle.generate(GenerationRequest(prompt)).text
 
-        recorder = FixtureStore(tmp_path, ScriptedBackend(answer))
+        recorder = RequestStore(ScriptedBackend(answer), directory=tmp_path)
         table, trace = generate_content(sample.gold, sample.text, DatasetKind.E2E, recorder)
 
         assert table.rows[0] == (bad_header, None)
@@ -564,7 +565,7 @@ class TestCache:
     def test_second_identical_call_is_served_from_cache(self):
         calls = []
         inner = ScriptedBackend(lambda p: (calls.append(p), "value")[1])
-        cached = CachedBackend(inner)
+        cached = RequestStore(inner)
         request = GenerationRequest("same")
         first = cached.generate(request)
         second = cached.generate(request)
@@ -573,14 +574,14 @@ class TestCache:
         assert len(calls) == 1
 
     def test_distinct_requests_both_hit_upstream(self):
-        cached = CachedBackend(ScriptedBackend(lambda p: p))
+        cached = RequestStore(ScriptedBackend(lambda p: p))
         cached.generate(GenerationRequest("a"))
         cached.generate(GenerationRequest("b"))
         assert cached.upstream_calls == 2
 
     def test_failed_calls_are_not_cached(self):
         backend = FlakyHttp(1, MalformedResponse("bad"), retry_cap=1)
-        cached = CachedBackend(backend)
+        cached = RequestStore(backend)
         with pytest.raises(MalformedResponse):
             cached.generate(GenerationRequest("p"))
         assert cached.generate(GenerationRequest("p")).text == "ok"
@@ -589,7 +590,7 @@ class TestCache:
         from tabgen.pipeline import generate_table
 
         plain = MockOracleBackend([(wikibio_sample.text, wikibio_sample.gold)])
-        cached = CachedBackend(MockOracleBackend([(wikibio_sample.text, wikibio_sample.gold)]))
+        cached = RequestStore(MockOracleBackend([(wikibio_sample.text, wikibio_sample.gold)]))
         assert generate_table(wikibio_sample.text, DatasetKind.WIKIBIO, plain) == generate_table(
             wikibio_sample.text, DatasetKind.WIKIBIO, cached
         )
@@ -602,7 +603,7 @@ class TestCache:
                 started.wait(1.0)
                 return GenerationResponse(text="slow")
 
-        cached = CachedBackend(Slow(concurrency=4))
+        cached = RequestStore(Slow(concurrency=4))
         request = GenerationRequest("same")
         results = []
 
@@ -621,7 +622,7 @@ class TestCache:
     def test_a_call_waiting_on_a_shared_miss_holds_no_slot(self):
         latency = {"x": 0.2, "y": 0.05}
         inner = DelayedBackend(ScriptedBackend(lambda p: p, concurrency=2), lambda r: latency[r.prompt])
-        cached = CachedBackend(inner)
+        cached = RequestStore(inner)
         callers = [threading.Thread(target=cached.generate, args=(GenerationRequest(p),)) for p in "xxy"]
         for caller in callers:
             caller.start()
@@ -634,36 +635,102 @@ class TestCache:
         assert cached.upstream_calls == 2
 
 
+class TestRequestStore:
+    """What holds for every store, wherever it keeps its answers."""
+
+    def test_a_store_needs_an_inner_backend_or_a_directory(self):
+        with pytest.raises(ValueError, match="inner backend, a directory or both"):
+            RequestStore()
+
+    def test_identical_misses_on_a_directory_share_one_upstream_call(self, tmp_path):
+        leaf = DelayedBackend(ScriptedBackend(lambda p: f"v:{p}", concurrency=4), lambda _: 0.05)
+        store = RequestStore(leaf, directory=tmp_path)
+        results = store.generate_batch([GenerationRequest("same")] * 4)
+        assert [r.text for r in results] == ["v:same"] * 4
+        assert leaf.calls.total() == 1 and store.upstream_calls == 1
+        assert [p.name for p in tmp_path.iterdir()] == [f"{GenerationRequest('same').digest()}.json"]
+
+    def test_a_failed_shared_miss_fails_every_caller_and_is_not_kept(self, tmp_path):
+        flaky = FlakyHttp(1, Unreachable("down"), retry_cap=1, concurrency=4)
+        store = RequestStore(DelayedBackend(flaky, lambda _: 0.2), directory=tmp_path)
+        with pytest.raises(Unreachable):
+            store.generate_batch([GenerationRequest("same")] * 4)
+        assert flaky.attempts == 1 and list(tmp_path.iterdir()) == []
+        assert store.generate(GenerationRequest("same")).text == "ok"
+        assert flaky.attempts == 2 and store.upstream_calls == 1
+
+    def test_overlapping_callers_ask_each_request_once(self, tmp_path):
+        leaf = DelayedBackend(ScriptedBackend(lambda p: f"v:{p}", concurrency=4), lambda _: 0.001)
+        store = RequestStore(leaf, directory=tmp_path)
+        answers = {}
+
+        def run(caller):
+            prompts = [f"q{(caller + i) % 6}" for i in range(12)]
+            answers[caller] = [r.text for r in store.generate_batch([GenerationRequest(p) for p in prompts])]
+
+        callers = [threading.Thread(target=run, args=(c,)) for c in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert answers == {c: [f"v:q{(c + i) % 6}" for i in range(12)] for c in range(8)}
+        assert set(leaf.calls.values()) == {1} and len(leaf.calls) == 6
+        assert store.upstream_calls == 6 and store._futures == {}
+        assert len(list(tmp_path.iterdir())) == 6
+
+    def test_a_directory_store_keeps_no_finished_answer_in_memory(self, tmp_path):
+        leaf = DelayedBackend(ScriptedBackend(lambda p: f"v:{p}", concurrency=4), lambda _: 0.002)
+        requests = [GenerationRequest(f"q{i % 5}") for i in range(12)]
+        recorder = RequestStore(leaf, directory=tmp_path)
+        replay = RequestStore(directory=tmp_path)
+        for store in (recorder, replay):
+            assert [r.text for r in store.generate_batch(requests)] == [f"v:q{i % 5}" for i in range(12)]
+            assert store._futures == {}
+        assert leaf.calls.total() == 5
+        # A store without a directory keeps each answer for its life.
+        cached = RequestStore(leaf)
+        cached.generate_batch(requests)
+        assert len(cached._futures) == 5
+
+
 class TestWrapperBackend:
-    def test_stacked_wrappers_do_not_multiply_attempts(self, http_server, tmp_path):
+    def test_a_store_does_not_multiply_attempts(self, http_server, tmp_path):
         _Handler.behavior = "server-error"
         inner = HttpBackend(BackendConfig(kind="http", base_url=http_server, retry_cap=3, backoff_s=0.0))
-        stacked = FixtureStore(tmp_path, CachedBackend(inner))
+        store = RequestStore(inner, directory=tmp_path)
         with pytest.raises(Unreachable):
-            stacked.generate(GenerationRequest("p"))
+            store.generate(GenerationRequest("p"))
         assert len(_Handler.seen) == 3
         assert list(tmp_path.iterdir()) == []
 
     def test_inner_retries_still_apply(self, tmp_path):
         inner = FlakyHttp(2, Unreachable("down"), retry_cap=3)
-        stacked = FixtureStore(tmp_path, CachedBackend(inner))
-        assert stacked.generate(GenerationRequest("p")).text == "ok"
+        store = RequestStore(inner, directory=tmp_path)
+        assert store.generate(GenerationRequest("p")).text == "ok"
         assert inner.attempts == 3
 
     def test_wrappers_dispatch_like_their_inner_backend(self, tmp_path):
         config = BackendConfig(kind="http", base_url="http://flaky.invalid", concurrency=5, retry_cap=4)
         inner = HttpBackend(config)
-        cached = CachedBackend(inner)
-        recording = FixtureStore(tmp_path, cached)
+        cached = RequestStore(inner)
+        recording = RequestStore(inner, directory=tmp_path)
         for wrapper in (cached, recording):
             assert wrapper.concurrency == 5
             assert not hasattr(wrapper, "retry_cap")
             assert not hasattr(wrapper, "_slots") and not hasattr(wrapper, "_helpers")
-        assert cached.inner is inner and recording.inner is cached
+        assert cached.inner is inner and recording.inner is inner
+        replay = RequestStore(directory=tmp_path)
+        assert replay.concurrency == 1 and not replay.waits
 
 
 class TestOneDispatcherPerStack:
-    """Only the backend that waits holds slots and helpers; wrappers stacked on it share them."""
+    """Only the backend that waits holds slots and helpers; stores over it share them."""
 
     @staticmethod
     def start(calls, *, spacing: float = 0.005) -> list[threading.Thread]:
@@ -674,10 +741,10 @@ class TestOneDispatcherPerStack:
             time.sleep(spacing)
         return threads
 
-    def test_a_store_over_a_cache_pins_no_slot_for_a_shared_miss(self, tmp_path):
+    def test_a_recording_store_pins_no_slot_for_a_shared_miss(self, tmp_path):
         latency = {"x": 0.2, "y": 0.05}
         leaf = DelayedBackend(ScriptedBackend(lambda p: p, concurrency=2), lambda r: latency[r.prompt])
-        store = FixtureStore(tmp_path, CachedBackend(leaf))
+        store = RequestStore(leaf, directory=tmp_path)
         callers = self.start((store.generate, p) for p in "xxy")
         for caller in callers:
             caller.join(timeout=10)
@@ -687,9 +754,9 @@ class TestOneDispatcherPerStack:
         assert leaf.calls.total() == 2
 
     def test_a_fixture_hit_does_not_queue_behind_misses(self, tmp_path):
-        FixtureStore(tmp_path, ScriptedBackend(lambda p: f"v:{p}")).generate(GenerationRequest("hit"))
+        RequestStore(ScriptedBackend(lambda p: f"v:{p}"), directory=tmp_path).generate(GenerationRequest("hit"))
         leaf = DelayedBackend(ScriptedBackend(lambda p: f"v:{p}", concurrency=2), lambda _: 0.2)
-        store = FixtureStore(tmp_path, leaf)
+        store = RequestStore(leaf, directory=tmp_path)
         finished = []
 
         def call(request):
@@ -705,8 +772,8 @@ class TestOneDispatcherPerStack:
     def test_every_layer_of_a_stack_runs_on_one_helper_pool(self, tmp_path):
         before = set(threading.enumerate())
         leaf = DelayedBackend(ScriptedBackend(lambda p: p, concurrency=4), lambda _: 0.005)
-        cache = CachedBackend(leaf)
-        store = FixtureStore(tmp_path, cache)
+        cache = RequestStore(leaf)
+        store = RequestStore(leaf, directory=tmp_path)
         for name, layer in (("leaf", leaf), ("cache", cache), ("store", store)):
             prompts = [f"{name}:{i}" for i in range(12)]
             assert [r.text for r in layer.generate_batch([GenerationRequest(p) for p in prompts])] == prompts
@@ -717,7 +784,7 @@ class TestOneDispatcherPerStack:
 
     def test_callers_on_every_layer_share_one_cap_and_one_pool(self, tmp_path):
         leaf = DelayedBackend(ScriptedBackend(lambda p: p, concurrency=2), lambda _: 0.002)
-        layers = [leaf, CachedBackend(leaf), FixtureStore(tmp_path, CachedBackend(leaf))]
+        layers = [leaf, RequestStore(leaf), RequestStore(leaf, directory=tmp_path)]
         start = threading.active_count()
         answers = {}
 

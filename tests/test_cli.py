@@ -14,10 +14,9 @@ import pytest
 from tabgen import cli
 from tabgen.backends import (
     BackendConfig,
-    CachedBackend,
-    FixtureStore,
     GenerationRequest,
     MockOracleBackend,
+    RequestStore,
 )
 from tabgen.cli import dispatch
 from tabgen.corpus import fixture_path, load_jsonl
@@ -244,7 +243,7 @@ class TestSharedDispatch:
 
     def test_a_stack_that_never_waits_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
         threads = []
-        for cls in (MockOracleBackend, FixtureStore):
+        for cls in (MockOracleBackend, RequestStore):
             def recording(self, request, answer=cls._generate_once):
                 threads.append(threading.get_ident())
                 return answer(self, request)
@@ -271,11 +270,11 @@ class TestSharedDispatch:
         corpus.write_text("".join(json.dumps({**sample, "id": f"copy-{i}"}) + "\n" for i in range(8)))
         upstream: list[DelayedBackend] = []
 
-        def cached(inner):
+        def store(inner=None, **kwargs):
             upstream.append(DelayedBackend(inner, lambda _: 0.003))
-            return CachedBackend(upstream[-1])
+            return RequestStore(upstream[-1], **kwargs)
 
-        monkeypatch.setattr(cli, "CachedBackend", cached)
+        monkeypatch.setattr(cli, "RequestStore", store)
         out = tmp_path / "preds.jsonl"
         codes = []
         run = threading.Thread(daemon=True, target=lambda: codes.append(dispatch(
@@ -539,6 +538,22 @@ class TestUpdateBadDelta:
         assert code == 2
         assert f"config error: delta file {delta_file}:" in err
         assert "Traceback" not in err
+
+    def test_a_delta_that_does_not_fit_leaves_no_out_file(self, tmp_path, capsys):
+        sample = json.loads(Path(TEAM_EXAMPLE).read_text("utf-8"))
+        table_file = tmp_path / "table.json"
+        table_file.write_text(json.dumps(sample["table"]), "utf-8")
+        delta_file = tmp_path / "delta.json"
+        delta_file.write_text(json.dumps({"reask": [["Nobody", "Wins"]]}), "utf-8")
+        out = tmp_path / "new.json"
+        code = dispatch(
+            ["update", "--kind", "rotowire-team", "--table", str(table_file),
+             "--delta", str(delta_file), "--evidence", sample["text"],
+             "--oracle", TEAM_EXAMPLE, "--backend", "mock-oracle", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: delta file {delta_file}: unknown row header")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "address, shown",
