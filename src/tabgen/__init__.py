@@ -67,7 +67,6 @@ from tabgen.table import (
     Orientation,
     StructuralError,
     Table,
-    ValidityReport,
     normalize_text,
     parse_flat,
     render_markdown,
@@ -75,7 +74,6 @@ from tabgen.table import (
     table_from_json,
     table_to_json,
     to_tuples,
-    validate,
 )
 
 __version__ = "0.1.0"

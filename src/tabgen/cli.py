@@ -21,7 +21,7 @@ from tabgen.backends import (
     MockOracleBackend,
     RequestStore,
 )
-from tabgen.corpus import Sample, corpus_stats, load_jsonl
+from tabgen.corpus import Sample, corpus_stats, load_jsonl, table_of_kind
 from tabgen.kinds import DatasetKind
 from tabgen.metrics import GOLD_HEADERS, PREDICTED_HEADERS, evaluate_corpus
 from tabgen.pipeline import (
@@ -32,16 +32,7 @@ from tabgen.pipeline import (
     update_table,
 )
 from tabgen.prompts import PromptTemplate
-from tabgen.table import (
-    EmptyInput,
-    InvalidTable,
-    StructuralError,
-    Table,
-    header_issues,
-    table_from_json,
-    table_to_json,
-    validate,
-)
+from tabgen.table import EmptyInput, StructuralError, Table, table_from_json, table_to_json
 
 
 class ConfigError(ValueError):
@@ -72,10 +63,7 @@ def _load_corpus(path: str, kind: DatasetKind, label: str) -> list[Sample]:
 
 
 def _write(text: str, out: str | None, mode: str = "w") -> None:
-    """A command's output, to `out` or else to stdout; an unwritable `out` is a config error.
-
-    Mode "a" with no text checks `out` and leaves what it holds.
-    """
+    """A command's output, to `out` or else to stdout; an unwritable `out` is a config error."""
     if not out:
         sys.stdout.write(text)
         return
@@ -84,6 +72,25 @@ def _write(text: str, out: str | None, mode: str = "w") -> None:
             stream.write(text)
     except OSError as err:
         raise ConfigError(f"cannot write {out}: {err}") from err
+
+
+def _check_writable(*outs: str | None) -> None:
+    """Fail as a config error, before any backend call, if an output file cannot be written.
+
+    Each file is opened to append, which leaves what it holds. A file this
+    check creates is removed again when a later one fails, so a config
+    error leaves no output file behind.
+    """
+    created: list[Path] = []
+    try:
+        for out in filter(None, outs):
+            if not Path(out).exists():
+                created.append(Path(out))
+            _write("", out, "a")
+    except ConfigError:
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _read_json(path: str, label: str, build: Callable):
@@ -179,8 +186,7 @@ def _run_corpus(
         raise ConfigError(f"corpus file {args.infile} holds no samples")
     backend = _build_backend(args, config, samples, *templates)
     trace_out = getattr(args, "trace", None)
-    for out in (args.out, trace_out):
-        _write("", out, "a")
+    _check_writable(args.out, trace_out)
 
     def run(sample: Sample) -> tuple[dict, dict | None, bool]:
         try:
@@ -273,10 +279,7 @@ def _read_predictions(path: str) -> dict[str, Table | None]:
             if sample_id in first_line:
                 raise ValueError(f"id {sample_id!r} repeats line {first_line[sample_id]}")
             first_line[sample_id] = line_no
-            table = table_from_json(data["table"]) if "table" in data else None
-            if table is not None and not (report := validate(table)).valid:
-                raise InvalidTable(report)
-            predictions[sample_id] = table
+            predictions[sample_id] = table_from_json(data["table"]) if "table" in data else None
         except json.JSONDecodeError as err:
             raise ConfigError(f"{path} line {line_no}: invalid JSON: {err}") from None
         except ValueError as err:
@@ -316,23 +319,11 @@ def _cmd_evaluate(args: Namespace) -> int:
     return 0
 
 
-def _table_of_kind(data, kind: DatasetKind) -> Table:
-    """A table file's table; it must pass every check a gold table of `kind` passes."""
-    table = table_from_json(data)
-    if table.orientation is not kind.orientation:
-        raise ValueError(
-            f"table orientation {table.orientation.value} does not match kind {kind.value}"
-        )
-    if not (report := validate(table)).valid:
-        raise InvalidTable(report)
-    if issues := header_issues(table):
-        raise ValueError("; ".join(issues))
-    return table
-
-
 def _cmd_update(args: Namespace) -> int:
     config = _backend_config(args)
-    table = _read_json(args.table, "table file", lambda data: _table_of_kind(data, args.kind))
+    table = _read_json(
+        args.table, "table file", lambda data: table_of_kind(table_from_json(data), args.kind)
+    )
     delta = _read_json(args.delta, "delta file", lambda data: SkeletonDelta(**data))
 
     evidence = args.evidence or ""
@@ -344,16 +335,17 @@ def _cmd_update(args: Namespace) -> int:
         _fit_delta(table, delta)
     except ValueError as err:
         raise ConfigError(f"delta file {args.delta}: {err}") from err
-    _write("", args.out, "a")
 
     updated = table
     if not delta.is_empty():
+        backend = _build_backend(args, config, [])
+        _check_writable(args.out)
         updated = update_table(
             table,
             delta,
             evidence,
             args.kind,
-            _build_backend(args, config, []),
+            backend,
             max_input_tokens=config.max_input_tokens,
             answer_max_new_tokens=config.answer_max_new_tokens,
         )

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Sequence
 
 from tabgen.kinds import DatasetKind
-from tabgen.table import Table, header_issues, table_from_json, validate
+from tabgen.table import InvalidTable, Table, header_issues, table_from_json
 
 
 class SchemaError(ValueError):
@@ -84,20 +84,30 @@ def _sample_from_line(line_no: int, data: object, kind: DatasetKind) -> Sample:
         raise SchemaError(line_no, 'missing "table"')
     try:
         gold = table_from_json(data["table"])
+    except InvalidTable as err:
+        raise InvalidGoldTable(line_no, str(err)) from err
     except ValueError as err:
         raise SchemaError(line_no, f"bad table JSON: {err}") from err
+    try:
+        return Sample(id=sample_id, text=text, gold=table_of_kind(gold, kind), kind=kind)
+    except ValueError as err:
+        raise InvalidGoldTable(line_no, str(err)) from err
 
-    if gold.orientation is not kind.orientation:
-        raise InvalidGoldTable(
-            line_no, f"table orientation {gold.orientation.value} does not match kind {kind.value}"
+
+def table_of_kind(table: Table, kind: DatasetKind) -> Table:
+    """`table`, if it can stand as a gold table of `kind`; a ValueError says why not.
+
+    Its orientation must be `kind`'s, and no header may be blank or
+    repeated after normalization. Every table read from outside the
+    program, a corpus's gold or an `update` table file, passes this.
+    """
+    if table.orientation is not kind.orientation:
+        raise ValueError(
+            f"table orientation {table.orientation.value} does not match kind {kind.value}"
         )
-    report = validate(gold)
-    if not report.valid:
-        raise InvalidGoldTable(line_no, f"gold table is not rectangular: {report.violations}")
-    issues = header_issues(gold)
-    if issues:
-        raise InvalidGoldTable(line_no, "; ".join(issues))
-    return Sample(id=sample_id, text=text, gold=gold, kind=kind)
+    if issues := header_issues(table):
+        raise ValueError("; ".join(issues))
+    return table
 
 
 def load_jsonl(path: str | Path, kind: DatasetKind) -> list[Sample]:

@@ -37,15 +37,7 @@ from tabgen.prompts import (
     parse_structure_answer,
     truncate_passage,
 )
-from tabgen.table import (
-    InvalidTable,
-    Orientation,
-    Table,
-    dedupe_headers,
-    normalize_text,
-    parse_flat,
-    validate,
-)
+from tabgen.table import Orientation, Table, dedupe_headers, normalize_text, parse_flat
 
 
 @dataclass(frozen=True)
@@ -204,7 +196,7 @@ def _ask_slots(
     for question in questions:
         length = estimate_tokens(question)
         if length not in cut:
-            overhead = template.overhead_tokens() + length
+            overhead = template.overhead_tokens + length
             cut[length] = truncate_passage(passage, max_input_tokens, overhead)
         prompt = build_qa_prompt(cut[length], question, template)
         requests.append(GenerationRequest(prompt, max_new_tokens=answer_max_new_tokens))
@@ -235,14 +227,10 @@ def generate_content(
 
     The skeleton's cell values are never read: only its orientation,
     headers and grid shape matter, so a filled table asks what its blank
-    copy asks. An invalid skeleton raises InvalidTable before any backend
-    call. The output table always has exactly the skeleton's shape; cells
-    whose answer is a refusal, fails numeric extraction, or errors out are
-    absent.
+    copy asks. The output table always has exactly the skeleton's shape,
+    which is valid because every `Table` is; cells whose answer is a
+    refusal, fails numeric extraction, or errors out are absent.
     """
-    report = validate(skeleton)
-    if not report.valid:
-        raise InvalidTable(report)
     started = time.monotonic()
     rows, cols = skeleton.row_headers, skeleton.col_headers
     slots = [(r, c) for r in range(len(skeleton.cells)) for c in range(len(cols))]
@@ -282,8 +270,7 @@ def generate_table_traced(
 
     A seeding table's headers are used and its values are not read, so a
     gold table seeds gold-header generation as it is. NoHeaders (an
-    unusable stage-one answer) is the only unrecoverable pipeline error;
-    an invalid seeding table raises InvalidTable.
+    unusable stage-one answer) is the only unrecoverable pipeline error.
     """
     structure_answer = None
     structure_ms = 0.0
@@ -381,15 +368,15 @@ def _resolve_reask(
 
 def _fit_delta(table: Table, delta: SkeletonDelta) -> list[tuple[int, int]]:
     """The slots a delta re-asks, with no backend call; a delta that does not fit the table raises."""
-    report = validate(table)
-    if not report.valid:
-        raise InvalidTable(report)
     for header in (*delta.add_row_headers, *delta.add_col_headers):
         if not normalize_text(header):
             raise ValueError(f"added header {header!r} is blank")
     reask_slots = _resolve_reask(table, delta.reask)
     if table.orientation is Orientation.ATTRIBUTE_VALUE and delta.add_row_headers:
         raise ValueError("attribute-value tables have no row-header axis to extend")
+    asked = range(len(table.col_headers)) if delta.add_row_headers else {c for _, c in reask_slots}
+    if empty := [c for c in sorted(asked) if not table.col_headers[c]]:
+        raise ValueError(f"the delta asks under column header {empty[0]}, which is empty")
     return reask_slots
 
 

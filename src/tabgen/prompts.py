@@ -104,12 +104,9 @@ class PromptTemplate:
         middle = literals[1] if len(slots) == 2 else None
         return literals[0], middle, literals[-1], slots[0] == "passage"
 
+    @cached_property
     def overhead_tokens(self) -> int:
         """Estimated token cost of the template text itself, slots excluded."""
-        return self._overhead_tokens
-
-    @cached_property
-    def _overhead_tokens(self) -> int:
         bare = self.text.replace("{{passage}}", "").replace("{{question}}", "")
         return estimate_tokens(bare)
 
@@ -225,7 +222,7 @@ def build_structure_prompt(
     if _blank(passage):
         raise ValueError("passage must be non-empty")
     template = template or default_structure_template(kind)
-    passage = truncate_passage(passage, max_input_tokens, template.overhead_tokens())
+    passage = truncate_passage(passage, max_input_tokens, template.overhead_tokens)
     return template.render(passage=passage)
 
 
@@ -241,7 +238,7 @@ def build_qa_prompt(
         raise ValueError("question must be non-empty")
     template = template or default_qa_template()
     if max_input_tokens is not None:
-        overhead = template.overhead_tokens() + estimate_tokens(question)
+        overhead = template.overhead_tokens + estimate_tokens(question)
         passage = truncate_passage(passage, max_input_tokens, overhead)
     return template.render(passage=passage, question=question)
 
@@ -255,7 +252,7 @@ def build_baseline_prompt(
     if _blank(passage):
         raise ValueError("passage must be non-empty")
     template = template or default_baseline_template(orientation)
-    passage = truncate_passage(passage, max_input_tokens, template.overhead_tokens())
+    passage = truncate_passage(passage, max_input_tokens, template.overhead_tokens)
     return template.render(passage=passage)
 
 

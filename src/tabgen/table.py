@@ -1,11 +1,13 @@
-"""Table data model: validation, flat-format serialization/parsing, normalization.
+"""Table data model: a grid checked when built, flat-format serialization/parsing, normalization.
 
 Two layouts are supported, and both are stored as one grid. A matrix
 table has a row-header axis and a column-header axis with one optional
 value per (row, column) slot, as in sports box scores. An
 attribute-value table, as in restaurant or biography summaries, is the
 same grid with one row and no row header: its attributes are the column
-headers, and its (header, value) pairs are derived from them.
+headers, and its (header, value) pairs are derived from them. A `Table`
+checks its grid when it is built, so every table in hand is rectangular
+and no operation on one re-checks it.
 
 The flat text format writes cells separated by "|" and rows separated by
 the literal "<NEWLINE>" tag (a 9-character token, not a control
@@ -30,11 +32,11 @@ class Orientation(str, Enum):
 
 
 class InvalidTable(ValueError):
-    """Operation requires a structurally valid table and got one that is not."""
+    """A `Table` was built from a grid that is not rectangular; `violations` says how."""
 
-    def __init__(self, report: "ValidityReport"):
-        self.report = report
-        super().__init__(f"invalid table: {report.violations}")
+    def __init__(self, violations: tuple[Violation, ...]):
+        self.violations = violations
+        super().__init__(f"invalid table: {violations}")
 
 
 class EmptyInput(ValueError):
@@ -54,12 +56,6 @@ class Violation(NamedTuple):
     index: int  # row index, or -1 for a table-level violation
     expected: int
     observed: int
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    valid: bool
-    violations: tuple[Violation, ...] = ()
 
 
 class CellTuple(NamedTuple):
@@ -111,6 +107,10 @@ class Table:
     and its values are the one row of `cells`; `rows` derives its
     (header, value) pairs. Absent is the canonical form of an empty cell;
     parsers map empty strings to absent.
+
+    The grid must be rectangular: one row per row header, each as wide as
+    `col_headers`; an attribute-value grid is exactly one row and has no
+    row header. Any other grid raises InvalidTable with every violation.
     """
 
     orientation: Orientation
@@ -119,9 +119,27 @@ class Table:
     cells: tuple[tuple[str | None, ...], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "row_headers", tuple(self.row_headers))
-        object.__setattr__(self, "col_headers", tuple(self.col_headers))
-        object.__setattr__(self, "cells", tuple(tuple(row) for row in self.cells))
+        row_headers, col_headers = tuple(self.row_headers), tuple(self.col_headers)
+        width = len(col_headers)
+        cells = []
+        violations = []
+        for i, row in enumerate(self.cells):
+            row = tuple(row)
+            if len(row) != width:
+                violations.append(Violation("row_width", i, width, len(row)))
+            cells.append(row)
+        height = len(row_headers)
+        if self.orientation is Orientation.ATTRIBUTE_VALUE:
+            if row_headers:
+                violations.append(Violation("row_headers", -1, 0, height))
+            height = 1
+        if len(cells) != height:
+            violations.append(Violation("row_count", -1, height, len(cells)))
+        if violations:
+            raise InvalidTable(tuple(violations))
+        object.__setattr__(self, "row_headers", row_headers)
+        object.__setattr__(self, "col_headers", col_headers)
+        object.__setattr__(self, "cells", tuple(cells))
 
     @classmethod
     def attribute_value(cls, rows: Iterable[tuple[str, str | None]]) -> "Table":
@@ -140,7 +158,7 @@ class Table:
     @property
     def rows(self) -> tuple[tuple[str, str | None], ...]:
         """An attribute-value table's (header, value) pairs; () for a matrix."""
-        if self.orientation is Orientation.MATRIX or not self.cells:
+        if self.orientation is Orientation.MATRIX:
             return ()
         return tuple(zip(self.col_headers, self.cells[0]))
 
@@ -153,32 +171,6 @@ class Table:
 
     def present_cell_count(self) -> int:
         return sum(1 for row in self.cells for v in row if v is not None)
-
-
-_VALID = ValidityReport(valid=True)
-
-
-def validate(table: Table) -> ValidityReport:
-    """Check rectangularity: one row per row header, each as wide as the column headers.
-
-    An attribute-value table must have no row headers and exactly one
-    row. Malformed structure is reported, not raised.
-    """
-    violations: list[Violation] = []
-    expected_width = len(table.col_headers)
-    for i, row in enumerate(table.cells):
-        if len(row) != expected_width:
-            violations.append(Violation("row_width", i, expected_width, len(row)))
-    expected_rows = len(table.row_headers)
-    if table.orientation is Orientation.ATTRIBUTE_VALUE:
-        if table.row_headers:
-            violations.append(Violation("row_headers", -1, 0, len(table.row_headers)))
-        expected_rows = 1
-    if len(table.cells) != expected_rows:
-        violations.append(Violation("row_count", -1, expected_rows, len(table.cells)))
-    if not violations:
-        return _VALID
-    return ValidityReport(valid=False, violations=tuple(violations))
 
 
 def header_issues(table: Table) -> list[str]:
@@ -199,10 +191,6 @@ def header_issues(table: Table) -> list[str]:
 
 def serialize_flat(table: Table) -> str:
     """Render the flat single-line format; the matrix corner is an empty leading cell."""
-    report = validate(table)
-    if not report.valid:
-        raise InvalidTable(report)
-
     if table.orientation is Orientation.ATTRIBUTE_VALUE:
         lines = [" | ".join([header, value or ""]) for header, value in table.rows]
     else:
@@ -270,10 +258,6 @@ _new_tuple = tuple.__new__  # builds a CellTuple without the namedtuple's Python
 
 def _cell_tuples(table: Table, memo: _NormalizeMemo) -> set[CellTuple]:
     """`to_tuples` with every header and value normalized through the caller's memo."""
-    report = validate(table)
-    if not report.valid:
-        raise InvalidTable(report)
-
     if table.orientation is Orientation.ATTRIBUTE_VALUE:
         return {
             _new_tuple(CellTuple, ("", memo[header], norm))
@@ -352,10 +336,6 @@ def _md_escape(value: str) -> str:
 
 def render_markdown(table: Table) -> str:
     """Human-oriented pipe-table rendering; write-only, never parsed back."""
-    report = validate(table)
-    if not report.valid:
-        raise InvalidTable(report)
-
     if table.orientation is Orientation.ATTRIBUTE_VALUE:
         lines = ["| Attribute | Value |", "| --- | --- |"]
         for header, value in table.rows:

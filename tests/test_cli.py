@@ -314,6 +314,22 @@ class TestSharedDispatch:
         assert sum(backend.calls.total() for backend in built) == 0
 
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_an_unwritable_trace_leaves_out_as_it_was(self, tmp_path, capsys, existing):
+        out = tmp_path / "new.jsonl"
+        if existing:
+            out.write_text("kept\n", "utf-8")
+        bad = tmp_path / "missing" / "t.jsonl"
+        code = dispatch(["generate", "--kind", "e2e", "--backend", "mock-oracle", "--in", E2E_MINI,
+                         "--out", str(out), "--trace", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {bad}")
+        if existing:
+            assert out.read_text("utf-8") == "kept\n"
+        else:
+            assert not out.exists()
+
+
 class TestBaseline:
     def test_oracle_baseline_all_valid(self, tmp_path, capsys):
         out = tmp_path / "preds.jsonl"
@@ -553,6 +569,26 @@ class TestUpdateBadDelta:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: delta file {delta_file}: unknown row header")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "backend",
+        [["--backend", "mock-oracle"], ["--backend", "replay", "--fixtures", "missing"],
+         ["--backend", "http"]],
+        ids=["mock-oracle-without-oracle", "replay-of-a-missing-directory", "http-without-base-url"],
+    )
+    def test_a_backend_that_cannot_be_built_leaves_no_out_file(self, tmp_path, capsys, backend):
+        sample = json.loads(Path(E2E_EXAMPLE).read_text("utf-8"))
+        table_file, delta_file = tmp_path / "table.json", tmp_path / "delta.json"
+        table_file.write_text(json.dumps({**sample["table"], "rows": sample["table"]["rows"][:3]}),
+                              "utf-8")
+        delta_file.write_text(json.dumps({"add_col_headers": ["Customer Rating"]}), "utf-8")
+        backend = [str(tmp_path / flag) if flag == "missing" else flag for flag in backend]
+        out = tmp_path / "new.json"
+        code = dispatch(["update", "--kind", "e2e", "--table", str(table_file), "--delta",
+                         str(delta_file), "--evidence", sample["text"], *backend, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 
     @pytest.mark.parametrize(

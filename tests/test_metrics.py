@@ -30,7 +30,7 @@ from tabgen.metrics import (
     semantic_score,
     _TokenTable,
 )
-from tabgen.table import InvalidTable, Orientation, StructuralError, Table, normalize_text, to_tuples
+from tabgen.table import Orientation, StructuralError, Table, normalize_text, to_tuples
 
 ITEMS = st.sets(st.text(alphabet="abcdef", min_size=1, max_size=4), max_size=12)
 
@@ -183,11 +183,6 @@ class TestEvaluateSample:
         pred = Table.attribute_value([("food", "Japanese")])
         gold = Table.attribute_value([("cuisine", "Japanese")])
         assert evaluate_sample(pred, gold).cell.f1 == 0.0
-
-    def test_invalid_table_rejected(self, wikibio_sample):
-        bad = Table.matrix(["a"], ["x", "y"], [["1"]])
-        with pytest.raises(InvalidTable):
-            evaluate_sample(bad, wikibio_sample.gold)
 
     def test_semantic_scores_present_when_embedder_given(self, wikibio_sample):
         result = evaluate_sample(

@@ -30,12 +30,10 @@ from tabgen.metrics import (
 )
 from tabgen.table import (
     CellTuple,
-    InvalidTable,
     Orientation,
     Table,
     normalize_text,
     to_tuples,
-    validate,
 )
 
 from .conftest import ALL_KINDS
@@ -43,9 +41,6 @@ from .conftest import ALL_KINDS
 
 def reference_to_tuples(table: Table) -> set[CellTuple]:
     """Per-table normalization: a fresh normalization of every header and value."""
-    report = validate(table)
-    if not report.valid:
-        raise InvalidTable(report)
     if table.orientation is Orientation.ATTRIBUTE_VALUE:
         return {
             CellTuple("", normalize_text(header), normalize_text(value))

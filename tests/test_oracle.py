@@ -224,7 +224,7 @@ class TestPassageLookup:
 
     def test_passage_cut_inside_its_opening_is_found(self):
         question = "What is the Name?"
-        budget = default_qa_template().overhead_tokens() + estimate_tokens(question) + 3
+        budget = default_qa_template().overhead_tokens + estimate_tokens(question) + 3
         samples = [
             ("Zephyr Hall is a pub near the river with a long garden and live music on Fridays.",
              Table.attribute_value([("Name", "Zephyr Hall")])),

@@ -40,14 +40,12 @@ from tabgen.prompts import (
 )
 from tabgen.table import (
     EmptyInput,
-    InvalidTable,
     Orientation,
     StructuralError,
     Table,
     dedupe_headers,
     normalize_text,
     to_tuples,
-    validate,
 )
 
 from .conftest import (
@@ -115,7 +113,7 @@ class TestGenerateContent:
         backend = ScriptedBackend(lambda p: "unknown")
         skeleton = blank_table(Orientation.MATRIX, ("a", "b"), ("x", "y"))
         table, _ = generate_content(skeleton, "passage", DatasetKind.ROTOWIRE_TEAM, backend)
-        assert validate(table).valid
+        assert table.shape == skeleton.shape
         assert table.present_cell_count() == 0
 
     def test_numeric_kind_extracts_first_number(self):
@@ -135,12 +133,10 @@ class TestGenerateContent:
         backend = ScriptedBackend(lambda p: "1" * 5000 if "Wins" in p else "7")
         skeleton = blank_table(Orientation.MATRIX, ("Suns",), ("Wins", "Losses"))
         table, _ = generate_content(skeleton, "passage", DatasetKind.ROTOWIRE_TEAM, backend)
-        assert validate(table).valid
         assert table.cells == ((None, "7"),)
         updated = update_table(
             table, SkeletonDelta(add_row_headers=("Jazz",)), "passage", DatasetKind.ROTOWIRE_TEAM, backend
         )
-        assert validate(updated).valid
         assert updated.cells == ((None, "7"), (None, "7"))
 
     def test_failed_cells_degrade_to_absent_and_are_flagged(self):
@@ -153,7 +149,6 @@ class TestGenerateContent:
         backend = OneBad(lambda p: "7")
         skeleton = blank_table(Orientation.MATRIX, ("Suns",), ("Wins", "Losses"))
         table, trace = generate_content(skeleton, "passage", DatasetKind.ROTOWIRE_TEAM, backend)
-        assert validate(table).valid
         assert table.cells == ((None, "7"),)
         assert trace.cells[0].error is not None
         assert trace.cells[1].error is None
@@ -196,7 +191,7 @@ class TestGenerateTable:
             ["a | b <SEP> c<NEWLINE>d <SEP> <SEP> a | b"] + ["noise"] * 10
         )
         table = generate_table("passage", DatasetKind.E2E, backend)
-        assert validate(table).valid
+        assert table.shape == (len(table.col_headers), 1)
 
     def test_trace_records_structure_answer_and_timings(self, e2e_sample):
         table, trace = generate_table_traced(e2e_sample.text, DatasetKind.E2E, oracle_for(e2e_sample))
@@ -234,7 +229,6 @@ class TestStageBoundary:
                 construct_structure("passage", kind, backend)
             return
         skeleton = construct_structure("passage", kind, backend)
-        assert validate(skeleton).valid
         assert skeleton.orientation is kind.orientation
         assert skeleton.present_cell_count() == 0
         assert (skeleton.row_headers, skeleton.col_headers) == headers
@@ -253,25 +247,6 @@ class TestStageBoundary:
         assert from_gold == from_blank == gold
         untimed = dataclasses.replace(gold_trace, content_ms=0.0)
         assert untimed == dataclasses.replace(blank_trace, content_ms=0.0)
-
-    @pytest.mark.parametrize(
-        "skeleton",
-        [
-            Table.matrix(["Magic"], ["Wins"], [["1", "2"]]),
-            Table.matrix(["Magic", "Hawks"], ["Wins"], [[None]]),
-            Table(Orientation.ATTRIBUTE_VALUE, (), ["Name"], [[None], [None]]),
-        ],
-        ids=["ragged-matrix", "matrix-missing-a-row", "attribute-value-two-rows"],
-    )
-    def test_an_invalid_skeleton_raises_before_any_call(self, skeleton):
-        backend = CountingBackend(ScriptedBackend(lambda p: "7"))
-        attribute_value = skeleton.orientation is Orientation.ATTRIBUTE_VALUE
-        kind = DatasetKind.E2E if attribute_value else DatasetKind.ROTOWIRE_TEAM
-        with pytest.raises(InvalidTable):
-            generate_content(skeleton, "passage", kind, backend)
-        with pytest.raises(InvalidTable):
-            generate_table_traced("passage", kind, backend, skeleton=skeleton)
-        assert backend.calls == 0
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_stage_one_is_scored_as_table_construction(self, kind):
@@ -432,7 +407,7 @@ class TestUpdateTable:
             oracle_for(rotowire_team_sample),
         )
         assert updated.row_headers == ("Magic", "Hawks", "Hawks #2")
-        assert validate(updated).valid
+        assert updated.shape == (3, 4)
 
 
 class TestQAPrompts:
@@ -608,7 +583,7 @@ def _ref_qa_requests(questions, passage, template, max_input_tokens, answer_max_
     for question in questions:
         length = prompts_module.estimate_tokens(question)
         if length not in cut:
-            overhead = template.overhead_tokens() + length
+            overhead = template.overhead_tokens + length
             cut[length] = prompts_module.truncate_passage(passage, max_input_tokens, overhead)
         prompt = build_qa_prompt(cut[length], question, template)
         requests.append(GenerationRequest(prompt, max_new_tokens=answer_max_new_tokens))
@@ -668,9 +643,6 @@ def _ref_update_table(
     table, delta, new_passage, kind, backend, *, template=None, max_input_tokens=2048,
     answer_max_new_tokens=64,
 ):
-    report = validate(table)
-    if not report.valid:
-        raise InvalidTable(report)
     if delta.is_empty():
         return table
     numeric = kind.numeric
@@ -908,3 +880,103 @@ class TestSkeletonDelta:
     def test_non_string_header_is_rejected(self, fields):
         with pytest.raises(TypeError, match="headers must be strings"):
             SkeletonDelta(**fields)
+
+
+class TestUpdateProperty:
+    """For any valid table and any delta, either a ValueError or TypeError names the delta
+    before any call, or the table grows by exactly the added headers, keeps every untouched
+    cell, and asks each distinct slot once."""
+
+    HEADER = st.sampled_from(
+        ["Wins", "wins", " WINS ", '"Wins"', "Wins #2", "Magic", "a b", "", " ", "\t"]
+    )
+    # Messages that name a part of the delta without quoting it, and when each may be raised.
+    FIXED_MESSAGES = {
+        "attribute-value re-ask addresses have no row header":
+            lambda table, delta: any(r not in (None, "") for r, _ in delta.reask),
+        "attribute-value tables have no row-header axis to extend":
+            lambda table, delta: bool(delta.add_row_headers),
+        "the delta asks under column header":  # a question needs a column header to ask about
+            lambda table, delta: "" in table.col_headers and (
+                bool(delta.add_row_headers) or any(not normalize_text(c) for _, c in delta.reask)),
+    }
+
+    @staticmethod
+    @st.composite
+    def cases(draw):
+        header = TestUpdateProperty.HEADER
+        kind = draw(st.sampled_from(ALL_KINDS))
+        attribute_value = kind.orientation is Orientation.ATTRIBUTE_VALUE
+        rows = [] if attribute_value else draw(st.lists(header, max_size=3))
+        cols = draw(st.lists(header, max_size=3))
+        value = st.sampled_from([None, None, "3", "Low"])
+        height = 1 if attribute_value else len(rows)
+        table = Table(kind.orientation, rows, cols, [[draw(value) for _ in cols] for _ in range(height)])
+
+        def near(headers):  # a table header as given, recased or padded, or any header at all
+            named = st.sampled_from(headers).flatmap(lambda h: st.sampled_from([h, h.upper(), f" {h}"]))
+            return st.one_of(named, header) if headers else header
+
+        row_part = st.sampled_from([None, None, ""]) if attribute_value else near(rows)
+        address = st.tuples(row_part, near(cols))
+        if draw(st.integers(0, 9)) == 0:  # not a pair: rejected by name
+            address = st.one_of(address, st.sampled_from(["Wins", ("Magic", "Wins", "Losses")]))
+        fields = {
+            "add_row_headers": draw(st.lists(header, max_size=3)) if draw(st.booleans()) else [],
+            "add_col_headers": draw(st.lists(header, max_size=3)),
+            "reask": draw(st.lists(address, max_size=4)),
+        }
+        return kind, table, fields
+
+    @classmethod
+    def names_the_delta(cls, message: str, table: Table, fields: dict) -> bool:
+        for fixed, may_raise in cls.FIXED_MESSAGES.items():
+            if message.startswith(fixed):
+                return may_raise(table, SkeletonDelta(**fields))
+        named = [*fields["add_row_headers"], *fields["add_col_headers"], *fields["reask"]]
+        named += [h for address in fields["reask"] if isinstance(address, tuple) for h in address]
+        return any(repr(h) in message for h in named)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cases())
+    def test_update_names_its_error_or_grows_keeps_and_asks_once(self, case):
+        kind, table, fields = case
+        backend = CountingBackend(ScriptedBackend(lambda p: "7"))
+        try:
+            delta = SkeletonDelta(**fields)
+            updated = update_table(table, delta, "Magic won 7 games.", kind, backend)
+        except (ValueError, TypeError) as err:
+            assert self.names_the_delta(str(err), table, fields), str(err)
+            assert backend.calls == 0
+            return
+
+        old_height, old_width = len(table.cells), len(table.col_headers)
+        for old, added, new in [
+            (table.row_headers, delta.add_row_headers, updated.row_headers),
+            (table.col_headers, delta.add_col_headers, updated.col_headers),
+        ]:
+            assert new[: len(old)] == old
+            assert len(new) == len(old) + len(added)
+            for given_header, header in zip(added, new[len(old):]):
+                assert header == given_header or header.rsplit(" #", 1)[0].strip() == given_header.strip()
+            kept = {normalize_text(h) for h in old}
+            grown = [normalize_text(h) for h in new[len(old):]]
+            assert len(set(grown)) == len(grown) and not kept & set(grown)
+        assert len(updated.cells) == old_height + len(delta.add_row_headers)
+
+        reasked = set()
+        for r, row in enumerate(updated.cells):
+            for c, value in enumerate(row):
+                if r >= old_height or c >= old_width:
+                    assert value == "7"  # every new slot is asked
+                elif value != table.cells[r][c]:
+                    assert (table.cells[r][c], value) == (None, "7")
+                    reasked.add((r, c))
+        row_names = updated.row_headers or [None]
+        named = {
+            (normalize_text(row_names[r] or ""), normalize_text(updated.col_headers[c]))
+            for r, c in reasked
+        }
+        assert named == {(normalize_text(r or ""), normalize_text(c)) for r, c in delta.reask}
+        new_slots = len(updated.cells) * len(updated.col_headers) - old_height * old_width
+        assert backend.calls == new_slots + len(reasked)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from tabgen.table import (
     Orientation,
     StructuralError,
     Table,
-    ValidityReport,
+    Violation,
     dedupe_headers,
     header_issues,
     normalize_text,
@@ -21,7 +23,6 @@ from tabgen.table import (
     table_from_json,
     table_to_json,
     to_tuples,
-    validate,
 )
 
 # Already-normalized building blocks: the flat format cannot represent "|"
@@ -45,40 +46,89 @@ def matrix_tables(draw):
     return Table.matrix(row_headers, col_headers, cells)
 
 
-class TestValidate:
-    def test_team_grid_is_valid(self, rotowire_team_sample):
-        assert validate(rotowire_team_sample.gold).valid
+class TestTableChecksItsGrid:
+    """A `Table` is rectangular by construction: any other grid raises InvalidTable when built."""
 
-    def test_ragged_rows_one_violation(self):
-        table = Table.matrix(["a", "b"], ["x", "y", "z"], [["1", "2", "3"], ["1", "2", "3", "4"]])
-        report = validate(table)
-        assert not report.valid
-        assert len(report.violations) == 1
-        assert report.violations[0].kind == "row_width"
-        assert (report.violations[0].expected, report.violations[0].observed) == (3, 4)
+    def test_team_grid_builds(self, rotowire_team_sample):
+        gold = rotowire_team_sample.gold
+        assert Table.matrix(gold.row_headers, gold.col_headers, gold.cells) == gold
 
-    def test_empty_table_is_valid(self):
-        assert validate(Table.matrix([], [], [])).valid
+    @pytest.mark.parametrize(
+        "orientation, row_headers, col_headers, cells",
+        [
+            (Orientation.MATRIX, [], [], []),
+            (Orientation.MATRIX, ["a"], [], [[]]),
+            (Orientation.MATRIX, [], ["x", "y"], []),
+            (Orientation.ATTRIBUTE_VALUE, (), ["Name"], [[None]]),
+            (Orientation.ATTRIBUTE_VALUE, (), [], [[]]),
+        ],
+        ids=["empty-matrix", "no-columns", "no-rows", "attribute-value", "no-attributes"],
+    )
+    def test_rectangular_grids_build(self, orientation, row_headers, col_headers, cells):
+        table = Table(orientation, row_headers, col_headers, cells)
+        assert table.cells == tuple(map(tuple, cells))
 
-    def test_row_count_mismatch(self):
-        table = Table.matrix(["a", "b"], ["x"], [["1"]])
-        report = validate(table)
-        assert not report.valid
-        assert report.violations[0].kind == "row_count"
+    @pytest.mark.parametrize(
+        "orientation, row_headers, cells, violations",
+        [
+            (Orientation.MATRIX, ["a", "b"], [["1", "2", "3"], ["1", "2", "3", "4"]],
+             [("row_width", 1, 3, 4)]),
+            (Orientation.MATRIX, ["a", "b"], [["1", "2", "3"]], [("row_count", -1, 2, 1)]),
+            (Orientation.MATRIX, ["a 1", "a 2"], [["1", "2", "3"], ["4"]],
+             [("row_width", 1, 3, 1)]),
+            (Orientation.MATRIX, ["a"], [["1"], ["2", "3", "4", "5"]],
+             [("row_width", 0, 3, 1), ("row_width", 1, 3, 4), ("row_count", -1, 1, 2)]),
+            (Orientation.ATTRIBUTE_VALUE, (), [], [("row_count", -1, 1, 0)]),
+            (Orientation.ATTRIBUTE_VALUE, (), [["1", "2", "3"], ["2", "3", "4"]],
+             [("row_count", -1, 1, 2)]),
+            (Orientation.ATTRIBUTE_VALUE, (), [["1", "2", "3", "4"]], [("row_width", 0, 3, 4)]),
+            (Orientation.ATTRIBUTE_VALUE, (), [[]], [("row_width", 0, 3, 0)]),
+            (Orientation.ATTRIBUTE_VALUE, ("r",), [["1", "2", "3"]], [("row_headers", -1, 0, 1)]),
+            (Orientation.ATTRIBUTE_VALUE, ("r", "s"), [["1"], ["2"]],
+             [("row_width", 0, 3, 1), ("row_width", 1, 3, 1), ("row_headers", -1, 0, 2),
+              ("row_count", -1, 1, 2)]),
+        ],
+        ids=["ragged-row", "missing-row", "short-row", "every-violation-in-row-order",
+             "attribute-value-no-row", "attribute-value-two-rows", "attribute-value-too-wide",
+             "attribute-value-too-narrow", "attribute-value-row-header",
+             "attribute-value-every-violation"],
+    )
+    def test_any_other_grid_raises_with_every_violation(self, orientation, row_headers, cells,
+                                                        violations):
+        with pytest.raises(InvalidTable) as raised:
+            Table(orientation, row_headers, ["x", "y", "z"], cells)
+        expected = tuple(Violation(*v) for v in violations)
+        assert raised.value.violations == expected
+        assert str(raised.value) == f"invalid table: {expected}"
+        assert isinstance(raised.value, ValueError)
 
-    def test_attribute_value_always_valid(self):
-        assert validate(Table.attribute_value([("Name", None)])).valid
+    def test_a_changed_copy_is_checked_too(self):
+        table = Table.matrix(["a"], ["x"], [["1"]])
+        with pytest.raises(InvalidTable):
+            dataclasses.replace(table, col_headers=("x", "y"))
 
-    @given(matrix_tables(), st.randoms())
-    def test_row_permutation_never_changes_validity(self, table, rng):
-        order = list(range(len(table.row_headers)))
-        rng.shuffle(order)
-        permuted = Table.matrix(
-            [table.row_headers[i] for i in order],
-            table.col_headers,
-            [table.cells[i] for i in order],
-        )
-        assert validate(permuted).valid == validate(table).valid
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"orientation": "matrix", "row_headers": ["a"], "col_headers": ["x", "y"],
+             "cells": [["1"]]},
+            {"orientation": "matrix", "row_headers": ["a", "b"], "col_headers": ["x"],
+             "cells": [["1"]]},
+        ],
+        ids=["ragged", "missing-row"],
+    )
+    def test_json_from_outside_fails_at_the_boundary(self, data):
+        with pytest.raises(InvalidTable, match="^invalid table: "):
+            table_from_json(data)
+
+    @given(st.lists(st.lists(VALUES, max_size=4), max_size=4), st.integers(0, 4), st.integers(0, 4))
+    def test_a_grid_builds_exactly_when_it_is_rectangular(self, cells, height, width):
+        rows, cols = [f"r{i}" for i in range(height)], [f"c{j}" for j in range(width)]
+        if len(cells) == height and all(len(row) == width for row in cells):
+            assert Table.matrix(rows, cols, cells).shape == (height, width)
+        else:
+            with pytest.raises(InvalidTable):
+                Table.matrix(rows, cols, cells)
 
 
 class TestAttributeValueGrid:
@@ -97,24 +147,6 @@ class TestAttributeValueGrid:
         cols, values = [h for h, _ in pairs], [v for _, v in pairs]
         table = Table(Orientation.ATTRIBUTE_VALUE, (), cols, [values])
         assert table == Table.attribute_value(zip(cols, values))
-        assert validate(table).valid
-
-    @pytest.mark.parametrize(
-        "row_headers, cells",
-        [((), []), ((), [["1"], ["2"]]), ((), [["1", "2"]]), ((), [[]]), (("r",), [["1"]])],
-        ids=["no-row", "two-rows", "too-wide", "too-narrow", "row-header"],
-    )
-    def test_validate_rejects_a_grid_that_is_not_one_headerless_row(self, row_headers, cells):
-        table = Table(Orientation.ATTRIBUTE_VALUE, row_headers, ["Name"], cells)
-        assert not validate(table).valid
-        assert len(table.rows) <= 1  # derived pairs never raise, even on an invalid table
-        with pytest.raises(InvalidTable):
-            to_tuples(table)
-
-    def test_valid_tables_share_one_report(self):
-        first = validate(Table.attribute_value([("Name", None)]))
-        assert first is validate(Table.matrix(["a"], ["x"], [["1"]]))
-        assert first == ValidityReport(valid=True)
 
     @given(st.lists(st.tuples(st.text(), st.one_of(st.none(), st.text())), max_size=8))
     def test_arbitrary_pairs_round_trip(self, pairs):
@@ -175,11 +207,6 @@ class TestSerialize:
         table = Table.matrix(["Hawks"], ["Wins", "Points in 4th quarter"], [["46", None]])
         assert serialize_flat(table) == " | Wins | Points in 4th quarter<NEWLINE>Hawks | 46 | "
 
-    def test_invalid_table_raises(self):
-        table = Table.matrix(["a"], ["x", "y"], [["1"]])
-        with pytest.raises(InvalidTable):
-            serialize_flat(table)
-
 
 class TestParse:
     def test_attribute_value(self):
@@ -223,7 +250,7 @@ class TestParse:
         table = parse_flat(" | Wins | Losses", Orientation.MATRIX)
         assert table.col_headers == ("Wins", "Losses")
         assert table.row_headers == ()
-        assert validate(table).valid
+        assert table.cells == ()
 
 
 class TestRoundTrip:
@@ -251,10 +278,6 @@ class TestToTuples:
     def test_team_example_has_seven_tuples(self, rotowire_team_sample):
         # One of the eight slots (Hawks, points in 4th quarter) is absent.
         assert len(to_tuples(rotowire_team_sample.gold)) == 7
-
-    def test_invalid_raises(self):
-        with pytest.raises(InvalidTable):
-            to_tuples(Table.matrix(["a"], ["x", "y"], [["1"]]))
 
     @given(st.one_of(attribute_tables(), matrix_tables()))
     def test_cardinality_matches_present_cells(self, table):
