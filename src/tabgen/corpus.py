@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import gzip
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -53,13 +53,9 @@ class CorpusStats:
     def to_json(self) -> dict:
         return {
             "count": self.count,
+            # Every `KindStats` field is a number; rounding leaves the count an int.
             "by_kind": {
-                kind.value: {
-                    "count": stats.count,
-                    "mean_rows": round(stats.mean_rows, 4),
-                    "mean_cols": round(stats.mean_cols, 4),
-                    "sparsity": round(stats.sparsity, 4),
-                }
+                kind.value: {key: round(value, 4) for key, value in asdict(stats).items()}
                 for kind, stats in self.by_kind
             },
         }

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
@@ -202,7 +202,11 @@ def _header_sets(table: Table, memo: _NormalizeMemo) -> tuple[set[str], set[str]
     return rows | cols, rows, cols
 
 
-def _mean_prf(values: Sequence[PRF]) -> PRF:
+def _mean_prf(values: Iterable[PRF | None]) -> PRF | None:
+    """The field-wise mean of the scores that are not None; None when there is none."""
+    values = [v for v in values if v is not None]
+    if not values:
+        return None
     return PRF(
         precision=sum(v.precision for v in values) / len(values),
         recall=sum(v.recall for v in values) / len(values),
@@ -305,37 +309,30 @@ def _evaluate_samples(
             token_pairs.extend(tokens)
     semantic = iter(_semantic_scores(embedder, token_pairs)) if embedder is not None else repeat(None)
 
+    # An errored sample scores zero wherever a score is computed for its gold table.
+    zeros = PRF.zeros()
+    embedded = None if embedder is None else zeros
     samples = []
     for sample_id, (_, gold), scores in zip(ids, pairs, exact):
         if scores is None:
-            samples.append(
-                _errored_sample(
-                    sample_id,
-                    semantic=embedder is not None,
-                    matrix=gold.orientation is Orientation.MATRIX,
-                )
-            )
+            axis = zeros if gold.orientation is Orientation.MATRIX else None
+            samples.append(SampleEval(sample_id, True, zeros, zeros, axis, axis, embedded, embedded))
         else:
             samples.append(SampleEval(sample_id, False, *scores, next(semantic), next(semantic)))
     return samples
 
 
-def _errored_sample(sample_id: str, semantic: bool, matrix: bool) -> SampleEval:
-    zeros = PRF.zeros()
-    return SampleEval(
-        sample_id=sample_id,
-        errored=True,
-        header=zeros,
-        cell=zeros,
-        row_header=zeros if matrix else None,
-        col_header=zeros if matrix else None,
-        semantic_header=zeros if semantic else None,
-        semantic_cell=zeros if semantic else None,
-    )
-
-
 # The precision/recall/F1 fields of a report and of each sample, in report order.
 _PRF_KEYS = ("header", "row_header", "col_header", "cell", "semantic_header", "semantic_cell")
+
+
+# JSON keys that differ from the report field they hold.
+_JSON_KEYS = {"per_sample": "samples", "sample_id": "id"}
+
+
+def _json_object(fields: list[tuple[str, object]]) -> dict:
+    """One report or sample as a JSON object (`asdict`'s factory)."""
+    return {_JSON_KEYS.get(k, k): round(v, 6) if isinstance(v, float) else v for k, v in fields}
 
 
 @dataclass(frozen=True)
@@ -354,29 +351,8 @@ class EvalReport:
     semantic_cell: PRF | None = None
 
     def to_json(self) -> dict:
-        def prf(value: PRF | None) -> dict | None:
-            if value is None:
-                return None
-            return {
-                "precision": round(value.precision, 6),
-                "recall": round(value.recall, 6),
-                "f1": round(value.f1, 6),
-            }
-
-        return {
-            "mode": self.mode,
-            "sample_count": self.sample_count,
-            "error_rate": round(self.error_rate, 6),
-            **{key: prf(getattr(self, key)) for key in _PRF_KEYS},
-            "samples": [
-                {
-                    "id": s.sample_id,
-                    "errored": s.errored,
-                    **{key: prf(getattr(s, key)) for key in _PRF_KEYS},
-                }
-                for s in self.per_sample
-            ],
-        }
+        """Every field, floats rounded to 6 places; `per_sample` is "samples", `sample_id` "id"."""
+        return asdict(self, dict_factory=_json_object)
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, ensure_ascii=False, indent=2)
@@ -386,15 +362,10 @@ class EvalReport:
             f"samples: {self.sample_count}   mode: {self.mode}   error rate: {self.error_rate:.4f}",
             f"{'metric':<18}{'precision':>10}{'recall':>10}{'f1':>10}",
         ]
-
-        def row(name: str, value: PRF | None) -> None:
-            if value is not None:
-                lines.append(
-                    f"{name:<18}{value.precision:>10.4f}{value.recall:>10.4f}{value.f1:>10.4f}"
-                )
-
         for key in _PRF_KEYS:
-            row(key.replace("_", " "), getattr(self, key))
+            if (value := getattr(self, key)) is not None:
+                name = key.replace("_", " ")
+                lines.append(f"{name:<18}{value.precision:>10.4f}{value.recall:>10.4f}{value.f1:>10.4f}")
         return "\n".join(lines)
 
     def to_csv(self) -> str:
@@ -404,18 +375,8 @@ class EvalReport:
             ["id", "header_p", "header_r", "header_f1", "cell_p", "cell_r", "cell_f1", "errored"]
         )
         for s in self.per_sample:
-            writer.writerow(
-                [
-                    s.sample_id,
-                    f"{s.header.precision:.6f}",
-                    f"{s.header.recall:.6f}",
-                    f"{s.header.f1:.6f}",
-                    f"{s.cell.precision:.6f}",
-                    f"{s.cell.recall:.6f}",
-                    f"{s.cell.f1:.6f}",
-                    int(s.errored),
-                ]
-            )
+            scores = (f"{value:.6f}" for value in (*astuple(s.header), *astuple(s.cell)))
+            writer.writerow([s.sample_id, *scores, int(s.errored)])
         return buffer.getvalue()
 
 
@@ -447,21 +408,10 @@ def evaluate_corpus(
         raise ValueError(f"got {len(ids)} ids for {len(pairs)} sample pairs")
 
     samples = _evaluate_samples(pairs, ids, embedder)
-
-    def mean_optional(extract) -> PRF | None:
-        values = [extract(s) for s in samples]
-        values = [v for v in values if v is not None]
-        return _mean_prf(values) if values else None
-
     return EvalReport(
         mode=mode,
         sample_count=len(samples),
         error_rate=sum(s.errored for s in samples) / len(samples),
         per_sample=tuple(samples),
-        header=_mean_prf([s.header for s in samples]),
-        cell=_mean_prf([s.cell for s in samples]),
-        row_header=mean_optional(lambda s: s.row_header),
-        col_header=mean_optional(lambda s: s.col_header),
-        semantic_header=mean_optional(lambda s: s.semantic_header),
-        semantic_cell=mean_optional(lambda s: s.semantic_cell),
+        **{key: _mean_prf([getattr(s, key) for s in samples]) for key in _PRF_KEYS},
     )

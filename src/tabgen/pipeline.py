@@ -176,13 +176,16 @@ def _ask_slots(
     `grid`; a failed cell degrades to absent instead of aborting the
     table. An answer text that repeats within the batch (most box-score
     answers are small numbers) is post-processed once. Returns the
-    questions and the raw results, aligned with `slots`.
+    questions and the raw results, aligned with `slots`. A slot under an
+    empty column header is a ValueError, raised before any request is built.
 
     Each prompt is exactly what `build_qa_prompt` builds, but the passage
     is cut to the budget once per distinct question length instead of
     being word-counted again for every question; `build_qa_prompt`, given
     no budget, counts nothing.
     """
+    if "" in col_headers and (empty := [c for _, c in slots if not col_headers[c]]):
+        raise ValueError(f"cannot ask under column header {min(empty)}, which is empty")
     numeric = kind.numeric
     questions = [
         formulate_question(row_headers[r] if row_headers else None, col_headers[c], numeric)
@@ -374,9 +377,6 @@ def _fit_delta(table: Table, delta: SkeletonDelta) -> list[tuple[int, int]]:
     reask_slots = _resolve_reask(table, delta.reask)
     if table.orientation is Orientation.ATTRIBUTE_VALUE and delta.add_row_headers:
         raise ValueError("attribute-value tables have no row-header axis to extend")
-    asked = range(len(table.col_headers)) if delta.add_row_headers else {c for _, c in reask_slots}
-    if empty := [c for c in sorted(asked) if not table.col_headers[c]]:
-        raise ValueError(f"the delta asks under column header {empty[0]}, which is empty")
     return reask_slots
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from typing import Sequence
 
@@ -23,6 +24,7 @@ from tabgen.metrics import (
     GOLD_HEADERS,
     PREDICTED_HEADERS,
     PRF,
+    EvalReport,
     error_rate,
     evaluate_corpus,
     evaluate_sample,
@@ -636,3 +638,136 @@ def test_mini_corpus_semantic_report_is_pinned():
     payload = report.to_json()
     for key, means in zip(("semantic_header", "semantic_cell"), PINNED_MINI_MEANS):
         assert payload[key] == dict(zip(("precision", "recall", "f1"), (round(m, 6) for m in means)))
+
+
+REPORT_KEYS = ("header", "row_header", "col_header", "cell", "semantic_header", "semantic_cell")
+
+
+def reference_report_json(report: EvalReport) -> dict:
+    """The report's JSON as first written field by field, kept as the specification."""
+
+    def prf(value: PRF | None) -> dict | None:
+        if value is None:
+            return None
+        return {
+            "precision": round(value.precision, 6),
+            "recall": round(value.recall, 6),
+            "f1": round(value.f1, 6),
+        }
+
+    return {
+        "mode": report.mode,
+        "sample_count": report.sample_count,
+        "error_rate": round(report.error_rate, 6),
+        **{key: prf(getattr(report, key)) for key in REPORT_KEYS},
+        "samples": [
+            {"id": s.sample_id, "errored": s.errored, **{key: prf(getattr(s, key)) for key in REPORT_KEYS}}
+            for s in report.per_sample
+        ],
+    }
+
+
+def json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
+
+
+# A matrix prediction with a changed value, a renamed column and an added
+# cell; an errored matrix sample; an attribute-value prediction missing
+# one attribute and rewording another value.
+REPORT_GOLD = Table.matrix(["Magic", "Hawks"], ["Wins", "Losses"], [["7", "3"], ["5", None]])
+REPORT_PAIRS = [
+    (Table.matrix(["Magic", "Hawks"], ["Wins", "Points"], [["7", "4"], ["5", "90"]]), REPORT_GOLD),
+    (None, REPORT_GOLD),
+    (
+        Table.attribute_value([("Name", "Aromi"), ("Food", "Thai food")]),
+        Table.attribute_value([("Name", "Aromi"), ("Food", "Thai"), ("Area", None)]),
+    ),
+]
+REPORT_IDS = ["magic", "errored", "aromi"]
+EXACT_TEXT = """\
+samples: 3   mode: {mode}   error rate: 0.3333
+metric             precision    recall        f1
+header                0.5833    0.4722    0.5167
+row header            0.5000    0.5000    0.5000
+col header            0.2500    0.2500    0.2500
+cell                  0.3333    0.3889    0.3571"""
+SEMANTIC_TEXT = """
+semantic header       0.6477    0.6181    0.6321
+semantic cell         0.6442    0.6512    0.6476"""
+REPORT_CSV = """\
+id,header_p,header_r,header_f1,cell_p,cell_r,cell_f1,errored
+magic,0.750000,0.750000,0.750000,0.500000,0.666667,0.571429,0
+errored,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,1
+aromi,1.000000,0.666667,0.800000,0.500000,0.500000,0.500000,0
+"""
+
+
+def prf_json(precision: float, recall: float, f1: float) -> dict:
+    return {"precision": precision, "recall": recall, "f1": f1}
+
+
+ZEROS_JSON = prf_json(0.0, 0.0, 0.0)
+SEMANTIC_REPORT_JSON = {
+    "mode": GOLD_HEADERS,
+    "sample_count": 3,
+    "error_rate": 0.333333,
+    "header": prf_json(0.583333, 0.472222, 0.516667),
+    "row_header": prf_json(0.5, 0.5, 0.5),
+    "col_header": prf_json(0.25, 0.25, 0.25),
+    "cell": prf_json(0.333333, 0.388889, 0.357143),
+    "semantic_header": prf_json(0.647692, 0.618068, 0.632131),
+    "semantic_cell": prf_json(0.644156, 0.651154, 0.647616),
+    "samples": [
+        {
+            "id": "magic",
+            "errored": False,
+            "header": prf_json(0.75, 0.75, 0.75),
+            "row_header": prf_json(1.0, 1.0, 1.0),
+            "col_header": prf_json(0.5, 0.5, 0.5),
+            "cell": prf_json(0.5, 0.666667, 0.571429),
+            "semantic_header": prf_json(0.943077, 0.946744, 0.944907),
+            "semantic_cell": prf_json(0.932467, 0.953462, 0.942848),
+        },
+        {"id": "errored", "errored": True, **dict.fromkeys(REPORT_KEYS, ZEROS_JSON)},
+        {
+            "id": "aromi",
+            "errored": False,
+            "header": prf_json(1.0, 0.666667, 0.8),
+            "row_header": None,
+            "col_header": None,
+            "cell": prf_json(0.5, 0.5, 0.5),
+            "semantic_header": prf_json(1.0, 0.90746, 0.951485),
+            "semantic_cell": prf_json(1.0, 1.0, 1.0),
+        },
+    ],
+}
+
+
+class TestReportFormats:
+    """All three report renderings, byte for byte."""
+
+    @pytest.mark.parametrize("mode", [PREDICTED_HEADERS, GOLD_HEADERS])
+    @pytest.mark.parametrize("embedded", [False, True], ids=["exact", "semantic"])
+    def test_fixed_report_renders_as_pinned(self, mode, embedded):
+        embedder = MockEmbedder() if embedded else None
+        report = evaluate_corpus(REPORT_PAIRS, mode, ids=REPORT_IDS, embedder=embedder)
+        assert report.to_text() == EXACT_TEXT.format(mode=mode) + (SEMANTIC_TEXT if embedded else "")
+        assert report.to_csv() == REPORT_CSV
+        assert report.to_json_text() == json_text(reference_report_json(report))
+        expected = json.loads(json.dumps(SEMANTIC_REPORT_JSON))
+        expected["mode"] = mode
+        if not embedded:
+            for scores in (expected, *expected["samples"]):
+                scores["semantic_header"] = scores["semantic_cell"] = None
+        assert report.to_json_text() == json_text(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(prediction_pairs(), min_size=1, max_size=6),
+        st.sampled_from([PREDICTED_HEADERS, GOLD_HEADERS]),
+        st.booleans(),
+    )
+    def test_json_matches_the_reference(self, pairs, mode, embedded):
+        embedder = MockEmbedder(dim=8) if embedded else None
+        report = evaluate_corpus(pairs, mode, embedder=embedder)
+        assert report.to_json_text() == json_text(reference_report_json(report))

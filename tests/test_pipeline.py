@@ -45,6 +45,7 @@ from tabgen.table import (
     Table,
     dedupe_headers,
     normalize_text,
+    parse_flat,
     to_tuples,
 )
 
@@ -164,6 +165,13 @@ class TestGenerateContent:
         generate_content(e2e_sample.gold, e2e_sample.text, DatasetKind.E2E, backend)
         assert backend.calls == 7
 
+    def test_an_empty_column_header_is_named_before_any_call(self, rotowire_team_sample):
+        backend = CountingBackend(oracle_for(rotowire_team_sample))
+        skeleton = Table.matrix(["Magic"], ["", "Wins"], [[None, None]])
+        with pytest.raises(ValueError, match="column header 0, which is empty"):
+            generate_content(skeleton, rotowire_team_sample.text, DatasetKind.ROTOWIRE_TEAM, backend)
+        assert backend.calls == 0
+
     def test_cell_trace_init_is_the_dataclass_one(self):
         check_frozen_record(
             CellTrace,
@@ -209,6 +217,19 @@ class TestGenerateTable:
         assert backend.calls == 7  # content only, no structure call
         assert trace.structure_answer is None
         assert table == e2e_sample.gold
+
+
+    def test_a_parsed_skeleton_with_an_empty_column_header_is_named_before_any_call(
+        self, rotowire_team_sample
+    ):
+        # The flat format keeps an empty header cell verbatim.
+        skeleton = parse_flat(" | | Wins<NEWLINE>Magic | 1 | 2", Orientation.MATRIX)
+        backend = CountingBackend(oracle_for(rotowire_team_sample))
+        with pytest.raises(ValueError, match="column header 0, which is empty"):
+            generate_table_traced(
+                rotowire_team_sample.text, DatasetKind.ROTOWIRE_TEAM, backend, skeleton=skeleton
+            )
+        assert backend.calls == 0
 
 
 class TestStageBoundary:
@@ -594,6 +615,9 @@ def _ref_generate_content(
     skeleton, passage, kind, backend, *, template=None, max_input_tokens=2048,
     answer_max_new_tokens=64,
 ):
+    if skeleton.cells and "" in skeleton.col_headers:  # a question under it would be asked
+        empty = skeleton.col_headers.index("")
+        raise ValueError(f"cannot ask under column header {empty}, which is empty")
     questions = questions_for_headers(
         skeleton.orientation, skeleton.row_headers, skeleton.col_headers, kind.numeric
     )
@@ -896,7 +920,7 @@ class TestUpdateProperty:
             lambda table, delta: any(r not in (None, "") for r, _ in delta.reask),
         "attribute-value tables have no row-header axis to extend":
             lambda table, delta: bool(delta.add_row_headers),
-        "the delta asks under column header":  # a question needs a column header to ask about
+        "cannot ask under column header":  # a question needs a column header to ask about
             lambda table, delta: "" in table.col_headers and (
                 bool(delta.add_row_headers) or any(not normalize_text(c) for _, c in delta.reask)),
     }
