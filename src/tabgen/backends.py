@@ -35,11 +35,11 @@ from tabgen.prompts import SEP_TOKEN, PromptTemplate, formulate_question, packag
 from tabgen.table import NEWLINE_TOKEN, Orientation, Table, serialize_flat
 
 
-# Stage two builds a request, a response and a trace per cell, so these
-# records fill their instance dict in one call, where the `__init__` a
-# frozen dataclass generates sets each field by its own `object.__setattr__`.
-# A dataclass keeps an `__init__` its class defines, so a field added to one
-# of these records must be added to its `__init__` too.
+# Stage two builds a request and a trace per cell, so these records fill
+# their instance dict in one call, where the `__init__` a frozen dataclass
+# generates sets each field by its own `object.__setattr__`. A dataclass
+# keeps an `__init__` its class defines, so a field added to one of these
+# records must be added to its `__init__` too.
 
 
 @dataclass(frozen=True)
@@ -69,18 +69,6 @@ class GenerationResponse:
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
     latency_ms: float | None = None
-
-    def __init__(
-        self,
-        text: str,
-        prompt_tokens: int | None = None,
-        completion_tokens: int | None = None,
-        latency_ms: float | None = None,
-    ):
-        self.__dict__.update(
-            text=text, prompt_tokens=prompt_tokens, completion_tokens=completion_tokens,
-            latency_ms=latency_ms,
-        )
 
 
 @dataclass(frozen=True)
@@ -520,9 +508,10 @@ class MockOracleBackend(GenerationBackend):
 
     A prompt is read through the template that built it: the packaged
     templates first, then those given as `templates`. The first template
-    the prompt fits whose passage slot names a sample decides, and its own
-    text gives the kind of answer: headers if it holds `<SEP>`, a flat
-    table if it holds `<NEWLINE>`, a cell otherwise. A cell template
+    the prompt fits whose passage slot names a sample decides. A template
+    with a question slot asks for a cell; one without asks for headers if
+    its text holds `<SEP>`, a flat table if it holds `<NEWLINE>`, and a
+    cell (which it cannot name, so "unknown") otherwise. A cell template
     decides only if its question slot also holds a question the sample's
     table can be asked; when no template gives one, the answer is
     "unknown". A prompt that fits no template raises `MalformedResponse`.
@@ -536,8 +525,10 @@ class MockOracleBackend(GenerationBackend):
     `MalformedResponse`. A lone registered sample answers any passage.
 
     A cell's answer is looked up by the exact text of the question slot.
-    Its calls do not wait, so it answers every batch on the calling
-    thread whatever `concurrency` is.
+    Each sample's answers are built once, when it is first asked, and an
+    answer text is one shared response for the whole oracle. Its calls
+    do not wait, so it answers every batch on the calling thread whatever
+    `concurrency` is.
     """
 
     waits = False
@@ -555,7 +546,12 @@ class MockOracleBackend(GenerationBackend):
             raise ValueError("mock oracle needs at least one (passage, gold table) pair")
         self._texts = [passage for passage, _ in pairs]
         self._tables = [table for _, table in pairs]
-        self._cells: list[dict[str, str | None] | None] = [None] * len(pairs)
+        self._cells: list[dict[str, GenerationResponse] | None] = [None] * len(pairs)
+        # Per sample: its header sequence and its flat table, each built when first asked.
+        self._replies: dict[str, list[GenerationResponse | None]] = {
+            "headers": [None] * len(pairs), "flat": [None] * len(pairs)
+        }
+        self._responses: dict[str, GenerationResponse] = {}  # answer text -> its one response
         self._by_key: dict[tuple[int, str], list[int]] = {}
         self._by_passage: dict[str, int] = {}
         passages = [" ".join(text.split()) for text in self._texts]
@@ -568,7 +564,9 @@ class MockOracleBackend(GenerationBackend):
         self._templates: list[tuple[PromptTemplate, str]] = []
         for template in [*packaged_templates(), *templates]:
             template.check_slots()
-            text = "".join(template.pieces[0])
+            literals, slots = template.pieces
+            # A question slot makes a cell template, whatever its text mentions.
+            text = "" if "question" in slots else "".join(literals)
             kind = "headers" if SEP_TOKEN in text else "flat" if NEWLINE_TOKEN in text else "cell"
             self._templates.append((template, kind))
 
@@ -602,26 +600,29 @@ class MockOracleBackend(GenerationBackend):
             return lone
         raise MalformedResponse("prompt does not mention any registered passage")
 
-    def _asked(self, i: int) -> dict[str, str | None]:
-        """Every question table `i` can be asked, mapped to its cell.
+    def _response(self, text: str) -> GenerationResponse:
+        """The oracle's one response with this text."""
+        return self._responses.setdefault(text, GenerationResponse(text, latency_ms=0.0))
+
+    def _asked(self, i: int) -> dict[str, GenerationResponse]:
+        """Every question table `i` can be asked, mapped to its cell's answer.
 
         The first in asking order wins: cells row-major, each with the
         numeric hint on and then off. An attribute-value table's one row
-        has no row header, so its questions carry no hint.
+        has no row header, so its questions carry no hint. An absent cell
+        answers "unknown".
         """
         cells = self._cells[i]
         if cells is None:
             table = self._tables[i]
             rows = table.row_headers
-            asked = [
-                (formulate_question(rows[r] if rows else None, col_header, hint), value)
-                for r, row in enumerate(table.cells)
-                for col_header, value in zip(table.col_headers, row)
-                for hint in (True, False)
-            ]
             cells = {}
-            for question, value in asked:
-                cells.setdefault(question, value)
+            for r, row in enumerate(table.cells):
+                for col_header, value in zip(table.col_headers, row):
+                    answer = self._response("unknown" if value is None else value)
+                    for hint in (True, False):
+                        question = formulate_question(rows[r] if rows else None, col_header, hint)
+                        cells.setdefault(question, answer)
             # Two threads may both build it; they build equal dicts.
             self._cells[i] = cells
         return cells
@@ -633,6 +634,16 @@ class MockOracleBackend(GenerationBackend):
         rows = " <SEP> ".join(table.row_headers)
         cols = " <SEP> ".join(table.col_headers)
         return f"{rows} <ROWCOL> {cols}"
+
+    def _reply(self, i: int, kind: str) -> GenerationResponse:
+        """Table `i`'s header sequence ("headers") or flat form ("flat"), built once."""
+        replies = self._replies[kind]
+        reply = replies[i]
+        if reply is None:
+            table = self._tables[i]
+            text = serialize_flat(table) if kind == "flat" else self._structure_answer(table)
+            reply = replies[i] = self._response(text)
+        return reply
 
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
         prompt = request.prompt
@@ -646,23 +657,17 @@ class MockOracleBackend(GenerationBackend):
             if found is None:
                 continue
             i, question = found
-            if kind == "headers":
-                text = self._structure_answer(self._tables[i])
-            elif kind == "flat":
-                text = serialize_flat(self._tables[i])
-            else:
-                cells = self._asked(i)
-                asked = None if question is None else prompt[question[0] : question[1]]
-                if asked not in cells:
-                    # A later template may read the question that this one's
-                    # question slot holds wrapped in template text.
-                    unasked = True
-                    continue
-                value = cells[asked]
-                text = "unknown" if value is None else value
-            return GenerationResponse(text=text, latency_ms=0.0)
+            if kind != "cell":
+                return self._reply(i, kind)
+            asked = None if question is None else prompt[question[0] : question[1]]
+            response = self._asked(i).get(asked)
+            if response is not None:
+                return response
+            # A later template may read the question that this one's
+            # question slot holds wrapped in template text.
+            unasked = True
         if unasked:
-            return GenerationResponse(text="unknown", latency_ms=0.0)
+            return self._response("unknown")
         raise failure or MalformedResponse("prompt fits no template the oracle holds")
 
 

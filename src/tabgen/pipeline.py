@@ -26,8 +26,9 @@ from tabgen.backends import BackendError, GenerationBackend, GenerationRequest, 
 from tabgen.kinds import DatasetKind
 from tabgen.prompts import (
     PromptTemplate,
+    _blank,
     build_baseline_prompt,
-    build_qa_prompt,
+    build_qa_prompt,  # noqa: F401 -- perfbench's tracer wraps tabgen.pipeline.build_qa_prompt
     build_structure_prompt,
     default_qa_template,
     detect_no_answer,
@@ -179,10 +180,11 @@ def _ask_slots(
     questions and the raw results, aligned with `slots`. A slot under an
     empty column header is a ValueError, raised before any request is built.
 
-    Each prompt is exactly what `build_qa_prompt` builds, but the passage
-    is cut to the budget once per distinct question length instead of
-    being word-counted again for every question; `build_qa_prompt`, given
-    no budget, counts nothing.
+    Each prompt is byte for byte what `build_qa_prompt` builds, but the
+    passage is cut to the budget and filled into the template once per
+    distinct question token estimate: a prompt is then the question
+    joined into that cut's `PromptTemplate.segments`. A blank passage is
+    a ValueError, raised once per batch.
     """
     if "" in col_headers and (empty := [c for _, c in slots if not col_headers[c]]):
         raise ValueError(f"cannot ask under column header {min(empty)}, which is empty")
@@ -193,16 +195,20 @@ def _ask_slots(
     ]
     if not questions:
         return questions, []
+    if _blank(passage):
+        raise ValueError("passage must be non-empty")
     template = template or default_qa_template()
-    cut: dict[int, str] = {}  # question token estimate -> passage as cut beside it
+    cut: dict[int, list[str]] = {}  # question token estimate -> segments, passage cut beside it
     requests = []
     for question in questions:
         length = estimate_tokens(question)
-        if length not in cut:
+        segments = cut.get(length)
+        if segments is None:
             overhead = template.overhead_tokens + length
-            cut[length] = truncate_passage(passage, max_input_tokens, overhead)
-        prompt = build_qa_prompt(cut[length], question, template)
-        requests.append(GenerationRequest(prompt, max_new_tokens=answer_max_new_tokens))
+            segments = cut[length] = template.segments(
+                truncate_passage(passage, max_input_tokens, overhead)
+            )
+        requests.append(GenerationRequest(question.join(segments), answer_max_new_tokens))
     results = backend.generate_batch(requests)
     values: dict[str, str | None] = {}  # answer text -> cell value, for this batch only
     for (r, c), result in zip(slots, results):

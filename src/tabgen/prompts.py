@@ -36,18 +36,32 @@ class PromptTemplate:
     text: str
 
     def render(self, *, passage: str, question: str | None = None) -> str:
-        """The template's literals and slot values joined in one pass.
+        """The template with its slots filled: `question` joins `segments(passage)`."""
+        segments = self.segments(passage)
+        if question is None:
+            if len(segments) > 1:
+                raise ValueError(f"template {self.name!r} has a question slot but no question given")
+            return segments[0]
+        return question.join(segments)
 
-        A value is never read for slots, so slot markers and braces inside
-        a filled-in value stay text; the template is parsed once, by `pieces`.
+    def segments(self, passage: str) -> list[str]:
+        """The template's text between its question slots, the passage filled in.
+
+        There is one more segment than there are question slots, so
+        `question.join(segments)` is the prompt for any question. A value
+        is never read for slots, so slot markers and braces inside a
+        filled-in value stay text; the template is parsed once, by `pieces`.
         """
         literals, slots = self.pieces
-        if question is None and "question" in slots:
-            raise ValueError(f"template {self.name!r} has a question slot but no question given")
-        parts = [literals[0]]
+        segments, parts = [], [literals[0]]
         for slot, literal in zip(slots, literals[1:]):
-            parts += passage if slot == "passage" else question, literal
-        return "".join(parts)
+            if slot == "passage":
+                parts += passage, literal
+            else:
+                segments.append("".join(parts))
+                parts = [literal]
+        segments.append("".join(parts))
+        return segments
 
     @cached_property
     def pieces(self) -> tuple[tuple[str, ...], tuple[str, ...]]:

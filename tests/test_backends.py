@@ -405,6 +405,15 @@ class TestMockOracle:
                 [(wikibio_sample.text, wikibio_sample.gold)], templates=[PromptTemplate("odd", text)]
             )
 
+    @pytest.mark.parametrize("token", ["<SEP>", "<NEWLINE>"])
+    def test_question_template_mentioning_a_format_token_still_answers_cells(self, e2e_sample, token):
+        template = PromptTemplate(
+            "qa", default_qa_template().text.replace("Answer:", f"Answer (one span, no {token} tokens):")
+        )
+        backend = MockOracleBackend([(e2e_sample.text, e2e_sample.gold)], templates=[template])
+        table = generate_table(e2e_sample.text, DatasetKind.E2E, backend, qa_template=template)
+        assert table == e2e_sample.gold
+
     def test_answer_kind_comes_from_the_templates_own_text(self, e2e_sample):
         backend = MockOracleBackend(
             [(e2e_sample.text, e2e_sample.gold)],

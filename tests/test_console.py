@@ -7,12 +7,18 @@ Each test runs the commands through `cli.dispatch`, the function the
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tabgen
 from tabgen.cli import dispatch
 from tabgen.corpus import fixture_path, list_fixtures, load_jsonl
 from tabgen.kinds import DatasetKind
+from tabgen.prompts import default_qa_template
 from tabgen.table import table_from_json, table_to_json
 
 EXAMPLES = [name for name in list_fixtures() if name.endswith("_example.jsonl")]
@@ -92,3 +98,43 @@ def test_gold_header_generation_scores_one_and_traces_one_cell_per_gold_cell(tmp
     traced = {record["id"]: len(record["cells"])
               for record in map(json.loads, trace.read_text("utf-8").splitlines())}
     assert traced == gold
+
+
+def score_generation(tmp_path, kind: str, corpus: str, pred) -> tuple[float, float, float]:
+    """Exact cell F1, then semantic header and cell F1, of `pred` against `corpus`."""
+    exact = evaluate_json(tmp_path, kind, str(pred), corpus)
+    semantic = evaluate_json(tmp_path, kind, str(pred), corpus, "--semantic")
+    return exact["cell"]["f1"], semantic["semantic_header"]["f1"], semantic["semantic_cell"]["f1"]
+
+
+@pytest.mark.parametrize("corpus", EXAMPLES)
+def test_mock_oracle_generation_scores_one(tmp_path, corpus):
+    kind = corpus.removesuffix("_example.jsonl")
+    path, pred = str(fixture_path(corpus)), tmp_path / "pred.jsonl"
+    assert dispatch(["generate", "--kind", kind, "--backend", "mock-oracle", "--in", path,
+                     "--out", str(pred)]) == 0
+    cell, semantic_header, semantic_cell = score_generation(tmp_path, kind, path, pred)
+    assert cell == 1.0
+    # Exact predictions hold gold's tokens, so both semantic F1s are 1.
+    assert semantic_header == pytest.approx(1.0, abs=1e-9)
+    assert semantic_cell == pytest.approx(1.0, abs=1e-9)
+
+
+def test_console_script_generation_with_a_line_after_the_question_scores_one(tmp_path):
+    # The packaged question template plus one more line of instructions after
+    # the question, run through the console script's module in a subprocess.
+    qa = tmp_path / "qa.txt"
+    qa.write_text(default_qa_template().text.replace(
+        "{{question}}", "{{question}}\nAnswer in a few words."), "utf-8")
+    path, pred = str(fixture_path("rotowire-team_example.jsonl")), tmp_path / "pred.jsonl"
+    src = str(Path(tabgen.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run(
+        [sys.executable, "-m", "tabgen.cli", "generate", "--kind", "rotowire-team", "--backend",
+         "mock-oracle", "--in", path, "--out", str(pred), "--qa-template", str(qa)],
+        env=env, check=True, timeout=120,
+    )
+    cell, semantic_header, semantic_cell = score_generation(tmp_path, "rotowire-team", path, pred)
+    assert cell == 1.0
+    assert semantic_header == pytest.approx(1.0, abs=1e-9)
+    assert semantic_cell == pytest.approx(1.0, abs=1e-9)

@@ -453,6 +453,73 @@ class TestSharedPrefix:
         assert wrong == []
 
 
+class TestSharedAnswers:
+    """Each sample's answers are built once and shared; sharing changes no answer."""
+
+    @staticmethod
+    def every_prompt(samples, kind: DatasetKind) -> list[str]:
+        prompts = []
+        for sample in samples:
+            gold = sample.gold
+            prompts.append(build_structure_prompt(sample.text, kind))
+            prompts += [
+                build_qa_prompt(sample.text, formulate_question(row, col, kind.numeric))
+                for row in gold.row_headers
+                for col in gold.col_headers
+            ]
+            prompts.append(build_baseline_prompt(sample.text, kind.orientation))
+        return prompts
+
+    def test_eight_threads_answer_a_fresh_oracle_as_one_thread_does(self):
+        kind = DatasetKind.ROTOWIRE_PLAYER
+        samples = load_mini(kind)
+        pairs = [(s.text, s.gold) for s in samples]
+        prompts = self.every_prompt(samples, kind)
+        serial = MockOracleBackend(pairs)
+        expected = [serial.generate(GenerationRequest(prompt)).text for prompt in prompts]
+
+        for _ in range(5):
+            answers = self.ask_from_eight_threads(MockOracleBackend(pairs), prompts)
+            assert sorted(answers) == list(range(8))
+            for n in range(8):
+                assert answers[n] == expected, f"thread {n}"
+
+    @staticmethod
+    def ask_from_eight_threads(backend: MockOracleBackend, prompts: list[str]) -> dict[int, list[str]]:
+        """Each thread's answers to `prompts`, in order; half start halfway, so first askings race."""
+        barrier = threading.Barrier(8, timeout=10)
+        answers: dict[int, list[str]] = {}
+
+        def ask(n: int) -> None:
+            start = n % 2 * len(prompts) // 2
+            order = [*range(start, len(prompts)), *range(start)]
+            barrier.wait()
+            got = {i: backend.generate(GenerationRequest(prompts[i])).text for i in order}
+            answers[n] = [got[i] for i in range(len(prompts))]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        return answers
+
+    @pytest.mark.parametrize("kind", [DatasetKind.ROTOWIRE_TEAM, DatasetKind.E2E])
+    def test_a_repeated_prompt_returns_an_equal_response(self, kind):
+        samples = load_mini(kind)
+        backend = MockOracleBackend([(s.text, s.gold) for s in samples])
+        prompts = self.every_prompt(samples, kind)
+        first = [backend.generate(GenerationRequest(prompt)) for prompt in prompts]
+        again = [backend.generate(GenerationRequest(prompt)) for prompt in prompts]
+        assert again == first
+
+
 class TestPassageRunningIntoTemplateText:
     """A registered passage that is another one followed by template text."""
 

@@ -729,6 +729,14 @@ class TestStageTwoReference:
     ANSWERS = ["7", "scored 12 points", "unknown", "  Low  ", "N/A", "", "none", "twelve",
                MalformedResponse("bad json"), Unreachable("down")]
     KINDS = st.sampled_from(ALL_KINDS)
+    # The packaged question template, one that asks before it shows the passage
+    # (and asks twice), and the packaged one with a line after the question.
+    TEMPLATES = st.sampled_from([
+        None,
+        PromptTemplate("question-first", "Question: {{question}}\n\nPassage: {{passage}}\n\n{{question}}"),
+        PromptTemplate("line-after", default_qa_template().text.replace(
+            "{{question}}", "{{question}}\nAnswer in a few words.")),
+    ])
 
     @classmethod
     def run(cls, salt, call):
@@ -770,6 +778,22 @@ class TestStageTwoReference:
             skeleton, passage, kind, backend, max_input_tokens=budget))
         want = self.run(salt, lambda backend: _ref_generate_content(
             skeleton, passage, kind, backend, max_input_tokens=budget))
+        assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(KINDS, st.lists(HEADER, max_size=4), st.lists(HEADER, max_size=4), TEMPLATES,
+           st.sampled_from([2048, 40, 12, None]), st.integers(0, 1000))
+    def test_generate_content_with_other_templates_matches_reference(
+        self, kind, rows, cols, template, budget, salt
+    ):
+        if kind.orientation is Orientation.ATTRIBUTE_VALUE:
+            rows = []
+        skeleton = blank_table(kind.orientation, rows, cols)
+        passage = "Magic won 7 games and scored 12 points in the fourth quarter."
+        got = self.run(salt, lambda backend: generate_content(
+            skeleton, passage, kind, backend, template=template, max_input_tokens=budget))
+        want = self.run(salt, lambda backend: _ref_generate_content(
+            skeleton, passage, kind, backend, template=template, max_input_tokens=budget))
         assert got == want
 
     @staticmethod
@@ -819,6 +843,21 @@ class TestStageTwoReference:
         else:
             want = self.run(salt, lambda backend: _ref_update_table(
                 table, delta, passage, kind, backend, max_input_tokens=budget))
+        assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables_and_deltas(), TEMPLATES, st.sampled_from([2048, 40, 12, None]), st.integers(0, 1000))
+    def test_update_table_with_other_templates_matches_reference(self, case, template, budget, salt):
+        kind, table, delta = case
+        passage = "Magic won 7 games and scored 12 points in the fourth quarter."
+        got = self.run(salt, lambda backend: update_table(
+            table, delta, passage, kind, backend, template=template, max_input_tokens=budget))
+        blank = [h for h in (*delta.add_row_headers, *delta.add_col_headers) if not normalize_text(h)]
+        if blank:
+            want = ((ValueError, f"added header {blank[0]!r} is blank"), [])
+        else:
+            want = self.run(salt, lambda backend: _ref_update_table(
+                table, delta, passage, kind, backend, template=template, max_input_tokens=budget))
         assert got == want
 
 

@@ -281,6 +281,40 @@ class TestRenderMatchesFormat:
         assert got == self.format_render(template, passage=passage, question=question)
 
 
+class TestSegments:
+    """`question.join(template.segments(passage))` is what `render` gives, for any template."""
+
+    LITERALS = st.lists(
+        st.sampled_from(["{", "}", "{{", "}}", "{passage}", "{{passage", "question}}", "x", " ", "\n"]),
+        max_size=4,
+    ).map("".join) | st.text(max_size=6)
+    VALUES = st.lists(
+        st.sampled_from(["{{passage}}", "{{question}}", "{", "}", "{{", "}}", "q", " "]), max_size=5
+    ).map("".join) | st.text(max_size=10)
+
+    @staticmethod
+    @st.composite
+    def templates(draw) -> PromptTemplate:
+        """One or two passage slots and zero to two question slots, in any order, around any literals."""
+        slots = ["passage"] * draw(st.integers(1, 2)) + ["question"] * draw(st.integers(0, 2))
+        slots = draw(st.permutations(slots))
+        literals = [draw(TestSegments.LITERALS) for _ in range(len(slots) + 1)]
+        text = literals[0] + "".join(f"{{{{{slot}}}}}{literal}" for slot, literal in zip(slots, literals[1:]))
+        return PromptTemplate("drawn", text)
+
+    @given(template=templates(), passage=VALUES, question=VALUES)
+    def test_the_question_joined_into_the_segments_is_the_rendered_prompt(self, template, passage, question):
+        segments = template.segments(passage)
+        assert len(segments) == template.pieces[1].count("question") + 1
+        assert question.join(segments) == template.render(passage=passage, question=question)
+        if len(segments) == 1:
+            assert segments[0] == template.render(passage=passage)
+
+    def test_question_before_the_passage(self):
+        template = PromptTemplate("question-first", "Q: {{question}}\nP: {{passage}} ({{question}})")
+        assert template.segments("p {{question}}") == ["Q: ", "\nP: p {{question}} (", ")"]
+
+
 READ_TEMPLATES = [
     default_qa_template(),
     prompts.default_structure_template(DatasetKind.ROTOWIRE_TEAM),
