@@ -69,7 +69,6 @@ from tabgen.table import (
     Table,
     normalize_text,
     parse_flat,
-    render_markdown,
     serialize_flat,
     table_from_json,
     table_to_json,

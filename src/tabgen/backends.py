@@ -31,8 +31,16 @@ from typing import Iterable, Iterator, Sequence
 # where they are used, not here: they are most of a cold `import tabgen`, and
 # generation with the oracle, baselines, updates and exact evaluation never
 # touch them.
-from tabgen.prompts import SEP_TOKEN, PromptTemplate, formulate_question, packaged_templates
-from tabgen.table import NEWLINE_TOKEN, Orientation, Table, serialize_flat
+from tabgen.prompts import (
+    SEP_TOKEN,
+    NoHeaders,
+    PromptTemplate,
+    formulate_question,
+    packaged_templates,
+    parse_structure_answer,
+    structure_answer,
+)
+from tabgen.table import NEWLINE_TOKEN, Table, serialize_flat
 
 
 # Stage two builds a request and a trace per cell, so these records fill
@@ -379,25 +387,19 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
         if not config.base_url:
             raise ValueError("http backend requires base_url")
         self.config = config
-        self._token = None
-        if config.auth_env:
-            self._token = os.environ.get(config.auth_env)
-            if not self._token:
-                raise ValueError(
-                    f"auth environment variable {config.auth_env} is not set"
-                )
         # One connection pool per backend, as large as its in-flight cap, so
-        # calls reuse connections instead of opening one each.
+        # calls reuse connections instead of opening one each. Its headers are
+        # set once, in the order requests have always sent them.
         self._session = requests.Session()
+        self._session.headers["Content-Type"] = "application/json"
+        if config.auth_env:
+            token = os.environ.get(config.auth_env)
+            if not token:
+                raise ValueError(f"auth environment variable {config.auth_env} is not set")
+            self._session.headers["Authorization"] = f"Bearer {token}"
         adapter = HTTPAdapter(pool_maxsize=config.concurrency)
         self._session.mount("http://", adapter)
         self._session.mount("https://", adapter)
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self._token:
-            headers["Authorization"] = f"Bearer {self._token}"
-        return headers
 
     def _post(self, path: str, payload: dict) -> dict:
         """POST with bounded exponential-backoff retries.
@@ -426,12 +428,7 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
 
         url = self.config.base_url.rstrip("/") + path
         try:
-            response = self._session.post(
-                url,
-                json=payload,
-                headers=self._headers(),
-                timeout=self.config.timeout_ms / 1000.0,
-            )
+            response = self._session.post(url, json=payload, timeout=self.config.timeout_ms / 1000.0)
         except requests.Timeout as err:
             raise BackendTimeout(f"timeout calling {url}") from err
         except requests.ConnectionError as err:
@@ -608,32 +605,34 @@ class MockOracleBackend(GenerationBackend):
         """Every question table `i` can be asked, mapped to its cell's answer.
 
         The first in asking order wins: cells row-major, each with the
-        numeric hint on and then off. An attribute-value table's one row
-        has no row header, so its questions carry no hint. An absent cell
-        answers "unknown".
+        numeric hint on and then off, under the table's own headers; then
+        the same under the headers stage one parses out of its header
+        sequence, if those differ but keep its shape (parsing strips a
+        padded header). An attribute-value table's one row has no row
+        header, so its questions carry no hint. An absent cell answers
+        "unknown".
         """
         cells = self._cells[i]
         if cells is None:
             table = self._tables[i]
-            rows = table.row_headers
+            headings = [(table.row_headers, table.col_headers)]
+            try:
+                parsed = parse_structure_answer(structure_answer(table), table.orientation)
+            except NoHeaders:  # no column header survives parsing
+                parsed = headings[0]
+            if parsed != headings[0] and list(map(len, parsed)) == list(map(len, headings[0])):
+                headings.append(parsed)
+            answers = [[self._response("unknown" if v is None else v) for v in row] for row in table.cells]
             cells = {}
-            for r, row in enumerate(table.cells):
-                for col_header, value in zip(table.col_headers, row):
-                    answer = self._response("unknown" if value is None else value)
-                    for hint in (True, False):
-                        question = formulate_question(rows[r] if rows else None, col_header, hint)
-                        cells.setdefault(question, answer)
+            for rows, cols in headings:
+                for r, row in enumerate(answers):
+                    for col_header, answer in zip(cols, row):
+                        for hint in (True, False):
+                            question = formulate_question(rows[r] if rows else None, col_header, hint)
+                            cells.setdefault(question, answer)
             # Two threads may both build it; they build equal dicts.
             self._cells[i] = cells
         return cells
-
-    @staticmethod
-    def _structure_answer(table: Table) -> str:
-        if table.orientation is Orientation.ATTRIBUTE_VALUE:
-            return " <SEP> ".join(header for header, _ in table.rows)
-        rows = " <SEP> ".join(table.row_headers)
-        cols = " <SEP> ".join(table.col_headers)
-        return f"{rows} <ROWCOL> {cols}"
 
     def _reply(self, i: int, kind: str) -> GenerationResponse:
         """Table `i`'s header sequence ("headers") or flat form ("flat"), built once."""
@@ -641,7 +640,7 @@ class MockOracleBackend(GenerationBackend):
         reply = replies[i]
         if reply is None:
             table = self._tables[i]
-            text = serialize_flat(table) if kind == "flat" else self._structure_answer(table)
+            text = serialize_flat(table) if kind == "flat" else structure_answer(table)
             reply = replies[i] = self._response(text)
         return reply
 

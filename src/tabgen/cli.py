@@ -31,7 +31,7 @@ from tabgen.pipeline import (
     generate_table_traced,
     update_table,
 )
-from tabgen.prompts import PromptTemplate
+from tabgen.prompts import PromptTemplate, _require_slots
 from tabgen.table import EmptyInput, StructuralError, Table, table_from_json, table_to_json
 
 
@@ -39,10 +39,11 @@ class ConfigError(ValueError):
     """Input a run cannot start from; maps to exit code 2.
 
     That covers an input, config or template file that is missing,
-    unreadable, not UTF-8 or malformed; a config value that is unknown or
-    of the wrong type; a backend setting or token budget out of range; a
-    replay fixture directory that does not exist; and an output file or
-    record directory that cannot be written.
+    unreadable, not UTF-8 or malformed; a template without the slots its
+    flag needs; a config value that is unknown or of the wrong type; a
+    backend setting or token budget out of range; a replay fixture
+    directory that does not exist; and an output file or record directory
+    that cannot be written.
     """
 
 
@@ -119,9 +120,16 @@ def _backend_config(args: Namespace) -> BackendConfig:
         raise ConfigError(str(err)) from err
 
 
-def _template(path: str | None) -> PromptTemplate | None:
-    """The template in a `--*-template` file; None without the flag."""
-    return None if path is None else PromptTemplate(name=path, text=_read_text(path, "template"))
+def _template(path: str | None, asks: bool) -> PromptTemplate | None:
+    """The `--*-template` file's template, with a question slot exactly when it `asks`; None without one."""
+    if path is None:
+        return None
+    template = PromptTemplate(name=path, text=_read_text(path, "template"))
+    try:
+        _require_slots(template, asks)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    return template
 
 
 def _build_backend(
@@ -213,7 +221,7 @@ def _run_corpus(
 
 def _cmd_generate(args: Namespace) -> int:
     config = _backend_config(args)
-    structure, qa = _template(args.structure_template), _template(args.qa_template)
+    structure, qa = _template(args.structure_template, False), _template(args.qa_template, True)
 
     def run(backend: GenerationBackend, sample: Sample) -> tuple[dict, dict]:
         table, trace = generate_table_traced(
@@ -240,7 +248,7 @@ def _cmd_generate(args: Namespace) -> int:
 
 def _cmd_baseline(args: Namespace) -> int:
     config = _backend_config(args)
-    template = _template(args.baseline_template)
+    template = _template(args.baseline_template, False)
 
     def run(backend: GenerationBackend, sample: Sample) -> tuple[dict, None]:
         try:

@@ -27,6 +27,7 @@ from tabgen.kinds import DatasetKind
 from tabgen.prompts import (
     PromptTemplate,
     _blank,
+    _require_slots,
     build_baseline_prompt,
     build_qa_prompt,  # noqa: F401 -- perfbench's tracer wraps tabgen.pipeline.build_qa_prompt
     build_structure_prompt,
@@ -140,10 +141,9 @@ def construct_structure(
     every cell is absent, one row for an attribute-value table and one per
     row header for a matrix.
     """
-    skeleton, _ = _construct_structure_raw(
+    return _construct_structure_raw(
         passage, kind, backend, template, max_input_tokens, headers_max_new_tokens
-    )
-    return skeleton
+    )[0]
 
 
 def _postprocess(raw: str, numeric: bool) -> str | None:
@@ -183,8 +183,9 @@ def _ask_slots(
     Each prompt is byte for byte what `build_qa_prompt` builds, but the
     passage is cut to the budget and filled into the template once per
     distinct question token estimate: a prompt is then the question
-    joined into that cut's `PromptTemplate.segments`. A blank passage is
-    a ValueError, raised once per batch.
+    joined into that cut's `PromptTemplate.segments`. A blank passage,
+    or a template without a passage and a question slot, is a
+    ValueError, raised once per batch.
     """
     if "" in col_headers and (empty := [c for _, c in slots if not col_headers[c]]):
         raise ValueError(f"cannot ask under column header {min(empty)}, which is empty")
@@ -198,6 +199,7 @@ def _ask_slots(
     if _blank(passage):
         raise ValueError("passage must be non-empty")
     template = template or default_qa_template()
+    _require_slots(template, asks=True)
     cut: dict[int, list[str]] = {}  # question token estimate -> segments, passage cut beside it
     requests = []
     for question in questions:

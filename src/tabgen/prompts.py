@@ -10,7 +10,7 @@ from importlib import resources
 from typing import Collection, Iterator
 
 from tabgen.kinds import DatasetKind
-from tabgen.table import Orientation, dedupe_headers, normalize_text
+from tabgen.table import Orientation, Table, dedupe_headers, normalize_text
 
 SEP_TOKEN = "<SEP>"
 ROWCOL_TOKEN = "<ROWCOL>"
@@ -188,6 +188,15 @@ def parse_header_sequence(text: str) -> list[str]:
     return dedupe_headers(pieces)
 
 
+def structure_answer(table: Table) -> str:
+    """`table`'s headers as the `<SEP>`-joined sequence that `parse_structure_answer` reads,
+    a matrix's row headers before `<ROWCOL>` and its column headers after."""
+    cols = f" {SEP_TOKEN} ".join(table.col_headers)
+    if table.orientation is Orientation.ATTRIBUTE_VALUE:
+        return cols
+    return f" {SEP_TOKEN} ".join(table.row_headers) + f" {ROWCOL_TOKEN} " + cols
+
+
 def parse_structure_answer(
     text: str, orientation: Orientation
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -197,10 +206,7 @@ def parse_structure_answer(
     divider is missing, every header is treated as a column header of a
     header-only table rather than rejecting the answer outright.
     """
-    if orientation is Orientation.ATTRIBUTE_VALUE:
-        return (), tuple(parse_header_sequence(text))
-
-    if ROWCOL_TOKEN in text:
+    if orientation is Orientation.MATRIX and ROWCOL_TOKEN in text:
         left, right = text.split(ROWCOL_TOKEN, 1)
         try:
             row_headers = tuple(parse_header_sequence(left))
@@ -227,17 +233,34 @@ def formulate_question(
     return f"What is the {col_header} for {row_header}?"
 
 
+def _require_slots(template: PromptTemplate, asks: bool) -> None:
+    """Raise ValueError unless `template` has a passage slot, and a question slot exactly when it `asks`."""
+    slots = template.pieces[1]
+    if "passage" not in slots or ("question" in slots) != asks:
+        need = f"a {{{{passage}}}} slot and {'a' if asks else 'no'} {{{{question}}}} slot"
+        raise ValueError(f"template {template.name!r} needs {need}")
+
+
+def _fill(template: PromptTemplate, passage: str, budget: int | None, question: str | None = None) -> str:
+    """`template` filled in, its passage head-truncated so the prompt fits `budget` tokens."""
+    if _blank(passage):
+        raise ValueError("passage must be non-empty")
+    _require_slots(template, question is not None)
+    overhead = template.overhead_tokens
+    if question is not None:
+        if _blank(question):
+            raise ValueError("question must be non-empty")
+        overhead += estimate_tokens(question)
+    return template.render(passage=truncate_passage(passage, budget, overhead), question=question)
+
+
 def build_structure_prompt(
     passage: str,
     kind: DatasetKind,
     template: PromptTemplate | None = None,
     max_input_tokens: int | None = None,
 ) -> str:
-    if _blank(passage):
-        raise ValueError("passage must be non-empty")
-    template = template or default_structure_template(kind)
-    passage = truncate_passage(passage, max_input_tokens, template.overhead_tokens)
-    return template.render(passage=passage)
+    return _fill(template or default_structure_template(kind), passage, max_input_tokens)
 
 
 def build_qa_prompt(
@@ -246,15 +269,7 @@ def build_qa_prompt(
     template: PromptTemplate | None = None,
     max_input_tokens: int | None = None,
 ) -> str:
-    if _blank(passage):
-        raise ValueError("passage must be non-empty")
-    if _blank(question):
-        raise ValueError("question must be non-empty")
-    template = template or default_qa_template()
-    if max_input_tokens is not None:
-        overhead = template.overhead_tokens + estimate_tokens(question)
-        passage = truncate_passage(passage, max_input_tokens, overhead)
-    return template.render(passage=passage, question=question)
+    return _fill(template or default_qa_template(), passage, max_input_tokens, question)
 
 
 def build_baseline_prompt(
@@ -263,11 +278,7 @@ def build_baseline_prompt(
     template: PromptTemplate | None = None,
     max_input_tokens: int | None = None,
 ) -> str:
-    if _blank(passage):
-        raise ValueError("passage must be non-empty")
-    template = template or default_baseline_template(orientation)
-    passage = truncate_passage(passage, max_input_tokens, template.overhead_tokens)
-    return template.render(passage=passage)
+    return _fill(template or default_baseline_template(orientation), passage, max_input_tokens)
 
 
 _UNITS = {

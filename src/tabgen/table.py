@@ -328,24 +328,3 @@ def table_from_json(data: object) -> Table:
                 raise ValueError(f"cells row {i} values must be strings or null")
         cells.append(tuple(row))
     return Table.matrix(data["row_headers"], data["col_headers"], cells)
-
-
-def _md_escape(value: str) -> str:
-    return value.replace("|", "\\|")
-
-
-def render_markdown(table: Table) -> str:
-    """Human-oriented pipe-table rendering; write-only, never parsed back."""
-    if table.orientation is Orientation.ATTRIBUTE_VALUE:
-        lines = ["| Attribute | Value |", "| --- | --- |"]
-        for header, value in table.rows:
-            lines.append(f"| {_md_escape(header)} | {_md_escape(value or '')} |")
-        return "\n".join(lines)
-
-    header = "| | " + " | ".join(_md_escape(h) for h in table.col_headers) + " |"
-    separator = "| --- " * (len(table.col_headers) + 1) + "|"
-    lines = [header, separator]
-    for row_header, row in zip(table.row_headers, table.cells):
-        values = " | ".join(_md_escape(v or "") for v in row)
-        lines.append(f"| {_md_escape(row_header)} | {values} |")
-    return "\n".join(lines)

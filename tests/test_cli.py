@@ -226,20 +226,22 @@ class TestSharedDispatch:
     @pytest.mark.parametrize("command", ["generate", "baseline"])
     def test_samples_fill_the_slots_of_a_backend_that_waits(self, tmp_path, monkeypatch, command):
         built = delay_every_backend(monkeypatch, 0.02)
-        outputs = {}
-        for concurrency in (1, 2, 4):
-            out, trace = tmp_path / f"{concurrency}.jsonl", tmp_path / f"{concurrency}.trace.jsonl"
-            argv = [command, "--kind", "rotowire-team", "--backend", "mock-oracle", "--in", TEAM_MINI,
-                    "--concurrency", str(concurrency), "--out", str(out)]
-            if command == "generate":
-                argv += ["--trace", str(trace)]
-            start = threading.active_count()
-            assert dispatch(argv) == 0
-            # `concurrency` sample threads beside the backend's `concurrency - 1` helpers.
-            assert built[-1].peak_in_flight == concurrency
-            assert built[-1].peak_threads <= start + 2 * concurrency - 1
-            outputs[concurrency] = out.read_bytes(), untimed(trace) if command == "generate" else None
-        assert outputs[1] == outputs[2] == outputs[4]
+        # A matrix corpus and an attribute-value one.
+        for kind, corpus in (("rotowire-team", TEAM_MINI), ("e2e", E2E_MINI)):
+            outputs = {}
+            for concurrency in (1, 2, 4):
+                out, trace = tmp_path / f"{concurrency}.jsonl", tmp_path / f"{concurrency}.trace.jsonl"
+                argv = [command, "--kind", kind, "--backend", "mock-oracle", "--in", corpus,
+                        "--concurrency", str(concurrency), "--out", str(out)]
+                if command == "generate":
+                    argv += ["--trace", str(trace)]
+                start = threading.active_count()
+                assert dispatch(argv) == 0
+                # `concurrency` sample threads beside the backend's `concurrency - 1` helpers.
+                assert built[-1].peak_in_flight == concurrency
+                assert built[-1].peak_threads <= start + 2 * concurrency - 1
+                outputs[concurrency] = out.read_bytes(), untimed(trace) if command == "generate" else None
+            assert outputs[1] == outputs[2] == outputs[4], kind
 
     def test_a_stack_that_never_waits_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
         threads = []
@@ -739,6 +741,7 @@ class TestBadInput:
             [*GENERATE, "--backend", "replay", "--fixtures", "missing-dir"],
             [*GENERATE, "--backend", "http", "--base-url", "http://localhost:1", "--timeout-ms", "-5"],
             [*REPLAY, "--timeout-ms", "-5"],
+            ["generate", "--kind", "e2e", "--backend", "mock-oracle", "--in", "missing.jsonl"],
             ["generate", "--kind", "e2e", "--in", "dir"],
             ["generate", "--kind", "e2e", "--in", "latin.txt"],
             ["generate", "--kind", "e2e", "--in", "plain.jsonl.gz"],
@@ -768,7 +771,7 @@ class TestBadInput:
              "config-headers-tokens-0", "config-baseline-tokens-0", "config-input-tokens-0",
              "config-input-tokens-negative", "replay-missing-dir", "http-negative-timeout",
              "replay-negative-timeout",
-             "in-directory", "in-not-utf8", "in-not-gzip", "in-truncated-gzip", "stats-in-directory",
+             "in-missing", "in-directory", "in-not-utf8", "in-not-gzip", "in-truncated-gzip", "stats-in-directory",
              "oracle-missing", "oracle-bad-schema", "qa-template-not-utf8", "out-directory",
              "trace-directory", "record-dir-is-a-file", "pred-directory", "pred-not-utf8",
              "empty-gold", "pred-repeated-id", "gold-repeated-id", "report-out-directory",
@@ -878,6 +881,42 @@ class TestTemplateOverrides:
         err = capsys.readouterr().err
         assert code == 2
         assert "config error:" in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "backend",
+        [["--backend", "mock-oracle"], ["--backend", "replay", "--fixtures", "fixtures"],
+         ["--backend", "http", "--base-url", "http://127.0.0.1:1"]],
+        ids=["mock-oracle", "replay", "http"],
+    )
+    @pytest.mark.parametrize(
+        "command, flag, text",
+        [("generate", "--qa-template", "Passage: {{passage}}\nAnswer:"),
+         ("generate", "--qa-template", "Question: {{question}}\nAnswer:"),
+         ("generate", "--structure-template", "{{passage}}\nName the headers of {{question}}, joined by <SEP>:"),
+         ("generate", "--structure-template", "Name the headers, joined by <SEP>:"),
+         ("baseline", "--baseline-template", "{{passage}}\n{{question}} as rows joined by <NEWLINE>:"),
+         ("baseline", "--baseline-template", "Rows joined by <NEWLINE>:")],
+        ids=["qa-no-question", "qa-no-passage", "structure-question", "structure-no-passage",
+             "baseline-question", "baseline-no-passage"],
+    )
+    def test_template_without_the_slots_its_flag_needs_exits_two_before_any_backend(
+        self, tmp_path, capsys, monkeypatch, command, flag, text, backend
+    ):
+        def build(*args):
+            raise AssertionError("the backend was built")
+
+        monkeypatch.setattr(cli, "_build_backend", build)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fixtures").mkdir()
+        (tmp_path / "template.txt").write_text(text, "utf-8")
+        code = dispatch([command, "--kind", "e2e", "--in", E2E_EXAMPLE, *backend, flag, "template.txt",
+                         "--out", "preds.jsonl"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: template 'template.txt' needs a {{passage}} slot and ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "preds.jsonl").exists()
 
 
 class TestStats:

@@ -138,3 +138,68 @@ def test_console_script_generation_with_a_line_after_the_question_scores_one(tmp
     assert cell == 1.0
     assert semantic_header == pytest.approx(1.0, abs=1e-9)
     assert semantic_cell == pytest.approx(1.0, abs=1e-9)
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    """Every file under `root` by its relative path, with its bytes, as `diff -r` compares them."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("corpus", EXAMPLES)
+def test_record_replay_and_resume_write_the_same_bytes(tmp_path, corpus):
+    kind = corpus.removesuffix("_example.jsonl")
+    path = str(fixture_path(corpus))
+    fixtures, empty = tmp_path / "fixtures", tmp_path / "empty"
+    empty.mkdir()
+    out = {name: tmp_path / f"{name}.jsonl" for name in ("recorded", "replayed", "resumed", "cached")}
+    run = ["--kind", kind, "--in", path]
+    assert dispatch(["replay-record", *run, "--backend", "mock-oracle", "--record-dir", str(fixtures),
+                     "--out", str(out["recorded"])]) == 0
+    assert dispatch(["generate", *run, "--backend", "replay", "--fixtures", str(fixtures),
+                     "--out", str(out["replayed"])]) == 0
+    # The resume path: every call is already recorded, so the upstream, a replay
+    # of an empty directory that would fail any call it got, is never asked.
+    assert dispatch(["replay-record", *run, "--backend", "replay", "--fixtures", str(empty),
+                     "--record-dir", str(fixtures), "--out", str(out["resumed"])]) == 0
+    # A recording store already answers repeats, so --cache beside it changes no byte.
+    assert dispatch(["replay-record", *run, "--backend", "mock-oracle", "--record-dir",
+                     str(tmp_path / "fixtures.cached"), "--out", str(out["cached"]), "--cache"]) == 0
+    recorded = out["recorded"].read_bytes()
+    assert [out[name].read_bytes() for name in ("replayed", "resumed", "cached")] == [recorded] * 3
+    assert files_under(fixtures) == files_under(tmp_path / "fixtures.cached")
+
+
+def with_a_lone_surrogate(tmp_path) -> str:
+    """The e2e example with a lone surrogate (a \\ud800 escape) appended to its passage, as a file."""
+    sample = json.loads(fixture_path("e2e_example.jsonl").read_text("utf-8").splitlines()[0])
+    sample["text"] += " caf\ud800"
+    path = tmp_path / "surrogate.jsonl"
+    path.write_text(json.dumps(sample) + "\n", "utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("corpus", [*EXAMPLES, "surrogate"])
+def test_the_request_cache_changes_no_output(tmp_path, corpus):
+    if corpus == "surrogate":
+        kind, path = "e2e", with_a_lone_surrogate(tmp_path)
+    else:
+        kind, path = corpus.removesuffix("_example.jsonl"), str(fixture_path(corpus))
+    plain, cached = tmp_path / "plain.jsonl", tmp_path / "cached.jsonl"
+    run = ["generate", "--kind", kind, "--backend", "mock-oracle", "--in", path]
+    assert dispatch([*run, "--out", str(plain)]) == 0
+    assert dispatch([*run, "--out", str(cached), "--cache"]) == 0
+    assert cached.read_bytes() == plain.read_bytes()
+
+
+def test_console_script_rejects_a_missing_corpus_without_a_traceback(tmp_path):
+    # The console script's module itself, in a subprocess: exit 2 and one `config error:` line.
+    src = str(Path(tabgen.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "tabgen.cli", "generate", "--kind", "e2e", "--backend", "mock-oracle",
+         "--in", str(tmp_path / "missing.jsonl")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error:") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr

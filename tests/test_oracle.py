@@ -10,14 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabgen.backends import GenerationRequest, MalformedResponse, MockOracleBackend
+from tabgen.corpus import table_of_kind
 from tabgen.kinds import DatasetKind
+from tabgen.metrics import evaluate_sample
 from tabgen.pipeline import (
     SkeletonDelta,
     baseline_generate,
     generate_table,
+    generate_table_traced,
     update_table,
 )
 from tabgen.prompts import (
+    NoHeaders,
     PromptTemplate,
     build_baseline_prompt,
     build_qa_prompt,
@@ -25,29 +29,50 @@ from tabgen.prompts import (
     default_qa_template,
     estimate_tokens,
     formulate_question,
+    parse_structure_answer,
+    structure_answer,
 )
 from tabgen.table import Orientation, Table
 
 from .conftest import load_example, load_mini
 
 
-def reference_answer(table: Table, question: str) -> str:
-    """The specification of the oracle's question match.
+def askable(table: Table) -> list[tuple[str, str | None]]:
+    """Every (question, value) the oracle answers for `table`, in asking order.
 
-    Every question the table can be asked is rendered in asking order;
-    the first one equal to the asked question gives the answer.
+    Cells row-major, each with the numeric hint on and then off, under
+    the table's own headers; then the same under the headers stage one
+    parses out of the table's header sequence, when those keep the
+    table's shape (a padded header reads back stripped).
     """
+    headings = [(table.row_headers, table.col_headers)]
+    try:
+        read = parse_structure_answer(structure_answer(table), table.orientation)
+    except NoHeaders:
+        read = None
+    if read is not None and [len(h) for h in read] == [len(table.row_headers), len(table.col_headers)]:
+        headings.append(read)
     candidates: list[tuple[str, str | None]] = []
-    if table.orientation is Orientation.ATTRIBUTE_VALUE:
-        for header, value in table.rows:
-            candidates.append((formulate_question(None, header), value))
-    else:
-        for r, row_header in enumerate(table.row_headers):
-            for c, col_header in enumerate(table.col_headers):
+    for rows, cols in headings:
+        if table.orientation is Orientation.ATTRIBUTE_VALUE:
+            for header, value in zip(cols, table.cells[0]):
+                candidates.append((formulate_question(None, header), value))
+            continue
+        for r, row_header in enumerate(rows):
+            for c, col_header in enumerate(cols):
                 value = table.cells[r][c]
                 for hint in (True, False):
                     candidates.append((formulate_question(row_header, col_header, hint), value))
-    matches = [v for q, v in candidates if q == question]
+    return candidates
+
+
+def reference_answer(table: Table, question: str) -> str:
+    """The specification of the oracle's question match.
+
+    The first question in asking order (see `askable`) equal to the
+    asked question gives the answer.
+    """
+    matches = [v for q, v in askable(table) if q == question]
     if not matches or matches[0] is None:
         return "unknown"
     return matches[0]
@@ -80,15 +105,7 @@ def tables(draw) -> Table:
 @st.composite
 def tables_and_questions(draw) -> tuple[Table, str, str]:
     table = draw(tables())
-    if table.orientation is Orientation.ATTRIBUTE_VALUE:
-        asked = [formulate_question(None, header) for header, _ in table.rows]
-    else:
-        asked = [
-            formulate_question(row, col, hint)
-            for row in table.row_headers
-            for col in table.col_headers
-            for hint in (True, False)
-        ]
+    asked = [question for question, _ in askable(table)]
     stray = st.builds(formulate_question, st.one_of(st.none(), ROW_HEADERS), HEADERS, st.booleans())
     questions = st.one_of(stray, st.sampled_from(asked)) if asked else stray
     # Passages that themselves hold question text.
@@ -154,6 +171,36 @@ class TestQuestionMatch:
         assert [answers.get(k) for k in range(len(cells))] == [
             value if value is not None else "unknown" for _, value in cells
         ]
+
+
+class TestPaddedHeaders:
+    """A gold table whose headers carry outer whitespace is answered under the stripped
+    headers stage one reads back, and under its own headers, which gold-header seeding asks."""
+
+    CASES = [
+        (DatasetKind.ROTOWIRE_TEAM,
+         Table.matrix(["Suns", "Magic "], ["Wins", " Losses"], [["10", "3"], ["4", "9"]])),
+        (DatasetKind.E2E, Table.attribute_value([("name ", "Eagle"), ("food", "French")])),
+    ]
+
+    @pytest.mark.parametrize("kind, gold", CASES, ids=["matrix", "attribute-value"])
+    @pytest.mark.parametrize("seeded", [False, True], ids=["stage-one", "gold-headers"])
+    def test_every_cell_is_answered(self, kind, gold, seeded):
+        assert table_of_kind(gold, kind) is gold
+        passage = "The passage the gold table was read from."
+        backend = MockOracleBackend([(passage, gold)])
+        produced, trace = generate_table_traced(passage, kind, backend, skeleton=gold if seeded else None)
+        assert [cell.value for cell in trace.cells] == [v for row in gold.cells for v in row]
+        assert evaluate_sample(produced, gold).cell.f1 == 1.0
+
+    @pytest.mark.parametrize("header", ["  ", "a <SEP> b", "a <ROWCOL> b"])
+    def test_a_header_that_changes_the_shape_keeps_the_own_headers_only(self, header):
+        # Whitespace-only or token-bearing headers read back as a different count.
+        for table in (Table.attribute_value([(header, "v"), ("c", "w")]),
+                      Table.matrix(["r", header], [header, "c"], [["1", "2"], ["3", "4"]])):
+            row = None if table.orientation is Orientation.ATTRIBUTE_VALUE else "r"
+            assert oracle_answer(table, formulate_question(row, "c")) == table.cells[0][-1]
+            assert oracle_answer(table, formulate_question(row, header)) == table.cells[0][0]
 
 
 # An opening of 150+ characters shared by two samples, as templated corpora have.

@@ -305,6 +305,37 @@ class TestBaseline:
         assert table == rotowire_team_sample.gold
 
 
+class TestTemplateSlots:
+    """A template without the slots its prompt fills is a ValueError naming it, before any call."""
+
+    NO_QUESTION = PromptTemplate("no-question.txt", "Passage: {{passage}}\nAnswer:")
+    NO_PASSAGE = PromptTemplate("no-passage.txt", "Question: {{question}}\nAnswer:")
+
+    @pytest.mark.parametrize("template", [NO_QUESTION, NO_PASSAGE], ids=lambda t: t.name)
+    def test_generation_and_update_reject_a_qa_template(self, rotowire_team_sample, template):
+        sample, kind = rotowire_team_sample, DatasetKind.ROTOWIRE_TEAM
+        backend = CountingBackend(oracle_for(sample))
+        delta = SkeletonDelta(add_col_headers=("Rebounds",))
+        for run in (
+            lambda: generate_table_traced(sample.text, kind, backend, qa_template=template,
+                                          skeleton=sample.gold),
+            lambda: generate_content(sample.gold, sample.text, kind, backend, template=template),
+            lambda: update_table(sample.gold, delta, sample.text, kind, backend, template=template),
+        ):
+            with pytest.raises(ValueError, match=re.escape(repr(template.name))):
+                run()
+        assert backend.calls == 0
+
+    def test_structure_and_baseline_reject_a_template_without_a_passage_slot(self, e2e_sample):
+        backend = CountingBackend(oracle_for(e2e_sample))
+        template = PromptTemplate("no-passage.txt", "Name the headers, joined by <SEP>.")
+        with pytest.raises(ValueError, match="'no-passage.txt' needs a {{passage}} slot"):
+            construct_structure(e2e_sample.text, DatasetKind.E2E, backend, template=template)
+        with pytest.raises(ValueError, match="'no-passage.txt' needs a {{passage}} slot"):
+            baseline_generate(e2e_sample.text, DatasetKind.E2E, backend, template=template)
+        assert backend.calls == 0
+
+
 class TestUpdateTable:
     def test_empty_delta_is_identity_with_zero_calls(self, rotowire_team_sample):
         backend = CountingBackend(oracle_for(rotowire_team_sample))

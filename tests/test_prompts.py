@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tabgen import prompts
 from tabgen.backends import MockOracleBackend, WrapperBackend
-from tabgen.corpus import fixture_path, list_fixtures, load_jsonl
+from tabgen.corpus import fixture_path, list_fixtures, load_jsonl, table_of_kind
 from tabgen.kinds import DatasetKind
 from tabgen.pipeline import SkeletonDelta, baseline_generate, generate_table, update_table
 from tabgen.prompts import (
@@ -25,9 +26,10 @@ from tabgen.prompts import (
     formulate_question,
     parse_header_sequence,
     parse_structure_answer,
+    structure_answer,
     truncate_passage,
 )
-from tabgen.table import Orientation, Table
+from tabgen.table import Orientation, Table, normalize_text
 
 from .conftest import questions_for_headers
 
@@ -86,6 +88,46 @@ class TestParseStructureAnswer:
         rows, cols = parse_structure_answer("Name <SEP> Food", Orientation.ATTRIBUTE_VALUE)
         assert rows == ()
         assert cols == ("Name", "Food")
+
+
+class TestStructureAnswer:
+    """`structure_answer` writes the header sequence that `parse_structure_answer` reads back."""
+
+    # Headers with inner spaces, quotes, "#" suffixes and token fragments, but
+    # no outer whitespace and no whole `<SEP>` or `<ROWCOL>`.
+    HEADERS = st.lists(
+        st.sampled_from(["a", "B", " ", "\t", '"', "#2", "<", ">", "SEP", "<SEP", "ROWCOL>", "é"]),
+        min_size=1, max_size=5,
+    ).map("".join).filter(
+        lambda h: h == h.strip() and normalize_text(h) and "<SEP>" not in h and "<ROWCOL>" not in h
+    )
+
+    @staticmethod
+    @st.composite
+    def tables(draw) -> tuple[Table, DatasetKind]:
+        headers = TestStructureAnswer.HEADERS
+        cols = draw(st.lists(headers, min_size=1, max_size=4, unique_by=normalize_text))
+        if draw(st.booleans()):
+            return Table.attribute_value([(h, "v") for h in cols]), DatasetKind.E2E
+        rows = draw(st.lists(headers, max_size=3, unique_by=normalize_text))
+        return Table.matrix(rows, cols, [["v"] * len(cols) for _ in rows]), DatasetKind.ROTOWIRE_TEAM
+
+    @example((Table.matrix([], ["Wins"], []), DatasetKind.ROTOWIRE_TEAM))
+    @example((Table.attribute_value([("Name", "v")]), DatasetKind.E2E))
+    @example((Table.matrix(["Suns", "Magic"], ["Wins", "Losses"], [["1", "2"], ["3", "4"]]),
+              DatasetKind.ROTOWIRE_TEAM))
+    @given(tables())
+    def test_parse_reads_back_the_headers(self, case):
+        table, kind = case
+        assert table_of_kind(table, kind) is table
+        answer = structure_answer(table)
+        assert parse_structure_answer(answer, table.orientation) == (table.row_headers, table.col_headers)
+
+    def test_matrix_and_attribute_value_sequences(self):
+        matrix = Table.matrix(["Magic", "Hawks"], ["Wins", "Losses"], [["1", "2"], ["3", "4"]])
+        assert structure_answer(matrix) == "Magic <SEP> Hawks <ROWCOL> Wins <SEP> Losses"
+        assert structure_answer(Table.matrix([], ["Wins"], [])) == " <ROWCOL> Wins"
+        assert structure_answer(Table.attribute_value([("Name", "x"), ("Food", None)])) == "Name <SEP> Food"
 
 
 class TestFormulateQuestion:
@@ -152,6 +194,22 @@ class TestPromptBuilders:
     def test_qa_prompt_requires_question(self):
         with pytest.raises(ValueError):
             build_qa_prompt("passage", " ")
+
+    @pytest.mark.parametrize(
+        "build, text, need",
+        [(lambda t: build_qa_prompt("passage", "What is the Name?", t), "Passage: {{passage}}",
+          "{{passage}} slot and a {{question}} slot"),
+         (lambda t: build_qa_prompt("passage", "What is the Name?", t), "Question: {{question}}",
+          "{{passage}} slot and a {{question}} slot"),
+         (lambda t: build_structure_prompt("passage", DatasetKind.E2E, t), "Headers <SEP>:",
+          "{{passage}} slot and no {{question}} slot"),
+         (lambda t: build_baseline_prompt("passage", Orientation.MATRIX, t), "Table <NEWLINE>:",
+          "{{passage}} slot and no {{question}} slot")],
+        ids=["qa-no-question", "qa-no-passage", "structure-no-passage", "baseline-no-passage"],
+    )
+    def test_template_without_the_slots_it_fills_rejected_by_name(self, build, text, need):
+        with pytest.raises(ValueError, match=re.escape(f"template 'custom.txt' needs a {need}")):
+            build(PromptTemplate("custom.txt", text))
 
     def test_long_passage_truncated_to_budget(self):
         passage = " ".join(f"word{i}" for i in range(10_000))

@@ -18,7 +18,6 @@ from tabgen.table import (
     header_issues,
     normalize_text,
     parse_flat,
-    render_markdown,
     serialize_flat,
     table_from_json,
     table_to_json,
@@ -319,19 +318,3 @@ class TestHeaderIssues:
         table = Table.attribute_value([("Name", "a"), ("name", "b"), ("  ", "c")])
         issues = header_issues(table)
         assert len(issues) == 2
-
-
-class TestMarkdown:
-    def test_attribute_value(self):
-        table = Table.attribute_value([("Name", "The Eagle"), ("Near", None)])
-        rendered = render_markdown(table)
-        assert "| Name | The Eagle |" in rendered
-        assert "| Near |  |" in rendered
-
-    def test_matrix_escapes_pipes(self):
-        table = Table.matrix(["a"], ["x"], [["v|w"]])
-        assert "v\\|w" in render_markdown(table)
-
-    def test_example_render(self, rotowire_team_sample):
-        rendered = render_markdown(rotowire_team_sample.gold)
-        assert rendered.splitlines()[0].count("|") == 6
