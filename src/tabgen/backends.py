@@ -25,7 +25,7 @@ from bisect import bisect_left
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # numpy, requests and the date parsing only `Retry-After` needs are imported
 # where they are used, not here: they are most of a cold `import tabgen`, and
@@ -43,22 +43,24 @@ from tabgen.prompts import (
 from tabgen.table import NEWLINE_TOKEN, Table, serialize_flat
 
 
-# Stage two builds a request and a trace per cell, so these records fill
-# their instance dict in one call, where the `__init__` a frozen dataclass
-# generates sets each field by its own `object.__setattr__`. A dataclass
-# keeps an `__init__` its class defines, so a field added to one of these
-# records must be added to its `__init__` too.
-
-
-@dataclass(frozen=True)
-class GenerationRequest:
+class _RequestFields(NamedTuple):
     prompt: str
     max_new_tokens: int = 64
 
-    def __init__(self, prompt: str, max_new_tokens: int = 64):
+
+class GenerationRequest(_RequestFields):
+    """One completion request: an immutable tuple whose `max_new_tokens` is at least 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, prompt: str, max_new_tokens: int = 64):
         if max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
-        self.__dict__.update(prompt=prompt, max_new_tokens=max_new_tokens)
+        return tuple.__new__(cls, (prompt, max_new_tokens))
+
+    @classmethod
+    def _make(cls, iterable) -> "GenerationRequest":  # so `_replace` checks as well
+        return cls(*iterable)
 
     def as_dict(self) -> dict:
         """The request as its digest hashes it and a fixture records it."""

@@ -9,7 +9,6 @@ import zlib
 from argparse import Namespace
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
 
@@ -237,7 +236,8 @@ def _cmd_generate(args: Namespace) -> int:
         )
         trace_record = {
             "id": sample.id,
-            **asdict(trace),
+            "cells": [cell._asdict() for cell in trace.cells],
+            "structure_answer": trace.structure_answer,
             "structure_ms": round(trace.structure_ms, 3),
             "content_ms": round(trace.content_ms, 3),
         }

@@ -19,8 +19,8 @@ re-asks, over the old cells.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from tabgen.backends import BackendError, GenerationBackend, GenerationRequest, GenerationResponse
 from tabgen.kinds import DatasetKind
@@ -33,17 +33,19 @@ from tabgen.prompts import (
     build_structure_prompt,
     default_qa_template,
     detect_no_answer,
-    estimate_tokens,
     extract_numeric,
-    formulate_question,
     parse_structure_answer,
+    question_alone,
+    question_head,
     truncate_passage,
+    words_to_tokens,
 )
-from tabgen.table import Orientation, Table, dedupe_headers, normalize_text, parse_flat
+from tabgen.table import Orientation, Table, _new_tuple, dedupe_headers, normalize_text, parse_flat
 
 
-@dataclass(frozen=True)
-class CellTrace:
+class CellTrace(NamedTuple):
+    """What one cell was asked and answered: an immutable tuple."""
+
     row_header: str | None
     col_header: str
     question: str
@@ -51,22 +53,6 @@ class CellTrace:
     value: str | None
     latency_ms: float | None
     error: str | None = None
-
-    # One per cell: filled in one call, as `GenerationRequest` is.
-    def __init__(
-        self,
-        row_header: str | None,
-        col_header: str,
-        question: str,
-        raw_answer: str | None,
-        value: str | None,
-        latency_ms: float | None,
-        error: str | None = None,
-    ):
-        self.__dict__.update(
-            row_header=row_header, col_header=col_header, question=question,
-            raw_answer=raw_answer, value=value, latency_ms=latency_ms, error=error,
-        )
 
 
 @dataclass(frozen=True)
@@ -157,6 +143,11 @@ def _postprocess(raw: str, numeric: bool) -> str | None:
     return value or None
 
 
+def _counted(text: str) -> tuple[str, int]:
+    """`text` with its word count."""
+    return text, len(text.split())
+
+
 def _ask_slots(
     slots: list[tuple[int, int]],
     row_headers: Sequence[str],
@@ -180,37 +171,51 @@ def _ask_slots(
     questions and the raw results, aligned with `slots`. A slot under an
     empty column header is a ValueError, raised before any request is built.
 
-    Each prompt is byte for byte what `build_qa_prompt` builds, but the
-    passage is cut to the budget and filled into the template once per
-    distinct question token estimate: a prompt is then the question
-    joined into that cut's `PromptTemplate.segments`. A blank passage,
-    or a template without a passage and a question slot, is a
-    ValueError, raised once per batch.
+    Each question is `formulate_question`'s and each prompt is byte for
+    byte what `build_qa_prompt` builds, at the cost of a concatenation,
+    a lookup and a join per slot. A question is its column's head plus
+    its row's tail, `row header + "?"`; the head ends in a space, so the
+    question's word count is the sum of theirs. The passage is cut to the
+    budget and filled into the template once per distinct word count,
+    and a prompt is the question joined into that cut's
+    `PromptTemplate.segments`. A blank passage, a template without a
+    passage and a question slot, or an `answer_max_new_tokens` below 1
+    is a ValueError, raised once per batch.
     """
     if "" in col_headers and (empty := [c for _, c in slots if not col_headers[c]]):
         raise ValueError(f"cannot ask under column header {min(empty)}, which is empty")
-    numeric = kind.numeric
-    questions = [
-        formulate_question(row_headers[r] if row_headers else None, col_headers[c], numeric)
-        for r, c in slots
-    ]
-    if not questions:
-        return questions, []
+    if not slots:
+        return [], []
     if _blank(passage):
         raise ValueError("passage must be non-empty")
     template = template or default_qa_template()
     _require_slots(template, asks=True)
-    cut: dict[int, list[str]] = {}  # question token estimate -> segments, passage cut beside it
-    requests = []
-    for question in questions:
-        length = estimate_tokens(question)
-        segments = cut.get(length)
+    if answer_max_new_tokens < 1:
+        raise ValueError("max_new_tokens must be >= 1")
+    numeric = kind.numeric
+    rows = row_headers or ("",)  # an attribute-value table's one row has no header
+    # Each question piece with its word count, built when a slot first reads it: a
+    # row's tail ("" for no row header), a column's head, or its question alone.
+    tails: dict[int, tuple[str, int]] = {}
+    heads: dict[int, tuple[str, int]] = {}
+    alone: dict[int, tuple[str, int]] = {}
+    overhead = template.overhead_tokens
+    cut: dict[int, list[str]] = {}  # question word count -> segments, passage cut beside it
+    questions, requests = [], []
+    for r, c in slots:
+        tail = tails.get(r) or tails.setdefault(r, _counted(rows[r] + "?" if rows[r] else ""))
+        if tail[0]:
+            head = heads.get(c) or heads.setdefault(c, _counted(question_head(col_headers[c], numeric)))
+        else:
+            head = alone.get(c) or alone.setdefault(c, _counted(question_alone(col_headers[c])))
+        words = head[1] + tail[1]
+        segments = cut.get(words)
         if segments is None:
-            overhead = template.overhead_tokens + length
-            segments = cut[length] = template.segments(
-                truncate_passage(passage, max_input_tokens, overhead)
-            )
-        requests.append(GenerationRequest(question.join(segments), answer_max_new_tokens))
+            budget = overhead + words_to_tokens(words)
+            segments = cut[words] = template.segments(truncate_passage(passage, max_input_tokens, budget))
+        question = head[0] + tail[0]
+        questions.append(question)
+        requests.append(_new_tuple(GenerationRequest, (question.join(segments), answer_max_new_tokens)))
     results = backend.generate_batch(requests)
     values: dict[str, str | None] = {}  # answer text -> cell value, for this batch only
     for (r, c), result in zip(slots, results):
@@ -242,6 +247,15 @@ def generate_content(
     which is valid because every `Table` is; cells whose answer is a
     refusal, fails numeric extraction, or errors out are absent.
     """
+    return _generate_content(skeleton, passage, kind, backend, template, max_input_tokens, answer_max_new_tokens)
+
+
+def _generate_content(
+    skeleton: Table, passage: str, kind: DatasetKind, backend: GenerationBackend,
+    template: PromptTemplate | None, max_input_tokens: int | None, answer_max_new_tokens: int,
+    structure_answer: str | None = None, structure_ms: float = 0.0,
+) -> tuple[Table, GenerationTrace]:
+    """`generate_content`, its trace carrying stage one's answer and time as given."""
     started = time.monotonic()
     rows, cols = skeleton.row_headers, skeleton.col_headers
     slots = [(r, c) for r in range(len(skeleton.cells)) for c in range(len(cols))]
@@ -255,14 +269,13 @@ def generate_content(
     for (r, c), question, result in zip(slots, questions, results):
         row_header = rows[r] if rows else None
         if isinstance(result, BackendError):
-            traces.append(CellTrace(row_header, cols[c], question, None, None, None, str(result)))
+            cell = (row_header, cols[c], question, None, None, None, str(result))
         else:
-            traces.append(CellTrace(
-                row_header, cols[c], question, result.text, grid[r][c], result.latency_ms
-            ))
+            cell = (row_header, cols[c], question, result.text, grid[r][c], result.latency_ms, None)
+        traces.append(_new_tuple(CellTrace, cell))
     table = Table(skeleton.orientation, rows, cols, grid)
-    trace = GenerationTrace(cells=tuple(traces), content_ms=(time.monotonic() - started) * 1000.0)
-    return table, trace
+    content_ms = (time.monotonic() - started) * 1000.0
+    return table, GenerationTrace(tuple(traces), structure_answer, structure_ms, content_ms)
 
 
 def generate_table_traced(
@@ -292,16 +305,10 @@ def generate_table_traced(
         )
         structure_ms = (time.monotonic() - started) * 1000.0
 
-    table, trace = generate_content(
-        skeleton,
-        passage,
-        kind,
-        backend,
-        template=qa_template,
-        max_input_tokens=max_input_tokens,
-        answer_max_new_tokens=answer_max_new_tokens,
+    return _generate_content(
+        skeleton, passage, kind, backend, qa_template, max_input_tokens, answer_max_new_tokens,
+        structure_answer, structure_ms,
     )
-    return table, replace(trace, structure_answer=structure_answer, structure_ms=structure_ms)
 
 
 def generate_table(

@@ -153,7 +153,12 @@ def packaged_templates() -> list[PromptTemplate]:
 
 
 def estimate_tokens(text: str) -> int:
-    return math.ceil(len(text.split()) * TOKEN_ESTIMATE_FACTOR)
+    return words_to_tokens(len(text.split()))
+
+
+def words_to_tokens(words: int) -> int:
+    """The token estimate of a text of `words` whitespace-separated words."""
+    return math.ceil(words * TOKEN_ESTIMATE_FACTOR)
 
 
 def _blank(text: str) -> bool:
@@ -181,11 +186,11 @@ def parse_header_sequence(text: str) -> list[str]:
     Pieces that are empty (or normalize to empty) are dropped; duplicates
     get the " #2" suffix treatment. Raises NoHeaders when nothing remains.
     """
-    pieces = [piece.strip() for piece in text.split(SEP_TOKEN)]
-    pieces = [piece for piece in pieces if piece and normalize_text(piece)]
-    if not pieces:
+    kept = [(piece.strip(), norm) for piece in text.split(SEP_TOKEN) if (norm := normalize_text(piece))]
+    if not kept:
         raise NoHeaders(f"no headers in {text!r}")
-    return dedupe_headers(pieces)
+    pieces = [piece for piece, _ in kept]
+    return pieces if len({norm for _, norm in kept}) == len(kept) else dedupe_headers(pieces)
 
 
 def structure_answer(table: Table) -> str:
@@ -227,10 +232,18 @@ def formulate_question(
     if not col_header:
         raise ValueError("col_header must be non-empty")
     if row_header is None or row_header == "":
-        return f"What is the {col_header}?"
-    if numeric_hint:
-        return f"What is the number of {col_header} for {row_header}?"
-    return f"What is the {col_header} for {row_header}?"
+        return question_alone(col_header)
+    return question_head(col_header, numeric_hint) + row_header + "?"
+
+
+def question_head(col_header: str, numeric_hint: bool = False) -> str:
+    """A question about a row up to its row header, which `formulate_question` follows with "?"."""
+    return f"What is the {'number of ' if numeric_hint else ''}{col_header} for "
+
+
+def question_alone(col_header: str) -> str:
+    """The question for a cell with no row header."""
+    return f"What is the {col_header}?"
 
 
 def _require_slots(template: PromptTemplate, asks: bool) -> None:
@@ -304,7 +317,7 @@ _NUMBER_WORD_RE = re.compile(
     rf"\b(?:(?:{_UNIT_ALT}|a)[\s-]hundred(?:{_JOIN}{_BELOW_HUNDRED})?|{_BELOW_HUNDRED})\b",
     re.IGNORECASE,
 )
-_DIGITS_RE = re.compile(r"\d+")
+_DIGITS_RE = re.compile(r"\d{1,3}(?:,\d{3})+(?!\d)|\d+")  # "18,624" is one number
 
 
 def _words_to_int(phrase: str) -> int:
@@ -323,7 +336,7 @@ def _words_to_int(phrase: str) -> int:
 def extract_numeric(answer: str) -> int | None:
     """Return the first number in the answer, reading digits and spelled-out cardinals.
 
-    The leftmost occurrence wins regardless of form, so "scored 21 and
+    Digits grouped by commas in thousands are one number ("1,024" is 1024). The leftmost occurrence wins regardless of form, so "scored 21 and
     five" yields 21 while "talled just five points" yields 5. Returns
     None when no number is present, or when the first is a digit run
     longer than Python converts between int and str (4,300 digits by
@@ -333,7 +346,7 @@ def extract_numeric(answer: str) -> int | None:
     word_match = _NUMBER_WORD_RE.search(answer)
     if digit_match and (not word_match or digit_match.start() <= word_match.start()):
         try:
-            return int(digit_match.group())
+            return int(digit_match.group().replace(",", ""))
         except ValueError:
             return None
     if word_match:

@@ -132,42 +132,40 @@ def reference_mock_vector(text: str, dim: int):
 
 
 def check_frozen_record(cls: type, values: Sequence, others: Sequence) -> None:
-    """`cls`'s own `__init__` behaves as the one its dataclass would generate.
+    """`cls` is an immutable record, a `NamedTuple` or a frozen dataclass, that holds its fields by value.
 
     `values` and `others` give every field, in order, two different values.
-    The signature must list the dataclass fields with their defaults, so a
-    field added to the class but not to `__init__` fails here.
+    The signature must list the fields with their defaults, so a field
+    the constructor does not take fails here.
     """
-    fields = dataclasses.fields(cls)
-    names = [f.name for f in fields]
+    if dataclasses.is_dataclass(cls):
+        fields = dataclasses.fields(cls)
+        names = [f.name for f in fields]
+        defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+        as_dict, replace = dataclasses.asdict, dataclasses.replace
+    else:
+        names, defaults = list(cls._fields), cls._field_defaults
+        as_dict, replace = cls._asdict, cls._replace
+        assert not hasattr(cls(*values), "__dict__")  # no instance dict beside the tuple
     empty = inspect.Parameter.empty
     assert [
         (p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()
-    ] == [
-        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
-         empty if f.default is dataclasses.MISSING else f.default)
-        for f in fields
-    ]
-    required = [f for f in fields if f.default is dataclasses.MISSING]
-    defaulted = cls(*values[: len(required)])
-    assert vars(defaulted) == {
-        **dict(zip(names, values)), **{f.name: f.default for f in fields[len(required):]}
-    }
+    ] == [(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, defaults.get(name, empty)) for name in names]
+    required = len(names) - len(defaults)
+    assert as_dict(cls(*values[:required])) == {**dict(zip(names, values[:required])), **defaults}
 
     record = cls(*values)
     by_keyword = cls(**dict(zip(names, values)))
-    assert vars(record) == dict(zip(names, values))
+    assert as_dict(record) == dict(zip(names, values))
+    assert [getattr(record, name) for name in names] == list(values)
     assert record == by_keyword and hash(record) == hash(by_keyword)
     assert record != cls(*others)
     assert repr(record) == f"{cls.__name__}(" + ", ".join(
         f"{name}={value!r}" for name, value in zip(names, values)) + ")"
-    assert dataclasses.asdict(record) == dict(zip(names, values))
     assert pickle.loads(pickle.dumps(record)) == record
     for name, other in zip(names, others):
-        assert vars(dataclasses.replace(record, **{name: other})) == {
-            **dict(zip(names, values)), name: other
-        }
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert as_dict(replace(record, **{name: other})) == {**dict(zip(names, values)), name: other}
+        with pytest.raises(AttributeError):
             setattr(record, name, other)
 
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import gc
 import hashlib
 import json
@@ -85,10 +84,10 @@ class TestRequestTypes:
         with pytest.raises(ValueError, match="max_new_tokens must be >= 1"):
             make()
 
-    def test_request_init_is_the_dataclass_one(self):
+    def test_request_is_a_frozen_record(self):
         check_frozen_record(GenerationRequest, ("p", 8), ("q", 9))
         with pytest.raises(ValueError, match="max_new_tokens"):
-            dataclasses.replace(GenerationRequest("p"), max_new_tokens=0)
+            GenerationRequest("p")._replace(max_new_tokens=0)
 
     def test_response_init_is_the_dataclass_one(self):
         check_frozen_record(GenerationResponse, ("ok", 3, 1, 0.5), ("no", 4, 2, 1.5))

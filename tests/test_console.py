@@ -10,6 +10,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,12 @@ from tabgen.table import table_from_json, table_to_json
 
 EXAMPLES = [name for name in list_fixtures() if name.endswith("_example.jsonl")]
 CORPORA = [name for name in list_fixtures() if name.endswith(("_example.jsonl", "_mini.jsonl"))]
+
+
+def console_env() -> dict[str, str]:
+    """This process's environment, with the package's source directory on `PYTHONPATH` for a subprocess."""
+    src = str(Path(tabgen.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.mark.parametrize("corpus", EXAMPLES)
@@ -127,12 +135,10 @@ def test_console_script_generation_with_a_line_after_the_question_scores_one(tmp
     qa.write_text(default_qa_template().text.replace(
         "{{question}}", "{{question}}\nAnswer in a few words."), "utf-8")
     path, pred = str(fixture_path("rotowire-team_example.jsonl")), tmp_path / "pred.jsonl"
-    src = str(Path(tabgen.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run(
         [sys.executable, "-m", "tabgen.cli", "generate", "--kind", "rotowire-team", "--backend",
          "mock-oracle", "--in", path, "--out", str(pred), "--qa-template", str(qa)],
-        env=env, check=True, timeout=120,
+        env=console_env(), check=True, timeout=120,
     )
     cell, semantic_header, semantic_cell = score_generation(tmp_path, "rotowire-team", path, pred)
     assert cell == 1.0
@@ -193,13 +199,55 @@ def test_the_request_cache_changes_no_output(tmp_path, corpus):
 
 def test_console_script_rejects_a_missing_corpus_without_a_traceback(tmp_path):
     # The console script's module itself, in a subprocess: exit 2 and one `config error:` line.
-    src = str(Path(tabgen.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-m", "tabgen.cli", "generate", "--kind", "e2e", "--backend", "mock-oracle",
          "--in", str(tmp_path / "missing.jsonl")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=console_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 2
     assert done.stderr.startswith("config error:") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+def test_samples_overlap_on_a_loopback_http_backend(tmp_path):
+    # `generate` and `baseline` over `http`, against the loopback stub that answers as
+    # the mock oracle, write what `mock-oracle` writes; baseline asks one call per
+    # sample, so a peak of 2 or more calls in flight means samples overlapped.
+    env = console_env()
+    port = tmp_path / "port"
+    corpora = {name: str(fixture_path(f"{name}.jsonl")) for name in ("rotowire-team_mini", "e2e_mini")}
+    stub = subprocess.Popen(
+        [sys.executable, str(Path(__file__).parents[1] / "tools" / "oracle_server.py"), str(port),
+         *(f"{name.removesuffix('_mini')}={path}" for name, path in corpora.items())],
+        env=env,
+    )
+    try:
+        for _ in range(300):
+            if port.exists() or stub.poll() is not None:
+                break
+            time.sleep(0.1)
+        url = f"http://127.0.0.1:{port.read_text('utf-8')}"
+
+        def peak() -> int:
+            """The most requests the stub had in flight at once since this was last asked."""
+            with urllib.request.urlopen(url + "/peak", timeout=30) as response:
+                return json.load(response)["peak"]
+
+        for name, path in corpora.items():
+            for command in ("generate", "baseline"):
+                run = [sys.executable, "-m", "tabgen.cli", command, "--kind", name.removesuffix("_mini"),
+                       "--in", path]
+                oracle = tmp_path / f"{name}.{command}.oracle.jsonl"
+                http = tmp_path / f"{name}.{command}.http.jsonl"
+                subprocess.run([*run, "--backend", "mock-oracle", "--out", str(oracle)],
+                               env=env, check=True, timeout=120)
+                peak()
+                subprocess.run([*run, "--backend", "http", "--base-url", url, "--concurrency", "4",
+                                "--out", str(http)], env=env, check=True, timeout=120)
+                in_flight = peak()
+                assert http.read_bytes() == oracle.read_bytes(), (name, command)
+                if command == "baseline":
+                    assert 2 <= in_flight <= 4, (name, in_flight)
+    finally:
+        stub.kill()
+        stub.wait(timeout=30)

@@ -478,6 +478,13 @@ class TestExtractNumeric:
     def test_empty(self):
         assert extract_numeric("") is None
 
+    @pytest.mark.parametrize("answer, number", [
+        ("1,024", 1024), ("attendance was 18,624", 18624), ("1,000,000 fans", 1000000),
+        ("the 10,000th point", 10000), ("3,14", 3), ("1,0245", 1), ("21, 5 rebounds", 21),
+    ])
+    def test_thousands_grouped_by_commas_are_one_number(self, answer, number):
+        assert extract_numeric(answer) == number
+
 
 class TestDetectNoAnswer:
     def test_unknown_case_insensitive(self):

@@ -39,6 +39,9 @@ class OracleServer(ThreadingHTTPServer):
 
 class OracleHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"  # keep-alive, as a hosted service would
+    # A response goes out in more than one write; without this, a kept-alive
+    # connection waits out the client's delayed ACK before the body is sent.
+    disable_nagle_algorithm = True
     server: OracleServer
 
     def do_POST(self) -> None:
