@@ -35,9 +35,9 @@ from tabgen.prompts import (
     detect_no_answer,
     extract_numeric,
     parse_structure_answer,
+    passage_fitter,
     question_alone,
     question_head,
-    truncate_passage,
     words_to_tokens,
 )
 from tabgen.table import Orientation, Table, _new_tuple, dedupe_headers, normalize_text, parse_flat
@@ -175,12 +175,14 @@ def _ask_slots(
     byte what `build_qa_prompt` builds, at the cost of a concatenation,
     a lookup and a join per slot. A question is its column's head plus
     its row's tail, `row header + "?"`; the head ends in a space, so the
-    question's word count is the sum of theirs. The passage is cut to the
-    budget and filled into the template once per distinct word count,
-    and a prompt is the question joined into that cut's
-    `PromptTemplate.segments`. A blank passage, a template without a
-    passage and a question slot, or an `answer_max_new_tokens` below 1
-    is a ValueError, raised once per batch.
+    question's word count is the sum of theirs. The passage is filled
+    into the template once per distinct word count, cut to the budget
+    that count leaves, and a prompt is the question joined into that
+    cut's `PromptTemplate.segments`. The passage is split into words at
+    most once per batch, and only when its length does not already bound
+    its estimate under the budget (`passage_fitter`). A blank passage, a
+    template without a passage and a question slot, or an
+    `answer_max_new_tokens` below 1 is a ValueError, raised once per batch.
     """
     if "" in col_headers and (empty := [c for _, c in slots if not col_headers[c]]):
         raise ValueError(f"cannot ask under column header {min(empty)}, which is empty")
@@ -200,6 +202,7 @@ def _ask_slots(
     heads: dict[int, tuple[str, int]] = {}
     alone: dict[int, tuple[str, int]] = {}
     overhead = template.overhead_tokens
+    fit = passage_fitter(passage, max_input_tokens)
     cut: dict[int, list[str]] = {}  # question word count -> segments, passage cut beside it
     questions, requests = [], []
     for r, c in slots:
@@ -212,7 +215,7 @@ def _ask_slots(
         segments = cut.get(words)
         if segments is None:
             budget = overhead + words_to_tokens(words)
-            segments = cut[words] = template.segments(truncate_passage(passage, max_input_tokens, budget))
+            segments = cut[words] = template.segments(fit(budget))
         question = head[0] + tail[0]
         questions.append(question)
         requests.append(_new_tuple(GenerationRequest, (question.join(segments), answer_max_new_tokens)))
@@ -340,16 +343,25 @@ def baseline_generate(
 
 def _header_finder(headers: Sequence[str], what: str) -> Callable[[str], int]:
     """Look up a re-ask address header on one axis: by exact text first, then
-    by normalized text when that names exactly one header."""
+    by normalized text when that names exactly one header.
+
+    The axis's headers, and an address, are normalized only once an address
+    misses by exact text, so addresses that all match exactly normalize nothing.
+    """
     exact: dict[str, list[int]] = {}
-    normalized: dict[str, list[int]] = {}
     for i, header in enumerate(headers):
         exact.setdefault(header, []).append(i)
-        normalized.setdefault(normalize_text(header), []).append(i)
+    normalized: dict[str, list[int]] | None = None
 
     def find(header: str) -> int:
-        norm = normalize_text(header)
-        matches = exact.get(header) or normalized.get(norm, [])
+        nonlocal normalized
+        matches = exact.get(header)
+        if not matches:
+            if normalized is None:
+                normalized = {}
+                for i, known in enumerate(headers):
+                    normalized.setdefault(normalize_text(known), []).append(i)
+            matches = normalized.get(normalize_text(header), [])
         if not matches:
             raise ValueError(f"unknown {what} {header!r} in re-ask address")
         if len(matches) > 1:
@@ -409,9 +421,13 @@ def update_table(
     """Fill only new or designated slots against new evidence.
 
     Untouched cells are carried over unchanged and no questions are asked
-    for them, so the cost is exactly the delta size: one question per
-    distinct slot. An empty delta returns the table as is without any
-    backend call; a blank added header is a ValueError.
+    for them: the backend gets one call per distinct slot the delta adds
+    or re-asks. The CPU work is that of the delta, plus one normalization
+    pass over an axis that grows (its added headers are de-duplicated
+    against the old ones), plus normalizing a lookup axis only when a
+    re-ask address on it misses every header by exact text. An empty
+    delta returns the table as is without any backend call; a blank
+    added header is a ValueError.
     """
     reask_slots = _fit_delta(table, delta)
     if delta.is_empty():

@@ -508,7 +508,20 @@ class TestQAPrompts:
         )
         assert sorted(prompts) == sorted(expected)
 
-    def test_passage_and_template_are_counted_once(self, monkeypatch, rotowire_team_sample):
+    class SplitCounted(str):
+        """A passage that counts the times it is split into words."""
+
+        splits = 0
+
+        def split(self, *args, **kwargs):
+            self.splits += 1
+            return super().split(*args, **kwargs)
+
+    # 2048 leaves room for any passage of the sample's length; 400 fits the
+    # passage's words but not its length bound; 60 cuts the passage.
+    @pytest.mark.parametrize("budget, splits", [(2048, 0), (400, 1), (60, 1)])
+    def test_passage_and_template_are_counted_once(self, monkeypatch, rotowire_team_sample, budget,
+                                                    splits):
         counted: list[str] = []
         real = prompts_module.estimate_tokens
 
@@ -518,17 +531,23 @@ class TestQAPrompts:
 
         monkeypatch.setattr(prompts_module, "estimate_tokens", counting)
         template = PromptTemplate(name="qa", text=default_qa_template().text)
-        gold = rotowire_team_sample.gold
-        skeleton = gold
-        passage = rotowire_team_sample.text
-        generate_content(skeleton, passage, DatasetKind.ROTOWIRE_TEAM, oracle_for(rotowire_team_sample),
-                         template=template)
+        skeleton = rotowire_team_sample.gold
+        passage = self.SplitCounted(rotowire_team_sample.text)
         questions = questions_for_headers(
             Orientation.MATRIX, skeleton.row_headers, skeleton.col_headers, True
         )
-        lengths = {real(q.question) for q in questions}
-        assert len(questions) > len(lengths)
-        assert counted.count(passage) == len(lengths)
+        assert len({real(q.question) for q in questions}) > 1
+        kind = DatasetKind.ROTOWIRE_TEAM
+        prompts = self.recorded_prompts(lambda backend: generate_content(
+            skeleton, passage, kind, backend, template=template, max_input_tokens=budget))
+        assert (rotowire_team_sample.text in prompts[0]) == (budget > 60)
+        assert passage.splits == splits
+        # An update is a batch of its own, and splits the passage afresh.
+        delta = SkeletonDelta(add_row_headers=("Suns",), add_col_headers=("Steals",))
+        update_table(skeleton, delta, passage, kind, ScriptedBackend(lambda prompt: "7"),
+                     template=template, max_input_tokens=budget)
+        assert passage.splits == 2 * splits
+        assert rotowire_team_sample.text not in counted
         bare = template.text.replace("{{passage}}", "").replace("{{question}}", "")
         assert counted.count(bare) == 1
 
@@ -609,14 +628,24 @@ class TestCountedOnce:
         # The update's batch post-processes its own answers: nothing is kept across calls.
         assert sorted(counted) == ["7", "scored 7", "twelve", "unknown"]
 
-    def test_reask_normalizes_each_address_header_once(self, monkeypatch):
+    def test_reask_normalizes_only_on_an_exact_miss(self, monkeypatch):
         rows, cols = ["Magic", "Hawks", "Suns"], ["Wins", "Losses"]
         table = Table.matrix(rows, cols, [[None, "1"], ["2", None], [None, None]])
-        reask = (("magic", "WINS"), (" Hawks", "losses "), ("Suns", '"Wins"'))
         counted = self.counting(monkeypatch, [(pipeline_module, "normalize_text")],
                                 pipeline_module.normalize_text)
+        exact = (("Magic", "Wins"), ("Hawks", "Losses"), ("Suns", "Wins"), ("Suns", "Losses"))
+        assert pipeline_module._resolve_reask(table, exact) == [(0, 0), (1, 1), (2, 0), (2, 1)]
+        assert counted == []
+        # One address misses its column by exact text: the column axis is
+        # normalized once, with that address, and the row axis not at all.
+        reask = (("Magic", "Wins"), ("Hawks", "losses "), ("Suns", "Wins"), ("Suns", "Losses"))
+        assert pipeline_module._resolve_reask(table, reask) == [(0, 0), (1, 1), (2, 0), (2, 1)]
+        assert sorted(counted) == sorted([*cols, "losses "])
+        # Misses on both axes normalize each axis once, and each missing address.
+        counted.clear()
+        reask = (("magic", "WINS"), (" Hawks", "losses "), ("Suns", '"Wins"'))
         assert pipeline_module._resolve_reask(table, reask) == [(0, 0), (1, 1), (2, 0)]
-        assert sorted(counted) == sorted([*rows, *cols, *(h for address in reask for h in address)])
+        assert sorted(counted) == sorted([*rows, *cols, "magic", "WINS", " Hawks", "losses ", '"Wins"'])
 
     @pytest.mark.parametrize(
         "address, message",
@@ -966,6 +995,93 @@ class TestUpdateDeltaChecks:
         assert backend.calls == 2
         assert updated == gold
         assert pipeline_module._resolve_reask(blanked, reask) == [(1, 0), (0, 0)]
+
+
+# Re-ask lookup as it was when every header and address was normalized up
+# front, kept verbatim as the reference the lazy lookup must reproduce.
+
+
+def _ref_header_finder(headers, what):
+    """Look up a re-ask address header on one axis: by exact text first, then
+    by normalized text when that names exactly one header."""
+    exact: dict[str, list[int]] = {}
+    normalized: dict[str, list[int]] = {}
+    for i, header in enumerate(headers):
+        exact.setdefault(header, []).append(i)
+        normalized.setdefault(normalize_text(header), []).append(i)
+
+    def find(header: str) -> int:
+        norm = normalize_text(header)
+        matches = exact.get(header) or normalized.get(norm, [])
+        if not matches:
+            raise ValueError(f"unknown {what} {header!r} in re-ask address")
+        if len(matches) > 1:
+            raise ValueError(f"{what} {header!r} in re-ask address matches {len(matches)} headers")
+        return matches[0]
+
+    return find
+
+
+def _ref_resolve_reask(table, reask):
+    attribute_value = table.orientation is Orientation.ATTRIBUTE_VALUE
+    find_row = _ref_header_finder(table.row_headers, "row header")
+    find_col = _ref_header_finder(table.col_headers, "header" if attribute_value else "column header")
+    resolved: list[tuple[int, int]] = []
+    for row_header, col_header in reask:
+        if attribute_value and row_header not in (None, ""):
+            raise ValueError("attribute-value re-ask addresses have no row header")
+        if not attribute_value and row_header is None:
+            raise ValueError("unknown row header None in re-ask address")
+        r = 0 if attribute_value else find_row(row_header)
+        c = find_col(col_header)
+        if table.cells[r][c] is not None:
+            cell = f"for {col_header!r}" if attribute_value else f"({row_header!r}, {col_header!r})"
+            raise ValueError(f"cell {cell} is present; only absent cells can be re-asked")
+        resolved.append((r, c))
+    return list(dict.fromkeys(resolved))
+
+
+class TestReaskReference:
+    """Re-ask addresses resolve to the slots, or fail with the message, they always have."""
+
+    # Exact duplicates, and headers that collide only once normalized (case,
+    # padding, quotes, inner whitespace), so an address can hit, miss or be ambiguous.
+    HEADER = st.sampled_from(["Wins", "wins", "WINS", " Wins", "Wins ", '"Wins"', "'wins'", "Losses",
+                              "a  b", "A B", "Pts", "", " "])
+
+    @staticmethod
+    def outcome(resolve, table, reask):
+        try:
+            return resolve(table, reask)
+        except ValueError as err:
+            return str(err)
+
+    @classmethod
+    def address_header(cls, headers):
+        """A header of the axis as given or as a normalized collision, or any other header."""
+        if not headers:
+            return cls.HEADER
+        known = st.sampled_from(headers)
+        return st.one_of(known, known.map(lambda h: f" {h.upper()} "), known.map(lambda h: f'"{h}"'),
+                         cls.HEADER)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(Orientation)), st.lists(HEADER, max_size=5), st.lists(HEADER, max_size=5),
+           st.data())
+    def test_resolve_reask_matches_reference(self, orientation, rows, cols, data):
+        if orientation is Orientation.ATTRIBUTE_VALUE:
+            rows = []
+            row = st.sampled_from([None, None, None, "", "Wins"])
+        else:
+            row = st.one_of(st.none(), self.address_header(rows))
+        height = 1 if orientation is Orientation.ATTRIBUTE_VALUE else len(rows)
+        value = st.sampled_from([None, None, None, "v"])
+        cells = data.draw(st.lists(st.lists(value, min_size=len(cols), max_size=len(cols)),
+                                   min_size=height, max_size=height))
+        table = Table(orientation, rows, cols, cells)
+        reask = data.draw(st.lists(st.tuples(row, self.address_header(cols)), min_size=1, max_size=4))
+        got = self.outcome(pipeline_module._resolve_reask, table, tuple(reask))
+        assert got == self.outcome(_ref_resolve_reask, table, tuple(reask))
 
 
 class TestSkeletonDelta:

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tabgen import prompts
@@ -436,6 +437,43 @@ class TestTruncation:
 
     def test_always_keeps_one_word(self):
         assert truncate_passage("alpha beta", 0, overhead_tokens=50) == "alpha"
+
+    # Every character `str.split()` splits on (the last is U+3000), astral
+    # characters, and any other character.
+    SPACES = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+    ASTRAL = "\U0001f600\U00010000\U0010ffff"
+    CHARS = st.one_of(st.sampled_from(SPACES), st.sampled_from("ab" + ASTRAL), st.characters())
+    # One-character words between single separators: as many words as the length allows.
+    DENSE = st.tuples(st.sampled_from(SPACES), st.lists(st.sampled_from("ab" + ASTRAL), max_size=20))
+
+    @settings(max_examples=400)
+    @given(st.one_of(st.text(CHARS, max_size=40), DENSE.map(lambda d: d[0].join(d[1]))), st.lists(st.integers(0, 30), min_size=1, max_size=4),
+           st.sampled_from(["length bound", "estimate", None]), st.integers(-3, 3))
+    def test_matches_reference(self, passage, overheads, near, offset):
+        # A budget just either side of what the passage's length bound, or its
+        # estimate, needs beside the first overhead; or no budget.
+        needs = {"length bound": prompts.words_to_tokens((len(passage) + 1) // 2),
+                 "estimate": estimate_tokens(passage)}.get(near)
+        budget = None if needs is None else needs + overheads[0] + offset
+        assert truncate_passage(passage, budget, overheads[0]) == _ref_truncate_passage(
+            passage, budget, overheads[0])
+        # One fitter serves every overhead, one above the budget too.
+        if budget is not None:
+            overheads.append(budget + 1)
+        fit = prompts.passage_fitter(passage, budget)
+        assert [fit(o) for o in overheads] == [_ref_truncate_passage(passage, budget, o) for o in overheads]
+
+
+# `truncate_passage` as it was when it split every passage to count it, kept
+# verbatim as the reference the length-bounded path must reproduce.
+def _ref_truncate_passage(passage: str, budget_tokens: int | None, overhead_tokens: int = 0) -> str:
+    if budget_tokens is None:
+        return passage
+    available = budget_tokens - overhead_tokens
+    if estimate_tokens(passage) <= available:
+        return passage
+    keep = max(1, math.floor(available / prompts.TOKEN_ESTIMATE_FACTOR))
+    return " ".join(passage.split()[:keep])
 
 
 class TestExtractNumeric:
