@@ -35,9 +35,9 @@ from tabgen.prompts import (
     detect_no_answer,
     extract_numeric,
     parse_structure_answer,
-    passage_fitter,
     question_alone,
     question_head,
+    truncate_passage,
     words_to_tokens,
 )
 from tabgen.table import Orientation, Table, _new_tuple, dedupe_headers, normalize_text, parse_flat
@@ -175,14 +175,14 @@ def _ask_slots(
     byte what `build_qa_prompt` builds, at the cost of a concatenation,
     a lookup and a join per slot. A question is its column's head plus
     its row's tail, `row header + "?"`; the head ends in a space, so the
-    question's word count is the sum of theirs. The passage is filled
-    into the template once per distinct word count, cut to the budget
-    that count leaves, and a prompt is the question joined into that
-    cut's `PromptTemplate.segments`. The passage is split into words at
-    most once per batch, and only when its length does not already bound
-    its estimate under the budget (`passage_fitter`). A blank passage, a
-    template without a passage and a question slot, or an
-    `answer_max_new_tokens` below 1 is a ValueError, raised once per batch.
+    question's word count is the sum of theirs. The passage is cut to
+    the budget each distinct word count leaves and filled into the
+    template once per count, and a prompt is the question joined into
+    that cut's `PromptTemplate.segments`. `truncate_passage` splits the
+    passage into words only when its length does not already bound its
+    estimate under that budget. A blank passage, a template without a
+    passage and a question slot, or an `answer_max_new_tokens` below 1
+    is a ValueError, raised once per batch.
     """
     if "" in col_headers and (empty := [c for _, c in slots if not col_headers[c]]):
         raise ValueError(f"cannot ask under column header {min(empty)}, which is empty")
@@ -202,7 +202,6 @@ def _ask_slots(
     heads: dict[int, tuple[str, int]] = {}
     alone: dict[int, tuple[str, int]] = {}
     overhead = template.overhead_tokens
-    fit = passage_fitter(passage, max_input_tokens)
     cut: dict[int, list[str]] = {}  # question word count -> segments, passage cut beside it
     questions, requests = [], []
     for r, c in slots:
@@ -215,7 +214,7 @@ def _ask_slots(
         segments = cut.get(words)
         if segments is None:
             budget = overhead + words_to_tokens(words)
-            segments = cut[words] = template.segments(fit(budget))
+            segments = cut[words] = template.segments(truncate_passage(passage, max_input_tokens, budget))
         question = head[0] + tail[0]
         questions.append(question)
         requests.append(_new_tuple(GenerationRequest, (question.join(segments), answer_max_new_tokens)))

