@@ -4,11 +4,11 @@ Three generation backends share one contract: a remote HTTP completion
 service, a gold-table oracle for offline testing, and a request store
 that answers each distinct request once, from memory or from fixtures
 it replays and records for deterministic CI. Each backend that waits
-dispatches batches for its whole life with one in-flight cap and one
-set of helper threads (see `GenerationBackend`), which a store stacked
-on it shares; the oracle and a replay-only store never wait and answer
-inline. Responses are realigned by index, so callers never observe
-completion order.
+has one in-flight cap and one pool of helper threads for its whole life
+(see `GenerationBackend`), which serves a corpus's samples and their
+batches alike and which a store stacked on it shares; the oracle and a
+replay-only store never wait and answer inline. Responses are realigned
+by index, so callers never observe completion order.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from bisect import bisect_left
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # numpy, requests and the date parsing only `Retry-After` needs are imported
 # where they are used, not here: they are most of a cold `import tabgen`, and
@@ -207,11 +207,15 @@ class GenerationBackend(ABC):
 
     A backend whose own calls wait (`waits`, a class attribute) holds one
     of its `concurrency` slots for each call, so every sample, stage and
-    thread that shares it shares one in-flight cap. A batch is worked by
-    the calling thread beside at most `concurrency - 1` helper threads,
-    which the backend starts when it first needs them and releases when
-    it is collected. A backend whose calls never wait answers every batch
-    on the calling thread. A `WrapperBackend` has no slots or helpers.
+    thread that shares it shares one in-flight cap. `map` works a list (a
+    batch's requests, or a corpus's samples) on the calling thread beside
+    at most `concurrency - 1` helper threads, which the backend starts
+    when it first needs them and releases when it is collected. A batch
+    asked on a helper queues its helper tasks behind the samples and is
+    worked by that helper, beside any other that comes free; tasks still
+    queued when it ends are cancelled. A backend whose calls never wait
+    works every list on the calling thread. A `WrapperBackend` has no
+    slots or helpers.
     """
 
     # Whether a call waits on something outside the process (a service, a
@@ -254,24 +258,24 @@ class GenerationBackend(ABC):
             except BackendError as err:
                 return err
 
-        helpers = min(self.concurrency, len(requests_)) - 1 if self.waits else 0
-        if helpers:
-            results = self._dispatch(call, requests_, helpers)
-        else:
-            results = [call(r) for r in requests_]
-
+        results = self.map(call, requests_)
         if all(isinstance(r, Unreachable) for r in results):
             raise Unreachable(f"all {len(results)} batched requests failed as unreachable")
         return results
 
-    def _dispatch(self, call, requests_: Sequence[GenerationRequest], helpers: int) -> list:
-        """`call` on every request, by this thread and up to `helpers` helper threads.
+    def map(self, fn: Callable, items: Sequence) -> list:
+        """`fn` on every item, aligned by index: beside the helpers if the backend's calls wait."""
+        helpers = min(self.concurrency, len(items)) - 1 if self.waits else 0
+        return self._dispatch(fn, items, helpers) if helpers > 0 else [fn(item) for item in items]
 
-        A helper that gets to the batch after it is answered finds nothing
+    def _dispatch(self, call, items: Sequence, helpers: int) -> list:
+        """`call` on every item, by this thread and up to `helpers` helper threads.
+
+        A helper that gets to the items after they are done finds nothing
         left to take. An error a call raises is raised here.
         """
-        results: list = [None] * len(requests_)
-        order = iter(range(len(requests_)))
+        results: list = [None] * len(items)
+        order = iter(range(len(items)))
         lock = threading.Lock()
 
         def work() -> None:
@@ -280,7 +284,7 @@ class GenerationBackend(ABC):
                     i = next(order, None)
                 if i is None:
                     return
-                results[i] = call(requests_[i])
+                results[i] = call(items[i])
 
         with self._helpers_lock:
             if self._helpers is None:
@@ -384,10 +388,23 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
     def __init__(self, config: BackendConfig):
         import requests
         from requests.adapters import HTTPAdapter
+        from urllib.parse import urlsplit
 
         super().__init__(concurrency=config.concurrency)
         if not config.base_url:
             raise ValueError("http backend requires base_url")
+        # Checked here, so a malformed endpoint fails at start-up rather than at every call.
+        try:
+            url = urlsplit(config.base_url)
+            valid = url.scheme in ("http", "https") and url.hostname and url.port != 0
+        except ValueError:  # `port` raises it for a port that is not a number up to 65535
+            valid = False
+        if not valid:
+            raise ValueError(f"base_url {config.base_url!r} needs an http:// or https:// scheme, a host"
+                             " and, if it names a port, one from 1 to 65535")
+        for name in ("completion_path", "embeddings_path"):
+            if not getattr(config, name).startswith("/"):
+                raise ValueError(f"{name} {getattr(config, name)!r} must start with '/'")
         self.config = config
         # One connection pool per backend, as large as its in-flight cap, so
         # calls reuse connections instead of opening one each. Its headers are
@@ -435,6 +452,11 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
             raise BackendTimeout(f"timeout calling {url}") from err
         except requests.ConnectionError as err:
             raise Unreachable(f"cannot reach {url}") from err
+        except requests.RequestException as err:
+            # A body cut off mid-read, among others, is retried; a request
+            # that cannot be built (a `ValueError` too, as a bad header) is not.
+            error = BackendError if isinstance(err, ValueError) else Unreachable
+            raise error(f"request to {url} failed: {err}") from err
 
         if response.status_code == 429:
             raise RateLimited(
@@ -697,8 +719,8 @@ class WrapperBackend(GenerationBackend):
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         return self._generate_once(request)
 
-    def _dispatch(self, call, requests_: Sequence[GenerationRequest], helpers: int) -> list:
-        return self.inner._dispatch(call, requests_, helpers)
+    def _dispatch(self, call, items: Sequence, helpers: int) -> list:
+        return self.inner._dispatch(call, items, helpers)
 
 
 class RequestStore(WrapperBackend):

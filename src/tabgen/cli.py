@@ -8,7 +8,6 @@ import sys
 import zlib
 from argparse import Namespace
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable
 
@@ -40,9 +39,11 @@ class ConfigError(ValueError):
     That covers an input, config or template file that is missing,
     unreadable, not UTF-8 or malformed; a template without the slots its
     flag needs; a config value that is unknown or of the wrong type; a
-    backend setting or token budget out of range; a replay fixture
-    directory that does not exist; and an output file or record directory
-    that cannot be written.
+    backend setting or token budget out of range; an HTTP endpoint
+    without an http(s) scheme and host, or a path without its leading
+    `/`; a replay fixture directory that does not exist; an output file
+    or record directory that cannot be written; and an output file that
+    is one of the command's inputs or another of its outputs.
     """
 
 
@@ -91,6 +92,20 @@ def _check_writable(*outs: str | None) -> None:
         for path in created:
             path.unlink(missing_ok=True)
         raise
+
+
+def _check_distinct(inputs: dict[str, str | None], outputs: dict[str, str | None]) -> None:
+    """Fail as a config error if an output file, by flag, is an input file or another output.
+
+    Paths are compared after `resolve()`, so two spellings of one file match.
+    """
+    named = {Path(path).resolve(): flag for flag, path in inputs.items() if path}
+    for flag, path in outputs.items():
+        if path:
+            resolved = Path(path).resolve()
+            if resolved in named:
+                raise ConfigError(f"{flag} {path} is also the {named[resolved]} file")
+            named[resolved] = flag
 
 
 def _read_json(path: str, label: str, build: Callable):
@@ -182,17 +197,18 @@ def _run_corpus(
     """Run a corpus command: `run_sample(backend, sample)` on every `--in` sample.
 
     It gives a sample's record and trace (or None); a sample it raises on
-    gets an error record and counts as failed (exit code 1). As many
-    samples run at once as a backend that waits has slots; with one that
-    never waits, they run in turn on the calling thread. Records and
-    traces keep input order and are written at the end, but `--out` and
-    `--trace` are checked before any backend call.
+    gets an error record and counts as failed (exit code 1). Samples run
+    through `backend.map`, on the pool that also serves their batches.
+    Records and traces keep input order and are written at the end, but
+    `--out` and `--trace` are checked before any backend call, and may
+    name neither `--in`, `--oracle` nor each other.
     """
+    trace_out = getattr(args, "trace", None)
+    _check_distinct({"--in": args.infile, "--oracle": args.oracle}, {"--out": args.out, "--trace": trace_out})
     samples = _load_corpus(args.infile, args.kind, "corpus file")
     if not samples:
         raise ConfigError(f"corpus file {args.infile} holds no samples")
     backend = _build_backend(args, config, samples, *templates)
-    trace_out = getattr(args, "trace", None)
     _check_writable(args.out, trace_out)
 
     def run(sample: Sample) -> tuple[dict, dict | None, bool]:
@@ -202,12 +218,7 @@ def _run_corpus(
             error = {"type": type(err).__name__, "message": str(err)}
             return {"id": sample.id, "error": error}, None, True
 
-    if backend.waits:
-        with ThreadPoolExecutor(backend.concurrency) as pool:
-            results = list(pool.map(run, samples))
-    else:
-        results = [run(s) for s in samples]
-
+    results = backend.map(run, samples)
     _write(_jsonl([record for record, _, _ in results]), args.out)
     if trace_out:
         _write(_jsonl([trace for _, trace, _ in results if trace is not None]), trace_out)
@@ -296,6 +307,7 @@ def _read_predictions(path: str) -> dict[str, Table | None]:
 
 
 def _cmd_evaluate(args: Namespace) -> int:
+    _check_distinct({"--pred": args.pred, "--gold": args.gold}, {"--out": args.out})
     gold_samples = _load_corpus(args.gold, args.kind, "gold file")
     if not gold_samples:
         raise ConfigError(f"gold file {args.gold} holds no samples")

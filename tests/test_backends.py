@@ -894,6 +894,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"plain text")
             return
+        if _Handler.behavior == "cut-body" and payload.get("prompt", "").startswith("cut"):
+            # A chunk that promises 64 bytes, then the connection closes after 10.
+            self.send_response(200)
+            self.send_header("Transfer-Encoding", "chunked")
+            self.end_headers()
+            self.wfile.write(b'40\r\n{"choices"')
+            return
 
         if self.path.endswith("/embeddings"):
             body = {"data": [{"embedding": [1.0, 0.0]} for _ in payload["input"]]}
@@ -975,6 +982,24 @@ class TestHttpBackend:
         backend = HttpBackend(BackendConfig(kind="http", base_url=http_server, retry_cap=1))
         with pytest.raises(MalformedResponse):
             backend.generate(GenerationRequest("hi"))
+
+    def test_a_body_cut_off_mid_chunk_fails_only_its_own_request(self, http_server):
+        _Handler.behavior = "cut-body"
+        backend = HttpBackend(
+            BackendConfig(kind="http", base_url=http_server, retry_cap=2, backoff_s=0.0, concurrency=1)
+        )
+        results = backend.generate_batch([GenerationRequest(p) for p in ("a", "cut", "b")])
+        assert (results[0].text, results[2].text) == ("echo:a", "echo:b")
+        assert isinstance(results[1], Unreachable)
+        # It is retried, as any unreachable call is.
+        assert [sent["payload"]["prompt"] for sent in _Handler.seen] == ["a", "cut", "cut", "b"]
+
+    def test_a_request_that_cannot_be_built_is_not_retried(self, http_server, monkeypatch):
+        monkeypatch.setenv("TABGEN_TEST_TOKEN", "two\nlines")
+        backend = HttpBackend(BackendConfig(kind="http", base_url=http_server, auth_env="TABGEN_TEST_TOKEN"))
+        with pytest.raises(BackendError) as caught:
+            backend.generate(GenerationRequest("hi"))
+        assert not caught.value.retryable and _Handler.seen == []
 
     def test_connection_refused_is_unreachable(self):
         backend = HttpBackend(

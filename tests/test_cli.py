@@ -237,11 +237,31 @@ class TestSharedDispatch:
                     argv += ["--trace", str(trace)]
                 start = threading.active_count()
                 assert dispatch(argv) == 0
-                # `concurrency` sample threads beside the backend's `concurrency - 1` helpers.
+                # Samples and their batches share the backend's `concurrency - 1` helpers.
                 assert built[-1].peak_in_flight == concurrency
-                assert built[-1].peak_threads <= start + 2 * concurrency - 1
+                assert built[-1].peak_threads <= start + concurrency - 1
                 outputs[concurrency] = out.read_bytes(), untimed(trace) if command == "generate" else None
             assert outputs[1] == outputs[2] == outputs[4], kind
+
+    @pytest.mark.parametrize("command", ["generate", "baseline"])
+    def test_failed_samples_keep_their_place(self, tmp_path, monkeypatch, capsys, command):
+        delay_every_backend(monkeypatch, 0.005)
+        lines = Path(E2E_MINI).read_text("utf-8").splitlines(keepends=True)
+        missing = {0, 4, 9}  # samples the oracle cannot answer, so they fail
+        oracle = tmp_path / "oracle.jsonl"
+        oracle.write_text("".join(line for i, line in enumerate(lines) if i not in missing), "utf-8")
+        outputs = {}
+        for concurrency in (1, 4):
+            out = tmp_path / f"{concurrency}.jsonl"
+            argv = [command, "--kind", "e2e", "--backend", "mock-oracle", "--in", E2E_MINI,
+                    "--oracle", str(oracle), "--concurrency", str(concurrency), "--out", str(out)]
+            assert dispatch(argv) == 1
+            assert capsys.readouterr().err == f"{len(missing)}/{len(lines)} samples failed\n"
+            records = read_jsonl(out)
+            assert [r["id"] for r in records] == [json.loads(line)["id"] for line in lines]
+            assert {i for i, r in enumerate(records) if "error" in r} == missing
+            outputs[concurrency] = out.read_bytes()
+        assert outputs[1] == outputs[4]
 
     def test_a_stack_that_never_waits_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
         threads = []
@@ -491,14 +511,16 @@ class TestUpdate:
         updated = json.loads(capsys.readouterr().out)
         assert table_from_json(updated) == table_from_json(sample["table"])
 
-    def test_adds_attribute_from_evidence(self, tmp_path):
+    # `--out` may name `--table`: an update in place.
+    @pytest.mark.parametrize("out_name", ["updated.json", "table.json"])
+    def test_adds_attribute_from_evidence(self, tmp_path, out_name):
         sample = json.loads(open(E2E_EXAMPLE, encoding="utf-8").readline())
         trimmed = {"orientation": "attribute_value", "rows": sample["table"]["rows"][:3]}
         table_file = tmp_path / "table.json"
         table_file.write_text(json.dumps(trimmed), "utf-8")
         delta_file = tmp_path / "delta.json"
         delta_file.write_text(json.dumps({"add_col_headers": ["Customer Rating"]}), "utf-8")
-        out = tmp_path / "updated.json"
+        out = tmp_path / out_name
         code = dispatch(
             ["update", "--kind", "e2e", "--table", str(table_file), "--delta", str(delta_file),
              "--evidence", sample["text"], "--oracle", E2E_EXAMPLE, "--backend", "mock-oracle",
@@ -688,6 +710,7 @@ GENERATE = ["generate", "--kind", "e2e", "--in", E2E_EXAMPLE]
 REPLAY = [*GENERATE, "--backend", "replay", "--fixtures", "fixtures"]
 UPDATE_FILES = ["update", "--kind", "e2e", "--table", "table.json", "--delta", "delta.json"]
 UPDATE = [*UPDATE_FILES, "--evidence", "The Eagle is owned by a local family."]
+RUN_MINI = ["generate", "--kind", "e2e", "--backend", "mock-oracle", "--in", "corpus.jsonl"]
 
 
 def bad_input_files(root):
@@ -714,6 +737,8 @@ def bad_input_files(root):
         "baseline_tokens_0.json": {"baseline_max_new_tokens": 0},
         "input_tokens_0.json": {"max_input_tokens": 0},
         "input_tokens_negative.json": {"max_input_tokens": -3},
+        "path_no_slash.json": {"completion_path": "v1/completions"},
+        "embeddings_no_slash.json": {"embeddings_path": "embeddings"},
     }
     for name, config in configs.items():
         (root / name).write_text(json.dumps(config), "utf-8")
@@ -741,6 +766,14 @@ class TestBadInput:
             [*GENERATE, "--backend", "replay", "--fixtures", "missing-dir"],
             [*GENERATE, "--backend", "http", "--base-url", "http://localhost:1", "--timeout-ms", "-5"],
             [*REPLAY, "--timeout-ms", "-5"],
+            [*GENERATE, "--backend", "http", "--base-url", "localhost:8000"],
+            [*GENERATE, "--backend", "http", "--base-url", "ftp://x"],
+            [*GENERATE, "--backend", "http", "--base-url", "http://"],
+            [*GENERATE, "--backend", "http", "--base-url", "http://127.0.0.1:9v1"],
+            [*GENERATE, "--backend", "http", "--base-url", "http://127.0.0.1:0"],
+            [*GENERATE, "--backend", "http", "--base-url", "http://127.0.0.1:9", "--config", "path_no_slash.json"],
+            [*GENERATE, "--backend", "http", "--base-url", "http://127.0.0.1:9", "--config",
+             "embeddings_no_slash.json"],
             ["generate", "--kind", "e2e", "--backend", "mock-oracle", "--in", "missing.jsonl"],
             ["generate", "--kind", "e2e", "--in", "dir"],
             ["generate", "--kind", "e2e", "--in", "latin.txt"],
@@ -770,7 +803,9 @@ class TestBadInput:
              "config-answer-tokens-0",
              "config-headers-tokens-0", "config-baseline-tokens-0", "config-input-tokens-0",
              "config-input-tokens-negative", "replay-missing-dir", "http-negative-timeout",
-             "replay-negative-timeout",
+             "replay-negative-timeout", "http-base-url-no-scheme", "http-base-url-ftp",
+             "http-base-url-no-host", "http-base-url-bad-port", "http-base-url-port-0",
+             "http-path-no-slash", "http-embeddings-path-no-slash",
              "in-missing", "in-directory", "in-not-utf8", "in-not-gzip", "in-truncated-gzip", "stats-in-directory",
              "oracle-missing", "oracle-bad-schema", "qa-template-not-utf8", "out-directory",
              "trace-directory", "record-dir-is-a-file", "pred-directory", "pred-not-utf8",
@@ -786,6 +821,42 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*RUN_MINI, "--out", "new.jsonl", "--trace", "./new.jsonl"],
+            [*RUN_MINI, "--out", "corpus.jsonl"],
+            [*RUN_MINI, "--trace", "sub/../corpus.jsonl"],
+            [*RUN_MINI, "--oracle", "gold.jsonl", "--out", "gold.jsonl"],
+            ["replay-record", *RUN_MINI[1:], "--record-dir", "record", "--out", "corpus.jsonl"],
+            ["replay-record", *RUN_MINI[1:], "--record-dir", "record", "--out", "new.jsonl",
+             "--trace", "new.jsonl"],
+            ["baseline", *RUN_MINI[1:], "--out", "corpus.jsonl"],
+            ["baseline", *RUN_MINI[1:], "--oracle", "gold.jsonl", "--out", "gold.jsonl"],
+            ["evaluate", "--kind", "e2e", "--pred", "corpus.jsonl", "--gold", "gold.jsonl",
+             "--out", "gold.jsonl"],
+            ["evaluate", "--kind", "e2e", "--pred", "corpus.jsonl", "--gold", "gold.jsonl",
+             "--out", "corpus.jsonl"],
+        ],
+        ids=["out-is-trace", "out-is-in", "trace-is-in", "out-is-oracle", "record-out-is-in",
+             "record-out-is-trace", "baseline-out-is-in", "baseline-out-is-oracle", "report-is-gold",
+             "report-is-pred"],
+    )
+    def test_an_output_that_names_an_input_or_another_output(self, tmp_path, capsys, monkeypatch, argv):
+        built = delay_every_backend(monkeypatch, 0.0)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        for name in ("corpus.jsonl", "gold.jsonl"):
+            (tmp_path / name).write_bytes(Path(E2E_MINI).read_bytes())
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --") and " is also the --" in err and err.count("\n") == 1
+        # No backend was built, and no file was made or changed.
+        assert built == []
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+        assert not (tmp_path / "record").exists()
 
     def test_jobs_is_not_a_flag(self, capsys):
         # How many samples run at once follows `--concurrency`.

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import gzip
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,3 +186,12 @@ class TestFixtures:
 
     def test_fixture_path_exists(self):
         assert fixture_path("e2e_example.jsonl").exists()
+
+    def test_the_generator_rebuilds_every_bundled_file(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "tools" / "build_fixtures.py"
+        subprocess.run([sys.executable, str(script)], cwd=tmp_path, check=True, capture_output=True, timeout=120)
+        built = tmp_path / "src" / "tabgen" / "fixtures"
+        names = list_fixtures()
+        assert len(names) == 10 and sorted(path.name for path in built.iterdir()) == names
+        for name in names:
+            assert (built / name).read_bytes() == fixture_path(name).read_bytes(), name
