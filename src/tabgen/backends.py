@@ -210,10 +210,11 @@ class GenerationBackend(ABC):
     thread that shares it shares one in-flight cap. `map` works a list (a
     batch's requests, or a corpus's samples) on the calling thread beside
     at most `concurrency - 1` helper threads, which the backend starts
-    when it first needs them and releases when it is collected. A batch
-    asked on a helper queues its helper tasks behind the samples and is
-    worked by that helper, beside any other that comes free; tasks still
-    queued when it ends are cancelled. A backend whose calls never wait
+    when it first needs them and releases when it is collected. A list
+    asks only the helpers free when it starts, and any helper that comes
+    free joins a list whose items are not all taken yet, so a batch
+    asked on a helper running a sample is worked by that helper, beside
+    any other that comes free. A backend whose calls never wait
     works every list on the calling thread. A `WrapperBackend` has no
     slots or helpers.
     """
@@ -229,6 +230,8 @@ class GenerationBackend(ABC):
         self._slots = threading.Semaphore(concurrency)
         self._helpers: ThreadPoolExecutor | None = None
         self._helpers_lock = threading.Lock()
+        self._busy_helpers = 0  # helpers asked and not yet done
+        self._open: dict[Iterator[int], Callable[[], None]] = {}  # lists taking helpers, oldest first
 
     @abstractmethod
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
@@ -269,39 +272,68 @@ class GenerationBackend(ABC):
         return self._dispatch(fn, items, helpers) if helpers > 0 else [fn(item) for item in items]
 
     def _dispatch(self, call, items: Sequence, helpers: int) -> list:
-        """`call` on every item, by this thread and up to `helpers` helper threads.
+        """`call` on every item, by this thread and up to `helpers` helpers free now.
 
-        A helper that gets to the items after they are done finds nothing
-        left to take. An error a call raises is raised here.
+        Until its last item is taken the list stays open, and a helper that
+        comes free later (as when a corpus has no sample left) joins it. An
+        error a call raises stops the list: no item starts after it, and it
+        is raised here once the items already started are done.
         """
         results: list = [None] * len(items)
+        errors: list[BaseException] = []
         order = iter(range(len(items)))
-        lock = threading.Lock()
+        changed = threading.Condition()
+        running = 0  # items started and not yet done
 
         def work() -> None:
+            nonlocal running
             while True:
-                with lock:
+                with changed:
                     i = next(order, None)
-                if i is None:
-                    return
-                results[i] = call(items[i])
+                    if i is None:
+                        break
+                    running += 1
+                try:
+                    results[i] = call(items[i])
+                except BaseException as err:
+                    errors.append(err)
+                    with changed:
+                        for _ in order:  # no item starts after an error
+                            pass
+                finally:
+                    with changed:
+                        running -= 1
+                        changed.notify_all()
+            with self._helpers_lock:  # every item is taken, so no helper joins now
+                self._open.pop(order, None)
 
         with self._helpers_lock:
             if self._helpers is None:
                 self._helpers = ThreadPoolExecutor(self.concurrency - 1, "tabgen-dispatch")
                 weakref.finalize(self, self._helpers.shutdown, wait=False)
-        started = [self._helpers.submit(work) for _ in range(helpers)]
-        try:
-            work()
-        finally:
-            with lock:
-                for _ in order:  # after an error on this thread, helpers take nothing more
-                    pass
-        # A helper still queued is cancelled; every other one is waited for.
-        errors = [error for future in started if not future.cancel() and (error := future.exception())]
+            # Only free helpers are asked: a task queued behind busy ones would
+            # hold the list until they are done, long after it ended.
+            helpers = min(helpers, self.concurrency - 1 - self._busy_helpers)
+            self._busy_helpers += helpers
+            self._open[order] = work
+        for _ in range(helpers):
+            self._helpers.submit(self._help)
+        work()
+        with changed:
+            changed.wait_for(lambda: not running)
         if errors:
             raise errors[0]
         return results
+
+    def _help(self) -> None:
+        """A helper's task: work the open lists, oldest first, until none is left."""
+        while True:
+            with self._helpers_lock:
+                if not self._open:
+                    self._busy_helpers -= 1
+                    return
+                work = next(iter(self._open.values()))
+            work()
 
 
 class EmbeddingBackend(ABC):

@@ -98,12 +98,14 @@ def _check_distinct(inputs: dict[str, str | None], outputs: dict[str, str | None
     """Fail as a config error if an output file, by flag, is an input file or another output.
 
     Paths are compared after `resolve()`, so two spellings of one file match.
+    Only a regular file, or one not made yet, can clash: writing one device
+    or pipe twice (`/dev/null`) overwrites nothing.
     """
     named = {Path(path).resolve(): flag for flag, path in inputs.items() if path}
     for flag, path in outputs.items():
         if path:
             resolved = Path(path).resolve()
-            if resolved in named:
+            if resolved in named and (resolved.is_file() or not resolved.exists()):
                 raise ConfigError(f"{flag} {path} is also the {named[resolved]} file")
             named[resolved] = flag
 

@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import time
+import weakref
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
@@ -301,6 +302,29 @@ class TestDispatcher:
         assert answers == {c: [*(f"{c}:{i}" for i in range(6)), f"{c}:single"] for c in range(4)}
         assert backend.peak_in_flight == 2
         assert backend.peak_threads <= start + 4 + 2
+
+    def test_a_batch_keeps_nothing_alive_once_it_ends(self):
+        # Two samples on a pool of one helper: each asks its batch while the helper
+        # runs a sample, so the batch's own helper task can only queue, and is
+        # cancelled when the batch ends. That queued task must not hold the batch.
+        backend = DelayedBackend(ScriptedBackend(lambda p: p, concurrency=2), lambda _: 0.002)
+        both_running = threading.Barrier(2, timeout=10)
+
+        class Batch(list):
+            pass
+
+        def run(sample):
+            both_running.wait()
+            batch = Batch(GenerationRequest(f"{sample}:{i}") for i in range(6))
+            texts = [r.text for r in backend.generate_batch(batch)]
+            freed = weakref.ref(batch)
+            del batch
+            return texts, freed() is None, threading.get_ident()
+
+        results = backend.map(run, [0, 1])
+        assert [texts for texts, _, _ in results] == [[f"{s}:{i}" for i in range(6)] for s in (0, 1)]
+        assert len({thread for _, _, thread in results}) == 2
+        assert [freed for _, freed, _ in results] == [True, True]
 
     def test_an_error_a_helper_raises_reaches_the_caller(self):
         def answer(prompt):

@@ -858,6 +858,13 @@ class TestBadInput:
         assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
         assert not (tmp_path / "record").exists()
 
+    def test_outputs_may_share_a_device(self, tmp_path, monkeypatch):
+        # Writing the null device twice overwrites nothing: a timed run that keeps no output.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "corpus.jsonl").write_bytes(Path(E2E_MINI).read_bytes())
+        assert dispatch([*RUN_MINI, "--out", os.devnull, "--trace", os.devnull]) == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["corpus.jsonl"]
+
     def test_jobs_is_not_a_flag(self, capsys):
         # How many samples run at once follows `--concurrency`.
         assert dispatch([*GENERATE, "--backend", "mock-oracle", "--jobs", "4"]) == 2
