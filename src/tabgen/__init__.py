@@ -34,7 +34,6 @@ from tabgen.metrics import (
     PRF,
     EvalReport,
     SampleEval,
-    error_rate,
     evaluate_corpus,
     evaluate_sample,
     exact_f1,

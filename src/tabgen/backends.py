@@ -214,7 +214,9 @@ class GenerationBackend(ABC):
     asks only the helpers free when it starts, and any helper that comes
     free joins a list whose items are not all taken yet, so a batch
     asked on a helper running a sample is worked by that helper, beside
-    any other that comes free. A backend whose calls never wait
+    any other that comes free. A caller whose items are all taken joins
+    the lists those items ask until they are done, so a corpus's caller
+    works its last samples' batches. A backend whose calls never wait
     works every list on the calling thread. A `WrapperBackend` has no
     slots or helpers.
     """
@@ -229,9 +231,14 @@ class GenerationBackend(ABC):
         self.concurrency = concurrency
         self._slots = threading.Semaphore(concurrency)
         self._helpers: ThreadPoolExecutor | None = None
-        self._helpers_lock = threading.Lock()
+        # Guards the helpers, the open lists and every list's items. A caller
+        # whose items are all taken waits on it for them to ask a list or end.
+        self._state = threading.Condition()
         self._busy_helpers = 0  # helpers asked and not yet done
-        self._open: dict[Iterator[int], Callable[[], None]] = {}  # lists taking helpers, oldest first
+        # Lists taking helpers, oldest first: each one's work, and the list
+        # whose item asked it (None for a caller outside any list).
+        self._open: dict[Iterator[int], tuple[Callable[[], None], Iterator[int] | None]] = {}
+        self._inside = threading.local()  # `.list`: the list whose item this thread runs
 
     @abstractmethod
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
@@ -275,39 +282,45 @@ class GenerationBackend(ABC):
         """`call` on every item, by this thread and up to `helpers` helpers free now.
 
         Until its last item is taken the list stays open, and a helper that
-        comes free later (as when a corpus has no sample left) joins it. An
+        comes free later (as when a corpus has no sample left) joins it.
+        Once no item is left to take, this thread joins the lists its own
+        running items ask, as a free helper does, until they are done. An
         error a call raises stops the list: no item starts after it, and it
         is raised here once the items already started are done.
         """
         results: list = [None] * len(items)
         errors: list[BaseException] = []
         order = iter(range(len(items)))
-        changed = threading.Condition()
         running = 0  # items started and not yet done
+        state, inside = self._state, self._inside
+        parent = getattr(inside, "list", None)
 
         def work() -> None:
             nonlocal running
+            outer = getattr(inside, "list", None)
             while True:
-                with changed:
+                with state:
                     i = next(order, None)
-                    if i is None:
-                        break
+                    if i is None:  # every item is taken, so no helper joins now
+                        self._open.pop(order, None)
+                        return
                     running += 1
+                inside.list = order
                 try:
                     results[i] = call(items[i])
                 except BaseException as err:
                     errors.append(err)
-                    with changed:
+                    with state:
                         for _ in order:  # no item starts after an error
                             pass
                 finally:
-                    with changed:
+                    inside.list = outer
+                    with state:
                         running -= 1
-                        changed.notify_all()
-            with self._helpers_lock:  # every item is taken, so no helper joins now
-                self._open.pop(order, None)
+                        if not running:
+                            state.notify_all()
 
-        with self._helpers_lock:
+        with state:
             if self._helpers is None:
                 self._helpers = ThreadPoolExecutor(self.concurrency - 1, "tabgen-dispatch")
                 weakref.finalize(self, self._helpers.shutdown, wait=False)
@@ -315,25 +328,44 @@ class GenerationBackend(ABC):
             # hold the list until they are done, long after it ended.
             helpers = min(helpers, self.concurrency - 1 - self._busy_helpers)
             self._busy_helpers += helpers
-            self._open[order] = work
+            self._open[order] = work, parent
+            state.notify_all()  # a caller waiting on its items may join it
         for _ in range(helpers):
             self._helpers.submit(self._help)
         work()
-        with changed:
-            changed.wait_for(lambda: not running)
+        self._help(lambda: running, order)
         if errors:
             raise errors[0]
         return results
 
-    def _help(self) -> None:
-        """A helper's task: work the open lists, oldest first, until none is left."""
+    def _help(self, running: Callable[[], int] | None = None, asker: Iterator[int] | None = None) -> None:
+        """Work the open lists, oldest first.
+
+        A helper's task calls it bare: it works every list, and returns once
+        none is open. A caller whose items are all taken passes `running`,
+        the count of its items still running, and its list as `asker`: it
+        works only the lists those items asked (a corpus's caller, its
+        samples' batches), waiting for one to open, until that count is 0.
+        So it never starts an item of a list its own items do not wait on.
+        """
+        def joinable() -> Callable[[], None] | None:
+            lists = (work for work, by in self._open.values() if running is None or by is asker)
+            return next(lists, None)
+
         while True:
-            with self._helpers_lock:
-                if not self._open:
-                    self._busy_helpers -= 1
-                    return
-                work = next(iter(self._open.values()))
+            with self._state:
+                if running is None:
+                    work = joinable()
+                    if work is None:
+                        self._busy_helpers -= 1
+                        return
+                else:
+                    self._state.wait_for(lambda: not running() or joinable())
+                    if not running():
+                        return
+                    work = joinable()
             work()
+            del work  # so a caller waiting on its own items keeps no list it has left alive
 
 
 class EmbeddingBackend(ABC):
@@ -616,7 +648,6 @@ class MockOracleBackend(GenerationBackend):
 
         self._templates: list[tuple[PromptTemplate, str]] = []
         for template in [*packaged_templates(), *templates]:
-            template.check_slots()
             literals, slots = template.pieces
             # A question slot makes a cell template, whatever its text mentions.
             text = "" if "question" in slots else "".join(literals)

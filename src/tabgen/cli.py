@@ -37,8 +37,8 @@ class ConfigError(ValueError):
     """Input a run cannot start from; maps to exit code 2.
 
     That covers an input, config or template file that is missing,
-    unreadable, not UTF-8 or malformed; a template without the slots its
-    flag needs; a config value that is unknown or of the wrong type; a
+    unreadable, not UTF-8 or malformed; a template whose slots its flag
+    does not take; a config value that is unknown or of the wrong type; a
     backend setting or token budget out of range; an HTTP endpoint
     without an http(s) scheme and host, or a path without its leading
     `/`; a replay fixture directory that does not exist; an output file
@@ -140,8 +140,9 @@ def _template(path: str | None, asks: bool) -> PromptTemplate | None:
     """The `--*-template` file's template, with a question slot exactly when it `asks`; None without one."""
     if path is None:
         return None
-    template = PromptTemplate(name=path, text=_read_text(path, "template"))
+    text = _read_text(path, "template")
     try:
+        template = PromptTemplate(name=path, text=text)
         _require_slots(template, asks)
     except ValueError as err:
         raise ConfigError(str(err)) from err

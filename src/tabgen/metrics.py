@@ -58,21 +58,6 @@ def exact_f1(predicted: Iterable, gold: Iterable) -> PRF:
     return PRF.from_counts(len(pred_set & gold_set), len(pred_set), len(gold_set))
 
 
-def error_rate(outcomes: Sequence[object]) -> float:
-    """Fraction of parse outcomes that failed: tables count as valid, exceptions as errored."""
-    if not outcomes:
-        raise ValueError("error_rate requires at least one outcome")
-    errored = 0
-    for outcome in outcomes:
-        if isinstance(outcome, Table):
-            continue
-        if isinstance(outcome, Exception):
-            errored += 1
-        else:
-            raise TypeError(f"outcome must be a Table or an exception, got {type(outcome).__name__}")
-    return errored / len(outcomes)
-
-
 def _clamp01(value: float) -> float:
     return min(1.0, max(0.0, value))
 

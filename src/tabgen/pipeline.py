@@ -27,6 +27,7 @@ from tabgen.kinds import DatasetKind
 from tabgen.prompts import (
     PromptTemplate,
     _blank,
+    _fit,
     _require_slots,
     build_baseline_prompt,
     build_qa_prompt,  # noqa: F401 -- perfbench's tracer wraps tabgen.pipeline.build_qa_prompt
@@ -37,8 +38,6 @@ from tabgen.prompts import (
     parse_structure_answer,
     question_alone,
     question_head,
-    truncate_passage,
-    words_to_tokens,
 )
 from tabgen.table import Orientation, Table, _new_tuple, dedupe_headers, normalize_text, parse_flat
 
@@ -181,8 +180,8 @@ def _ask_slots(
     that cut's `PromptTemplate.segments`. `truncate_passage` splits the
     passage into words only when its length does not already bound its
     estimate under that budget. A blank passage, a template without a
-    passage and a question slot, or an `answer_max_new_tokens` below 1
-    is a ValueError, raised once per batch.
+    question slot, or an `answer_max_new_tokens` below 1 is a ValueError,
+    raised once per batch.
     """
     if "" in col_headers and (empty := [c for _, c in slots if not col_headers[c]]):
         raise ValueError(f"cannot ask under column header {min(empty)}, which is empty")
@@ -201,7 +200,6 @@ def _ask_slots(
     tails: dict[int, tuple[str, int]] = {}
     heads: dict[int, tuple[str, int]] = {}
     alone: dict[int, tuple[str, int]] = {}
-    overhead = template.overhead_tokens
     cut: dict[int, list[str]] = {}  # question word count -> segments, passage cut beside it
     questions, requests = [], []
     for r, c in slots:
@@ -213,8 +211,7 @@ def _ask_slots(
         words = head[1] + tail[1]
         segments = cut.get(words)
         if segments is None:
-            budget = overhead + words_to_tokens(words)
-            segments = cut[words] = template.segments(truncate_passage(passage, max_input_tokens, budget))
+            segments = cut[words] = _fit(template, passage, max_input_tokens, words)
         question = head[0] + tail[0]
         questions.append(question)
         requests.append(_new_tuple(GenerationRequest, (question.join(segments), answer_max_new_tokens)))

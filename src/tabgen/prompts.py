@@ -30,10 +30,20 @@ class NoHeaders(ValueError):
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A named template with {{passage}} and optionally {{question}} slots."""
+    """A named template with one {{passage}} slot and at most one {{question}} slot.
+
+    Any other set of slots is a ValueError naming the template, raised
+    when it is built.
+    """
 
     name: str
     text: str
+
+    def __post_init__(self):
+        if self.pieces[1] not in (("passage",), ("passage", "question"), ("question", "passage")):
+            raise ValueError(
+                f"template {self.name!r} needs one {{{{passage}}}} slot and at most one {{{{question}}}} slot"
+            )
 
     def render(self, *, passage: str, question: str | None = None) -> str:
         """The template with its slots filled: `question` joins `segments(passage)`."""
@@ -45,23 +55,17 @@ class PromptTemplate:
         return question.join(segments)
 
     def segments(self, passage: str) -> list[str]:
-        """The template's text between its question slots, the passage filled in.
+        """The template's text on each side of its question slot, the passage filled in.
 
-        There is one more segment than there are question slots, so
+        There is one segment without a question slot and two with one, so
         `question.join(segments)` is the prompt for any question. A value
         is never read for slots, so slot markers and braces inside a
-        filled-in value stay text; the template is parsed once, by `pieces`.
+        filled-in value stay text.
         """
-        literals, slots = self.pieces
-        segments, parts = [], [literals[0]]
-        for slot, literal in zip(slots, literals[1:]):
-            if slot == "passage":
-                parts += passage, literal
-            else:
-                segments.append("".join(parts))
-                parts = [literal]
-        segments.append("".join(parts))
-        return segments
+        first, middle, last, passage_first = self._layout
+        if middle is None:
+            return [first + passage + last]
+        return [first + passage + middle, last] if passage_first else [first, middle + passage + last]
 
     @cached_property
     def pieces(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -99,21 +103,9 @@ class PromptTemplate:
                 yield (cut + len(middle), end), (start, cut)
                 cut = prompt.find(middle, cut + 1, end)
 
-    def check_slots(self) -> None:
-        """Raise ValueError unless `fits` can read this template.
-
-        It can read a template with exactly one passage slot and at most
-        one question slot.
-        """
-        if self.pieces[1] not in (("passage",), ("passage", "question"), ("question", "passage")):
-            raise ValueError(
-                f"template {self.name!r} needs one {{{{passage}}}} slot and at most one {{{{question}}}} slot"
-            )
-
     @cached_property
     def _layout(self) -> tuple[str, str | None, str, bool]:
         """(first literal, middle literal or None, last literal, whether the passage comes first)."""
-        self.check_slots()
         literals, slots = self.pieces
         middle = literals[1] if len(slots) == 2 else None
         return literals[0], middle, literals[-1], slots[0] == "passage"
@@ -252,11 +244,17 @@ def question_alone(col_header: str) -> str:
 
 
 def _require_slots(template: PromptTemplate, asks: bool) -> None:
-    """Raise ValueError unless `template` has a passage slot, and a question slot exactly when it `asks`."""
-    slots = template.pieces[1]
-    if "passage" not in slots or ("question" in slots) != asks:
-        need = f"a {{{{passage}}}} slot and {'a' if asks else 'no'} {{{{question}}}} slot"
+    """Raise ValueError unless `template` has a question slot exactly when it `asks`."""
+    if ("question" in template.pieces[1]) != asks:
+        need = f"one {{{{passage}}}} slot and {'one' if asks else 'no'} {{{{question}}}} slot"
         raise ValueError(f"template {template.name!r} needs {need}")
+
+
+def _fit(template: PromptTemplate, passage: str, budget: int | None, question_words: int = 0) -> list[str]:
+    """`template.segments` of `passage` head-truncated so that, with a question of
+    `question_words` words joined in, the prompt fits `budget` tokens."""
+    overhead = template.overhead_tokens + words_to_tokens(question_words)
+    return template.segments(truncate_passage(passage, budget, overhead))
 
 
 def _fill(template: PromptTemplate, passage: str, budget: int | None, question: str | None = None) -> str:
@@ -264,12 +262,11 @@ def _fill(template: PromptTemplate, passage: str, budget: int | None, question: 
     if _blank(passage):
         raise ValueError("passage must be non-empty")
     _require_slots(template, question is not None)
-    overhead = template.overhead_tokens
-    if question is not None:
-        if _blank(question):
-            raise ValueError("question must be non-empty")
-        overhead += estimate_tokens(question)
-    return template.render(passage=truncate_passage(passage, budget, overhead), question=question)
+    if question is None:
+        return _fit(template, passage, budget)[0]
+    if _blank(question):
+        raise ValueError("question must be non-empty")
+    return question.join(_fit(template, passage, budget, len(question.split())))
 
 
 def build_structure_prompt(

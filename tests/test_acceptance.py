@@ -28,7 +28,7 @@ from tabgen.backends import (
 )
 from tabgen.corpus import corpus_stats, load_jsonl
 from tabgen.kinds import DatasetKind
-from tabgen.metrics import PRF, error_rate, exact_f1, semantic_score
+from tabgen.metrics import PRF, evaluate_corpus, exact_f1, semantic_score
 from tabgen.pipeline import (
     SkeletonDelta,
     baseline_generate,
@@ -111,16 +111,16 @@ def test_criterion_2_baseline_error_rate():
     script = [flat_valid] * 4 + [flat_ragged, flat_valid, flat_ragged, flat_valid, flat_ragged, flat_valid]
     backend = ScriptedBackend(script, concurrency=1)
 
-    outcomes = []
+    gold = parse_flat(flat_valid, Orientation.ATTRIBUTE_VALUE)
+    pairs = []
     for i in range(10):
         try:
-            outcomes.append(baseline_generate(f"passage {i}", DatasetKind.E2E, backend))
-        except (StructuralError, EmptyInput) as err:
-            outcomes.append(err)
-    assert error_rate(outcomes) == 0.30
+            pairs.append((baseline_generate(f"passage {i}", DatasetKind.E2E, backend), gold))
+        except (StructuralError, EmptyInput):
+            pairs.append((None, gold))
+    assert evaluate_corpus(pairs).error_rate == 0.30
 
-    all_valid = [parse_flat(flat_valid, Orientation.ATTRIBUTE_VALUE)] * 10
-    assert error_rate(all_valid) == 0.0
+    assert evaluate_corpus([(gold, gold)] * 10).error_rate == 0.0
     passed(2, "crafted 10-table corpus with 3 ragged outputs scores 0.30; all-valid scores 0.0")
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import errno
 import gc
 import hashlib
 import json
 import random
+import re
 import sys
 import threading
 import time
@@ -11,6 +13,7 @@ import weakref
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +341,68 @@ class TestDispatcher:
             backend.generate_batch(requests)
         assert [r.text for r in backend.generate_batch(requests[:2])] == ["a", "b"]
 
+    def test_an_error_stops_its_list(self):
+        backend = DelayedBackend(ScriptedBackend(lambda p: p, concurrency=2), lambda _: 0.002)
+        started = []
+
+        def run(item):
+            started.append(item)
+            if item == 1:
+                raise RuntimeError("item 1")
+            time.sleep(0.005)
+
+        with pytest.raises(RuntimeError, match="item 1"):
+            backend.map(run, list(range(20)))
+        assert 1 in started and len(started) <= 4
+
+    def test_a_caller_whose_items_still_run_joins_their_batches(self):
+        # Each thread takes one item. The caller's returns at once; the helper's
+        # asks a batch that no helper is free to join, so only the caller can.
+        backend = DelayedBackend(ScriptedBackend(lambda p: p, concurrency=2), lambda _: 0.005)
+        caller = threading.get_ident()
+        both_running = threading.Barrier(2, timeout=10)
+
+        def run(item):
+            both_running.wait()
+            if threading.get_ident() != caller:
+                return [r.text for r in backend.generate_batch([GenerationRequest(f"{i}") for i in range(8)])]
+            return []
+
+        results = backend.map(run, [0, 1])
+        assert sorted(results) == [[], [f"{i}" for i in range(8)]]
+        assert caller in backend.threads
+
+    def test_a_caller_joins_no_list_its_items_did_not_ask(self):
+        # This thread's batch has one request on each thread. While the helper's
+        # runs, another caller's list opens; this thread's request does not wait
+        # on it, so it waits for the helper's request and returns.
+        other_running = threading.Event()
+        both_taken = threading.Barrier(2, timeout=10)
+        ran_other: set[int] = set()
+
+        def answer(prompt):
+            both_taken.wait()
+            if threading.get_ident() == caller:
+                other.start()
+            else:
+                other_running.wait(timeout=10)
+                time.sleep(0.05)
+            return prompt
+
+        def other_item(item):
+            other_running.set()
+            ran_other.add(threading.get_ident())
+            time.sleep(0.005)
+
+        backend = ScriptedBackend(answer, concurrency=2)
+        other = threading.Thread(target=backend.map, args=(other_item, list(range(20))))
+        caller = threading.get_ident()
+        results = backend.generate_batch([GenerationRequest("a"), GenerationRequest("b")])
+        assert [r.text for r in results] == ["a", "b"]
+        other.join(timeout=10)
+        assert not other.is_alive()
+        assert threading.get_ident() not in ran_other
+
 
 class TestMockOracle:
     def test_structure_answer_attribute_value(self, wikibio_sample):
@@ -516,6 +581,25 @@ class TestDirectoryStore:
         replay = RequestStore(directory=tmp_path)
         with pytest.raises(MalformedResponse):
             replay.generate(request)
+
+    def test_fixture_text_that_is_not_a_string_is_malformed_naming_the_file(self, tmp_path):
+        request = GenerationRequest("hello")
+        name = f"{request.digest()}.json"
+        (tmp_path / name).write_text('{"response": {"text": 42}}', "utf-8")
+        with pytest.raises(MalformedResponse, match=re.escape(name)):
+            RequestStore(directory=tmp_path).generate(request)
+
+    def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def disk_full(path, data):
+            with open(path, "wb") as stream:
+                stream.write(data[:5])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", disk_full)
+        recorder = RequestStore(ScriptedBackend(lambda _: "x"), directory=tmp_path)
+        with pytest.raises(OSError, match="No space left"):
+            recorder.generate(GenerationRequest("hello"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_unencodable_response_leaves_no_fixture(self, tmp_path):
         # A lone surrogate has no UTF-8 form; the write used to truncate the
@@ -891,6 +975,7 @@ class TestMockEmbedder:
 class _Handler(BaseHTTPRequestHandler):
     behavior = "ok"
     seen: list[dict] = []
+    reply: object = None  # a JSON body to answer every request with, when set
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -913,6 +998,14 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
+        if _Handler.behavior == "slow":
+            time.sleep(0.2)  # past the client's timeout; it has gone, so nothing is sent
+            return
+        if _Handler.behavior == "bad-request":
+            self.send_response(400)
+            self.end_headers()
+            self.wfile.write(b"no such model")
+            return
         if _Handler.behavior == "not-json":
             self.send_response(200)
             self.end_headers()
@@ -926,7 +1019,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.write(b'40\r\n{"choices"')
             return
 
-        if self.path.endswith("/embeddings"):
+        if _Handler.reply is not None:
+            body = _Handler.reply
+        elif self.path.endswith("/embeddings"):
             body = {"data": [{"embedding": [1.0, 0.0]} for _ in payload["input"]]}
         else:
             body = {
@@ -951,6 +1046,7 @@ def http_server():
     thread.start()
     _Handler.behavior = "ok"
     _Handler.seen = []
+    _Handler.reply = None
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
 
@@ -1006,6 +1102,46 @@ class TestHttpBackend:
         backend = HttpBackend(BackendConfig(kind="http", base_url=http_server, retry_cap=1))
         with pytest.raises(MalformedResponse):
             backend.generate(GenerationRequest("hi"))
+
+    def test_a_response_slower_than_the_timeout_is_retried_then_a_timeout(self, http_server):
+        _Handler.behavior = "slow"
+        backend = HttpBackend(
+            BackendConfig(kind="http", base_url=http_server, timeout_ms=50, retry_cap=2, backoff_s=0.0)
+        )
+        attempts = []
+        post_once = backend._post_once
+        backend._post_once = lambda path, payload: (attempts.append(path), post_once(path, payload))[1]
+        with pytest.raises(BackendTimeout):
+            backend.generate(GenerationRequest("hi"))
+        assert attempts == ["/v1/completions"] * 2
+
+    def test_a_rejected_request_is_malformed_and_not_retried(self, http_server):
+        _Handler.behavior = "bad-request"
+        backend = HttpBackend(BackendConfig(kind="http", base_url=http_server, retry_cap=3, backoff_s=0.0))
+        with pytest.raises(MalformedResponse, match="rejected \\(400\\): no such model"):
+            backend.generate(GenerationRequest("hi"))
+        assert len(_Handler.seen) == 1
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [({"choices": [{}]}, "unexpected completion payload"),
+         ({"choices": []}, "unexpected completion payload"),
+         ({"choices": [{"text": 7}]}, "not a string"),
+         ({"choices": [{"message": {"content": None}}]}, "not a string")],
+        ids=["no-text", "no-choice", "number-text", "null-content"],
+    )
+    def test_a_completion_without_a_text_is_malformed(self, http_server, reply, message):
+        _Handler.reply = reply
+        backend = HttpBackend(BackendConfig(kind="http", base_url=http_server, retry_cap=3))
+        with pytest.raises(MalformedResponse, match=message):
+            backend.generate(GenerationRequest("hi"))
+        assert len(_Handler.seen) == 1
+
+    def test_the_wrong_number_of_embeddings_is_malformed(self, http_server):
+        _Handler.reply = {"data": [{"embedding": [1.0, 0.0]}]}
+        backend = HttpBackend(BackendConfig(kind="http", base_url=http_server))
+        with pytest.raises(MalformedResponse, match="count does not match"):
+            backend.embed(["a", "b"])
 
     def test_a_body_cut_off_mid_chunk_fails_only_its_own_request(self, http_server):
         _Handler.behavior = "cut-body"

@@ -25,7 +25,6 @@ from tabgen.metrics import (
     PREDICTED_HEADERS,
     PRF,
     EvalReport,
-    error_rate,
     evaluate_corpus,
     evaluate_sample,
     exact_f1,
@@ -81,34 +80,6 @@ class TestExactF1:
         assert forward.precision == backward.recall
         assert forward.recall == backward.precision
         assert forward.f1 == pytest.approx(backward.f1, abs=1e-12)
-
-
-class TestErrorRate:
-    def test_one_in_ten(self):
-        outcomes = [Table.attribute_value([("a", "1")])] * 9 + [StructuralError([3, 2])]
-        assert error_rate(outcomes) == pytest.approx(0.10)
-
-    def test_all_valid(self):
-        assert error_rate([Table.attribute_value([("a", "1")])] * 5) == 0.0
-
-    def test_all_errored(self):
-        assert error_rate([StructuralError([1, 2])] * 4) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            error_rate([])
-
-    def test_non_outcome_rejected(self):
-        with pytest.raises(TypeError):
-            error_rate(["what"])
-
-    @given(st.lists(st.booleans(), min_size=1, max_size=30))
-    def test_complement_property(self, flags):
-        table = Table.attribute_value([("a", "1")])
-        outcomes = [table if flag else StructuralError([1, 2]) for flag in flags]
-        complemented = [StructuralError([1, 2]) if flag else table for flag in flags]
-        assert error_rate(outcomes) == pytest.approx(1.0 - error_rate(complemented))
-        assert 0.0 <= error_rate(outcomes) <= 1.0
 
 
 class TestSemanticScore:

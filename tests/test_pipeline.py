@@ -307,13 +307,11 @@ class TestBaseline:
 
 
 class TestTemplateSlots:
-    """A template without the slots its prompt fills is a ValueError naming it, before any call."""
+    """A template with a question slot where its prompt has none, or without one where
+    it has one, is a ValueError naming it, before any call."""
 
-    NO_QUESTION = PromptTemplate("no-question.txt", "Passage: {{passage}}\nAnswer:")
-    NO_PASSAGE = PromptTemplate("no-passage.txt", "Question: {{question}}\nAnswer:")
-
-    @pytest.mark.parametrize("template", [NO_QUESTION, NO_PASSAGE], ids=lambda t: t.name)
-    def test_generation_and_update_reject_a_qa_template(self, rotowire_team_sample, template):
+    def test_generation_and_update_reject_a_qa_template_without_a_question_slot(self, rotowire_team_sample):
+        template = PromptTemplate("no-question.txt", "Passage: {{passage}}\nAnswer:")
         sample, kind = rotowire_team_sample, DatasetKind.ROTOWIRE_TEAM
         backend = CountingBackend(oracle_for(sample))
         delta = SkeletonDelta(add_col_headers=("Rebounds",))
@@ -327,12 +325,13 @@ class TestTemplateSlots:
                 run()
         assert backend.calls == 0
 
-    def test_structure_and_baseline_reject_a_template_without_a_passage_slot(self, e2e_sample):
+    def test_structure_and_baseline_reject_a_template_with_a_question_slot(self, e2e_sample):
         backend = CountingBackend(oracle_for(e2e_sample))
-        template = PromptTemplate("no-passage.txt", "Name the headers, joined by <SEP>.")
-        with pytest.raises(ValueError, match="'no-passage.txt' needs a {{passage}} slot"):
+        template = PromptTemplate("question.txt", "{{passage}}\nThe headers of {{question}}, joined by <SEP>:")
+        need = re.escape("'question.txt' needs one {{passage}} slot and no {{question}} slot")
+        with pytest.raises(ValueError, match=need):
             construct_structure(e2e_sample.text, DatasetKind.E2E, backend, template=template)
-        with pytest.raises(ValueError, match="'no-passage.txt' needs a {{passage}} slot"):
+        with pytest.raises(ValueError, match=need):
             baseline_generate(e2e_sample.text, DatasetKind.E2E, backend, template=template)
         assert backend.calls == 0
 
@@ -801,11 +800,11 @@ class TestStageTwoReference:
     ANSWERS = ["7", "scored 12 points", "unknown", "  Low  ", "N/A", "", "none", "twelve",
                MalformedResponse("bad json"), Unreachable("down")]
     KINDS = st.sampled_from(ALL_KINDS)
-    # The packaged question template, one that asks before it shows the passage
-    # (and asks twice), and the packaged one with a line after the question.
+    # The packaged question template, one that asks before it shows the passage,
+    # and the packaged one with a line after the question.
     TEMPLATES = st.sampled_from([
         None,
-        PromptTemplate("question-first", "Question: {{question}}\n\nPassage: {{passage}}\n\n{{question}}"),
+        PromptTemplate("question-first", "Question: {{question}}\n\nPassage: {{passage}}\n\nAnswer:"),
         PromptTemplate("line-after", default_qa_template().text.replace(
             "{{question}}", "{{question}}\nAnswer in a few words.")),
     ])

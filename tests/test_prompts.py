@@ -6,7 +6,7 @@ import math
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tabgen import prompts
@@ -35,6 +35,20 @@ from tabgen.table import Orientation, Table, normalize_text
 from .conftest import questions_for_headers
 
 HEADER_WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
+
+# The slots of a template that can be built, in order.
+VALID_SLOTS = [("passage",), ("passage", "question"), ("question", "passage")]
+
+
+@st.composite
+def templates(draw, literals) -> PromptTemplate:
+    """A template with one passage slot and at most one question slot, in either
+    order, around literals drawn from `literals` that form no slot of their own."""
+    slots = draw(st.sampled_from(VALID_SLOTS))
+    parts = [draw(literals) for _ in range(len(slots) + 1)]
+    text = parts[0] + "".join(f"{{{{{slot}}}}}{part}" for slot, part in zip(slots, parts[1:]))
+    assume(tuple(prompts._SLOT_RE.findall(text)) == slots)
+    return PromptTemplate("drawn", text)
 
 
 class TestParseHeaderSequence:
@@ -198,19 +212,30 @@ class TestPromptBuilders:
 
     @pytest.mark.parametrize(
         "build, text, need",
-        [(lambda t: build_qa_prompt("passage", "What is the Name?", t), "Passage: {{passage}}",
-          "{{passage}} slot and a {{question}} slot"),
-         (lambda t: build_qa_prompt("passage", "What is the Name?", t), "Question: {{question}}",
-          "{{passage}} slot and a {{question}} slot"),
-         (lambda t: build_structure_prompt("passage", DatasetKind.E2E, t), "Headers <SEP>:",
-          "{{passage}} slot and no {{question}} slot"),
-         (lambda t: build_baseline_prompt("passage", Orientation.MATRIX, t), "Table <NEWLINE>:",
-          "{{passage}} slot and no {{question}} slot")],
-        ids=["qa-no-question", "qa-no-passage", "structure-no-passage", "baseline-no-passage"],
+        [(lambda t: build_qa_prompt("passage", "What is the Name?", t), "Passage: {{passage}}", "one"),
+         (lambda t: build_structure_prompt("passage", DatasetKind.E2E, t), "{{passage}} {{question}} <SEP>:",
+          "no"),
+         (lambda t: build_baseline_prompt("passage", Orientation.MATRIX, t), "{{question}} {{passage}}",
+          "no")],
+        ids=["qa-no-question", "structure-question", "baseline-question"],
     )
     def test_template_without_the_slots_it_fills_rejected_by_name(self, build, text, need):
-        with pytest.raises(ValueError, match=re.escape(f"template 'custom.txt' needs a {need}")):
+        need = f"one {{{{passage}}}} slot and {need} {{{{question}}}} slot"
+        with pytest.raises(ValueError, match=re.escape(f"template 'custom.txt' needs {need}")):
             build(PromptTemplate("custom.txt", text))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["Question: {{question}}", "Headers <SEP>:", "{{passage}} {{passage}}", "{{question}} {{question}}",
+         "{{passage}} {{question}} {{passage}}", "{{question}}{{passage}}{{question}}", ""],
+        ids=["no-passage", "no-slot", "two-passages", "two-questions-no-passage", "passage-twice",
+             "question-twice", "empty"],
+    )
+    def test_template_with_other_slots_cannot_be_built(self, text):
+        with pytest.raises(ValueError, match=re.escape(
+            "template 'custom.txt' needs one {{passage}} slot and at most one {{question}} slot"
+        )):
+            PromptTemplate("custom.txt", text)
 
     def test_long_passage_truncated_to_budget(self):
         passage = " ".join(f"word{i}" for i in range(10_000))
@@ -281,16 +306,13 @@ class TestPromptBuilders:
         assert template.render(passage=passage, question=question) == expected
 
     @given(
-        text=st.lists(
-            st.sampled_from(["{", "}", "{{", "}}", "{{passage}}", "{{question}}", "x", " "]),
-            max_size=12,
-        ).map("".join),
+        template=templates(st.lists(st.sampled_from(["{", "}", "{{", "}}", "x", " "]), max_size=4)
+                           .map("".join)),
         passage=st.text(alphabet="{}pa x", max_size=12).filter(lambda t: "{{question}}" not in t),
         question=st.text(alphabet="{}qa x", min_size=1, max_size=12),
     )
-    def test_literal_braces_render_as_slot_by_slot_replacement(self, text, passage, question):
-        template = PromptTemplate(name="custom", text=text)
-        expected = text.replace("{{passage}}", passage).replace("{{question}}", question)
+    def test_literal_braces_render_as_slot_by_slot_replacement(self, template, passage, question):
+        expected = template.text.replace("{{passage}}", passage).replace("{{question}}", question)
         assert template.render(passage=passage, question=question) == expected
 
 
@@ -308,17 +330,17 @@ class TestRenderMatchesFormat:
         )
         return format_string.format(passage=passage, question=question)
 
-    PIECES = ["{", "}", "{{", "}}", "{{passage}}", "{{question}}", "{passage}", "{0}", "{}",
-              "{{{", "}}}", "x", " ", "\n", "é"]
-    VALUES = st.lists(st.sampled_from([*PIECES, "{question}", "{!r}", "%s"]), max_size=6).map("".join)
+    PIECES = ["{", "}", "{{", "}}", "{passage}", "{0}", "{}", "{{{", "}}}", "x", " ", "\n", "é"]
+    VALUES = st.lists(
+        st.sampled_from([*PIECES, "{{passage}}", "{{question}}", "{question}", "{!r}", "%s"]), max_size=6
+    ).map("".join)
 
     @given(
-        text=st.lists(st.sampled_from(PIECES), max_size=14).map("".join),
+        template=templates(st.lists(st.sampled_from(PIECES), max_size=5).map("".join)),
         passage=VALUES | st.text(max_size=20),
         question=st.none() | VALUES | st.text(max_size=20),
     )
-    def test_render_equals_the_format_renderer(self, text, passage, question):
-        template = PromptTemplate(name="custom", text=text)
+    def test_render_equals_the_format_renderer(self, template, passage, question):
         try:
             expected = self.format_render(template, passage=passage, question=question)
         except ValueError as err:
@@ -328,14 +350,9 @@ class TestRenderMatchesFormat:
             return
         assert template.render(passage=passage, question=question) == expected
 
-    @pytest.mark.parametrize(
-        "template",
-        [*prompts.packaged_templates(),
-         PromptTemplate("repeated", "{{question}}{{passage}} {{question}}{{passage}}")],
-        ids=lambda t: t.name,
-    )
+    @pytest.mark.parametrize("template", prompts.packaged_templates(), ids=lambda t: t.name)
     @given(passage=VALUES, question=VALUES)
-    def test_packaged_and_repeated_slot_templates(self, template, passage, question):
+    def test_packaged_templates(self, template, passage, question):
         got = template.render(passage=passage, question=question)
         assert got == self.format_render(template, passage=passage, question=question)
 
@@ -351,17 +368,7 @@ class TestSegments:
         st.sampled_from(["{{passage}}", "{{question}}", "{", "}", "{{", "}}", "q", " "]), max_size=5
     ).map("".join) | st.text(max_size=10)
 
-    @staticmethod
-    @st.composite
-    def templates(draw) -> PromptTemplate:
-        """One or two passage slots and zero to two question slots, in any order, around any literals."""
-        slots = ["passage"] * draw(st.integers(1, 2)) + ["question"] * draw(st.integers(0, 2))
-        slots = draw(st.permutations(slots))
-        literals = [draw(TestSegments.LITERALS) for _ in range(len(slots) + 1)]
-        text = literals[0] + "".join(f"{{{{{slot}}}}}{literal}" for slot, literal in zip(slots, literals[1:]))
-        return PromptTemplate("drawn", text)
-
-    @given(template=templates(), passage=VALUES, question=VALUES)
+    @given(template=templates(LITERALS), passage=VALUES, question=VALUES)
     def test_the_question_joined_into_the_segments_is_the_rendered_prompt(self, template, passage, question):
         segments = template.segments(passage)
         assert len(segments) == template.pieces[1].count("question") + 1
@@ -370,8 +377,8 @@ class TestSegments:
             assert segments[0] == template.render(passage=passage)
 
     def test_question_before_the_passage(self):
-        template = PromptTemplate("question-first", "Q: {{question}}\nP: {{passage}} ({{question}})")
-        assert template.segments("p {{question}}") == ["Q: ", "\nP: p {{question}} (", ")"]
+        template = PromptTemplate("question-first", "Q: {{question}}\nP: {{passage}} (?)")
+        assert template.segments("p {{question}}") == ["Q: ", "\nP: p {{question}} (?)"]
 
 
 READ_TEMPLATES = [
@@ -417,11 +424,6 @@ class TestTemplateFits:
         template = PromptTemplate("t", "P={{passage}} {Q}={{question}}!")
         assert template.pieces == (("P=", " {Q}=", "!"), ("passage", "question"))
 
-    @pytest.mark.parametrize("text", ["{{passage}} {{passage}}", "no slots", "{{question}}"])
-    def test_template_without_one_passage_slot_cannot_be_read(self, text):
-        with pytest.raises(ValueError, match="passage"):
-            list(PromptTemplate("odd", text).fits("anything"))
-
 
 class TestTruncation:
     def test_no_budget_keeps_passage(self):
@@ -462,6 +464,37 @@ class TestTruncation:
         for overhead in overheads:
             assert truncate_passage(passage, budget, overhead) == _ref_truncate_passage(
                 passage, budget, overhead)
+
+
+class TestPromptBudget:
+    """A prompt's estimate fits its budget when the template's slots are set off by
+    whitespace, as every packaged template's are, unless the budget leaves no room
+    for one passage word. Glued slots can join two words into one estimate."""
+
+    SPACE = st.sampled_from([" ", "\n", "\n\n", " \t", "\u3000"])
+    WORDS = st.text(alphabet="ab{}?: \n", max_size=12)
+    # Whitespace wherever a literal meets a slot; the text may open or close with a slot.
+    EDGED = st.builds(lambda a, words, b: a + words + b, SPACE, WORDS, SPACE)
+    TEXT = st.text(alphabet="ab{} \n\t", min_size=1, max_size=60).filter(lambda t: not t.isspace())
+
+    @settings(max_examples=400)
+    @given(st.sampled_from(VALID_SLOTS), st.just("") | EDGED, EDGED, st.just("") | EDGED,
+           TEXT, TEXT, st.integers(0, 60), st.sampled_from(DatasetKind))
+    def test_every_prompt_fits_its_budget(self, slots, first, middle, last, passage, question, budget, kind):
+        asks = len(slots) == 2
+        literals = [middle, last][-len(slots):]
+        text = first + "".join(f"{{{{{slot}}}}}{literal}" for slot, literal in zip(slots, literals))
+        template = PromptTemplate("edged", text)
+        if asks:
+            prompt = build_qa_prompt(passage, question, template, budget)
+        else:
+            prompt = build_structure_prompt(passage, kind, template, budget)
+            question = None
+        room = budget - template.overhead_tokens - (estimate_tokens(question) if asks else 0)
+        if room >= prompts.words_to_tokens(1):
+            assert estimate_tokens(prompt) <= budget
+        else:  # the passage is cut to its one-word minimum
+            assert prompt == template.render(passage=passage.split()[0], question=question)
 
 
 # `truncate_passage` as it was when it split every passage to count it, kept
