@@ -508,6 +508,7 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
 
     def _post_once(self, path: str, payload: dict) -> dict:
         import requests
+        from urllib3.exceptions import ReadTimeoutError
 
         url = self.config.base_url.rstrip("/") + path
         try:
@@ -515,6 +516,9 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
         except requests.Timeout as err:
             raise BackendTimeout(f"timeout calling {url}") from err
         except requests.ConnectionError as err:
+            # requests reports a body slower than the timeout as a ConnectionError around urllib3's.
+            if err.args and isinstance(err.args[0], ReadTimeoutError):
+                raise BackendTimeout(f"timeout calling {url}") from err
             raise Unreachable(f"cannot reach {url}") from err
         except requests.RequestException as err:
             # A body cut off mid-read, among others, is retried; a request
@@ -614,6 +618,12 @@ class MockOracleBackend(GenerationBackend):
     answer text is one shared response for the whole oracle. Its calls
     do not wait, so it answers every batch on the calling thread whatever
     `concurrency` is.
+
+    What a prompt costs: a test of each template's frame (the literals
+    around its slots, kept as a tuple when the oracle is built) until one
+    frames the prompt, then one exact lookup of that template's longest
+    passage slot. Only when that slot holds no registered passage
+    verbatim are its other ways and the rules above enumerated.
     """
 
     waits = False
@@ -646,18 +656,20 @@ class MockOracleBackend(GenerationBackend):
         self._order = sorted(range(len(pairs)), key=passages.__getitem__)
         self._sorted = [passages[i] for i in self._order]
 
-        self._templates: list[tuple[PromptTemplate, str]] = []
+        # Each template's frame, in reading order: the template, the kind of answer it
+        # asks for, and its `layout` (the literals around its slots and their order).
+        self._frames: list[tuple[PromptTemplate, str, str, str | None, str, bool]] = []
         for template in [*packaged_templates(), *templates]:
-            literals, slots = template.pieces
+            first, middle, last, passage_first = template.layout
             # A question slot makes a cell template, whatever its text mentions.
-            text = "" if "question" in slots else "".join(literals)
+            text = "" if middle is not None else first + last
             kind = "headers" if SEP_TOKEN in text else "flat" if NEWLINE_TOKEN in text else "cell"
-            self._templates.append((template, kind))
+            self._frames.append((template, kind, first, middle, last, passage_first))
 
-    def _sample(self, prompt: str, ways: Iterator) -> tuple[int, tuple[int, int] | None] | None:
-        """The sample the prompt's passage slot names, and the question slot of that way.
+    def _sample(self, prompt: str, ways: Iterator) -> tuple[int, tuple[int, int] | None]:
+        """The sample the passage slot of one of `ways` names, and that way's question slot.
 
-        None when there is no way at all: the prompt does not fit the template.
+        `ways` holds at least one way: the prompt fits the template.
         """
         lone = truncated = None
         for (start, end), question in ways:
@@ -680,7 +692,7 @@ class MockOracleBackend(GenerationBackend):
             if count > 1:
                 raise MalformedResponse(f"truncated prompt matches {count} registered passages equally")
             return i, question
-        if lone is None or len(self._texts) == 1:
+        if len(self._texts) == 1:
             return lone
         raise MalformedResponse("prompt does not mention any registered passage")
 
@@ -734,19 +746,33 @@ class MockOracleBackend(GenerationBackend):
     def _generate_once(self, request: GenerationRequest) -> GenerationResponse:
         prompt = request.prompt
         failure, unasked = None, False
-        for template, kind in self._templates:
-            try:
-                found = self._sample(prompt, template.fits(prompt))
-            except MalformedResponse as err:
-                failure = failure or err
+        for template, kind, first, middle, last, passage_first in self._frames:
+            # The first way `template.fits(prompt)` would give: the longest passage slot.
+            start, end = len(first), len(prompt) - len(last)
+            if end < start or not prompt.startswith(first) or not prompt.endswith(last):
                 continue
-            if found is None:
-                continue
-            i, question = found
+            question = None
+            if middle is not None:
+                cut = prompt.rfind(middle, start, end) if passage_first else prompt.find(middle, start, end)
+                if cut == -1:
+                    continue
+                if passage_first:
+                    end, question = cut, (cut + len(middle), end)
+                else:
+                    start, question = cut + len(middle), (start, cut)
+            for i in self._by_key.get((end - start, prompt[start : min(end, start + _KEY_CHARS)]), ()):
+                if prompt.startswith(self._texts[i], start):
+                    break
+            else:  # not a registered passage verbatim: every way, by every rule
+                try:
+                    i, question = self._sample(prompt, template.fits(prompt))
+                except MalformedResponse as err:
+                    failure = failure or err
+                    continue
             if kind != "cell":
                 return self._reply(i, kind)
-            asked = None if question is None else prompt[question[0] : question[1]]
-            response = self._asked(i).get(asked)
+            cells = self._cells[i] or self._asked(i)
+            response = cells.get(None if question is None else prompt[question[0] : question[1]])
             if response is not None:
                 return response
             # A later template may read the question that this one's

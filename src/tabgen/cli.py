@@ -94,20 +94,33 @@ def _check_writable(*outs: str | None) -> None:
         raise
 
 
-def _check_distinct(inputs: dict[str, str | None], outputs: dict[str, str | None]) -> None:
-    """Fail as a config error if an output file, by flag, is an input file or another output.
+# Every flag that names a file some command reads, by its `args` attribute. `update
+# --table` is not one of them, so that an update may write its table back in place.
+_INPUT_FLAGS = {
+    "--in": "infile", "--oracle": "oracle", "--config": "config", "--pred": "pred", "--gold": "gold",
+    "--structure-template": "structure_template", "--qa-template": "qa_template",
+    "--baseline-template": "baseline_template", "--delta": "delta", "--evidence-file": "evidence_file",
+}
+_OUTPUT_FLAGS = {"--out": "out", "--trace": "trace"}
+
+
+def _check_distinct(args: Namespace) -> None:
+    """Fail as a config error if an output file, by flag, is a file the command reads or another output.
 
     Paths are compared after `resolve()`, so two spellings of one file match.
     Only a regular file, or one not made yet, can clash: writing one device
     or pipe twice (`/dev/null`) overwrites nothing.
     """
-    named = {Path(path).resolve(): flag for flag, path in inputs.items() if path}
-    for flag, path in outputs.items():
-        if path:
-            resolved = Path(path).resolve()
-            if resolved in named and (resolved.is_file() or not resolved.exists()):
-                raise ConfigError(f"{flag} {path} is also the {named[resolved]} file")
-            named[resolved] = flag
+    outputs = [(flag, path) for flag, name in _OUTPUT_FLAGS.items() if (path := getattr(args, name, None))]
+    if not outputs:  # the command writes no file (as `stats`, whose `--in` is a list)
+        return
+    inputs = ((flag, getattr(args, name, None)) for flag, name in _INPUT_FLAGS.items())
+    named = {Path(path).resolve(): flag for flag, path in inputs if path}
+    for flag, path in outputs:
+        resolved = Path(path).resolve()
+        if resolved in named and (resolved.is_file() or not resolved.exists()):
+            raise ConfigError(f"{flag} {path} is also the {named[resolved]} file")
+        named[resolved] = flag
 
 
 def _read_json(path: str, label: str, build: Callable):
@@ -203,11 +216,9 @@ def _run_corpus(
     gets an error record and counts as failed (exit code 1). Samples run
     through `backend.map`, on the pool that also serves their batches.
     Records and traces keep input order and are written at the end, but
-    `--out` and `--trace` are checked before any backend call, and may
-    name neither `--in`, `--oracle` nor each other.
+    `--out` and `--trace` are checked before any backend call.
     """
     trace_out = getattr(args, "trace", None)
-    _check_distinct({"--in": args.infile, "--oracle": args.oracle}, {"--out": args.out, "--trace": trace_out})
     samples = _load_corpus(args.infile, args.kind, "corpus file")
     if not samples:
         raise ConfigError(f"corpus file {args.infile} holds no samples")
@@ -310,7 +321,6 @@ def _read_predictions(path: str) -> dict[str, Table | None]:
 
 
 def _cmd_evaluate(args: Namespace) -> int:
-    _check_distinct({"--pred": args.pred, "--gold": args.gold}, {"--out": args.out})
     gold_samples = _load_corpus(args.gold, args.kind, "gold file")
     if not gold_samples:
         raise ConfigError(f"gold file {args.gold} holds no samples")
@@ -499,6 +509,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:
+        _check_distinct(args)
         return args.handler(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -62,7 +62,7 @@ class PromptTemplate:
         is never read for slots, so slot markers and braces inside a
         filled-in value stay text.
         """
-        first, middle, last, passage_first = self._layout
+        first, middle, last, passage_first = self.layout
         if middle is None:
             return [first + passage + last]
         return [first + passage + middle, last] if passage_first else [first, middle + passage + last]
@@ -86,7 +86,7 @@ class PromptTemplate:
         two slots is one way. Ways are found as they are asked for, so the
         first costs no scan of the whole prompt.
         """
-        first, middle, last, passage_first = self._layout
+        first, middle, last, passage_first = self.layout
         start, end = len(first), len(prompt) - len(last)
         if end < start or not prompt.startswith(first) or not prompt.endswith(last):
             return
@@ -104,7 +104,7 @@ class PromptTemplate:
                 cut = prompt.find(middle, cut + 1, end)
 
     @cached_property
-    def _layout(self) -> tuple[str, str | None, str, bool]:
+    def layout(self) -> tuple[str, str | None, str, bool]:
         """(first literal, middle literal or None, last literal, whether the passage comes first)."""
         literals, slots = self.pieces
         middle = literals[1] if len(slots) == 2 else None

@@ -1001,6 +1001,17 @@ class _Handler(BaseHTTPRequestHandler):
         if _Handler.behavior == "slow":
             time.sleep(0.2)  # past the client's timeout; it has gone, so nothing is sent
             return
+        if _Handler.behavior == "slow-body":
+            # The headers go out at once; the body would come past the client's timeout.
+            self.send_response(200)
+            self.send_header("Content-Length", "2")
+            self.end_headers()
+            time.sleep(0.3)
+            try:
+                self.wfile.write(b"{}")
+            except OSError:  # the client has gone
+                pass
+            return
         if _Handler.behavior == "bad-request":
             self.send_response(400)
             self.end_headers()
@@ -1114,6 +1125,27 @@ class TestHttpBackend:
         with pytest.raises(BackendTimeout):
             backend.generate(GenerationRequest("hi"))
         assert attempts == ["/v1/completions"] * 2
+
+    def test_a_body_slower_than_the_timeout_is_retried_then_a_timeout(self, http_server):
+        _Handler.behavior = "slow-body"
+        # The backoff outlasts the stub's sleep, so the retry finds it free to send headers again.
+        backend = HttpBackend(
+            BackendConfig(kind="http", base_url=http_server, timeout_ms=100, retry_cap=2, backoff_s=0.3)
+        )
+        raised = []
+        post_once = backend._post_once
+
+        def attempt(path, payload):
+            try:
+                return post_once(path, payload)
+            except BackendError as err:
+                raised.append(type(err))
+                raise
+
+        backend._post_once = attempt
+        with pytest.raises(BackendTimeout):
+            backend.generate(GenerationRequest("hi"))
+        assert raised == [BackendTimeout] * 2
 
     def test_a_rejected_request_is_malformed_and_not_retried(self, http_server):
         _Handler.behavior = "bad-request"

@@ -22,8 +22,13 @@ from tabgen.cli import dispatch
 from tabgen.corpus import fixture_path, load_jsonl
 from tabgen.kinds import DatasetKind
 from tabgen.pipeline import generate_table_traced
-from tabgen.prompts import build_structure_prompt
-from tabgen.table import NEWLINE_TOKEN, serialize_flat, table_from_json
+from tabgen.prompts import (
+    build_structure_prompt,
+    default_baseline_template,
+    default_qa_template,
+    default_structure_template,
+)
+from tabgen.table import NEWLINE_TOKEN, Orientation, serialize_flat, table_from_json
 
 from .conftest import DelayedBackend, ScriptedBackend
 
@@ -733,6 +738,8 @@ class TestUpdateBadDelta:
 GENERATE = ["generate", "--kind", "e2e", "--in", E2E_EXAMPLE]
 REPLAY = [*GENERATE, "--backend", "replay", "--fixtures", "fixtures"]
 UPDATE_FILES = ["update", "--kind", "e2e", "--table", "table.json", "--delta", "delta.json"]
+UPDATE_TEAM = ["update", "--kind", "rotowire-team", "--table", "table.json", "--delta", "delta.json",
+               "--evidence-file", "evidence.txt", "--oracle", "team.jsonl", "--backend", "mock-oracle"]
 UPDATE = [*UPDATE_FILES, "--evidence", "The Eagle is owned by a local family."]
 RUN_MINI = ["generate", "--kind", "e2e", "--backend", "mock-oracle", "--in", "corpus.jsonl"]
 
@@ -862,10 +869,20 @@ class TestBadInput:
              "--out", "gold.jsonl"],
             ["evaluate", "--kind", "e2e", "--pred", "corpus.jsonl", "--gold", "gold.jsonl",
              "--out", "corpus.jsonl"],
+            [*RUN_MINI, "--config", "c.json", "--out", "c.json"],
+            [*RUN_MINI, "--qa-template", "qa.txt", "--trace", "qa.txt"],
+            [*RUN_MINI, "--structure-template", "structure.txt", "--out", "structure.txt"],
+            ["baseline", *RUN_MINI[1:], "--baseline-template", "baseline.txt", "--out", "baseline.txt"],
+            [*UPDATE_TEAM, "--out", "team.jsonl"],
+            [*UPDATE_TEAM, "--out", "delta.json"],
+            [*UPDATE_TEAM, "--out", "evidence.txt"],
+            [*UPDATE_TEAM, "--config", "c.json", "--out", "c.json"],
         ],
         ids=["out-is-trace", "out-is-in", "trace-is-in", "out-is-oracle", "record-out-is-in",
              "record-out-is-trace", "baseline-out-is-in", "baseline-out-is-oracle", "report-is-gold",
-             "report-is-pred"],
+             "report-is-pred", "out-is-config", "trace-is-qa-template", "out-is-structure-template",
+             "baseline-out-is-template", "update-out-is-oracle", "update-out-is-delta",
+             "update-out-is-evidence", "update-out-is-config"],
     )
     def test_an_output_that_names_an_input_or_another_output(self, tmp_path, capsys, monkeypatch, argv):
         built = delay_every_backend(monkeypatch, 0.0)
@@ -873,6 +890,21 @@ class TestBadInput:
         (tmp_path / "sub").mkdir()
         for name in ("corpus.jsonl", "gold.jsonl"):
             (tmp_path / name).write_bytes(Path(E2E_MINI).read_bytes())
+        # The rotowire-team example, less its last row, and what an update adds it back from.
+        (tmp_path / "team.jsonl").write_bytes(Path(TEAM_EXAMPLE).read_bytes())
+        sample = json.loads(Path(TEAM_EXAMPLE).read_text("utf-8"))
+        table = sample["table"]
+        (tmp_path / "table.json").write_text(json.dumps(
+            {**table, "row_headers": table["row_headers"][:-1], "cells": table["cells"][:-1]}), "utf-8")
+        (tmp_path / "delta.json").write_text(json.dumps({"add_row_headers": table["row_headers"][-1:]}), "utf-8")
+        (tmp_path / "evidence.txt").write_text(sample["text"], "utf-8")
+        (tmp_path / "c.json").write_text("{}", "utf-8")
+        (tmp_path / "qa.txt").write_text(default_qa_template().text, "utf-8")
+        (tmp_path / "structure.txt").write_text(default_structure_template(DatasetKind.E2E).text, "utf-8")
+        (tmp_path / "baseline.txt").write_text(
+            default_baseline_template(Orientation.ATTRIBUTE_VALUE).text, "utf-8")
+        assert dispatch([*UPDATE_TEAM, "--out", os.devnull]) == 0  # it runs when nothing clashes
+        built.clear()
         before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
         assert dispatch(argv) == 2
         err = capsys.readouterr().err

@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import sys
 import threading
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabgen.backends import GenerationRequest, MalformedResponse, MockOracleBackend
+from tabgen.backends import (
+    _KEY_CHARS,
+    GenerationRequest,
+    GenerationResponse,
+    MalformedResponse,
+    MockOracleBackend,
+)
 from tabgen.corpus import table_of_kind
 from tabgen.kinds import DatasetKind
 from tabgen.metrics import evaluate_sample
@@ -610,3 +617,203 @@ class TestPassageRunningIntoTemplateText:
             answers.append(answer_or_error(shared, prompt))
             assert answers[-1] == answer_or_error(MockOracleBackend(samples), prompt), prompt
         assert answers == ["Aromi", "Italian"] * 2
+
+
+def reference_sample(oracle: MockOracleBackend, prompt: str, ways) -> tuple[int, tuple | None] | None:
+    """The sample the prompt's passage slot names, and the question slot of that way.
+
+    The oracle's passage rules as they read when every template's ways
+    were enumerated, kept as the reference. None when there is no way at
+    all: the prompt does not fit the template.
+    """
+    lone = truncated = None
+    for (start, end), question in ways:
+        for i in oracle._by_key.get((end - start, prompt[start : min(end, start + _KEY_CHARS)]), ()):
+            if prompt.startswith(oracle._texts[i], start):
+                return i, question
+        shown = " ".join(prompt[start:end].split())
+        i = oracle._by_passage.get(shown)
+        if i is not None:
+            return i, question
+        if truncated is None:
+            low = bisect_left(oracle._sorted, shown + " ")
+            high = bisect_left(oracle._sorted, shown + "!", low)  # "!" follows " "
+            if high > low:
+                truncated = high - low, oracle._order[low], question
+        if lone is None:
+            lone = 0, question
+    if truncated is not None:
+        count, i, question = truncated
+        if count > 1:
+            raise MalformedResponse(f"truncated prompt matches {count} registered passages equally")
+        return i, question
+    if lone is None or len(oracle._texts) == 1:
+        return lone
+    raise MalformedResponse("prompt does not mention any registered passage")
+
+
+def reference_generate(oracle: MockOracleBackend, prompt: str) -> GenerationResponse:
+    """The oracle's answer as it read every prompt: each template through `fits` and `reference_sample`."""
+    failure, unasked = None, False
+    for template, kind, *_ in oracle._frames:
+        try:
+            found = reference_sample(oracle, prompt, template.fits(prompt))
+        except MalformedResponse as err:
+            failure = failure or err
+            continue
+        if found is None:
+            continue
+        i, question = found
+        if kind != "cell":
+            return oracle._reply(i, kind)
+        asked = None if question is None else prompt[question[0] : question[1]]
+        response = oracle._asked(i).get(asked)
+        if response is not None:
+            return response
+        # A later template may read the question that this one's
+        # question slot holds wrapped in template text.
+        unasked = True
+    if unasked:
+        return oracle._response("unknown")
+    raise failure or MalformedResponse("prompt fits no template the oracle holds")
+
+
+READER_WORDS = st.sampled_from(
+    ["alpha", "beta", "gamma", "Hawks", "What", "is", "the", "Name?", "<SEP>", "<NEWLINE>", "P:", "Q:", "x."]
+)
+READER_TEMPLATES = {
+    "question-first": PromptTemplate("question-first", "Q: {{question}}\nP: {{passage}}\nA:"),
+    "glued": PromptTemplate("glued", "P:{{passage}}{{question}}A:"),
+    # The packaged question template, its question wrapped in more text.
+    "wrapped": PromptTemplate(
+        "wrapped", default_qa_template().text.replace("{{question}}", "Say: {{question}} ok")
+    ),
+    "headers": PromptTemplate("headers", "List headers joined by <SEP>.\n{{passage}}\nHeaders:"),
+    "flat": PromptTemplate("flat", "P: {{passage}}\nA table, rows split by <NEWLINE>:"),
+    # Its literals overlap in a prompt shorter than both: "<SEP> <SEP>".
+    "overlap": PromptTemplate("overlap", "<SEP> {{passage}} <SEP>"),
+}
+# Template text that follows a passage slot, so a passage that ends in it
+# runs into the template text of another passage's prompts.
+RUN_ON = ["\n\nQuestion: What is the ", "\n\nQuestion: Say: What", "\nA:", "What is the Name", "\nHeaders:"]
+
+
+@st.composite
+def reader_tables(draw) -> Table:
+    headers = draw(st.lists(HEADER_NAMES, min_size=1, max_size=3, unique=True))
+    values = st.sampled_from(["a1", "b2", None])
+    if draw(st.booleans()):
+        return Table.attribute_value([(header, draw(values)) for header in headers])
+    rows = draw(st.lists(st.sampled_from(["Hawks", "Magic", "x."]), min_size=1, max_size=2, unique=True))
+    return Table.matrix(rows, headers, [[draw(values) for _ in headers] for _ in rows])
+
+
+@st.composite
+def reader_cases(draw) -> tuple[list[tuple[str, Table]], list[PromptTemplate], list[str]]:
+    """Registered samples, the custom templates the oracle holds, and prompts to read.
+
+    Passages share an opening (so a cut inside it ties), may be shorter
+    than the lookup key, or run into template text. Prompts hold a
+    registered passage, its words with other whitespace, or unregistered
+    words, cut to a budget; they ask known and unknown questions through
+    packaged and custom templates, and some fit no template at all.
+    """
+    opening = draw(st.lists(READER_WORDS, max_size=40))
+    samples: list[tuple[str, Table]] = []
+    for _ in range(draw(st.integers(1, 4))):
+        if samples and draw(st.booleans()):
+            text = draw(st.sampled_from(samples))[0] + draw(st.sampled_from(RUN_ON))
+        else:
+            tail = draw(st.lists(READER_WORDS, min_size=1, max_size=30))
+            text = draw(words_joined(opening[: draw(st.integers(0, len(opening)))] + tail))
+        samples.append((text, draw(reader_tables())))
+    held = draw(st.sampled_from([list(READER_TEMPLATES.values())] * 3 + [[]]))
+    budget = draw(st.sampled_from([None, 2048, 60, 25]))
+    prompts = []
+    for _ in range(draw(st.integers(1, 8))):
+        # The last sample, most often one that runs into template text, half the time.
+        passage, table = draw(st.sampled_from([samples[-1], *samples]))
+        source = draw(st.sampled_from(["registered", "registered", "registered", "whitespace", "unregistered"]))
+        if source == "whitespace":
+            passage = draw(words_joined(passage.split()))
+        elif source == "unregistered":
+            passage = draw(words_joined(draw(st.lists(READER_WORDS, min_size=1, max_size=12))))
+        phase = draw(st.sampled_from(["structure", "baseline", "cell", "cell", "cell"]))
+        if phase == "structure":
+            template = draw(st.sampled_from([None, READER_TEMPLATES["headers"], READER_TEMPLATES["overlap"]]))
+            kind = draw(st.sampled_from([DatasetKind.E2E, DatasetKind.ROTOWIRE_TEAM]))
+            prompt = build_structure_prompt(passage, kind, template, budget)
+        elif phase == "baseline":
+            template = draw(st.sampled_from([None, READER_TEMPLATES["flat"]]))
+            prompt = build_baseline_prompt(passage, draw(st.sampled_from(Orientation)), template, budget)
+        else:
+            names = ["question-first", "glued", "wrapped"]
+            template = draw(st.sampled_from([None, None, *map(READER_TEMPLATES.get, names)]))
+            row = draw(st.sampled_from([None, *table.row_headers]))
+            col = draw(st.sampled_from([*table.col_headers, "Missing"]))
+            question = formulate_question(row, col, draw(st.booleans()))
+            prompt = build_qa_prompt(passage, question, template, budget)
+        prompts.append(draw(st.sampled_from([*[prompt] * 6, "x" + prompt, prompt + "x", "<SEP> <SEP>"])))
+    return samples, held, prompts
+
+
+def outcome(answer, prompt: str) -> str | tuple[type, str]:
+    """The response text, or the type and message of the error raised."""
+    try:
+        return answer(prompt).text
+    except MalformedResponse as err:
+        return type(err), str(err)
+
+
+class TestReader:
+    """The oracle answers every prompt as the reader that enumerated every way did."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(reader_cases())
+    def test_answers_and_errors_equal_the_reference(self, case):
+        samples, held, prompts = case
+        oracle = MockOracleBackend(samples, templates=held)
+        reference = MockOracleBackend(samples, templates=held)
+        for prompt in prompts:
+            got = outcome(lambda p: oracle.generate(GenerationRequest(p)), prompt)
+            assert got == outcome(lambda p: reference_generate(reference, p), prompt), prompt
+
+
+class TestReadingCost:
+    """A prompt whose passage slot holds a registered passage verbatim is answered from one lookup,
+    without enumerating the ways its template fits it; any other passage still meets every rule."""
+
+    @pytest.fixture
+    def fits_calls(self, monkeypatch) -> list[str]:
+        calls: list[str] = []
+        fits = PromptTemplate.fits
+
+        def counted(template: PromptTemplate, prompt: str):
+            calls.append(template.name)
+            return fits(template, prompt)
+
+        monkeypatch.setattr(PromptTemplate, "fits", counted)
+        return calls
+
+    def test_a_verbatim_passage_enumerates_no_way(self, fits_calls):
+        samples = [_venue("The Golden Crown", "Italian", "riverside"),
+                   _venue("The Blue Spice", "French", "city centre")]
+        backend = MockOracleBackend(samples)
+        for text, gold in samples:
+            assert generate_table(text, DatasetKind.E2E, backend) == gold
+            assert baseline_generate(text, DatasetKind.E2E, backend) == gold
+        assert fits_calls == []
+
+    @pytest.mark.parametrize("shown", ["collapsed", "truncated"])
+    def test_a_passage_not_held_verbatim_reaches_the_rules(self, fits_calls, shown):
+        registered = "Aromi   serves\nItalian food. " + " ".join(f"word{i}" for i in range(200))
+        other = load_example(DatasetKind.E2E)
+        gold = Table.attribute_value([("Name", "Aromi")])
+        backend = MockOracleBackend([(other.text, other.gold), (registered, gold)])
+        if shown == "collapsed":
+            prompt = build_qa_prompt(" ".join(registered.split()), "What is the Name?")
+        else:
+            prompt = build_qa_prompt(registered, "What is the Name?", max_input_tokens=60)
+        assert registered not in prompt
+        assert backend.generate(GenerationRequest(prompt)).text == "Aromi"
+        assert fits_calls == ["qa"]
